@@ -21,22 +21,15 @@ from .dpo import (
 )
 from .errors import ConfigurationError, ContractError, TrainingError
 from .evaluation import (
-    CapabilityReport,
-    WinRateEstimate,
     capability_delta,
     collapse_metrics,
     estimate_win_rate,
     probe_accuracy,
 )
 from .harness import (
-    EvalSettings,
-    ExperimentGrid,
-    SummaryRow,
-    TrainTemplate,
     aggregate_summary,
     emit_pareto,
     parse_config,
-    run_cell,
     run_grid,
     write_summary,
 )
@@ -52,8 +45,6 @@ from .policy import (
     sample_response,
 )
 from .selection import (
-    SELECTOR_APL,
-    SELECTOR_RANDOM,
     CandidateSet,
     OpCounters,
     PairPool,
@@ -67,8 +58,6 @@ from .selection import (
     select_random,
 )
 from .trainer import (
-    IterationLog,
-    RunResult,
     SftConfig,
     TrainConfig,
     reference_preset,

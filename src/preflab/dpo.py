@@ -6,11 +6,19 @@ reward of a response is
     r(x, y) = beta * (log pi_theta(y|x) - log pi_ref(y|x))
 
 and the example loss is -log sigmoid(h) with h = r(x, w) - r(x, l), computed
-as softplus(-h) for stability at large |h|. The batch gradient is the mean of
+as softplus(-h) for stability at large |h|.
 
-    -sigmoid(-h) * beta * (grad_log_prob(w) - grad_log_prob(l)),
+For a linear softmax the closed form is exact: log pi(w|x) - log pi(l|x) =
+theta . (phi_w - phi_l), because both log-probs subtract the same logsumexp
+and it cancels. With dphi = phi_w - phi_l,
 
-a mean (not a sum) so the learning rate is batch-size independent.
+    h = beta * (theta - theta_ref) . dphi,
+    grad = mean(-beta * sigmoid(-h) * dphi),
+
+since grad_log_prob(w) - grad_log_prob(l) = dphi (the expected-feature terms
+cancel too). DPO is therefore logistic regression on feature differences,
+and a batch is one matrix-vector product. The gradient is a mean (not a sum)
+so the learning rate is batch-size independent.
 """
 
 from __future__ import annotations
@@ -22,7 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, TrainingError
-from .policy import Policy, grad_log_prob, log_prob
+from .policy import Policy, log_prob, stack_features
+from .policy import grad_log_prob  # noqa: F401  (traced by bench/spans.py)
 from .universe import PromptRecord
 
 OPTIMIZER_SGD = "sgd"
@@ -95,15 +104,6 @@ class OptimizerState:
         return cls(step=0, first_moment=np.zeros(dim), second_moment=np.zeros(dim))
 
 
-def _softplus(x: float) -> float:
-    # log(1 + e^x), stable for any finite x
-    return float(np.logaddexp(0.0, x))
-
-
-def _sigmoid(x: float) -> float:
-    return math.exp(-np.logaddexp(0.0, -x))
-
-
 def implicit_reward(
     policy: Policy, ref: Policy, record: PromptRecord, y: int, beta: float
 ) -> float:
@@ -132,11 +132,7 @@ def dpo_example_loss(
     policy: Policy, ref: Policy, record: PromptRecord, triple: PreferenceTriple, beta: float
 ) -> float:
     """softplus(-h) with h the winner-loser implicit-reward gap; > 0 always."""
-    _check_triple(record, triple)
-    h = implicit_reward(policy, ref, record, triple.winner, beta) - implicit_reward(
-        policy, ref, record, triple.loser, beta
-    )
-    return _softplus(-h)
+    return dpo_batch_grad(policy, ref, [(record, triple)], beta)[0]
 
 
 def dpo_batch_grad(
@@ -148,21 +144,20 @@ def dpo_batch_grad(
     """Mean example loss and its exact gradient with respect to theta."""
     if len(batch) == 0:
         raise ContractError("dpo_batch_grad requires a non-empty batch")
-    loss = 0.0
-    grad = np.zeros(policy.feature_dim)
+    if beta <= 0:
+        raise ContractError(f"beta must be > 0, got {beta}")
     for record, triple in batch:
         _check_triple(record, triple)
-        h = implicit_reward(policy, ref, record, triple.winner, beta) - implicit_reward(
-            policy, ref, record, triple.loser, beta
-        )
-        loss += _softplus(-h)
-        coeff = -_sigmoid(-h) * beta
-        grad += coeff * (
-            grad_log_prob(policy, record, triple.winner)
-            - grad_log_prob(policy, record, triple.loser)
-        )
-    n = len(batch)
-    return loss / n, grad / n
+    features = stack_features([record for record, _ in batch], policy, ref)
+    rows = np.arange(len(batch))
+    dphi = (
+        features[rows, [triple.winner for _, triple in batch]]
+        - features[rows, [triple.loser for _, triple in batch]]
+    )
+    h = beta * (dphi @ (policy.theta - ref.theta))
+    loss = float(np.mean(np.logaddexp(0.0, -h)))
+    coeff = -beta * np.exp(-np.logaddexp(0.0, h))  # -beta * sigmoid(-h)
+    return loss, coeff @ dphi / len(batch)
 
 
 def lr_at_step(cfg: DpoConfig, step: int) -> float:

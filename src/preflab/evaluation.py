@@ -4,7 +4,9 @@ Win-rate trials walk the eval prompts round-robin, sample one response from
 each side, and ask the evaluator judge which wins. Identical samples count as
 half a win (cheap and unbiased on finite response sets), and the pair is
 presented to the judge in a coin-flipped slot order so a position-biased
-judge cannot tilt the estimate.
+judge cannot tilt the estimate. Each side's inverse CDF is computed once per
+eval prompt; a trial then draws the policy uniform, the reference uniform,
+and (only when the samples differ) the coin, in that order.
 
 Probe accuracy is the fraction of probe prompts whose policy argmax equals
 the constructed correct response; the capability delta against the reference
@@ -16,13 +18,15 @@ the reference policy's.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractError
-from .policy import Policy, exact_entropy, logits, sample_response
+from .policy import Policy, exact_entropy, log_softmax, stack_features
+from .policy import logits, sample_response  # noqa: F401  (traced by bench/spans.py)
 from .universe import PromptRecord, PromptUniverse
 
 DEFAULT_COLLAPSE_FRACTION = 0.1
@@ -35,14 +39,6 @@ class WinRateEstimate:
     rate: float
     ci_low: float
     ci_high: float
-
-
-@dataclass
-class CapabilityReport:
-    probe_accuracy: float
-    delta_vs_sft: float
-    mean_policy_entropy: float
-    collapse_flag: bool
 
 
 def estimate_win_rate(
@@ -61,11 +57,19 @@ def estimate_win_rate(
         raise ContractError(f"n_trials must be >= 1, got {n_trials}")
     if not records:
         raise ContractError("win-rate estimation needs at least one prompt")
+    features = stack_features(records, policy, ref)
+    last = features.shape[1] - 1
+    # per-prompt inverse CDFs as lists: bisect_right is searchsorted(side="right")
+    policy_cdf, ref_cdf = (
+        np.cumsum(np.exp(log_softmax(features @ side.theta)), axis=1).tolist()
+        for side in (policy, ref)
+    )
     wins = 0.0
     for i in range(n_trials):
-        record = records[i % len(records)]
-        y_policy = sample_response(policy, record, rng)
-        y_ref = sample_response(ref, record, rng)
+        j = i % len(records)
+        record = records[j]
+        y_policy = min(bisect_right(policy_cdf[j], rng.random()), last)
+        y_ref = min(bisect_right(ref_cdf[j], rng.random()), last)
         if y_policy == y_ref:
             wins += 0.5
             continue
@@ -95,10 +99,8 @@ def probe_accuracy(policy: Policy, universe: PromptUniverse) -> float:
     probes = universe.probe_prompts()
     if not probes:
         raise ContractError("universe has no probe prompts")
-    hits = 0
-    for record in probes:
-        if int(np.argmax(logits(policy, record))) == record.correct_response:
-            hits += 1
+    best = np.argmax(stack_features(probes, policy) @ policy.theta, axis=1)
+    hits = sum(int(y) == record.correct_response for y, record in zip(best, probes))
     return hits / len(probes)
 
 

@@ -20,10 +20,11 @@ import csv
 import hashlib
 import json
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Optional, Sequence, get_type_hints
 
 import numpy as np
 from scipy import stats
@@ -31,14 +32,8 @@ from scipy import stats
 from . import __version__ as _package_version
 from .dpo import DpoConfig
 from .errors import ConfigurationError, TrainingError
-from .evaluation import (
-    CapabilityReport,
-    collapse_metrics,
-    estimate_win_rate,
-    probe_accuracy,
-)
+from .evaluation import collapse_metrics, estimate_win_rate, probe_accuracy
 from .judges import JudgeSpec, make_judge
-from .policy import Policy
 from .rng import mix_seeds, substream
 from .selection import SELECTOR_APL, SELECTOR_RANDOM, SelectionConfig
 from .trainer import RunResult, SftConfig, TrainConfig, run_online_dpo, sft_fit
@@ -193,6 +188,7 @@ class SummaryRow:
 def _build_dataclass(cls, data: Any, path: str, defaulted: list[str]):
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: expected an object, got {type(data).__name__}")
+    hints = get_type_hints(cls)
     known = {f.name for f in fields(cls)}
     unknown = sorted(set(data) - known)
     if unknown:
@@ -202,8 +198,8 @@ def _build_dataclass(cls, data: Any, path: str, defaulted: list[str]):
         key_path = f"{path}.{f.name}" if path else f.name
         if f.name in data:
             value = data[f.name]
-            if f.type in ("DpoConfig", "SelectionConfig", "SftConfig", "EvalSettings"):
-                value = _build_dataclass(_NESTED[f.type], value, key_path, defaulted)
+            if is_dataclass(hints[f.name]):
+                value = _build_dataclass(hints[f.name], value, key_path, defaulted)
             kwargs[f.name] = value
         else:
             defaulted.append(key_path)
@@ -212,13 +208,6 @@ def _build_dataclass(cls, data: Any, path: str, defaulted: list[str]):
     except TypeError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 
-
-_NESTED = {
-    "DpoConfig": DpoConfig,
-    "SelectionConfig": SelectionConfig,
-    "SftConfig": SftConfig,
-    "EvalSettings": EvalSettings,
-}
 
 _TOP_LEVEL_KEYS = {
     "universe",
@@ -468,19 +457,14 @@ def evaluate_run(
     eval_prompts = universe.eval_prompts()
     final = result.final_policy
     sft = result.sft_policy
-    capability = capability_report(final, sft, universe, eval_prompts, settings)
+    acc = probe_accuracy(final, universe)
+    delta_pp = 100.0 * (acc - probe_accuracy(sft, universe))
+    mean_entropy, collapse = collapse_metrics(
+        final, sft, eval_prompts, settings.collapse_fraction
+    )
     rows = []
     for spec in evaluators:
-        judge = make_judge(
-            JudgeSpec(
-                label=spec.label,
-                kind=spec.kind,
-                misalignment=spec.misalignment,
-                noise_temperature=spec.noise_temperature,
-                seed=mix_seeds(spec.seed, seed),
-            ),
-            universe,
-        )
+        judge = make_judge(replace(spec, seed=mix_seeds(spec.seed, seed)), universe)
         rng = substream(seed, "eval", spec.label)
         estimate = estimate_win_rate(final, sft, judge, eval_prompts, settings.n_trials, rng)
         rows.append(
@@ -493,33 +477,13 @@ def evaluate_run(
                 estimate.rate,
                 estimate.ci_low,
                 estimate.ci_high,
-                capability.probe_accuracy,
-                capability.delta_vs_sft,
-                capability.mean_policy_entropy,
-                capability.collapse_flag,
+                acc,
+                delta_pp,
+                mean_entropy,
+                collapse,
             ]
         )
     return rows
-
-
-def capability_report(
-    policy: Policy,
-    sft: Policy,
-    universe: PromptUniverse,
-    eval_prompts,
-    settings: EvalSettings,
-) -> CapabilityReport:
-    acc = probe_accuracy(policy, universe)
-    acc_sft = probe_accuracy(sft, universe)
-    mean_entropy, collapse = collapse_metrics(
-        policy, sft, eval_prompts, settings.collapse_fraction
-    )
-    return CapabilityReport(
-        probe_accuracy=acc,
-        delta_vs_sft=100.0 * (acc - acc_sft),
-        mean_policy_entropy=mean_entropy,
-        collapse_flag=collapse,
-    )
 
 
 def _resolve_universe(grid: ExperimentGrid) -> PromptUniverse:
@@ -529,25 +493,8 @@ def _resolve_universe(grid: ExperimentGrid) -> PromptUniverse:
 
 
 def _cell_worker(args: tuple) -> str:
-    universe_path, template_dict, selector, annotator_dict, seed, evaluator_dicts, eval_dict, run_dir, grid_manifest = args
-    universe = PromptUniverse.load(universe_path)
-    template = TrainTemplate(
-        dpo=DpoConfig(**template_dict["dpo"]),
-        selection=SelectionConfig(**template_dict["selection"]),
-        sft=SftConfig(**template_dict["sft"]),
-    )
-    run_cell(
-        universe,
-        template,
-        selector,
-        JudgeSpec(**annotator_dict),
-        seed,
-        [JudgeSpec(**e) for e in evaluator_dicts],
-        EvalSettings(**eval_dict),
-        run_dir,
-        grid_manifest,
-    )
-    return str(run_dir)
+    universe_path, *cell_args = args
+    return str(run_cell(PromptUniverse.load(universe_path), *cell_args))
 
 
 def run_grid(
@@ -599,14 +546,14 @@ def run_grid(
 
     jobs = [
         (
-            str(universe_path),
-            asdict(grid.train),
+            universe_path,
+            grid.train,
             selector,
-            asdict(annotator),
+            annotator,
             seed,
-            [asdict(e) for e in grid.evaluators],
-            asdict(grid.eval_settings),
-            str(run_dir),
+            grid.evaluators,
+            grid.eval_settings,
+            run_dir,
             grid_manifest,
         )
         for (selector, annotator, seed), run_dir in zip(cells, run_dirs)
@@ -619,6 +566,23 @@ def run_grid(
 # --------------------------------------------------------------------------
 # aggregation and reports
 # --------------------------------------------------------------------------
+
+
+def _warn_skipped_runs(run_dirs: Sequence[Path]) -> None:
+    """Name on stderr each run directory without eval.csv (a failed run)."""
+    for run_dir in map(Path, run_dirs):
+        if (run_dir / "eval.csv").exists():
+            continue
+        try:
+            manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+            status = manifest["status"]
+        except (OSError, ValueError, KeyError):
+            status = "unreadable manifest"
+        print(
+            f"warning: {run_dir} has no eval.csv (manifest status {status!r}); "
+            "it is left out of the report",
+            file=sys.stderr,
+        )
 
 
 def _read_eval_rows(run_dirs: Sequence[Path]) -> list[dict]:
@@ -664,8 +628,11 @@ def aggregate_summary(
 
     Welch's unequal-variance t-test compares selector pairs on win_rate and
     delta_acc_pp; cells with fewer than two seeds or zero variance on both
-    sides are reported as degenerate rather than fabricating a p-value.
+    sides are reported as degenerate rather than fabricating a p-value. A run
+    directory without eval.csv (a failed run) is named in a warning on
+    stderr, so a shrunken n_seeds never goes unnoticed.
     """
+    _warn_skipped_runs(run_dirs)
     rows = _read_eval_rows(run_dirs)
     if not rows:
         raise ConfigurationError("no eval.csv rows found under the given run directories")

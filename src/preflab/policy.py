@@ -16,7 +16,8 @@ draws on every platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -56,11 +57,10 @@ class Policy:
         return policy
 
 
-def _check_prompt(policy: Policy, record: PromptRecord) -> None:
-    if record.features.shape[1] != policy.feature_dim:
+def _check_dim(features: np.ndarray, policy: Policy) -> None:
+    if features.shape[-1] != policy.feature_dim:
         raise ContractError(
-            f"feature dim {record.features.shape[1]} does not match policy dim "
-            f"{policy.feature_dim}"
+            f"feature dim {features.shape[-1]} does not match policy dim {policy.feature_dim}"
         )
 
 
@@ -73,15 +73,32 @@ def _check_response(record: PromptRecord, y: int) -> None:
 
 def logits(policy: Policy, record: PromptRecord) -> np.ndarray:
     """Per-response logits z_y = dot(theta, phi(x, y))."""
-    _check_prompt(policy, record)
+    _check_dim(record.features, policy)
     return record.features @ policy.theta
+
+
+def stack_features(records: Sequence[PromptRecord], *policies: Policy) -> np.ndarray:
+    """Features of ``records`` as one (n, V, d) array, checked against the
+    dimension of every policy given."""
+    try:
+        features = np.stack([record.features for record in records])
+    except ValueError as exc:
+        raise ContractError(f"records do not share one feature shape: {exc}") from exc
+    for policy in policies:
+        _check_dim(features, policy)
+    return features
+
+
+def log_softmax(z: np.ndarray) -> np.ndarray:
+    """Max-subtracted log-softmax over the last (response) axis; any leading
+    axes are stacked prompts."""
+    m = np.max(z, axis=-1, keepdims=True)
+    return z - (m + np.log(np.sum(np.exp(z - m), axis=-1, keepdims=True)))
 
 
 def log_prob_vector(policy: Policy, record: PromptRecord) -> np.ndarray:
     """log pi(y | x) for every response of the prompt."""
-    z = logits(policy, record)
-    m = np.max(z)
-    return z - (m + np.log(np.sum(np.exp(z - m))))
+    return log_softmax(logits(policy, record))
 
 
 def log_prob(policy: Policy, record: PromptRecord, y: int) -> float:

@@ -11,8 +11,17 @@ extra policy evaluations), then score every pair in the kept prompts' pools
 by the absolute implicit-reward margin and take the top L. Both selectors
 return at most L pairs per iteration, so judge-query budgets match exactly.
 
+The margin is exact in closed form for a linear softmax: an implicit reward
+beta * (log pi_theta(y|x) - log pi_ref(y|x)) is beta * z_y, z = F (theta -
+theta_ref) for the prompt's (V, d) features F, minus the two logsumexps, a
+per-prompt constant that cancels in the difference. So the margin of (a, b)
+is beta * |z_a - z_b|, one matrix product scores every kept pool, and
+candidate generation is one matmul and log-softmax over the stacked batch.
+
 OpCounters track the per-category work so the extra cost of uncertainty-based
-selection is reported as operation counts rather than wall-clock time.
+selection is reported as operation counts rather than wall-clock time; they
+charge what an LLM would spend (2 policy + 2 reference log-prob evaluations
+per scored pair), not what the closed form costs here.
 """
 
 from __future__ import annotations
@@ -25,7 +34,8 @@ import numpy as np
 
 from .dpo import implicit_reward
 from .errors import ConfigurationError, ContractError
-from .policy import Policy, log_prob_vector
+from .policy import Policy, log_softmax, stack_features
+from .policy import log_prob_vector  # noqa: F401  (traced by bench/spans.py)
 from .universe import PromptRecord
 
 SELECTOR_RANDOM = "random"
@@ -106,23 +116,23 @@ def generate_candidates(
     rng: np.random.Generator,
     counters: OpCounters,
 ) -> list[CandidateSet]:
-    """Sample M responses per prompt, recording their log-probs at draw time."""
-    sets = []
+    """Sample M responses per prompt, recording their log-probs at draw time.
+
+    Inverse CDF over exact probabilities, one uniform per draw; the (B, M)
+    uniforms come from the stream in the same order as B draws of M.
+    """
     m = cfg.candidates_per_prompt
-    for record in records:
-        lp = log_prob_vector(policy, record)
-        cdf = np.cumsum(np.exp(lp))
-        draws = rng.random(m)
-        idx = np.minimum(np.searchsorted(cdf, draws, side="right"), lp.size - 1)
-        counters.generated_samples += m
-        sets.append(
-            CandidateSet(
-                prompt_id=record.prompt_id,
-                candidates=[int(i) for i in idx],
-                candidate_log_probs=[float(lp[i]) for i in idx],
-            )
-        )
-    return sets
+    lp = log_softmax(stack_features(records, policy) @ policy.theta)
+    cdf = np.cumsum(np.exp(lp), axis=1)
+    draws = rng.random((len(records), m))
+    # searchsorted(cdf, u, side="right") counts the cdf entries <= u
+    idx = np.minimum((cdf[:, None, :] <= draws[:, :, None]).sum(axis=2), lp.shape[1] - 1)
+    counters.generated_samples += m * len(records)
+    picked = np.take_along_axis(lp, idx, axis=1)
+    return [
+        CandidateSet(record.prompt_id, candidates, log_probs)
+        for record, candidates, log_probs in zip(records, idx.tolist(), picked.tolist())
+    ]
 
 
 def form_pairs(cset: CandidateSet) -> PairPool:
@@ -201,13 +211,21 @@ def select_apl(
         ),
     )
     kept = ranked[: cfg.apl_top_prompts]
-
-    scored: list[tuple[float, int, Pair]] = []
-    for _, prompt_id, i in kept:
-        for pair in pools[i].pairs:
-            margin = margin_score(policy, ref, records[i], pair, beta, counters)
-            scored.append((-margin, prompt_id, pair))
-    scored.sort()
+    if not kept:
+        return []
+    if beta <= 0:
+        raise ContractError(f"beta must be > 0, got {beta}")
+    features = stack_features([records[i] for _, _, i in kept], policy, ref)
+    z = (features @ (policy.theta - ref.theta)).tolist()
+    if any(not 0 <= y < len(z[0]) for _, _, i in kept for pair in pools[i].pairs for y in pair):
+        raise ContractError(f"pair responses out of range for {len(z[0])} responses")
+    scored = sorted(
+        (-beta * abs(z[row][y1] - z[row][y2]), prompt_id, (y1, y2))
+        for row, (_, prompt_id, i) in enumerate(kept)
+        for y1, y2 in pools[i].pairs
+    )
+    counters.policy_logprob_evals += 2 * len(scored)
+    counters.ref_logprob_evals += 2 * len(scored)
     selected = scored[: cfg.label_budget]
     if scores_out is not None:
         scores_out.update({(prompt_id, pair): -neg for neg, prompt_id, pair in selected})

@@ -33,7 +33,8 @@ from .dpo import (
 )
 from .errors import ConfigurationError, TrainingError
 from .judges import Judge, JudgeSpec, make_judge
-from .policy import Policy, grad_log_prob, log_prob
+from .policy import Policy, log_softmax
+from .policy import grad_log_prob  # noqa: F401  (traced by bench/spans.py)
 from .rng import mix_seeds, substream
 from .selection import (
     SELECTOR_APL,
@@ -134,11 +135,14 @@ def sft_fit(universe: PromptUniverse, cfg: TrainConfig) -> Policy:
     """Maximize mean log-likelihood of each train prompt's best response.
 
     Minibatch ascent (Adam, warmup + cosine) over cfg.sft.epochs passes; the
-    result is both the starting policy and the frozen reference.
+    result is both the starting policy and the frozen reference. The
+    minibatch gradient of -log pi(chosen) is -mean(phi_chosen - p^T F), over
+    the batch's stacked (b, V, d) features F and probabilities p.
     """
     cfg.sft.validate()
     train = universe.train_prompts()
-    chosen = [int(np.argmax(p.true_reward)) for p in train]
+    ids = np.array([p.prompt_id for p in train])
+    chosen = np.array([int(np.argmax(p.true_reward)) for p in train])
     n = len(train)
     batch_size = min(cfg.sft.batch, n)
     steps_per_epoch = math.ceil(n / batch_size)
@@ -157,10 +161,10 @@ def sft_fit(universe: PromptUniverse, cfg: TrainConfig) -> Policy:
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
-            policy = Policy(theta, label="sft")
-            grad = np.zeros(dim)
-            for i in batch:
-                grad -= grad_log_prob(policy, train[i], chosen[i])
+            features = universe.features[ids[batch]]
+            probs = np.exp(log_softmax(features @ theta))
+            expected = np.einsum("bv,bvd->bd", probs, features)
+            grad = -(features[np.arange(batch.size), chosen[batch]] - expected).sum(axis=0)
             grad /= batch.size
             theta, state = optimizer_step(state, theta, grad, schedule)
             if not np.all(np.isfinite(theta)):
@@ -169,15 +173,6 @@ def sft_fit(universe: PromptUniverse, cfg: TrainConfig) -> Policy:
                     "reduce sft.learning_rate"
                 )
     return Policy(theta, label="sft")
-
-
-def mean_chosen_log_prob(policy: Policy, universe: PromptUniverse) -> float:
-    """Mean log-likelihood of the best response over train prompts."""
-    train = universe.train_prompts()
-    total = 0.0
-    for record in train:
-        total += log_prob(policy, record, int(np.argmax(record.true_reward)))
-    return total / len(train)
 
 
 def _annotator_for_run(cfg: TrainConfig, universe: PromptUniverse) -> Judge:

@@ -110,6 +110,7 @@ class PromptRecord:
 class PromptUniverse:
     config: UniverseConfig
     prompts: list[PromptRecord]
+    features: np.ndarray  # (N, V, d); prompt i's features are the view features[i]
     proxy_bias_direction: np.ndarray  # (d,), unit norm
     probe_direction: np.ndarray  # (d,), unit norm
     _role_cache: dict = field(default_factory=dict, repr=False)
@@ -148,19 +149,24 @@ class PromptUniverse:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PromptUniverse":
         config = UniverseConfig(**data["config"])
+        try:
+            features = np.asarray([e["features"] for e in data["prompts"]], dtype=np.float64)
+        except ValueError as exc:
+            raise ConfigurationError(f"prompts do not share one feature shape: {exc}") from exc
         prompts = [
             PromptRecord(
                 prompt_id=entry["prompt_id"],
                 role=entry["role"],
-                features=np.asarray(entry["features"], dtype=np.float64),
+                features=features[i],
                 true_reward=np.asarray(entry["true_reward"], dtype=np.float64),
                 correct_response=entry["correct_response"],
             )
-            for entry in data["prompts"]
+            for i, entry in enumerate(data["prompts"])
         ]
         return cls(
             config=config,
             prompts=prompts,
+            features=features,
             proxy_bias_direction=np.asarray(data["proxy_bias_direction"], dtype=np.float64),
             probe_direction=np.asarray(data["probe_direction"], dtype=np.float64),
         )
@@ -307,16 +313,17 @@ def generate_universe(config: UniverseConfig) -> PromptUniverse:
 
     prompts: list[PromptRecord] = []
     for i, role in enumerate(roles):
-        feats = features[i]
         reward = rewards[i]
         correct: Optional[int] = None
         if role == ROLE_PROBE:
-            feats, reward, correct = _fix_probe_prompt(rng, config, feats, u, noise_scale)
+            features[i], reward, correct = _fix_probe_prompt(
+                rng, config, features[i], u, noise_scale
+            )
         prompts.append(
             PromptRecord(
                 prompt_id=i,
                 role=role,
-                features=np.ascontiguousarray(feats),
+                features=features[i],
                 true_reward=np.ascontiguousarray(reward),
                 correct_response=correct,
             )
@@ -325,6 +332,7 @@ def generate_universe(config: UniverseConfig) -> PromptUniverse:
     return PromptUniverse(
         config=config,
         prompts=prompts,
+        features=features,
         proxy_bias_direction=g,
         probe_direction=u,
     )

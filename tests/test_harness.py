@@ -245,6 +245,31 @@ class TestAggregation:
         assert record["p_value"] == pytest.approx(float(want_p))
 
 
+    def test_failed_run_is_named_once_and_summary_unchanged(self, tmp_path, capsys):
+        summaries = {}
+        for name, plant_failed in (("clean", False), ("with_failed", True)):
+            out = tmp_path / name
+            for seed in (42, 43):
+                fake_run_dir(out, "random", "weak", seed, 0.6 + 0.01 * seed, -1.0)
+            if plant_failed:
+                failed = out / "random__weak__seed44"
+                failed.mkdir()
+                (failed / "manifest.json").write_text(
+                    json.dumps({"run_id": failed.name, "status": "failed", "seed": 44})
+                )
+            assert main(["report", "--out", str(out)]) == 0
+            summaries[name] = (out / "summary.csv").read_bytes()
+            warnings = [
+                line for line in capsys.readouterr().err.splitlines() if "warning" in line
+            ]
+            if plant_failed:
+                assert len(warnings) == 1
+                assert "random__weak__seed44" in warnings[0] and "'failed'" in warnings[0]
+            else:
+                assert warnings == []
+        assert summaries["with_failed"] == summaries["clean"]
+
+
 class TestPareto:
     def test_rows_header_and_ordering(self, tmp_path):
         dirs = [

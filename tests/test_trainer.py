@@ -15,13 +15,19 @@ from preflab import (
     TrainConfig,
     UniverseConfig,
     generate_universe,
+    log_prob,
     reference_preset,
     response_probabilities,
     probe_accuracy,
     run_online_dpo,
     sft_fit,
 )
-from preflab.trainer import mean_chosen_log_prob
+
+
+def mean_chosen_log_prob(policy, universe):
+    """Mean log-likelihood of the best response over train prompts."""
+    train = universe.train_prompts()
+    return sum(log_prob(policy, r, int(np.argmax(r.true_reward))) for r in train) / len(train)
 
 
 def dense_universe(seed=5):

@@ -182,3 +182,13 @@ class TestSerialization:
             np.testing.assert_array_equal(a.true_reward, b.true_reward)
             assert a.correct_response == b.correct_response
         assert loaded.content_hash() == u.content_hash()
+        for universe in (u, loaded):
+            # every record's features are a view into the stacked (N, V, d) array
+            assert universe.features.shape == (20, 4, 8)
+            assert all(np.shares_memory(r.features, universe.features) for r in universe.prompts)
+
+    def test_ragged_features_rejected_on_load(self):
+        data = generate_universe(_cfg()).to_json_dict()
+        data["prompts"][3]["features"].pop()
+        with pytest.raises(ConfigurationError, match="feature shape"):
+            PromptUniverse.from_json_dict(data)
