@@ -33,7 +33,7 @@ from .harness import (
     run_grid,
     write_summary,
 )
-from .judges import KIND_BRADLEY_TERRY, KIND_DETERMINISTIC, Judge, JudgeSpec, make_judge
+from .judges import KIND_BRADLEY_TERRY, KIND_DETERMINISTIC, Judge, JudgeSpec
 from .policy import (
     Policy,
     exact_entropy,

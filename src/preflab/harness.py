@@ -33,7 +33,7 @@ from . import __version__ as _package_version
 from .dpo import DpoConfig
 from .errors import ConfigurationError, TrainingError
 from .evaluation import collapse_metrics, estimate_win_rate, probe_accuracy
-from .judges import JudgeSpec, make_judge
+from .judges import Judge, JudgeSpec
 from .rng import mix_seeds, substream
 from .selection import SELECTOR_APL, SELECTOR_RANDOM, SelectionConfig
 from .trainer import RunResult, SftConfig, TrainConfig, run_online_dpo, sft_fit
@@ -367,10 +367,9 @@ def _write_run_outputs(
             for log in result.per_iteration
         ],
     )
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(run_dir / "events.jsonl", "w", encoding="utf-8") as fh:
-        for event in result.events:
-            fh.write(json.dumps(event, sort_keys=True))
-            fh.write("\n")
+        fh.writelines(encode(event) + "\n" for event in result.events)
     _write_json(run_dir / "sft_policy.json", result.sft_policy.to_json_dict())
     _write_json(run_dir / "final_policy.json", result.final_policy.to_json_dict())
     _write_json(run_dir / "counters.json", result.counters.to_json_dict())
@@ -464,7 +463,7 @@ def evaluate_run(
     )
     rows = []
     for spec in evaluators:
-        judge = make_judge(replace(spec, seed=mix_seeds(spec.seed, seed)), universe)
+        judge = Judge(replace(spec, seed=mix_seeds(spec.seed, seed)), universe)
         rng = substream(seed, "eval", spec.label)
         estimate = estimate_win_rate(final, sft, judge, eval_prompts, settings.n_trials, rng)
         rows.append(
@@ -529,35 +528,16 @@ def run_grid(
         raise ConfigurationError(f"refusing to overwrite {universe_path} (pass overwrite)")
     universe.save(universe_path)
 
-    if parallel <= 1:
-        for (selector, annotator, seed), run_dir in zip(cells, run_dirs):
-            run_cell(
-                universe,
-                grid.train,
-                selector,
-                annotator,
-                seed,
-                grid.evaluators,
-                grid.eval_settings,
-                run_dir,
-                grid_manifest,
-            )
-        return run_dirs
-
-    jobs = [
-        (
-            universe_path,
-            grid.train,
-            selector,
-            annotator,
-            seed,
-            grid.evaluators,
-            grid.eval_settings,
-            run_dir,
-            grid_manifest,
-        )
+    cell_args = [
+        (grid.train, selector, annotator, seed, grid.evaluators, grid.eval_settings, run_dir)
         for (selector, annotator, seed), run_dir in zip(cells, run_dirs)
     ]
+    if parallel <= 1:
+        for args in cell_args:
+            run_cell(universe, *args, grid_manifest)
+        return run_dirs
+
+    jobs = [(universe_path, *args, grid_manifest) for args in cell_args]
     with ProcessPoolExecutor(max_workers=parallel) as pool:
         list(pool.map(_cell_worker, jobs))
     return run_dirs

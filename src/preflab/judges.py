@@ -97,7 +97,3 @@ class Judge:
             return min(y1, y2)
         p = self.preference_probability(record, y1, y2)
         return y1 if self._rng.random() < p else y2
-
-
-def make_judge(spec: JudgeSpec, universe: PromptUniverse) -> Judge:
-    return Judge(spec, universe)

@@ -9,7 +9,11 @@ Monte-Carlo entropy estimate
 (reusing the log-probs recorded at generation time, so stage 1 costs zero
 extra policy evaluations), then score every pair in the kept prompts' pools
 by the absolute implicit-reward margin and take the top L. Both selectors
-return at most L pairs per iteration, so judge-query budgets match exactly.
+return at most L pairs per iteration; the counts are equal only while no
+sampled prompt degenerates (an empty pool) and the pools hold L pairs. The
+trainer logs each short iteration as a ``budget_shortfall`` event
+(reference_preset() at seed 0: 9,153 random vs 9,041 APL judge queries, out
+of 40,000 each).
 
 The margin is exact in closed form for a linear softmax: an implicit reward
 beta * (log pi_theta(y|x) - log pi_ref(y|x)) is beta * z_y, z = F (theta -

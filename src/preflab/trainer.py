@@ -32,7 +32,7 @@ from .dpo import (
     optimizer_step,
 )
 from .errors import ConfigurationError, TrainingError
-from .judges import Judge, JudgeSpec, make_judge
+from .judges import Judge, JudgeSpec
 from .policy import Policy, log_softmax
 from .policy import grad_log_prob  # noqa: F401  (traced by bench/spans.py)
 from .rng import mix_seeds, substream
@@ -178,7 +178,7 @@ def sft_fit(universe: PromptUniverse, cfg: TrainConfig) -> Policy:
 def _annotator_for_run(cfg: TrainConfig, universe: PromptUniverse) -> Judge:
     # fold run_seed into the judge seed so seeds get independent label noise
     spec = replace(cfg.annotator, seed=mix_seeds(cfg.annotator.seed, cfg.run_seed))
-    return make_judge(spec, universe)
+    return Judge(spec, universe)
 
 
 def run_online_dpo(

@@ -108,12 +108,20 @@ class PromptRecord:
 
 @dataclass
 class PromptUniverse:
+    """Prompts, their stacked features, and the two unit directions.
+
+    A universe is not changed after ``generate_universe`` or ``load``: its role
+    lists and content hash are cached on first use and never invalidated
+    (``dataclasses.replace`` starts both caches empty).
+    """
+
     config: UniverseConfig
     prompts: list[PromptRecord]
     features: np.ndarray  # (N, V, d); prompt i's features are the view features[i]
     proxy_bias_direction: np.ndarray  # (d,), unit norm
     probe_direction: np.ndarray  # (d,), unit norm
-    _role_cache: dict = field(default_factory=dict, repr=False)
+    _role_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _content_hash: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def prompts_with_role(self, role: str) -> list[PromptRecord]:
         if role not in self._role_cache:
@@ -171,10 +179,15 @@ class PromptUniverse:
             probe_direction=np.asarray(data["probe_direction"], dtype=np.float64),
         )
 
+    def _encode(self) -> bytes:
+        """The canonical JSON encoding; its sha256 is stored as the content hash."""
+        payload = json.dumps(self.to_json_dict(), sort_keys=True).encode("utf-8")
+        self._content_hash = hashlib.sha256(payload).hexdigest()
+        return payload
+
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True)
-            fh.write("\n")
+        with open(path, "wb") as fh:
+            fh.write(self._encode() + b"\n")
 
     @classmethod
     def load(cls, path) -> "PromptUniverse":
@@ -182,8 +195,10 @@ class PromptUniverse:
             return cls.from_json_dict(json.load(fh))
 
     def content_hash(self) -> str:
-        payload = json.dumps(self.to_json_dict(), sort_keys=True).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()
+        """sha256 of the canonical encoding: ``universe.json`` without its final newline."""
+        if self._content_hash is None:
+            self._encode()
+        return self._content_hash
 
 
 def make_tabular_features(num_prompts: int, responses_per_prompt: int) -> np.ndarray:

@@ -16,6 +16,7 @@ import pytest
 from preflab import (
     CandidateSet,
     DpoConfig,
+    Judge,
     JudgeSpec,
     OpCounters,
     Policy,
@@ -38,7 +39,6 @@ from preflab import (
     generate_universe,
     implicit_reward,
     log_prob_vector,
-    make_judge,
     parse_config,
     run_grid,
     run_online_dpo,
@@ -187,7 +187,7 @@ def test_criterion_04_self_play_neutrality():
     n = 10_000
     sigma = math.sqrt(0.25 / n)
 
-    bt_judge = make_judge(JudgeSpec(label="bt-eval", noise_temperature=0.7, seed=5), universe)
+    bt_judge = Judge(JudgeSpec(label="bt-eval", noise_temperature=0.7, seed=5), universe)
     est_bt = estimate_win_rate(
         policy, policy, bt_judge, universe.eval_prompts(), n, np.random.default_rng(51)
     )
@@ -275,7 +275,7 @@ def _dissociation_protocol(universe, annotator_misalignment):
     """Three seeded runs; returns per-seed proxy win-rates (evaluator drawn
     from the annotator family), truth-side win-rates, and capability deltas."""
     proxy_rates, truth_rates, deltas = [], [], []
-    truth_judge = make_judge(
+    truth_judge = Judge(
         JudgeSpec(label="truth-eval", kind="deterministic", misalignment=0.0), universe
     )
     for seed in DISSOCIATION_SEEDS:
@@ -296,7 +296,7 @@ def _dissociation_protocol(universe, annotator_misalignment):
         )
         sft = sft_fit(universe, cfg)
         result = run_online_dpo(universe, sft, cfg)
-        proxy_eval = make_judge(
+        proxy_eval = Judge(
             JudgeSpec(
                 label="proxy-eval",
                 misalignment=annotator_misalignment,

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from preflab import (
     CandidateSet,
     ContractError,
+    Judge,
     JudgeSpec,
     OpCounters,
     PairPool,
@@ -34,7 +35,6 @@ from preflab import (
     grad_log_prob,
     implicit_reward,
     log_prob_vector,
-    make_judge,
     margin_score,
     sample_response,
     select_apl,
@@ -203,9 +203,9 @@ def test_win_rate_matches_per_trial_sampling(kind):
     policy, ref = Policy(gen.normal(size=6)), Policy(gen.normal(size=6))
     spec = JudgeSpec(label="eval", kind=kind, misalignment=0.4, seed=3)
     prompts, rng = universe.eval_prompts(), np.random.default_rng(9)
-    est = estimate_win_rate(policy, ref, make_judge(spec, universe), prompts, 700, rng)
+    est = estimate_win_rate(policy, ref, Judge(spec, universe), prompts, 700, rng)
     rng = np.random.default_rng(9)
-    assert est.wins == win_rate_oracle(policy, ref, make_judge(spec, universe), prompts, 700, rng)
+    assert est.wins == win_rate_oracle(policy, ref, Judge(spec, universe), prompts, 700, rng)
 
 
 # --------------------------------------------------------------------------

@@ -7,13 +7,13 @@ import pytest
 
 from preflab import (
     ContractError,
+    Judge,
     JudgeSpec,
     Policy,
     capability_delta,
     collapse_metrics,
     estimate_win_rate,
     exact_entropy,
-    make_judge,
     probe_accuracy,
 )
 
@@ -36,7 +36,7 @@ def point_mass_policy(universe, record, response, scale=1e6):
 class TestWinRate:
     def test_self_play_close_to_half(self, small_universe, rng):
         policy = Policy(rng.normal(size=small_universe.config.feature_dim))
-        evaluator = make_judge(JudgeSpec(label="eval", seed=3), small_universe)
+        evaluator = Judge(JudgeSpec(label="eval", seed=3), small_universe)
         n = 4000
         est = estimate_win_rate(
             policy, policy, evaluator, small_universe.eval_prompts(), n, rng
@@ -59,7 +59,7 @@ class TestWinRate:
         worst = int(np.argmin(record.true_reward))
         p = point_mass_policy(small_universe, record, best)
         ref = point_mass_policy(small_universe, record, worst)
-        evaluator = make_judge(
+        evaluator = Judge(
             JudgeSpec(label="oracle", kind="deterministic", misalignment=0.0),
             small_universe,
         )
@@ -72,7 +72,7 @@ class TestWinRate:
         hi, lo = int(order[-1]), int(order[0])
         p = point_mass_policy(small_universe, record, hi)
         ref = point_mass_policy(small_universe, record, lo)
-        evaluator = make_judge(JudgeSpec(label="bt", seed=6), small_universe)
+        evaluator = Judge(JudgeSpec(label="bt", seed=6), small_universe)
         expected = evaluator.preference_probability(record, hi, lo)
         n = 20_000
         est = estimate_win_rate(p, ref, evaluator, [record], n, np.random.default_rng(2))
@@ -83,13 +83,13 @@ class TestWinRate:
         record = small_universe.eval_prompts()[0]
         best = int(np.argmax(record.true_reward))
         p = point_mass_policy(small_universe, record, best)
-        evaluator = make_judge(JudgeSpec(label="eval", seed=1), small_universe)
+        evaluator = Judge(JudgeSpec(label="eval", seed=1), small_universe)
         est = estimate_win_rate(p, p, evaluator, [record], 50, rng)
         assert 0.0 <= est.ci_low <= est.ci_high <= 1.0
 
     def test_requires_trials_and_prompts(self, small_universe, rng):
         p = Policy(np.zeros(small_universe.config.feature_dim))
-        evaluator = make_judge(JudgeSpec(label="eval"), small_universe)
+        evaluator = Judge(JudgeSpec(label="eval"), small_universe)
         with pytest.raises(ContractError):
             estimate_win_rate(p, p, evaluator, small_universe.eval_prompts(), 0, rng)
         with pytest.raises(ContractError):

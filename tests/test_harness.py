@@ -1,14 +1,27 @@
 """Grid configs, run directories, aggregation, pareto emission, CLI."""
 
 import csv
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from preflab import ConfigurationError, aggregate_summary, emit_pareto, parse_config, run_grid
+from preflab import (
+    ConfigurationError,
+    PromptUniverse,
+    aggregate_summary,
+    emit_pareto,
+    parse_config,
+    run_grid,
+)
+from preflab import harness
 from preflab.cli import main
 from preflab.harness import EVAL_CSV_HEADER, discover_run_dirs, write_summary
+
+
+SMOKE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "smoke.json"
 
 
 def grid_config(out_dir, **overrides):
@@ -139,6 +152,39 @@ class TestRunGrid:
         values = list(first_candidates.values())
         assert len(values) == 2
         assert values[0] == values[1]
+
+    def test_serial_grid_encodes_universe_once(self, tmp_path, monkeypatch):
+        encodings = []
+        to_json_dict = PromptUniverse.to_json_dict
+
+        def counting_to_json_dict(self):
+            encodings.append(1)
+            return to_json_dict(self)
+
+        results = {}
+        write_run_outputs = harness._write_run_outputs
+
+        def capturing_write(run_dir, result, *args):
+            results[run_dir] = result
+            return write_run_outputs(run_dir, result, *args)
+
+        monkeypatch.setattr(PromptUniverse, "to_json_dict", counting_to_json_dict)
+        monkeypatch.setattr(harness, "_write_run_outputs", capturing_write)
+        grid, manifest = parse_config(SMOKE_CONFIG)
+        grid.output_dir = str(tmp_path / "runs")
+        run_dirs = run_grid(grid, grid_manifest=manifest)
+        assert len(run_dirs) == 4
+        assert len(encodings) == 1  # universe.json and every cell's hash share one encoding
+
+        universe_bytes = (tmp_path / "runs" / "universe.json").read_bytes()
+        assert universe_bytes.endswith(b"\n")
+        universe_hash = hashlib.sha256(universe_bytes[:-1]).hexdigest()
+        for run_dir in run_dirs:
+            run_manifest = json.loads((run_dir / "manifest.json").read_text())
+            assert run_manifest["universe_hash"] == universe_hash
+            lines = (run_dir / "events.jsonl").read_text(encoding="utf-8").split("\n")
+            events = results[run_dir].events
+            assert lines == [json.dumps(event, sort_keys=True) for event in events] + [""]
 
     def test_parallel_matches_sequential(self, tmp_path):
         config = grid_config(tmp_path / "seq", seeds=[42], selectors=["random", "apl"])

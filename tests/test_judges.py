@@ -8,8 +8,8 @@ import pytest
 from preflab import (
     ConfigurationError,
     ContractError,
+    Judge,
     JudgeSpec,
-    make_judge,
 )
 
 SIGMOID_1 = 0.7310585786300049  # 1 / (1 + e^-1)
@@ -24,7 +24,7 @@ def bt_spec(**overrides):
 
 class TestProxyReward:
     def test_faithful_judge_returns_true_reward(self, small_universe):
-        judge = make_judge(bt_spec(misalignment=0.0), small_universe)
+        judge = Judge(bt_spec(misalignment=0.0), small_universe)
         record = small_universe.prompts[0]
         for y in range(record.features.shape[0]):
             assert judge.proxy_reward(record, y) == pytest.approx(
@@ -32,7 +32,7 @@ class TestProxyReward:
             )
 
     def test_fully_misaligned_judge_scores_bias_direction(self, small_universe):
-        judge = make_judge(bt_spec(misalignment=1.0), small_universe)
+        judge = Judge(bt_spec(misalignment=1.0), small_universe)
         record = small_universe.prompts[1]
         for y in range(record.features.shape[0]):
             want = float(small_universe.proxy_bias_direction @ record.features[y])
@@ -40,9 +40,9 @@ class TestProxyReward:
 
     def test_convex_combination(self, small_universe):
         record = small_universe.prompts[2]
-        faithful = make_judge(bt_spec(misalignment=0.0), small_universe)
-        biased = make_judge(bt_spec(misalignment=1.0), small_universe)
-        mixed = make_judge(bt_spec(misalignment=0.5), small_universe)
+        faithful = Judge(bt_spec(misalignment=0.0), small_universe)
+        biased = Judge(bt_spec(misalignment=1.0), small_universe)
+        mixed = Judge(bt_spec(misalignment=0.5), small_universe)
         for y in range(record.features.shape[0]):
             want = 0.5 * faithful.proxy_reward(record, y) + 0.5 * biased.proxy_reward(record, y)
             assert mixed.proxy_reward(record, y) == pytest.approx(want, abs=1e-12)
@@ -52,7 +52,7 @@ class TestPreferenceProbability:
     def test_equal_rewards_give_half(self, tabular_universe):
         # one-hot features with a zero bias projection difference is fiddly to
         # stage; instead compare a response against itself via antisymmetry
-        judge = make_judge(bt_spec(), tabular_universe)
+        judge = Judge(bt_spec(), tabular_universe)
         record = tabular_universe.prompts[0]
         p12 = judge.preference_probability(record, 0, 1)
         p21 = judge.preference_probability(record, 1, 0)
@@ -60,7 +60,7 @@ class TestPreferenceProbability:
         assert judge.preference_probability(record, 0, 0) == pytest.approx(0.5, abs=1e-15)
 
     def test_unit_gap_matches_sigmoid(self, small_universe):
-        judge = make_judge(bt_spec(), small_universe)
+        judge = Judge(bt_spec(), small_universe)
         record = small_universe.prompts[0]
         r0 = judge.proxy_reward(record, 0)
         r1 = judge.proxy_reward(record, 1)
@@ -69,12 +69,12 @@ class TestPreferenceProbability:
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_huge_temperature_approaches_half(self, small_universe):
-        judge = make_judge(bt_spec(noise_temperature=1e6), small_universe)
+        judge = Judge(bt_spec(noise_temperature=1e6), small_universe)
         record = small_universe.prompts[0]
         assert judge.preference_probability(record, 0, 1) == pytest.approx(0.5, abs=1e-6)
 
     def test_antisymmetry_over_random_pairs(self, small_universe):
-        judge = make_judge(bt_spec(misalignment=0.4), small_universe)
+        judge = Judge(bt_spec(misalignment=0.4), small_universe)
         for record in small_universe.prompts[:8]:
             v = record.features.shape[0]
             for y1 in range(v):
@@ -85,7 +85,7 @@ class TestPreferenceProbability:
                     assert abs(total - 1.0) < 1e-12
 
     def test_monotone_in_first_reward(self, small_universe):
-        judge = make_judge(bt_spec(), small_universe)
+        judge = Judge(bt_spec(), small_universe)
         record = small_universe.prompts[3]
         rewards = [judge.proxy_reward(record, y) for y in range(record.features.shape[0])]
         order = np.argsort(rewards)
@@ -93,14 +93,14 @@ class TestPreferenceProbability:
         assert all(b > a for a, b in zip(probs, probs[1:]))
 
     def test_deterministic_kind_rejects_probability(self, small_universe):
-        judge = make_judge(bt_spec(kind="deterministic"), small_universe)
+        judge = Judge(bt_spec(kind="deterministic"), small_universe)
         with pytest.raises(ContractError, match="bradley_terry"):
             judge.preference_probability(small_universe.prompts[0], 0, 1)
 
 
 class TestPrefer:
     def test_deterministic_prefers_higher_reward(self, small_universe):
-        judge = make_judge(bt_spec(kind="deterministic"), small_universe)
+        judge = Judge(bt_spec(kind="deterministic"), small_universe)
         record = small_universe.prompts[0]
         r = [judge.proxy_reward(record, y) for y in range(record.features.shape[0])]
         hi, lo = int(np.argmax(r)), int(np.argmin(r))
@@ -108,7 +108,7 @@ class TestPrefer:
         assert judge.prefer(record, lo, hi) == hi
 
     def test_deterministic_tie_takes_lower_index(self, small_universe):
-        judge = make_judge(bt_spec(kind="deterministic"), small_universe)
+        judge = Judge(bt_spec(kind="deterministic"), small_universe)
         record = small_universe.prompts[0]
         tied = record.true_reward.copy()
         tied[2] = tied[1]
@@ -122,12 +122,12 @@ class TestPrefer:
         assert judge.prefer(swapped, 2, 1) == 1
 
     def test_identical_responses_rejected(self, small_universe):
-        judge = make_judge(bt_spec(), small_universe)
+        judge = Judge(bt_spec(), small_universe)
         with pytest.raises(ContractError, match="identical"):
             judge.prefer(small_universe.prompts[0], 1, 1)
 
     def test_bt_win_frequency_tracks_sigmoid(self, small_universe):
-        judge = make_judge(bt_spec(seed=11), small_universe)
+        judge = Judge(bt_spec(seed=11), small_universe)
         record = small_universe.prompts[4]
         p_expected = judge.preference_probability(record, 0, 1)
         n = 100_000
@@ -139,22 +139,22 @@ class TestPrefer:
 class TestMakeJudge:
     def test_same_spec_same_outcomes(self, small_universe):
         record = small_universe.prompts[0]
-        a = make_judge(bt_spec(seed=21), small_universe)
-        b = make_judge(bt_spec(seed=21), small_universe)
+        a = Judge(bt_spec(seed=21), small_universe)
+        b = Judge(bt_spec(seed=21), small_universe)
         assert [a.prefer(record, 0, 1) for _ in range(64)] == [
             b.prefer(record, 0, 1) for _ in range(64)
         ]
 
     def test_label_distinguishes_streams(self, small_universe):
         record = small_universe.prompts[0]
-        a = make_judge(bt_spec(label="annotator", seed=21), small_universe)
-        b = make_judge(bt_spec(label="evaluator", seed=21), small_universe)
+        a = Judge(bt_spec(label="annotator", seed=21), small_universe)
+        b = Judge(bt_spec(label="evaluator", seed=21), small_universe)
         outcomes_a = [a.prefer(record, 0, 1) for _ in range(128)]
         outcomes_b = [b.prefer(record, 0, 1) for _ in range(128)]
         assert outcomes_a != outcomes_b
 
     def test_faithful_deterministic_prefers_correct_probe_response(self, small_universe):
-        judge = make_judge(
+        judge = Judge(
             bt_spec(kind="deterministic", misalignment=0.0), small_universe
         )
         for record in small_universe.probe_prompts():
@@ -174,4 +174,4 @@ class TestMakeJudge:
     )
     def test_spec_validation(self, small_universe, overrides, fragment):
         with pytest.raises(ConfigurationError, match=fragment):
-            make_judge(bt_spec(**overrides), small_universe)
+            Judge(bt_spec(**overrides), small_universe)

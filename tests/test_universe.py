@@ -1,6 +1,8 @@
 """Universe generation: determinism, geometry, probe construction, validation."""
 
 import dataclasses
+import hashlib
+import json
 
 import mpmath as mp
 import numpy as np
@@ -181,11 +183,28 @@ class TestSerialization:
             np.testing.assert_array_equal(a.features, b.features)
             np.testing.assert_array_equal(a.true_reward, b.true_reward)
             assert a.correct_response == b.correct_response
-        assert loaded.content_hash() == u.content_hash()
+        # universe.json is the canonical encoding plus a newline, and the
+        # content hash is the sha256 of that encoding
+        data = path.read_bytes()
+        assert data == json.dumps(u.to_json_dict(), sort_keys=True).encode("utf-8") + b"\n"
+        digest = hashlib.sha256(data[:-1]).hexdigest()
+        assert u.content_hash() == digest
+        assert loaded.content_hash() == digest
         for universe in (u, loaded):
             # every record's features are a view into the stacked (N, V, d) array
             assert universe.features.shape == (20, 4, 8)
             assert all(np.shares_memory(r.features, universe.features) for r in universe.prompts)
+
+    def test_replace_starts_caches_empty(self):
+        u = generate_universe(_cfg())
+        assert len(u.train_prompts()) == 10
+        old_hash = u.content_hash()
+        v = dataclasses.replace(u, prompts=u.prompts[:3])
+        assert [p.prompt_id for p in v.train_prompts()] == [0, 1, 2]
+        payload = json.dumps(v.to_json_dict(), sort_keys=True).encode("utf-8")
+        assert v.content_hash() == hashlib.sha256(payload).hexdigest() != old_hash
+        assert len(u.train_prompts()) == 10
+        assert u.content_hash() == old_hash
 
     def test_ragged_features_rejected_on_load(self):
         data = generate_universe(_cfg()).to_json_dict()
