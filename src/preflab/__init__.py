@@ -18,6 +18,7 @@ from .dpo import (
     implicit_reward,
     lr_at_step,
     optimizer_step,
+    preference_deltas,
 )
 from .errors import ConfigurationError, ContractError, TrainingError
 from .evaluation import (
@@ -45,15 +46,12 @@ from .policy import (
     sample_response,
 )
 from .selection import (
-    CandidateSet,
     OpCounters,
-    PairPool,
     SelectionConfig,
     counters_report,
     entropy_estimate,
     form_pairs,
     generate_candidates,
-    margin_score,
     select_apl,
     select_random,
 )

@@ -17,20 +17,21 @@ and it cancels. With dphi = phi_w - phi_l,
 
 since grad_log_prob(w) - grad_log_prob(l) = dphi (the expected-feature terms
 cancel too). DPO is therefore logistic regression on feature differences,
-and a batch is one matrix-vector product. The gradient is a mean (not a sum)
-so the learning rate is batch-size independent.
+and a batch is one matrix-vector product over the feature differences,
+gathered once per labelled batch (``preference_deltas``) and reused by every
+update on it. The gradient is a mean (not a sum) so the learning rate is
+batch-size independent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, TrainingError
-from .policy import Policy, log_prob, stack_features
+from .policy import Policy, check_feature_dim, log_prob
 from .policy import grad_log_prob  # noqa: F401  (traced by bench/spans.py)
 from .universe import PromptRecord
 
@@ -46,8 +47,6 @@ class PreferenceTriple:
     prompt_id: int
     winner: int
     loser: int
-    annotator: str = ""
-    iteration: int = 0
 
 
 @dataclass(frozen=True)
@@ -113,51 +112,41 @@ def implicit_reward(
     return beta * (log_prob(policy, record, y) - log_prob(ref, record, y))
 
 
-def _check_triple(record: PromptRecord, triple: PreferenceTriple) -> None:
-    if triple.winner == triple.loser:
-        raise ContractError("preference triple has winner == loser")
-    v = record.features.shape[0]
-    if not (0 <= triple.winner < v and 0 <= triple.loser < v):
-        raise ContractError(
-            f"triple responses ({triple.winner}, {triple.loser}) out of range for V={v}"
-        )
-    if record.prompt_id != triple.prompt_id:
-        raise ContractError(
-            f"triple prompt_id {triple.prompt_id} does not match record "
-            f"{record.prompt_id}"
-        )
+def preference_deltas(features: np.ndarray, prompt_ids, winners, losers) -> np.ndarray:
+    """phi(x, w) - phi(x, l) per labelled pair, gathered from (N, V, d) features."""
+    prompt_ids, winners, losers = (np.asarray(a) for a in (prompt_ids, winners, losers))
+    if np.any(winners == losers):
+        raise ContractError("preference pair has winner == loser")
+    n, v = features.shape[:2]
+    if np.any((winners < 0) | (winners >= v) | (losers < 0) | (losers >= v)):
+        raise ContractError(f"preference responses out of range for V={v}")
+    if np.any((prompt_ids < 0) | (prompt_ids >= n)):
+        raise ContractError(f"prompt_id out of range for {n} prompts")
+    return features[prompt_ids, winners] - features[prompt_ids, losers]
 
 
 def dpo_example_loss(
     policy: Policy, ref: Policy, record: PromptRecord, triple: PreferenceTriple, beta: float
 ) -> float:
     """softplus(-h) with h the winner-loser implicit-reward gap; > 0 always."""
-    return dpo_batch_grad(policy, ref, [(record, triple)], beta)[0]
+    dphi = preference_deltas(record.features[None], [0], [triple.winner], [triple.loser])
+    return dpo_batch_grad(policy, ref, dphi, beta)[0]
 
 
 def dpo_batch_grad(
-    policy: Policy,
-    ref: Policy,
-    batch: Sequence[tuple[PromptRecord, PreferenceTriple]],
-    beta: float,
+    policy: Policy, ref: Policy, dphi: np.ndarray, beta: float
 ) -> tuple[float, np.ndarray]:
-    """Mean example loss and its exact gradient with respect to theta."""
-    if len(batch) == 0:
+    """Mean example loss and its exact gradient with respect to theta, from the
+    (n, d) winner-minus-loser feature differences of n labelled pairs."""
+    if len(dphi) == 0:
         raise ContractError("dpo_batch_grad requires a non-empty batch")
     if beta <= 0:
         raise ContractError(f"beta must be > 0, got {beta}")
-    for record, triple in batch:
-        _check_triple(record, triple)
-    features = stack_features([record for record, _ in batch], policy, ref)
-    rows = np.arange(len(batch))
-    dphi = (
-        features[rows, [triple.winner for _, triple in batch]]
-        - features[rows, [triple.loser for _, triple in batch]]
-    )
+    check_feature_dim(dphi, policy, ref)
     h = beta * (dphi @ (policy.theta - ref.theta))
     loss = float(np.mean(np.logaddexp(0.0, -h)))
     coeff = -beta * np.exp(-np.logaddexp(0.0, h))  # -beta * sigmoid(-h)
-    return loss, coeff @ dphi / len(batch)
+    return loss, coeff @ dphi / len(dphi)
 
 
 def lr_at_step(cfg: DpoConfig, step: int) -> float:

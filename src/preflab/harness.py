@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any, Optional, Sequence, get_type_hints
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from . import __version__ as _package_version
 from .dpo import DpoConfig
@@ -354,18 +354,7 @@ def _write_run_outputs(
     _write_csv(
         run_dir / "metrics.csv",
         METRICS_CSV_HEADER,
-        [
-            [
-                log.iteration,
-                log.mean_loss,
-                log.labeled_pairs,
-                log.lr,
-                log.entropy_min,
-                log.entropy_mean,
-                log.entropy_max,
-            ]
-            for log in result.per_iteration
-        ],
+        [[getattr(log, key) for key in METRICS_CSV_HEADER] for log in result.per_iteration],
     )
     encode = json.JSONEncoder(sort_keys=True).encode
     with open(run_dir / "events.jsonl", "w", encoding="utf-8") as fh:
@@ -491,9 +480,18 @@ def _resolve_universe(grid: ExperimentGrid) -> PromptUniverse:
     return generate_universe(grid.universe)
 
 
+_worker_universe: Optional[PromptUniverse] = None
+
+
+def _set_worker_universe(universe: PromptUniverse) -> None:
+    """Pool initializer, run once in each worker process (never in the parent):
+    the worker keeps the grid's saved, hashed universe for all its cells."""
+    global _worker_universe
+    _worker_universe = universe
+
+
 def _cell_worker(args: tuple) -> str:
-    universe_path, *cell_args = args
-    return str(run_cell(PromptUniverse.load(universe_path), *cell_args))
+    return str(run_cell(_worker_universe, *args))
 
 
 def run_grid(
@@ -537,8 +535,10 @@ def run_grid(
             run_cell(universe, *args, grid_manifest)
         return run_dirs
 
-    jobs = [(universe_path, *args, grid_manifest) for args in cell_args]
-    with ProcessPoolExecutor(max_workers=parallel) as pool:
+    jobs = [(*args, grid_manifest) for args in cell_args]
+    with ProcessPoolExecutor(
+        max_workers=parallel, initializer=_set_worker_universe, initargs=(universe,)
+    ) as pool:
         list(pool.map(_cell_worker, jobs))
     return run_dirs
 
@@ -581,18 +581,46 @@ def _read_eval_rows(run_dirs: Sequence[Path]) -> list[dict]:
     return rows
 
 
-def _read_scoring_evals(run_dirs: Sequence[Path]) -> dict[str, int]:
-    scoring = {}
+def _read_counters(run_dirs: Sequence[Path]) -> dict[str, dict]:
+    counters = {}
     for run_dir in run_dirs:
         counters_path = Path(run_dir) / "counters.json"
-        if not counters_path.exists():
-            continue
-        with open(counters_path, "r", encoding="utf-8") as fh:
-            counters = json.load(fh)
-        scoring[Path(run_dir).name] = (
-            counters["policy_logprob_evals"] + counters["ref_logprob_evals"]
-        )
-    return scoring
+        if counters_path.exists():
+            with open(counters_path, "r", encoding="utf-8") as fh:
+                counters[Path(run_dir).name] = json.load(fh)
+    return counters
+
+
+def _warn_unmatched_budgets(rows: list[dict], counters: dict[str, dict]) -> None:
+    """Name on stderr each (annotator, seed) whose selectors bought different
+    numbers of judge queries."""
+    queries: dict[tuple[str, int], dict[str, int]] = {}
+    for row in rows:
+        if row["run_id"] in counters:
+            key = (row["annotator_label"], row["seed"])
+            queries.setdefault(key, {})[row["selector"]] = counters[row["run_id"]]["judge_queries"]
+    for (annotator, seed), bought in sorted(queries.items()):
+        if len(set(bought.values())) > 1:
+            counts = ", ".join(f"{sel} {n}" for sel, n in sorted(bought.items()))
+            print(
+                f"warning: annotator {annotator!r} seed {seed}: selectors bought "
+                f"different judge-query counts ({counts})",
+                file=sys.stderr,
+            )
+
+
+def _welch(a: Sequence[float], b: Sequence[float]) -> Optional[tuple[float, float]]:
+    """Welch's t and two-sided p, with scipy.stats.ttest_ind(equal_var=False)'s
+    arithmetic (bit-identical to it); None where the test is degenerate: fewer
+    than two values on a side, zero variance on both, or a NaN result."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.size < 2 or b.size < 2 or (np.var(a) == 0.0 and np.var(b) == 0.0):
+        return None
+    va, vb = (np.mean((x - x.mean()) ** 2) * (x.size / (x.size - 1)) / x.size for x in (a, b))
+    df = (va + vb) ** 2 / (va**2 / (a.size - 1) + vb**2 / (b.size - 1))
+    t = float((a.mean() - b.mean()) / np.sqrt(va + vb))
+    p = float(2.0 * stdtr(df, -abs(t)))
+    return None if math.isnan(t) or math.isnan(p) else (t, p)
 
 
 def _sample_std(values: Sequence[float]) -> float:
@@ -616,7 +644,11 @@ def aggregate_summary(
     rows = _read_eval_rows(run_dirs)
     if not rows:
         raise ConfigurationError("no eval.csv rows found under the given run directories")
-    scoring = _read_scoring_evals(run_dirs)
+    counters = _read_counters(run_dirs)
+    _warn_unmatched_budgets(rows, counters)
+    scoring = {
+        run_id: c["policy_logprob_evals"] + c["ref_logprob_evals"] for run_id, c in counters.items()
+    }
 
     groups: dict[tuple[str, str, str], list[dict]] = {}
     for row in rows:
@@ -657,7 +689,6 @@ def aggregate_summary(
         )
 
     welch_records: list[dict] = []
-    pairs_seen = set()
     by_annotator_evaluator: dict[tuple[str, str], dict[str, list[dict]]] = {}
     for row in rows:
         key = (row["annotator_label"], row["evaluator_label"])
@@ -666,9 +697,6 @@ def aggregate_summary(
         selectors = sorted(by_selector)
         for i, sel_a in enumerate(selectors):
             for sel_b in selectors[i + 1 :]:
-                if (annotator, evaluator, sel_a, sel_b) in pairs_seen:
-                    continue
-                pairs_seen.add((annotator, evaluator, sel_a, sel_b))
                 for metric in ("win_rate", "delta_acc_pp"):
                     a = [r[metric] for r in sorted(by_selector[sel_a], key=lambda r: r["seed"])]
                     b = [r[metric] for r in sorted(by_selector[sel_b], key=lambda r: r["seed"])]
@@ -686,15 +714,11 @@ def aggregate_summary(
                         "p_value": "",
                         "note": "",
                     }
-                    if len(a) < 2 or len(b) < 2 or (np.var(a) == 0.0 and np.var(b) == 0.0):
+                    test = _welch(a, b)
+                    if test is None:
                         record["note"] = "degenerate"
                     else:
-                        t_stat, p_value = stats.ttest_ind(a, b, equal_var=False)
-                        if math.isnan(t_stat) or math.isnan(p_value):
-                            record["note"] = "degenerate"
-                        else:
-                            record["t_stat"] = float(t_stat)
-                            record["p_value"] = float(p_value)
+                        record["t_stat"], record["p_value"] = test
                     welch_records.append(record)
     return summary, welch_records
 
@@ -732,21 +756,7 @@ def write_summary(summary: list[SummaryRow], welch_records: list[dict], out_dir)
     _write_csv(
         summary_path,
         SUMMARY_CSV_HEADER,
-        [
-            [
-                row.selector,
-                row.annotator,
-                row.evaluator,
-                row.n_seeds,
-                row.win_rate_mean,
-                row.win_rate_std,
-                row.delta_acc_mean,
-                row.delta_acc_std,
-                row.collapse_runs,
-                row.extra_scoring_ops_mean,
-            ]
-            for row in summary
-        ],
+        [[getattr(row, key) for key in SUMMARY_CSV_HEADER] for row in summary],
     )
     welch_path = out_dir / "welch.csv"
     _write_csv(

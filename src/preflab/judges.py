@@ -11,7 +11,11 @@ probability sigmoid((r~1 - r~2) / tau); deterministic judges take the argmax.
 
 Judges see only (prompt, y1, y2) - they can never read policy state - and own
 a private rng stream keyed by (seed, label), so an annotator and an evaluator
-with equal seeds still draw independent noise.
+with equal seeds still draw independent noise. ``prefer_batch`` labels a whole
+batch of (prompt_id, y1, y2) at once from a per-universe table of g . phi and
+one draw of n uniforms (the same stream as n single draws); ``prefer(record,
+y1, y2)`` scores the record it is given and decides as a batch of one through
+the same method.
 """
 
 from __future__ import annotations
@@ -60,19 +64,28 @@ class Judge:
         self.spec = spec
         self._bias = universe.proxy_bias_direction
         self._rng = substream(spec.seed, "judge", spec.label)
+        rewards = np.array([p.true_reward for p in universe.prompts])
+        self._table = self._blend(rewards, universe.bias_scores())  # (N, V) proxy rewards
 
     @property
     def label(self) -> str:
         return self.spec.label
 
+    def _blend(self, true_reward, bias_score):
+        lam = self.spec.misalignment
+        return (1.0 - lam) * true_reward + lam * bias_score
+
     def proxy_reward(self, record: PromptRecord, y: int) -> float:
         """(1 - lambda) * r*(x, y) + lambda * dot(g, phi(x, y)); no rng."""
         if not 0 <= y < record.features.shape[0]:
             raise ContractError(f"response index {y} out of range")
-        lam = self.spec.misalignment
-        return float(
-            (1.0 - lam) * record.true_reward[y] + lam * (self._bias @ record.features[y])
-        )
+        return float(self._blend(record.true_reward[y], self._bias @ record.features[y]))
+
+    def _win_probability(self, gap: np.ndarray) -> np.ndarray:
+        # math.exp (libm) rather than np.exp, whose SIMD kernels round some
+        # inputs differently on some CPUs: labels stay the same on every CPU
+        scaled = np.logaddexp(0.0, -gap / self.spec.noise_temperature)
+        return np.array([math.exp(-x) for x in scaled.tolist()])
 
     def preference_probability(self, record: PromptRecord, y1: int, y2: int) -> float:
         """P(y1 beats y2) under the Bradley-Terry model; antisymmetric."""
@@ -81,19 +94,27 @@ class Judge:
                 "preference_probability is only defined for bradley_terry judges"
             )
         gap = self.proxy_reward(record, y1) - self.proxy_reward(record, y2)
-        return math.exp(-np.logaddexp(0.0, -gap / self.spec.noise_temperature))
+        return float(self._win_probability(np.array([gap]))[0])
 
-    def prefer(self, record: PromptRecord, y1: int, y2: int) -> int:
-        """Winner of the pair; advances the judge rng once for BT judges."""
-        if y1 == y2:
+    def _first_wins(self, gap: np.ndarray, y1, y2) -> np.ndarray:
+        """Whether y1 beats y2, from the proxy-reward gaps r~(y1) - r~(y2); n
+        uniforms for BT. A deterministic judge breaks ties to the lower index."""
+        if np.count_nonzero(y1 == y2):
             raise ContractError("judge queried with identical responses")
         if self.spec.kind == KIND_DETERMINISTIC:
-            r1 = self.proxy_reward(record, y1)
-            r2 = self.proxy_reward(record, y2)
-            if r1 > r2:
-                return y1
-            if r2 > r1:
-                return y2
-            return min(y1, y2)
-        p = self.preference_probability(record, y1, y2)
-        return y1 if self._rng.random() < p else y2
+            return (gap > 0) | (~(gap < 0) & (y1 < y2))
+        return self._rng.random(gap.size) < self._win_probability(gap)
+
+    def prefer_batch(self, prompt_ids, y1, y2) -> np.ndarray:
+        """Winner of each pair (prompt_ids[i], y1[i], y2[i]) of the judge's universe."""
+        v = self._table.shape[1]
+        if np.any((y1 < 0) | (y1 >= v) | (y2 < 0) | (y2 >= v)):
+            raise ContractError(f"response index out of range for {v} responses")
+        gap = self._table[prompt_ids, y1] - self._table[prompt_ids, y2]
+        return np.where(self._first_wins(gap, y1, y2), y1, y2)
+
+    def prefer(self, record: PromptRecord, y1: int, y2: int) -> int:
+        """Winner of the pair, decided as a batch of one; advances the judge rng
+        once for BT judges."""
+        gap = self.proxy_reward(record, y1) - self.proxy_reward(record, y2)
+        return y1 if self._first_wins(np.array([gap]), y1, y2)[0] else y2

@@ -57,11 +57,13 @@ class Policy:
         return policy
 
 
-def _check_dim(features: np.ndarray, policy: Policy) -> None:
-    if features.shape[-1] != policy.feature_dim:
-        raise ContractError(
-            f"feature dim {features.shape[-1]} does not match policy dim {policy.feature_dim}"
-        )
+def check_feature_dim(features: np.ndarray, *policies: Policy) -> None:
+    """Raise ContractError unless the last axis of ``features`` has every policy's dim."""
+    for policy in policies:
+        if features.shape[-1] != policy.feature_dim:
+            raise ContractError(
+                f"feature dim {features.shape[-1]} does not match policy dim {policy.feature_dim}"
+            )
 
 
 def _check_response(record: PromptRecord, y: int) -> None:
@@ -73,7 +75,7 @@ def _check_response(record: PromptRecord, y: int) -> None:
 
 def logits(policy: Policy, record: PromptRecord) -> np.ndarray:
     """Per-response logits z_y = dot(theta, phi(x, y))."""
-    _check_dim(record.features, policy)
+    check_feature_dim(record.features, policy)
     return record.features @ policy.theta
 
 
@@ -84,8 +86,7 @@ def stack_features(records: Sequence[PromptRecord], *policies: Policy) -> np.nda
         features = np.stack([record.features for record in records])
     except ValueError as exc:
         raise ContractError(f"records do not share one feature shape: {exc}") from exc
-    for policy in policies:
-        _check_dim(features, policy)
+    check_feature_dim(features, *policies)
     return features
 
 

@@ -1,5 +1,10 @@
 """Candidate generation, pair formation, and the two budget-matched selectors.
 
+Every stage works on one iteration's batch at once, as index arrays over the
+universe's (N, V, d) feature array: B prompt ids, their (B, M) candidates and
+log-probs, and a (P, 3) array of pairs, each row (batch row, y1, y2) with
+y1 < y2. Selectors return indices into the pairs.
+
 Random draws labeled pairs uniformly from the union of per-prompt pair pools.
 The uncertainty selector works in two stages: keep the top-N prompts by the
 Monte-Carlo entropy estimate
@@ -30,24 +35,16 @@ per scored pair), not what the closed form costs here.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dpo import implicit_reward
 from .errors import ConfigurationError, ContractError
-from .policy import Policy, log_softmax, stack_features
+from .policy import Policy, check_feature_dim, log_softmax
 from .policy import log_prob_vector  # noqa: F401  (traced by bench/spans.py)
-from .universe import PromptRecord
 
 SELECTOR_RANDOM = "random"
 SELECTOR_APL = "apl"
-
-Pair = tuple[int, int]
-SelectedPair = tuple[int, Pair]  # (prompt_id, (y_lo, y_hi))
-
 
 @dataclass(frozen=True)
 class SelectionConfig:
@@ -82,19 +79,6 @@ class SelectionConfig:
 
 
 @dataclass
-class CandidateSet:
-    prompt_id: int
-    candidates: list[int]
-    candidate_log_probs: list[float]
-
-
-@dataclass
-class PairPool:
-    prompt_id: int
-    pairs: list[Pair]
-
-
-@dataclass
 class OpCounters:
     policy_logprob_evals: int = 0
     ref_logprob_evals: int = 0
@@ -105,135 +89,109 @@ class OpCounters:
         return self.policy_logprob_evals + self.ref_logprob_evals
 
     def to_json_dict(self) -> dict:
-        return {
-            "policy_logprob_evals": self.policy_logprob_evals,
-            "ref_logprob_evals": self.ref_logprob_evals,
-            "judge_queries": self.judge_queries,
-            "generated_samples": self.generated_samples,
-        }
+        return asdict(self)
 
 
 def generate_candidates(
     policy: Policy,
-    records: Sequence[PromptRecord],
+    features: np.ndarray,
+    prompt_ids: np.ndarray,
     cfg: SelectionConfig,
     rng: np.random.Generator,
     counters: OpCounters,
-) -> list[CandidateSet]:
-    """Sample M responses per prompt, recording their log-probs at draw time.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample M responses for each prompt in ``prompt_ids``, rows of the (N, V, d)
+    ``features``; returns the (B, M) candidates and their log-probs at draw time.
 
     Inverse CDF over exact probabilities, one uniform per draw; the (B, M)
     uniforms come from the stream in the same order as B draws of M.
     """
     m = cfg.candidates_per_prompt
-    lp = log_softmax(stack_features(records, policy) @ policy.theta)
+    batch = features[prompt_ids]
+    check_feature_dim(batch, policy)
+    lp = log_softmax(batch @ policy.theta)
     cdf = np.cumsum(np.exp(lp), axis=1)
-    draws = rng.random((len(records), m))
+    draws = rng.random((len(prompt_ids), m))
     # searchsorted(cdf, u, side="right") counts the cdf entries <= u
     idx = np.minimum((cdf[:, None, :] <= draws[:, :, None]).sum(axis=2), lp.shape[1] - 1)
-    counters.generated_samples += m * len(records)
-    picked = np.take_along_axis(lp, idx, axis=1)
-    return [
-        CandidateSet(record.prompt_id, candidates, log_probs)
-        for record, candidates, log_probs in zip(records, idx.tolist(), picked.tolist())
-    ]
+    counters.generated_samples += m * len(prompt_ids)
+    return idx, np.take_along_axis(lp, idx, axis=1)
 
 
-def form_pairs(cset: CandidateSet) -> PairPool:
-    """All unordered pairs of distinct response values among the candidates.
+def form_pairs(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All unordered pairs of distinct response values among each row's candidates.
 
-    A prompt whose candidates are all identical yields an empty pool; the
-    caller records it as a degenerate-prompt event.
+    Returns the (P, 3) pairs, rows (batch row, y1, y2) in prompt order and then
+    lexicographic order, and the (B,) mask of degenerate prompts: those whose
+    candidates are all identical, so their pool is empty. Each row is sorted
+    once; a pair of sorted positions i < j is kept when both hold a value's
+    first occurrence.
     """
-    values = sorted(set(cset.candidates))
-    return PairPool(cset.prompt_id, list(itertools.combinations(values, 2)))
+    b, m = candidates.shape
+    values = np.sort(candidates, axis=1)
+    first = np.ones((b, m), dtype=bool)
+    first[:, 1:] = values[:, 1:] != values[:, :-1]
+    upper = np.arange(m)[:, None] < np.arange(m)
+    rows, i, j = np.nonzero(first[:, :, None] & first[:, None, :] & upper)
+    pairs = np.stack([rows, values[rows, i], values[rows, j]], axis=1)
+    return pairs, ~first[:, 1:].any(axis=1)
 
 
-def entropy_estimate(cset: CandidateSet) -> float:
-    """-(1/M) sum of recorded log-probs; costs no policy evaluations."""
-    if not cset.candidate_log_probs:
+def entropy_estimate(log_probs: np.ndarray) -> np.ndarray:
+    """-(1/M) sum of each row's recorded log-probs; costs no policy evaluations."""
+    if log_probs.shape[-1] == 0:
         raise ContractError("candidate set has no recorded log-probs")
-    return float(-np.mean(cset.candidate_log_probs))
+    return -log_probs.mean(axis=-1)
 
 
-def margin_score(
-    policy: Policy,
-    ref: Policy,
-    record: PromptRecord,
-    pair: Pair,
-    beta: float,
-    counters: OpCounters,
-) -> float:
-    """|implicit_reward(y1) - implicit_reward(y2)|; 2 policy + 2 ref evals."""
-    y1, y2 = pair
-    counters.policy_logprob_evals += 2
-    counters.ref_logprob_evals += 2
-    return abs(
-        implicit_reward(policy, ref, record, y1, beta)
-        - implicit_reward(policy, ref, record, y2, beta)
-    )
-
-
-def select_random(
-    pools: Sequence[PairPool], budget: int, rng: np.random.Generator
-) -> list[SelectedPair]:
-    """Uniform draw without replacement from the union of all pools."""
-    universe_pairs: list[SelectedPair] = [
-        (pool.prompt_id, pair) for pool in pools for pair in pool.pairs
-    ]
-    if len(universe_pairs) <= budget:
-        return universe_pairs
-    order = rng.permutation(len(universe_pairs))[:budget]
-    return [universe_pairs[i] for i in order]
+def select_random(pairs: np.ndarray, budget: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform draw without replacement from the union of all pools; the rng is
+    used only when the pairs outnumber the budget."""
+    if len(pairs) <= budget:
+        return np.arange(len(pairs))
+    return rng.permutation(len(pairs))[:budget]
 
 
 def select_apl(
     policy: Policy,
     ref: Policy,
-    candidate_sets: Sequence[CandidateSet],
-    pools: Sequence[PairPool],
-    records: Sequence[PromptRecord],
+    features: np.ndarray,
+    prompt_ids: np.ndarray,
+    entropies: np.ndarray,
+    pairs: np.ndarray,
     cfg: SelectionConfig,
     beta: float,
     counters: OpCounters,
-    scores_out: dict | None = None,
-) -> list[SelectedPair]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Two-stage uncertainty selection; deterministic, no rng.
 
-    Stage 1 ranks prompts by entropy estimate (ties to the lower prompt_id)
-    and keeps the top N with non-empty pools; degenerate prompts drop out of
-    both selectors symmetrically. Stage 2 margin-scores every pair in the
-    kept pools and takes the top L (ties to lower prompt_id, then the
-    lexicographically smaller pair). When ``scores_out`` is given it is
-    filled with the margin of every selected pair, for event logging.
+    Stage 1 ranks the batch's prompts by entropy estimate (ties to the lower
+    prompt_id) and keeps the top N with non-empty pools; degenerate prompts
+    drop out of both selectors symmetrically. Stage 2 margin-scores every pair
+    in the kept pools and takes the top L (ties to lower prompt_id, then the
+    lexicographically smaller pair). Returns the selected indices into
+    ``pairs`` and their margins.
     """
-    ranked = sorted(
-        (
-            (-entropy_estimate(cset), cset.prompt_id, i)
-            for i, cset in enumerate(candidate_sets)
-            if pools[i].pairs
-        ),
-    )
-    kept = ranked[: cfg.apl_top_prompts]
-    if not kept:
-        return []
+    rows = np.unique(pairs[:, 0])
+    kept = rows[np.lexsort((prompt_ids[rows], -entropies[rows]))][: cfg.apl_top_prompts]
+    if kept.size == 0:
+        return np.zeros(0, dtype=int), np.zeros(0)
     if beta <= 0:
         raise ContractError(f"beta must be > 0, got {beta}")
-    features = stack_features([records[i] for _, _, i in kept], policy, ref)
-    z = (features @ (policy.theta - ref.theta)).tolist()
-    if any(not 0 <= y < len(z[0]) for _, _, i in kept for pair in pools[i].pairs for y in pair):
-        raise ContractError(f"pair responses out of range for {len(z[0])} responses")
-    scored = sorted(
-        (-beta * abs(z[row][y1] - z[row][y2]), prompt_id, (y1, y2))
-        for row, (_, prompt_id, i) in enumerate(kept)
-        for y1, y2 in pools[i].pairs
-    )
-    counters.policy_logprob_evals += 2 * len(scored)
-    counters.ref_logprob_evals += 2 * len(scored)
-    selected = scored[: cfg.label_budget]
-    if scores_out is not None:
-        scores_out.update({(prompt_id, pair): -neg for neg, prompt_id, pair in selected})
-    return [(prompt_id, pair) for _, prompt_id, pair in selected]
+    batch = features[prompt_ids[kept]]
+    check_feature_dim(batch, policy, ref)
+    z = batch @ (policy.theta - ref.theta)
+    slot = np.full(len(prompt_ids), -1)
+    slot[kept] = np.arange(kept.size)
+    scored = np.flatnonzero(slot[pairs[:, 0]] >= 0)
+    row, y1, y2 = pairs[scored].T
+    if np.any((pairs[scored, 1:] < 0) | (pairs[scored, 1:] >= z.shape[1])):
+        raise ContractError(f"pair responses out of range for {z.shape[1]} responses")
+    margin = beta * np.abs(z[slot[row], y1] - z[slot[row], y2])
+    counters.policy_logprob_evals += 2 * scored.size
+    counters.ref_logprob_evals += 2 * scored.size
+    order = np.lexsort((y2, y1, prompt_ids[row], -margin))[: cfg.label_budget]
+    return scored[order], margin[order]
 
 
 def counters_report(counters: OpCounters, baseline: OpCounters) -> dict:

@@ -8,6 +8,11 @@ it as the reference, then iterate
     annotator judge -> take ``updates_per_sample`` optimizer steps on the
     labeled batch.
 
+Each stage runs once per iteration on the whole batch, as index arrays over
+``PromptUniverse.features``: prompt ids, (B, M) candidates, a (P, 3) pair
+array, selected indices, one labelling call, and the winner-minus-loser
+feature differences that every update of the iteration reuses.
+
 All stochastic streams are keyed by run_seed and a purpose tag, never by the
 selector, so runs that differ only in selector share prompt, generation, and
 supervised-fit randomness (paired comparisons). The annotator's stream is
@@ -26,10 +31,10 @@ import numpy as np
 from .dpo import (
     DpoConfig,
     OptimizerState,
-    PreferenceTriple,
     dpo_batch_grad,
     lr_at_step,
     optimizer_step,
+    preference_deltas,
 )
 from .errors import ConfigurationError, TrainingError
 from .judges import Judge, JudgeSpec
@@ -206,72 +211,74 @@ def run_online_dpo(
     select_rng = substream(cfg.run_seed, "random-selector")
     annotator = _annotator_for_run(cfg, universe)
 
+    features = universe.features
+    train_ids = np.array([p.prompt_id for p in train])
     aborted = False
     for t in range(1, cfg.dpo.max_steps + 1):
-        batch_idx = prompt_rng.permutation(len(train))[: sel.batch_prompts]
-        records = [train[i] for i in batch_idx]
-        csets = generate_candidates(policy, records, sel, gen_rng, counters)
+        prompt_ids = train_ids[prompt_rng.permutation(len(train))[: sel.batch_prompts]]
+        candidates, log_probs = generate_candidates(
+            policy, features, prompt_ids, sel, gen_rng, counters
+        )
         events.append(
             {
                 "type": "candidates",
                 "iteration": t,
-                "prompt_ids": [c.prompt_id for c in csets],
-                "candidates": [c.candidates for c in csets],
+                "prompt_ids": prompt_ids.tolist(),
+                "candidates": candidates.tolist(),
             }
         )
-        pools = [form_pairs(c) for c in csets]
-        for pool in pools:
-            if not pool.pairs:
-                events.append(
-                    {"type": "degenerate_prompt", "iteration": t, "prompt_id": pool.prompt_id}
-                )
+        pairs, degenerate = form_pairs(candidates)
+        events.extend(
+            {"type": "degenerate_prompt", "iteration": t, "prompt_id": prompt_id}
+            for prompt_id in prompt_ids[degenerate].tolist()
+        )
 
-        pair_scores: dict = {}
+        entropies = entropy_estimate(log_probs)
         if cfg.selector == SELECTOR_RANDOM:
-            selected = select_random(pools, sel.label_budget, select_rng)
+            picked = select_random(pairs, sel.label_budget, select_rng)
+            scores = [None] * picked.size
         else:
-            selected = select_apl(
-                policy, ref, csets, pools, records, sel, beta, counters, pair_scores
+            picked, margins = select_apl(
+                policy, ref, features, prompt_ids, entropies, pairs, sel, beta, counters
             )
-        if len(selected) < sel.label_budget:
+            scores = margins.tolist()
+        if picked.size < sel.label_budget:
             events.append(
                 {
                     "type": "budget_shortfall",
                     "iteration": t,
-                    "selected": len(selected),
+                    "selected": picked.size,
                     "budget": sel.label_budget,
                 }
             )
 
-        entropies = [entropy_estimate(c) for c in csets]
-        record_by_id = {r.prompt_id: r for r in records}
-        batch = []
-        for prompt_id, (y1, y2) in selected:
-            record = record_by_id[prompt_id]
-            winner = annotator.prefer(record, y1, y2)
-            counters.judge_queries += 1
-            loser = y2 if winner == y1 else y1
-            events.append(
-                {
-                    "type": "selection",
-                    "iteration": t,
-                    "strategy": cfg.selector,
-                    "prompt_id": prompt_id,
-                    "pair": [y1, y2],
-                    "score": pair_scores.get((prompt_id, (y1, y2))),
-                    "winner": winner,
-                }
+        rows, y1, y2 = pairs[picked].T
+        pair_prompts = prompt_ids[rows]
+        winners = annotator.prefer_batch(pair_prompts, y1, y2)
+        counters.judge_queries += picked.size
+        events.extend(
+            {
+                "type": "selection",
+                "iteration": t,
+                "strategy": cfg.selector,
+                "prompt_id": prompt_id,
+                "pair": [a, b],
+                "score": score,
+                "winner": winner,
+            }
+            for prompt_id, a, b, score, winner in zip(
+                pair_prompts.tolist(), y1.tolist(), y2.tolist(), scores, winners.tolist()
             )
-            batch.append(
-                (record, PreferenceTriple(prompt_id, winner, loser, annotator.label, t))
-            )
+        )
 
         mean_loss = float("nan")
         last_lr = lr_at_step(cfg.dpo, opt_state.step)
-        if batch:
+        if picked.size:
+            losers = np.where(winners == y1, y2, y1)
+            dphi = preference_deltas(features, pair_prompts, winners, losers)
             try:
                 for _ in range(cfg.dpo.updates_per_sample):
-                    loss, grad = dpo_batch_grad(policy, ref, batch, beta)
+                    loss, grad = dpo_batch_grad(policy, ref, dphi, beta)
                     if math.isnan(mean_loss):
                         mean_loss = loss
                     last_lr = lr_at_step(cfg.dpo, opt_state.step)
@@ -287,7 +294,7 @@ def run_online_dpo(
             IterationLog(
                 iteration=t,
                 mean_loss=mean_loss,
-                labeled_pairs=len(batch),
+                labeled_pairs=picked.size,
                 entropy_min=float(np.min(entropies)),
                 entropy_mean=float(np.mean(entropies)),
                 entropy_max=float(np.max(entropies)),

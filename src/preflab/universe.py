@@ -111,8 +111,8 @@ class PromptUniverse:
     """Prompts, their stacked features, and the two unit directions.
 
     A universe is not changed after ``generate_universe`` or ``load``: its role
-    lists and content hash are cached on first use and never invalidated
-    (``dataclasses.replace`` starts both caches empty).
+    lists, content hash and bias-score table are cached on first use and never
+    invalidated (``dataclasses.replace`` starts every cache empty).
     """
 
     config: UniverseConfig
@@ -122,6 +122,7 @@ class PromptUniverse:
     probe_direction: np.ndarray  # (d,), unit norm
     _role_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _content_hash: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    _bias_scores: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def prompts_with_role(self, role: str) -> list[PromptRecord]:
         if role not in self._role_cache:
@@ -136,6 +137,14 @@ class PromptUniverse:
 
     def probe_prompts(self) -> list[PromptRecord]:
         return self.prompts_with_role(ROLE_PROBE)
+
+    def bias_scores(self) -> np.ndarray:
+        """(N, V) table of g . phi(x, y), one 1-D dot per response as a judge
+        scores a single response (``features @ g`` rounds differently)."""
+        if self._bias_scores is None:
+            g = self.proxy_bias_direction
+            self._bias_scores = np.array([[g @ phi for phi in rows] for rows in self.features])
+        return self._bias_scores
 
     def to_json_dict(self) -> dict:
         return {

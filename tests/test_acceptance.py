@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from preflab import (
-    CandidateSet,
     DpoConfig,
     Judge,
     JudgeSpec,
@@ -40,6 +39,7 @@ from preflab import (
     implicit_reward,
     log_prob_vector,
     parse_config,
+    preference_deltas,
     run_grid,
     run_online_dpo,
     select_apl,
@@ -74,9 +74,15 @@ def _draw_dpo_instance(gen):
                 policy, ref, record, triple.loser, beta
             )
             saturated = saturated or abs(h) > 4.0
-            batch.append((record, triple))
+            batch.append(triple)
         if not saturated:
-            return policy, ref, batch, beta
+            dphi = preference_deltas(
+                record.features[None],
+                [0] * len(batch),
+                [t.winner for t in batch],
+                [t.loser for t in batch],
+            )
+            return policy, ref, dphi, beta
 
 
 def test_criterion_01_gradient_correctness():
@@ -85,15 +91,15 @@ def test_criterion_01_gradient_correctness():
     started = time.perf_counter()
     worst = 0.0
     for _ in range(100):
-        policy, ref, batch, beta = _draw_dpo_instance(gen)
-        _, grad = dpo_batch_grad(policy, ref, batch, beta)
+        policy, ref, dphi, beta = _draw_dpo_instance(gen)
+        _, grad = dpo_batch_grad(policy, ref, dphi, beta)
         d = policy.feature_dim
         fd = np.zeros(d)
         for i in range(d):
             e = np.zeros(d)
             e[i] = step
-            lp, _ = dpo_batch_grad(Policy(policy.theta + e), ref, batch, beta)
-            lm, _ = dpo_batch_grad(Policy(policy.theta - e), ref, batch, beta)
+            lp, _ = dpo_batch_grad(Policy(policy.theta + e), ref, dphi, beta)
+            lm, _ = dpo_batch_grad(Policy(policy.theta - e), ref, dphi, beta)
             fd[i] = (lp - lm) / (2 * step)
         assert np.linalg.norm(fd) > 1e-3  # conditioning filter never binds
         rel = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
@@ -144,9 +150,7 @@ def test_criterion_03_entropy_estimator_calibration():
         exact = exact_entropy(policy, record)
         cdf = np.cumsum(p)
         idx = np.minimum((gen.random((resamples, m))[..., None] > cdf[:-1]).sum(-1), v - 1)
-        estimates = [
-            entropy_estimate(CandidateSet(0, row.tolist(), lp[row].tolist())) for row in idx
-        ]
+        estimates = entropy_estimate(lp[idx])  # one estimate per resample
         var_single = float(np.sum(p * lp**2) - exact**2)
         se = math.sqrt(var_single / (m * resamples))
         assert abs(np.mean(estimates) - exact) <= 3 * se
@@ -155,8 +159,7 @@ def test_criterion_03_entropy_estimator_calibration():
         record = PromptRecord(0, "train", np.eye(v), np.zeros(v))
         uniform = Policy(np.zeros(v))
         lp = log_prob_vector(uniform, record)
-        cset = CandidateSet(0, [0] * m, lp[[0] * m].tolist())
-        assert entropy_estimate(cset) == math.log(v)  # exact, not approximate
+        assert entropy_estimate(lp[[0] * m]) == math.log(v)  # exact, not approximate
     print("PASS criterion 3: 20 policies within 3 SE; uniform estimate exactly ln V")
 
 
@@ -429,18 +432,21 @@ def test_criterion_09_overhead_accounting():
         PromptRecord(i, "train", gen.normal(size=(m, 8)), np.zeros(m)) for i in range(b)
     ]
     policy, ref = Policy(gen.normal(size=8)), Policy(gen.normal(size=8))
-    csets = [
-        CandidateSet(i, [0, 1, 2, 3], [-0.3 - 0.05 * i] * m) for i in range(b)
-    ]  # all candidates distinct: no degenerate prompts
-    pools = [form_pairs(c) for c in csets]
+    features, prompt_ids = np.stack([r.features for r in records]), np.arange(b)
+    candidates = np.tile([0, 1, 2, 3], (b, 1))  # all distinct: no degenerate prompts
+    entropies = entropy_estimate(np.array([[-0.3 - 0.05 * i] * m for i in range(b)]))
+    pairs, degenerate = form_pairs(candidates)
+    assert not degenerate.any()
     cfg = SelectionConfig(b, m, n_keep, budget)
 
     random_counters = OpCounters(generated_samples=b * m)
-    selected_random = select_random(pools, budget, np.random.default_rng(0))
+    selected_random = select_random(pairs, budget, np.random.default_rng(0))
     random_counters.judge_queries += len(selected_random)
 
     apl_counters = OpCounters(generated_samples=b * m)
-    selected_apl = select_apl(policy, ref, csets, pools, records, cfg, 0.1, apl_counters)
+    selected_apl, _ = select_apl(
+        policy, ref, features, prompt_ids, entropies, pairs, cfg, 0.1, apl_counters
+    )
     apl_counters.judge_queries += len(selected_apl)
 
     report = counters_report(apl_counters, random_counters)

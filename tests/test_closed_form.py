@@ -2,11 +2,14 @@
 
 Each oracle is the loop the batched code replaced, written with the public
 per-record functions (``implicit_reward``, ``grad_log_prob``,
-``margin_score``, ``log_prob_vector``, ``sample_response``). Inputs are
-Gaussian features drawn from a hypothesis-chosen seed, so exact ties occur
-only where both forms tie exactly (at the reference policy).
+``log_prob_vector``, ``sample_response``, ``Judge.prefer``) or plain Python
+(``itertools.combinations``). Inputs are Gaussian features drawn from a
+hypothesis-chosen seed, so exact ties occur only where both forms tie exactly
+(at the reference policy).
 """
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -15,12 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preflab import (
-    CandidateSet,
     ContractError,
     Judge,
     JudgeSpec,
     OpCounters,
-    PairPool,
     Policy,
     PreferenceTriple,
     PromptRecord,
@@ -35,9 +36,10 @@ from preflab import (
     grad_log_prob,
     implicit_reward,
     log_prob_vector,
-    margin_score,
+    preference_deltas,
     sample_response,
     select_apl,
+    select_random,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -47,6 +49,10 @@ def gaussian_records(gen, n, v, d):
     return [
         PromptRecord(i, "train", gen.normal(size=(v, d)), np.zeros(v)) for i in range(n)
     ]
+
+
+def stacked(records):
+    return np.stack([r.features for r in records])
 
 
 # --------------------------------------------------------------------------
@@ -91,8 +97,10 @@ def test_dpo_batch_grad_matches_per_pair_oracle(seed, v, d, n, theta_scale, beta
         record = records[int(gen.integers(4))]
         w, l = gen.choice(v, size=2, replace=False)
         batch.append((record, PreferenceTriple(record.prompt_id, int(w), int(l))))
+    ids, winners, losers = zip(*((t.prompt_id, t.winner, t.loser) for _, t in batch))
+    dphi = preference_deltas(stacked(records), ids, winners, losers)
 
-    loss, grad = dpo_batch_grad(policy, ref, batch, beta)
+    loss, grad = dpo_batch_grad(policy, ref, dphi, beta)
     want_loss, want_grad, scale = dpo_oracle(policy, ref, batch, beta)
     assert math.isclose(loss, want_loss, rel_tol=1e-12, abs_tol=0.0)
     # a mean of signed terms can cancel, so the bound scales with the terms
@@ -104,16 +112,77 @@ def test_dpo_batch_grad_matches_per_pair_oracle(seed, v, d, n, theta_scale, beta
 # --------------------------------------------------------------------------
 
 
-def apl_oracle(policy, ref, csets, pools, records, cfg, beta):
+def pools_oracle(candidates):
+    """Each prompt's pool: itertools.combinations over its sorted distinct values."""
+    return [list(itertools.combinations(sorted(set(row)), 2)) for row in candidates.tolist()]
+
+
+def as_tuples(pairs, picked, prompt_ids):
+    return [(int(prompt_ids[r]), (int(a), int(b))) for r, a, b in pairs[picked]]
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1), b=st.integers(1, 12), m=st.integers(2, 7), v=st.integers(1, 9)
+)
+def test_form_pairs_matches_combinations_oracle(seed, b, m, v):
+    candidates = np.random.default_rng(seed).integers(v, size=(b, m))
+    pairs, degenerate = form_pairs(candidates)
+    pools = pools_oracle(candidates)
+    assert [(r, (a, c)) for r, a, c in pairs.tolist()] == [
+        (row, pair) for row, pool in enumerate(pools) for pair in pool
+    ]
+    assert degenerate.tolist() == [not pool for pool in pools]
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    b=st.integers(1, 10),
+    m=st.integers(2, 6),
+    v=st.integers(1, 6),
+    data=st.data(),
+)
+def test_selectors_return_at_most_budget_distinct_pairs(seed, b, m, v, data):
+    n_keep = data.draw(st.integers(1, b))
+    budget = data.draw(st.integers(1, n_keep * m * (m - 1) // 2))
+    cfg = SelectionConfig(b, m, n_keep, budget)
+    gen = np.random.default_rng(seed)
+    candidates = gen.integers(v, size=(b, m))
+    pairs, degenerate = form_pairs(candidates)
+    policy, ref = Policy(gen.normal(size=3)), Policy(gen.normal(size=3))
+    features, prompt_ids = gen.normal(size=(b, v, 3)), gen.permutation(4 * b)[:b]
+    table = np.zeros((4 * b, v, 3))
+    table[prompt_ids] = features
+    apl_picked, _ = select_apl(
+        policy, ref, table, prompt_ids, -gen.normal(size=(b, m)).mean(axis=1), pairs, cfg,
+        0.2, OpCounters(),
+    )
+    for picked in (select_random(pairs, budget, gen), apl_picked):
+        assert len(picked) <= budget and len(set(picked.tolist())) == len(picked)
+        assert not degenerate[pairs[picked, 0]].any()
+
+
+def apl_oracle(policy, ref, records, candidates, log_probs, cfg, beta):
+    """Per-prompt pools, entropy ranking and a per-pair implicit_reward sort."""
+    pools = pools_oracle(candidates)
     ranked = sorted(
-        (-entropy_estimate(c), c.prompt_id, i) for i, c in enumerate(csets) if pools[i].pairs
+        (float(np.mean(lp)), record.prompt_id, i)
+        for i, (record, lp) in enumerate(zip(records, log_probs.tolist()))
+        if pools[i]
     )
     counters = OpCounters()
-    scored = sorted(
-        (-margin_score(policy, ref, records[i], pair, beta, counters), prompt_id, pair)
-        for _, prompt_id, i in ranked[: cfg.apl_top_prompts]
-        for pair in pools[i].pairs
-    )[: cfg.label_budget]
+    scored = []
+    for _, prompt_id, i in ranked[: cfg.apl_top_prompts]:
+        for y1, y2 in pools[i]:
+            margin = abs(
+                implicit_reward(policy, ref, records[i], y1, beta)
+                - implicit_reward(policy, ref, records[i], y2, beta)
+            )
+            counters.policy_logprob_evals += 2
+            counters.ref_logprob_evals += 2
+            scored.append((-margin, prompt_id, (y1, y2)))
+    scored = sorted(scored)[: cfg.label_budget]
     return [(prompt_id, pair) for _, prompt_id, pair in scored], [-s for s, _, _ in scored], counters
 
 
@@ -135,18 +204,21 @@ def test_select_apl_picks_the_oracle_pairs(seed, v, d, b, m, at_reference, data)
     records = gaussian_records(gen, b, v, d)
     policy = Policy(gen.normal(size=d))
     ref = Policy(policy.theta.copy() if at_reference else gen.normal(size=d))
-    csets = [
-        CandidateSet(r.prompt_id, gen.integers(v, size=m).tolist(), gen.normal(size=m).tolist())
-        for r in records
-    ]
-    pools = [form_pairs(c) for c in csets]
+    candidates, log_probs = gen.integers(v, size=(b, m)), gen.normal(size=(b, m))
+    pairs, _ = form_pairs(candidates)
+    prompt_ids = np.arange(b)
 
-    counters, scores = OpCounters(), {}
-    got = select_apl(policy, ref, csets, pools, records, cfg, 0.3, counters, scores)
-    want, want_scores, want_counters = apl_oracle(policy, ref, csets, pools, records, cfg, 0.3)
-    assert got == want
+    counters = OpCounters()
+    picked, margins = select_apl(
+        policy, ref, stacked(records), prompt_ids, entropy_estimate(log_probs), pairs, cfg,
+        0.3, counters,
+    )
+    want, want_scores, want_counters = apl_oracle(
+        policy, ref, records, candidates, log_probs, cfg, 0.3
+    )
+    assert as_tuples(pairs, picked, prompt_ids) == want
     assert counters == want_counters
-    np.testing.assert_allclose([scores[key] for key in got], want_scores, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(margins, want_scores, rtol=0.0, atol=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -167,16 +239,17 @@ def test_generate_candidates_matches_per_prompt_draws(seed, v, d, b, m, theta_sc
     gen = np.random.default_rng(seed)
     records = gaussian_records(gen, b, v, d)
     policy = Policy(gen.normal(scale=theta_scale, size=d))
-    csets = generate_candidates(
-        policy, records, SelectionConfig(b, m, 1, 1), np.random.default_rng(seed), OpCounters()
+    candidates, log_probs = generate_candidates(
+        policy, stacked(records), np.arange(b), SelectionConfig(b, m, 1, 1),
+        np.random.default_rng(seed), OpCounters(),
     )
     rng = np.random.default_rng(seed)
-    for record, cset in zip(records, csets):
+    for record, row, row_lp in zip(records, candidates, log_probs):
         lp = log_prob_vector(policy, record)
         cdf = np.cumsum(np.exp(lp))
         idx = np.minimum(np.searchsorted(cdf, rng.random(m), side="right"), v - 1)
-        assert cset.candidates == idx.tolist()
-        np.testing.assert_allclose(cset.candidate_log_probs, lp[idx], rtol=0.0, atol=1e-12)
+        assert row.tolist() == idx.tolist()
+        np.testing.assert_allclose(row_lp, lp[idx], rtol=0.0, atol=1e-12)
 
 
 def win_rate_oracle(policy, ref, evaluator, records, n_trials, rng):
@@ -209,21 +282,83 @@ def test_win_rate_matches_per_trial_sampling(kind):
 
 
 # --------------------------------------------------------------------------
+# judges: one batch call equals the sequential scalar calls
+# --------------------------------------------------------------------------
+
+JUDGE_UNIVERSE = generate_universe(UniverseConfig(24, 6, 4, 5, 7, misalignment_rho=-0.4, seed=8))
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 40),
+    kind=st.sampled_from(["bradley_terry", "deterministic"]),
+    misalignment=st.sampled_from([0.0, 0.3, 1.0]),
+    temperature=st.sampled_from([0.05, 1.0, 20.0]),
+)
+def test_prefer_batch_matches_sequential_prefer(seed, n, kind, misalignment, temperature):
+    universe = JUDGE_UNIVERSE
+    gen = np.random.default_rng(seed)
+    prompt_ids = gen.integers(len(universe.prompts), size=n)
+    y1 = gen.integers(5, size=n)
+    y2 = (y1 + gen.integers(1, 5, size=n)) % 5
+    spec = JudgeSpec(
+        label="annotator", kind=kind, misalignment=misalignment,
+        noise_temperature=temperature, seed=seed % 97,
+    )
+    batched, sequential = Judge(spec, universe), Judge(spec, universe)
+    got = batched.prefer_batch(prompt_ids, y1, y2)
+    want = [
+        sequential.prefer(universe.prompts[p], a, b)
+        for p, a, b in zip(prompt_ids.tolist(), y1.tolist(), y2.tolist())
+    ]
+    assert got.tolist() == want
+    assert batched._rng.bit_generator.state == sequential._rng.bit_generator.state
+
+
+def test_bias_score_table_is_the_per_response_dot():
+    universe = generate_universe(UniverseConfig(20, 7, 3, 5, 6, misalignment_rho=0.2, seed=13))
+    table = universe.bias_scores()
+    g = universe.proxy_bias_direction
+    for n, record in enumerate(universe.prompts):
+        for y in range(5):
+            assert table[n, y] == g @ universe.features[n, y]  # bit for bit
+            assert table[n, y] == g @ record.features[y]
+    assert universe.bias_scores() is table  # cached
+    flipped = dataclasses.replace(universe, proxy_bias_direction=-g)
+    assert np.array_equal(flipped.bias_scores(), -table)
+    assert universe.bias_scores() is table
+
+
+def test_prefer_batch_contract_errors():
+    judge = Judge(JudgeSpec(label="annotator"), JUDGE_UNIVERSE)
+    with pytest.raises(ContractError, match="identical"):
+        judge.prefer_batch(np.array([0, 1]), np.array([0, 2]), np.array([1, 2]))
+    with pytest.raises(ContractError, match="out of range"):
+        judge.prefer_batch(np.array([0]), np.array([0]), np.array([5]))
+
+
+# --------------------------------------------------------------------------
 # contract errors still fire from the batched code
 # --------------------------------------------------------------------------
 
 
 def _batch_with(bad_triple, record_dim=3):
-    gen = np.random.default_rng(1)
-    good = PromptRecord(0, "train", gen.normal(size=(4, 3)), np.zeros(4))
-    bad = PromptRecord(1, "train", gen.normal(size=(4, record_dim)), np.zeros(4))
-    return [(good, PreferenceTriple(0, 0, 1)), (bad, bad_triple)]
+    """preference_deltas arguments for a good pair on prompt 0 and ``bad_triple``."""
+    features = np.random.default_rng(1).normal(size=(2, 4, record_dim))
+    triples = (PreferenceTriple(0, 0, 1), bad_triple)
+    return features, *(
+        np.array([getattr(t, name) for t in triples]) for name in ("prompt_id", "winner", "loser")
+    )
+
+
+EMPTY = (np.zeros((1, 4, 3)), *[np.zeros(0, dtype=int)] * 3)
 
 
 @pytest.mark.parametrize(
     "batch,beta,ref_dim,fragment",
     [
-        ([], 0.1, 3, "non-empty"),
+        (EMPTY, 0.1, 3, "non-empty"),
         (_batch_with(PreferenceTriple(1, 2, 3)), 0.0, 3, "beta"),
         (_batch_with(PreferenceTriple(1, 2, 3)), -1.0, 3, "beta"),
         (_batch_with(PreferenceTriple(1, 2, 2)), 0.1, 3, "winner == loser"),
@@ -236,24 +371,30 @@ def _batch_with(bad_triple, record_dim=3):
 )
 def test_dpo_batch_grad_contract_errors(batch, beta, ref_dim, fragment):
     with pytest.raises(ContractError, match=fragment):
-        dpo_batch_grad(Policy(np.ones(3)), Policy(np.zeros(ref_dim)), batch, beta)
+        dphi = preference_deltas(*batch)
+        dpo_batch_grad(Policy(np.ones(3)), Policy(np.zeros(ref_dim)), dphi, beta)
 
 
 def test_batched_selection_and_eval_contract_errors():
     gen = np.random.default_rng(2)
     records = gaussian_records(gen, 2, 4, 3)
+    features, prompt_ids, entropies = stacked(records), np.arange(2), np.ones(2)
     policy, wrong_dim = Policy(np.ones(3)), Policy(np.ones(5))
-    csets = [CandidateSet(r.prompt_id, [0, 1], [-1.0, -1.0]) for r in records]
-    pools = [form_pairs(c) for c in csets]
+    pairs = np.array([[0, 0, 1], [1, 0, 1]])
     cfg = SelectionConfig(2, 2, 2, 1)
+
+    def apl(ref, beta, pairs=pairs):
+        select_apl(policy, ref, features, prompt_ids, entropies, pairs, cfg, beta, OpCounters())
+
     with pytest.raises(ContractError, match="beta"):
-        select_apl(policy, policy, csets, pools, records, cfg, 0.0, OpCounters())
+        apl(policy, 0.0)
     with pytest.raises(ContractError, match="feature dim"):
-        select_apl(policy, wrong_dim, csets, pools, records, cfg, 0.1, OpCounters())
-    bad_pools = [PairPool(0, [(0, 4)]), pools[1]]
+        apl(wrong_dim, 0.1)
     with pytest.raises(ContractError, match="out of range"):
-        select_apl(policy, policy, csets, bad_pools, records, cfg, 0.1, OpCounters())
+        apl(policy, 0.1, np.array([[0, 0, 4], [1, 0, 1]]))
     with pytest.raises(ContractError, match="feature dim"):
-        generate_candidates(wrong_dim, records, cfg, np.random.default_rng(0), OpCounters())
+        generate_candidates(
+            wrong_dim, features, prompt_ids, cfg, np.random.default_rng(0), OpCounters()
+        )
     with pytest.raises(ContractError, match="feature dim"):
         estimate_win_rate(policy, wrong_dim, None, records, 10, np.random.default_rng(0))

@@ -21,6 +21,7 @@ from preflab import (
     implicit_reward,
     lr_at_step,
     optimizer_step,
+    preference_deltas,
 )
 
 LN2 = 0.6931471805599453
@@ -48,6 +49,17 @@ def random_instance(gen, n_triples=1):
         w, l = gen.choice(v, size=2, replace=False)
         triples.append((record, PreferenceTriple(0, int(w), int(l))))
     return policy, ref, triples
+
+
+def deltas(batch):
+    """Winner-minus-loser features of (record, triple) pairs, as the trainer
+    gathers them for dpo_batch_grad."""
+    return preference_deltas(
+        np.stack([record.features for record, _ in batch]),
+        np.arange(len(batch)),
+        [t.winner for _, t in batch],
+        [t.loser for _, t in batch],
+    )
 
 
 class TestImplicitReward:
@@ -146,7 +158,7 @@ class TestBatchGradient:
             (record, PreferenceTriple(0, 0, 1)),
             (record, PreferenceTriple(0, 1, 0)),
         ]
-        loss, grad = dpo_batch_grad(p, ref, batch, 0.3)
+        loss, grad = dpo_batch_grad(p, ref, deltas(batch), 0.3)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
         assert loss == pytest.approx(LN2, abs=1e-12)
 
@@ -155,7 +167,7 @@ class TestBatchGradient:
         p, ref = Policy(theta), Policy(theta.copy())
         record = small_universe.prompts[1]
         beta = 0.4
-        _, grad = dpo_batch_grad(p, ref, [(record, PreferenceTriple(1, 2, 0))], beta)
+        _, grad = dpo_batch_grad(p, ref, deltas([(record, PreferenceTriple(1, 2, 0))]), beta)
         want = -beta / 2 * (grad_log_prob(p, record, 2) - grad_log_prob(p, record, 0))
         np.testing.assert_allclose(grad, want, atol=1e-12)
 
@@ -165,14 +177,15 @@ class TestBatchGradient:
         for _ in range(50):
             policy, ref, batch = random_instance(gen, n_triples=int(gen.integers(1, 5)))
             beta = float(gen.uniform(0.05, 2.0))
-            _, grad = dpo_batch_grad(policy, ref, batch, beta)
+            dphi = deltas(batch)
+            _, grad = dpo_batch_grad(policy, ref, dphi, beta)
             d = policy.feature_dim
             fd = np.zeros(d)
             for i in range(d):
                 e = np.zeros(d)
                 e[i] = step
-                lp, _ = dpo_batch_grad(Policy(policy.theta + e), ref, batch, beta)
-                lm, _ = dpo_batch_grad(Policy(policy.theta - e), ref, batch, beta)
+                lp, _ = dpo_batch_grad(Policy(policy.theta + e), ref, dphi, beta)
+                lm, _ = dpo_batch_grad(Policy(policy.theta - e), ref, dphi, beta)
                 fd[i] = (lp - lm) / (2 * step)
             denom = max(np.linalg.norm(fd), 1e-12)
             assert np.linalg.norm(grad - fd) / denom <= 1e-6
@@ -190,8 +203,8 @@ class TestBatchGradient:
         shifted[0:v] += 2.5
         triple = PreferenceTriple(0, 1, 3)
         batch = [(record, triple)]
-        loss_a, grad_a = dpo_batch_grad(Policy(theta), ref, batch, 0.2)
-        loss_b, grad_b = dpo_batch_grad(Policy(shifted), ref, batch, 0.2)
+        loss_a, grad_a = dpo_batch_grad(Policy(theta), ref, deltas(batch), 0.2)
+        loss_b, grad_b = dpo_batch_grad(Policy(shifted), ref, deltas(batch), 0.2)
         assert abs(loss_a - loss_b) < 1e-12
         np.testing.assert_allclose(grad_a, grad_b, atol=1e-12)
 

@@ -1,8 +1,11 @@
 """Grid configs, run directories, aggregation, pareto emission, CLI."""
 
 import csv
+import functools
 import hashlib
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +189,36 @@ class TestRunGrid:
             events = results[run_dir].events
             assert lines == [json.dumps(event, sort_keys=True) for event in events] + [""]
 
+    def test_parallel_workers_get_the_universe_without_loading(self, tmp_path, monkeypatch):
+        # forked workers inherit the patched load, so a load in any process logs
+        log = tmp_path / "loads.log"
+        load = PromptUniverse.load.__func__
+
+        def logging_load(cls, path):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{path}\n")
+            return load(cls, path)
+
+        monkeypatch.setattr(PromptUniverse, "load", classmethod(logging_load))
+        fork_pool = functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
+        )
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", fork_pool)
+        grid, manifest = parse_config(SMOKE_CONFIG)
+        grid.output_dir = str(tmp_path / "par")
+        par_dirs = run_grid(grid, grid_manifest=manifest, parallel=2)
+        assert not log.exists(), log.read_text()
+
+        grid.output_dir = str(tmp_path / "seq")
+        seq_dirs = run_grid(grid, grid_manifest=manifest)
+        universe_bytes = (tmp_path / "par" / "universe.json").read_bytes()
+        universe_hash = hashlib.sha256(universe_bytes[:-1]).hexdigest()
+        for a, b in zip(seq_dirs, par_dirs):
+            assert json.loads((b / "manifest.json").read_text())["universe_hash"] == universe_hash
+            for name in ("metrics.csv", "events.jsonl", "counters.json", "eval.csv",
+                         "sft_policy.json", "final_policy.json"):
+                assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
     def test_parallel_matches_sequential(self, tmp_path):
         config = grid_config(tmp_path / "seq", seeds=[42], selectors=["random", "apl"])
         grid, manifest = parse_config(write_config(tmp_path, config))
@@ -197,7 +230,9 @@ class TestRunGrid:
             assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
 
 
-def fake_run_dir(root, selector, annotator, seed, win_rate, delta, scoring=0, collapse=False):
+def fake_run_dir(
+    root, selector, annotator, seed, win_rate, delta, scoring=0, collapse=False, queries=10
+):
     run_id = f"{selector}__{annotator}__seed{seed}"
     run_dir = root / run_id
     run_dir.mkdir(parents=True)
@@ -226,7 +261,7 @@ def fake_run_dir(root, selector, annotator, seed, win_rate, delta, scoring=0, co
             {
                 "policy_logprob_evals": scoring,
                 "ref_logprob_evals": scoring,
-                "judge_queries": 10,
+                "judge_queries": queries,
                 "generated_samples": 40,
             }
         )
@@ -290,6 +325,26 @@ class TestAggregation:
         assert record["t_stat"] == pytest.approx(float(want_t))
         assert record["p_value"] == pytest.approx(float(want_p))
 
+    def test_unmatched_budgets_warned_once_per_seed(self, tmp_path, capsys):
+        summaries = {}
+        for name, apl_queries in (("matched", 10), ("unmatched", 8)):
+            out = tmp_path / name
+            for seed in (42, 43):
+                fake_run_dir(out, "random", "weak", seed, 0.6, -1.0)
+                queries = apl_queries if seed == 43 else 10
+                fake_run_dir(out, "apl", "weak", seed, 0.7, -1.0, scoring=24, queries=queries)
+            assert main(["report", "--out", str(out)]) == 0
+            summaries[name] = (out / "summary.csv").read_bytes()
+            warnings = [
+                line for line in capsys.readouterr().err.splitlines() if "warning" in line
+            ]
+            if apl_queries == 10:
+                assert warnings == []
+            else:
+                (warning,) = warnings
+                assert "'weak' seed 43" in warning
+                assert "apl 8" in warning and "random 10" in warning
+        assert summaries["unmatched"] == summaries["matched"]
 
     def test_failed_run_is_named_once_and_summary_unchanged(self, tmp_path, capsys):
         summaries = {}
