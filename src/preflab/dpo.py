@@ -170,20 +170,22 @@ def lr_at_step(cfg: DpoConfig, step: int) -> float:
 def optimizer_step(
     state: OptimizerState, theta: np.ndarray, grad: np.ndarray, cfg: DpoConfig
 ) -> tuple[np.ndarray, OptimizerState]:
-    """One descent update; returns new parameters and state, inputs untouched."""
+    """One descent update; returns new parameters and state, inputs untouched.
+    Raises TrainingError for non-finite new parameters, as any non-finite gradient gives."""
     if theta.shape != grad.shape:
         raise ContractError(f"theta shape {theta.shape} != grad shape {grad.shape}")
-    if not np.all(np.isfinite(grad)):
-        raise TrainingError(f"non-finite gradient at update step {state.step}")
     lr = lr_at_step(cfg, state.step)
     step = state.step + 1
     if cfg.optimizer == OPTIMIZER_SGD:
         new_theta = theta - lr * grad
-        return new_theta, OptimizerState(step, state.first_moment, state.second_moment)
-    m = cfg.adam_beta1 * state.first_moment + (1.0 - cfg.adam_beta1) * grad
-    v = cfg.adam_beta2 * state.second_moment + (1.0 - cfg.adam_beta2) * grad * grad
-    m_hat = m / (1.0 - cfg.adam_beta1**step)
-    v_hat = v / (1.0 - cfg.adam_beta2**step)
-    update = m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-    new_theta = theta - lr * (update + cfg.weight_decay * theta)
+        m, v = state.first_moment, state.second_moment
+    else:
+        m = cfg.adam_beta1 * state.first_moment + (1.0 - cfg.adam_beta1) * grad
+        v = cfg.adam_beta2 * state.second_moment + (1.0 - cfg.adam_beta2) * grad * grad
+        m_hat = m / (1.0 - cfg.adam_beta1**step)
+        v_hat = v / (1.0 - cfg.adam_beta2**step)
+        update = m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        new_theta = theta - lr * (update + cfg.weight_decay * theta)
+    if not np.all(np.isfinite(new_theta)):
+        raise TrainingError(f"non-finite parameters at update {step}")
     return new_theta, OptimizerState(step, m, v)

@@ -8,11 +8,15 @@ judge cannot tilt the estimate. Each side's inverse CDF is computed once per
 eval prompt; a trial then draws the policy uniform, the reference uniform,
 and (only when the samples differ) the coin, in that order.
 
+The evaluator contract is ``prefer_batch(prompt_ids, y1, y2) -> winners``, one
+call per estimate over every judged trial. The judge reads its own table by
+prompt id, so the records must be prompts of the evaluator's universe.
+
 Probe accuracy is the fraction of probe prompts whose policy argmax equals
 the constructed correct response; the capability delta against the reference
 is reported in percentage points. Entropy collapse is flagged when the mean
-exact policy entropy over eval prompts falls below a configured fraction of
-the reference policy's.
+exact policy entropy over eval prompts (one stacked log-softmax per policy)
+falls below a configured fraction of the reference policy's.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError
-from .policy import Policy, exact_entropy, log_softmax, stack_features
-from .policy import logits, sample_response  # noqa: F401  (traced by bench/spans.py)
+from .policy import Policy, log_softmax, stack_features
+from .policy import exact_entropy, logits, sample_response  # noqa: F401  (traced by bench/spans.py)
 from .universe import PromptRecord, PromptUniverse
 
 DEFAULT_COLLAPSE_FRACTION = 0.1
@@ -51,7 +55,7 @@ def estimate_win_rate(
 ) -> WinRateEstimate:
     """Head-to-head win-rate of ``policy`` over ``ref`` under ``evaluator``.
 
-    ``evaluator`` needs only a ``prefer(record, y1, y2) -> winner`` method.
+    ``evaluator.prefer_batch`` is called once, with the judged trials in order.
     """
     if n_trials < 1:
         raise ContractError(f"n_trials must be >= 1, got {n_trials}")
@@ -64,21 +68,22 @@ def estimate_win_rate(
         np.cumsum(np.exp(log_softmax(features @ side.theta)), axis=1).tolist()
         for side in (policy, ref)
     )
-    wins = 0.0
+    ties = 0
+    queries = []  # (record index, slot 1, slot 2, policy's response) per judged trial
     for i in range(n_trials):
         j = i % len(records)
-        record = records[j]
         y_policy = min(bisect_right(policy_cdf[j], rng.random()), last)
         y_ref = min(bisect_right(ref_cdf[j], rng.random()), last)
         if y_policy == y_ref:
-            wins += 0.5
-            continue
-        if rng.random() < 0.5:
-            winner = evaluator.prefer(record, y_policy, y_ref)
+            ties += 1
+        elif rng.random() < 0.5:
+            queries.append((j, y_policy, y_ref, y_policy))
         else:
-            winner = evaluator.prefer(record, y_ref, y_policy)
-        if winner == y_policy:
-            wins += 1.0
+            queries.append((j, y_ref, y_policy, y_policy))
+    rows, y1, y2, y_policy = np.array(queries, dtype=np.intp).reshape(-1, 4).T
+    prompt_ids = np.array([record.prompt_id for record in records])
+    winners = evaluator.prefer_batch(prompt_ids[rows], y1, y2)
+    wins = 0.5 * ties + int(np.count_nonzero(winners == y_policy))
     rate = wins / n_trials
     half_width = 1.96 * math.sqrt(max(rate * (1.0 - rate), 0.0) / n_trials)
     return WinRateEstimate(
@@ -120,6 +125,9 @@ def collapse_metrics(
         raise ContractError(
             f"collapse_fraction must lie in (0, 1), got {collapse_fraction}"
         )
-    mean_entropy = float(np.mean([exact_entropy(policy, r) for r in records]))
-    sft_entropy = float(np.mean([exact_entropy(sft, r) for r in records]))
+    features = stack_features(records, policy, sft)
+    lp = log_softmax(np.stack([features @ policy.theta, features @ sft.theta]))
+    p = np.exp(lp)
+    entropies = -np.sum(np.where(p > 0.0, p * lp, 0.0), axis=-1)  # exact_entropy per prompt
+    mean_entropy, sft_entropy = np.mean(entropies, axis=1).tolist()
     return mean_entropy, mean_entropy < collapse_fraction * sft_entropy

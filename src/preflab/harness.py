@@ -72,18 +72,6 @@ PARETO_CSV_HEADER = [
     "delta_acc_pp",
     "collapse_flag",
 ]
-SUMMARY_CSV_HEADER = [
-    "selector",
-    "annotator",
-    "evaluator",
-    "n_seeds",
-    "win_rate_mean",
-    "win_rate_std",
-    "delta_acc_mean",
-    "delta_acc_std",
-    "collapse_runs",
-    "extra_scoring_ops_mean",
-]
 WELCH_CSV_HEADER = [
     "annotator",
     "evaluator",
@@ -180,6 +168,9 @@ class SummaryRow:
     extra_scoring_ops_mean: float
 
 
+SUMMARY_CSV_HEADER = [f.name for f in fields(SummaryRow)]
+
+
 # --------------------------------------------------------------------------
 # config parsing (fail-closed, defaults recorded)
 # --------------------------------------------------------------------------
@@ -247,17 +238,13 @@ def parse_config(path) -> tuple[ExperimentGrid, dict]:
             f"{path}: unknown top-level key(s) {unknown}; allowed: {sorted(_TOP_LEVEL_KEYS)}"
         )
 
-    defaulted: list[str] = []
+    defaulted = [k for k in ("train", "selectors", "seeds", "eval", "output_dir") if k not in data]
     universe = None
     if "universe" in data:
         universe = _build_dataclass(UniverseConfig, data["universe"], "universe", [])
-    template = (
-        _build_dataclass(TrainTemplate, data["train"], "train", defaulted)
-        if "train" in data
-        else TrainTemplate()
-    )
-    if "train" not in data:
-        defaulted.append("train")
+
+    def _section(cls, key: str):
+        return _build_dataclass(cls, data[key], key, defaulted) if key in data else cls()
 
     def _judges(key: str) -> list[JudgeSpec]:
         entries = data.get(key, [])
@@ -268,49 +255,26 @@ def parse_config(path) -> tuple[ExperimentGrid, dict]:
             for i, entry in enumerate(entries)
         ]
 
-    eval_settings = (
-        _build_dataclass(EvalSettings, data["eval"], "eval", defaulted)
-        if "eval" in data
-        else EvalSettings()
-    )
-    if "eval" not in data:
-        defaulted.append("eval")
-
     grid = ExperimentGrid(
         universe=universe,
         universe_path=data.get("universe_path"),
-        train=template,
+        train=_section(TrainTemplate, "train"),
         selectors=list(data.get("selectors", [SELECTOR_RANDOM, SELECTOR_APL])),
         annotators=_judges("annotators"),
         evaluators=_judges("evaluators"),
         seeds=list(data.get("seeds", [42, 43, 44])),
-        eval_settings=eval_settings,
+        eval_settings=_section(EvalSettings, "eval"),
         output_dir=data.get("output_dir", "runs"),
     )
-    for key, default_used in (
-        ("selectors", "selectors" not in data),
-        ("seeds", "seeds" not in data),
-        ("output_dir", "output_dir" not in data),
-    ):
-        if default_used:
-            defaulted.append(key)
     grid.validate()
     manifest = {"config": grid_to_dict(grid), "defaulted_fields": sorted(defaulted)}
     return grid, manifest
 
 
 def grid_to_dict(grid: ExperimentGrid) -> dict:
-    return {
-        "universe": asdict(grid.universe) if grid.universe is not None else None,
-        "universe_path": grid.universe_path,
-        "train": asdict(grid.train),
-        "selectors": list(grid.selectors),
-        "annotators": [asdict(a) for a in grid.annotators],
-        "evaluators": [asdict(e) for e in grid.evaluators],
-        "seeds": list(grid.seeds),
-        "eval": asdict(grid.eval_settings),
-        "output_dir": grid.output_dir,
-    }
+    config = asdict(grid)
+    config["eval"] = config.pop("eval_settings")
+    return config
 
 
 # --------------------------------------------------------------------------

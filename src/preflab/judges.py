@@ -11,11 +11,12 @@ probability sigmoid((r~1 - r~2) / tau); deterministic judges take the argmax.
 
 Judges see only (prompt, y1, y2) - they can never read policy state - and own
 a private rng stream keyed by (seed, label), so an annotator and an evaluator
-with equal seeds still draw independent noise. ``prefer_batch`` labels a whole
-batch of (prompt_id, y1, y2) at once from a per-universe table of g . phi and
-one draw of n uniforms (the same stream as n single draws); ``prefer(record,
-y1, y2)`` scores the record it is given and decides as a batch of one through
-the same method.
+with equal seeds still draw independent noise. ``prefer_batch(prompt_ids, y1,
+y2) -> winners`` labels a whole batch of (prompt_id, y1, y2) at once from a
+per-universe table of g . phi and one draw of n uniforms (the same stream as
+n single draws). Both the trainer and ``estimate_win_rate`` label through it,
+once per iteration and once per estimate. ``prefer(record, y1, y2)`` scores
+the record it is given and decides as a batch of one through the same method.
 """
 
 from __future__ import annotations
@@ -107,7 +108,9 @@ class Judge:
 
     def prefer_batch(self, prompt_ids, y1, y2) -> np.ndarray:
         """Winner of each pair (prompt_ids[i], y1[i], y2[i]) of the judge's universe."""
-        v = self._table.shape[1]
+        n, v = self._table.shape
+        if np.any((prompt_ids < 0) | (prompt_ids >= n)):
+            raise ContractError(f"prompt_id out of range for {n} prompts")
         if np.any((y1 < 0) | (y1 >= v) | (y2 < 0) | (y2 >= v)):
             raise ContractError(f"response index out of range for {v} responses")
         gap = self._table[prompt_ids, y1] - self._table[prompt_ids, y2]

@@ -39,6 +39,16 @@ class Policy:
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
 
+    @classmethod
+    def from_finite(cls, theta: np.ndarray, label: str = "") -> "Policy":
+        """Policy over a float64 vector already checked finite (by ``optimizer_step``),
+        without the checks of ``__post_init__``."""
+        policy = object.__new__(cls)
+        theta.setflags(write=False)
+        object.__setattr__(policy, "theta", theta)
+        object.__setattr__(policy, "label", label)
+        return policy
+
     @property
     def feature_dim(self) -> int:
         return self.theta.size

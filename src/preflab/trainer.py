@@ -17,8 +17,8 @@ All stochastic streams are keyed by run_seed and a purpose tag, never by the
 selector, so runs that differ only in selector share prompt, generation, and
 supervised-fit randomness (paired comparisons). The annotator's stream is
 additionally folded with run_seed so different seeds see independent label
-noise. Non-finite parameters abort the run with a partial result; collapse is
-data, not failure.
+noise. Non-finite parameters abort the run with a partial result (checked
+once per update, by ``optimizer_step``); collapse is data, not failure.
 """
 
 from __future__ import annotations
@@ -171,12 +171,13 @@ def sft_fit(universe: PromptUniverse, cfg: TrainConfig) -> Policy:
             expected = np.einsum("bv,bvd->bd", probs, features)
             grad = -(features[np.arange(batch.size), chosen[batch]] - expected).sum(axis=0)
             grad /= batch.size
-            theta, state = optimizer_step(state, theta, grad, schedule)
-            if not np.all(np.isfinite(theta)):
+            try:
+                theta, state = optimizer_step(state, theta, grad, schedule)
+            except TrainingError as exc:
                 raise TrainingError(
-                    f"supervised fit diverged at update {state.step}; "
+                    f"supervised fit diverged at update {state.step + 1}; "
                     "reduce sft.learning_rate"
-                )
+                ) from exc
     return Policy(theta, label="sft")
 
 
@@ -283,9 +284,7 @@ def run_online_dpo(
                         mean_loss = loss
                     last_lr = lr_at_step(cfg.dpo, opt_state.step)
                     new_theta, opt_state = optimizer_step(opt_state, policy.theta, grad, cfg.dpo)
-                    if not np.all(np.isfinite(new_theta)):
-                        raise TrainingError(f"non-finite parameters at update {opt_state.step}")
-                    policy = Policy(new_theta, label=f"step-{opt_state.step}")
+                    policy = Policy.from_finite(new_theta, label=f"step-{opt_state.step}")
             except TrainingError as exc:
                 events.append({"type": "abort", "iteration": t, "reason": str(exc)})
                 aborted = True

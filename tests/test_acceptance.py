@@ -171,7 +171,7 @@ def test_criterion_03_entropy_estimator_calibration():
 class _SlotBiasedJudge:
     label = "slot-biased"
 
-    def prefer(self, record, y1, y2):
+    def prefer_batch(self, prompt_ids, y1, y2):
         return y1
 
 

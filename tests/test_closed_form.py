@@ -269,16 +269,40 @@ def win_rate_oracle(policy, ref, evaluator, records, n_trials, rng):
     return wins
 
 
+WIN_RATE_UNIVERSE = generate_universe(
+    UniverseConfig(20, 7, 3, 5, 6, misalignment_rho=0.2, seed=13)
+)
+
+
 @pytest.mark.parametrize("kind", ["bradley_terry", "deterministic"])
-def test_win_rate_matches_per_trial_sampling(kind):
-    universe = generate_universe(UniverseConfig(20, 7, 3, 5, 6, misalignment_rho=0.2, seed=13))
-    gen = np.random.default_rng(5)
-    policy, ref = Policy(gen.normal(size=6)), Policy(gen.normal(size=6))
-    spec = JudgeSpec(label="eval", kind=kind, misalignment=0.4, seed=3)
-    prompts, rng = universe.eval_prompts(), np.random.default_rng(9)
-    est = estimate_win_rate(policy, ref, Judge(spec, universe), prompts, 700, rng)
-    rng = np.random.default_rng(9)
-    assert est.wins == win_rate_oracle(policy, ref, Judge(spec, universe), prompts, 700, rng)
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_trials=st.integers(1, 3000),
+    misalignment=st.sampled_from([0.0, 0.4, 1.0]),
+    point_mass_self_play=st.booleans(),
+)
+def test_win_rate_matches_per_trial_sampling(
+    kind, seed, n_trials, misalignment, point_mass_self_play
+):
+    # one prefer_batch call over the judged trials equals a scalar prefer per
+    # trial: same wins, and both the eval and the judge streams end in step
+    universe, gen = WIN_RATE_UNIVERSE, np.random.default_rng(seed)
+    if point_mass_self_play:
+        # every prompt's sampler is a point mass: all trials tie, none is judged
+        policy = ref = Policy(1e6 * gen.normal(size=6))
+    else:
+        policy, ref = Policy(gen.normal(size=6)), Policy(gen.normal(size=6))
+    spec = JudgeSpec(label="eval", kind=kind, misalignment=misalignment, seed=seed % 89)
+    batched, scalar = Judge(spec, universe), Judge(spec, universe)
+    prompts = universe.eval_prompts()
+    rng, oracle_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    est = estimate_win_rate(policy, ref, batched, prompts, n_trials, rng)
+    assert est.wins == win_rate_oracle(policy, ref, scalar, prompts, n_trials, oracle_rng)
+    if point_mass_self_play:
+        assert est.rate == 0.5
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert batched._rng.bit_generator.state == scalar._rng.bit_generator.state
 
 
 # --------------------------------------------------------------------------
@@ -336,6 +360,11 @@ def test_prefer_batch_contract_errors():
         judge.prefer_batch(np.array([0, 1]), np.array([0, 2]), np.array([1, 2]))
     with pytest.raises(ContractError, match="out of range"):
         judge.prefer_batch(np.array([0]), np.array([0]), np.array([5]))
+    # prompt ids index the judge's own table: -1 must not wrap to the last row
+    n = len(JUDGE_UNIVERSE.prompts)
+    for bad in (-1, n):
+        with pytest.raises(ContractError, match="prompt_id out of range"):
+            judge.prefer_batch(np.array([0, bad]), np.array([0, 1]), np.array([1, 2]))
 
 
 # --------------------------------------------------------------------------

@@ -244,6 +244,22 @@ class TestOptimizer:
         with pytest.raises(TrainingError, match="non-finite"):
             optimizer_step(state, np.zeros(2), np.array([np.nan, 0.0]), cfg)
 
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_non_finite_gradient_is_caught_by_the_parameter_check(self, optimizer, bad):
+        # the one check per update reads the new parameters; a bad gradient makes
+        # them non-finite even at step 0, where warmup sets the learning rate to 0
+        cfg = DpoConfig(optimizer=optimizer)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(TrainingError, match="non-finite parameters at update 1"):
+                optimizer_step(OptimizerState.initial(2), np.ones(2), np.array([bad, 0.0]), cfg)
+
+    def test_overflowing_parameters_abort(self):
+        cfg = DpoConfig(optimizer="sgd", learning_rate=1e308, warmup_ratio=0.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(TrainingError, match="non-finite parameters at update 1"):
+                optimizer_step(OptimizerState.initial(1), np.zeros(1), np.array([-10.0]), cfg)
+
     def test_decoupled_weight_decay(self):
         cfg = DpoConfig(
             optimizer="adam", learning_rate=0.1, warmup_ratio=0.0, weight_decay=0.5

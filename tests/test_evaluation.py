@@ -23,7 +23,7 @@ class SlotBiasedJudge:
 
     label = "slot-biased"
 
-    def prefer(self, record, y1, y2):
+    def prefer_batch(self, prompt_ids, y1, y2):
         return y1
 
 
@@ -162,6 +162,15 @@ class TestCollapseMetrics:
             [exact_entropy(diffuse, r) for r in small_universe.eval_prompts()]
         )
         assert flag == (mean_entropy < 0.1 * sft_entropy)
+
+    def test_stacked_mean_matches_per_record_entropy(self, small_universe):
+        records = small_universe.eval_prompts()
+        gen = np.random.default_rng(3)
+        for scale in (0.0, 0.1, 1.0, 30.0, 1e6):
+            p = Policy(scale * gen.normal(size=small_universe.config.feature_dim))
+            mean_entropy, _ = collapse_metrics(p, p, records, 0.1)
+            expected = np.mean([exact_entropy(p, r) for r in records])
+            assert mean_entropy == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_fraction_bounds(self, small_universe, rng):
         p = Policy(np.zeros(small_universe.config.feature_dim))

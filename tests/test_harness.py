@@ -13,6 +13,7 @@ import pytest
 
 from preflab import (
     ConfigurationError,
+    Judge,
     PromptUniverse,
     aggregate_summary,
     emit_pareto,
@@ -188,6 +189,29 @@ class TestRunGrid:
             lines = (run_dir / "events.jsonl").read_text(encoding="utf-8").split("\n")
             events = results[run_dir].events
             assert lines == [json.dumps(event, sort_keys=True) for event in events] + [""]
+
+    def test_evaluation_asks_each_evaluator_once_per_cell(self, tmp_path, monkeypatch):
+        batch_calls, scalar_calls = {}, []
+        prefer_batch, prefer = Judge.prefer_batch, Judge.prefer
+
+        def counting_prefer_batch(self, *args):
+            batch_calls[self.label] = batch_calls.get(self.label, 0) + 1
+            return prefer_batch(self, *args)
+
+        def counting_prefer(self, *args):
+            scalar_calls.append(self.label)
+            return prefer(self, *args)
+
+        monkeypatch.setattr(Judge, "prefer_batch", counting_prefer_batch)
+        monkeypatch.setattr(Judge, "prefer", counting_prefer)
+        grid, manifest = parse_config(SMOKE_CONFIG)
+        grid.output_dir = str(tmp_path / "runs")
+        run_dirs = run_grid(grid, grid_manifest=manifest)
+        # the annotator labels once per iteration; each evaluator judges once per cell
+        annotator_calls = batch_calls.pop(grid.annotators[0].label)
+        assert annotator_calls == len(run_dirs) * grid.train.dpo.max_steps
+        assert batch_calls == {spec.label: len(run_dirs) for spec in grid.evaluators}
+        assert scalar_calls == []
 
     def test_parallel_workers_get_the_universe_without_loading(self, tmp_path, monkeypatch):
         # forked workers inherit the patched load, so a load in any process logs

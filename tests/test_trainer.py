@@ -13,6 +13,7 @@ from preflab import (
     SelectionConfig,
     SftConfig,
     TrainConfig,
+    TrainingError,
     UniverseConfig,
     generate_universe,
     log_prob,
@@ -192,8 +193,35 @@ class TestOnlineLoop:
             result = run_online_dpo(u, sft, cfg)
         aborts = [e for e in result.events if e["type"] == "abort"]
         assert len(aborts) == 1
+        assert aborts[0]["reason"] == "non-finite parameters at update 1"
         assert len(result.per_iteration) <= 6
         assert np.all(np.isfinite(result.final_policy.theta))
+
+    def test_supervised_divergence_names_the_fit(self):
+        u = dense_universe()
+        cfg = train_config(sft=SftConfig(learning_rate=1e308, epochs=3, batch=8))
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingError, match="supervised fit diverged at update 3"):
+                sft_fit(u, cfg)
+
+    def test_update_policies_are_not_revalidated(self, monkeypatch):
+        # optimizer_step checks each update's parameters; only the reference
+        # and the starting policy go through Policy validation
+        u = dense_universe()
+        cfg = train_config()
+        sft = sft_fit(u, cfg)
+        validations = []
+        post_init = Policy.__post_init__
+
+        def counting_post_init(self):
+            validations.append(self.label)
+            post_init(self)
+
+        monkeypatch.setattr(Policy, "__post_init__", counting_post_init)
+        result = run_online_dpo(u, sft, cfg)
+        assert validations == ["sft", "step-0"]
+        assert result.final_policy.label == f"step-{cfg.dpo.total_updates}"
+        assert not result.final_policy.theta.flags.writeable
 
     def test_batch_larger_than_pool_rejected(self):
         u = dense_universe()
