@@ -16,12 +16,15 @@ from pathlib import Path
 
 from .errors import ConfigurationError
 from .harness import (
+    _resolve_universe,
+    _write_json,
     aggregate_summary,
     discover_run_dirs,
     emit_pareto,
     parse_config,
     run_cell,
     run_grid,
+    run_id_for,
     write_summary,
 )
 from .trainer import TrainConfig, sft_fit
@@ -71,8 +74,6 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "report":
         run_dirs = discover_run_dirs(args.out)
-        if not run_dirs:
-            raise ConfigurationError(f"no run directories found under {args.out}")
         summary, welch = aggregate_summary(run_dirs)
         summary_path, welch_path = write_summary(summary, welch, args.out)
         pareto_path = emit_pareto(run_dirs, Path(args.out) / "pareto.csv")
@@ -98,8 +99,6 @@ def _dispatch(args) -> int:
         print(f"wrote {out} (hash {universe.content_hash()[:12]})")
         return 0
 
-    from .harness import _resolve_universe  # shared resolution logic
-
     universe = _resolve_universe(grid)
 
     if args.command == "sft":
@@ -118,11 +117,7 @@ def _dispatch(args) -> int:
         out = out_dir / "sft_policy.json"
         if out.exists() and not args.overwrite:
             raise ConfigurationError(f"refusing to overwrite {out} (pass --overwrite)")
-        import json
-
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(policy.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out, policy.to_json_dict())
         print(f"wrote {out}")
         return 0
 
@@ -139,8 +134,6 @@ def _dispatch(args) -> int:
             annotator = matches[0]
         else:
             annotator = grid.annotators[0]
-        from .harness import run_id_for
-
         run_dir = Path(grid.output_dir) / run_id_for(selector, annotator.label, seed)
         if run_dir.exists() and not args.overwrite:
             raise ConfigurationError(f"refusing to overwrite {run_dir} (pass --overwrite)")

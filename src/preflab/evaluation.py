@@ -1,20 +1,21 @@
 """Win-rate against the frozen reference, probe accuracy, and collapse flags.
 
-Win-rate trials walk the eval prompts round-robin, sample one response from
-each side, and ask the evaluator judge which wins. Identical samples count as
-half a win (cheap and unbiased on finite response sets), and the pair is
-presented to the judge in a coin-flipped slot order so a position-biased
-judge cannot tilt the estimate. Each side's inverse CDF is computed once per
+Each metric reads the universe's (N, V, d) feature array at a set of prompt
+ids. Win-rate trials walk the eval prompt ids round-robin, sample one
+response from each side, and ask the evaluator judge which wins. Identical
+samples count as half a win (cheap and unbiased on finite response sets), and
+the pair is presented to the judge in a coin-flipped slot order so a
+position-biased judge cannot tilt the estimate. Each side's inverse CDF is computed once per
 eval prompt; a trial then draws the policy uniform, the reference uniform,
 and (only when the samples differ) the coin, in that order.
 
 The evaluator contract is ``prefer_batch(prompt_ids, y1, y2) -> winners``, one
 call per estimate over every judged trial. The judge reads its own table by
-prompt id, so the records must be prompts of the evaluator's universe.
+prompt id, so the features must be those of the evaluator's universe.
 
 Probe accuracy is the fraction of probe prompts whose policy argmax equals
-the constructed correct response; the capability delta against the reference
-is reported in percentage points. Entropy collapse is flagged when the mean
+the universe's ``correct_response``; the capability delta against the
+reference is reported in percentage points. Entropy collapse is flagged when the mean
 exact policy entropy over eval prompts (one stacked log-softmax per policy)
 falls below a configured fraction of the reference policy's.
 """
@@ -24,14 +25,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractError
-from .policy import Policy, log_softmax, stack_features
+from .policy import Policy, check_feature_dim, log_softmax
 from .policy import exact_entropy, logits, sample_response  # noqa: F401  (traced by bench/spans.py)
-from .universe import PromptRecord, PromptUniverse
+from .universe import ROLE_PROBE, PromptUniverse
 
 DEFAULT_COLLAPSE_FRACTION = 0.1
 
@@ -49,19 +49,22 @@ def estimate_win_rate(
     policy: Policy,
     ref: Policy,
     evaluator,
-    records: Sequence[PromptRecord],
+    features: np.ndarray,
+    prompt_ids: np.ndarray,
     n_trials: int,
     rng: np.random.Generator,
 ) -> WinRateEstimate:
-    """Head-to-head win-rate of ``policy`` over ``ref`` under ``evaluator``.
+    """Head-to-head win-rate of ``policy`` over ``ref`` under ``evaluator`` on
+    ``prompt_ids``, rows of the (N, V, d) ``features``.
 
     ``evaluator.prefer_batch`` is called once, with the judged trials in order.
     """
     if n_trials < 1:
         raise ContractError(f"n_trials must be >= 1, got {n_trials}")
-    if not records:
+    if len(prompt_ids) == 0:
         raise ContractError("win-rate estimation needs at least one prompt")
-    features = stack_features(records, policy, ref)
+    features = features[prompt_ids]
+    check_feature_dim(features, policy, ref)
     last = features.shape[1] - 1
     # per-prompt inverse CDFs as lists: bisect_right is searchsorted(side="right")
     policy_cdf, ref_cdf = (
@@ -69,9 +72,9 @@ def estimate_win_rate(
         for side in (policy, ref)
     )
     ties = 0
-    queries = []  # (record index, slot 1, slot 2, policy's response) per judged trial
+    queries = []  # (prompt_ids index, slot 1, slot 2, policy's response) per judged trial
     for i in range(n_trials):
-        j = i % len(records)
+        j = i % len(prompt_ids)
         y_policy = min(bisect_right(policy_cdf[j], rng.random()), last)
         y_ref = min(bisect_right(ref_cdf[j], rng.random()), last)
         if y_policy == y_ref:
@@ -81,7 +84,6 @@ def estimate_win_rate(
         else:
             queries.append((j, y_ref, y_policy, y_policy))
     rows, y1, y2, y_policy = np.array(queries, dtype=np.intp).reshape(-1, 4).T
-    prompt_ids = np.array([record.prompt_id for record in records])
     winners = evaluator.prefer_batch(prompt_ids[rows], y1, y2)
     wins = 0.5 * ties + int(np.count_nonzero(winners == y_policy))
     rate = wins / n_trials
@@ -101,12 +103,13 @@ def probe_accuracy(policy: Policy, universe: PromptUniverse) -> float:
     Logit ties resolve to the lower index, which counts as correct only if
     that index is the correct response.
     """
-    probes = universe.probe_prompts()
-    if not probes:
+    probes = universe.role_ids(ROLE_PROBE)
+    if probes.size == 0:
         raise ContractError("universe has no probe prompts")
-    best = np.argmax(stack_features(probes, policy) @ policy.theta, axis=1)
-    hits = sum(int(y) == record.correct_response for y, record in zip(best, probes))
-    return hits / len(probes)
+    features = universe.features[probes]
+    check_feature_dim(features, policy)
+    best = np.argmax(features @ policy.theta, axis=1)
+    return int(np.count_nonzero(best == universe.correct_response[probes])) / probes.size
 
 
 def capability_delta(policy: Policy, sft: Policy, universe: PromptUniverse) -> float:
@@ -117,15 +120,18 @@ def capability_delta(policy: Policy, sft: Policy, universe: PromptUniverse) -> f
 def collapse_metrics(
     policy: Policy,
     sft: Policy,
-    records: Sequence[PromptRecord],
+    features: np.ndarray,
+    prompt_ids: np.ndarray,
     collapse_fraction: float = DEFAULT_COLLAPSE_FRACTION,
 ) -> tuple[float, bool]:
-    """Mean exact entropy over ``records`` and whether it signals collapse."""
+    """Mean exact entropy over ``prompt_ids``, rows of the (N, V, d) ``features``,
+    and whether it signals collapse."""
     if not 0.0 < collapse_fraction < 1.0:
         raise ContractError(
             f"collapse_fraction must lie in (0, 1), got {collapse_fraction}"
         )
-    features = stack_features(records, policy, sft)
+    features = features[prompt_ids]
+    check_feature_dim(features, policy, sft)
     lp = log_softmax(np.stack([features @ policy.theta, features @ sft.theta]))
     p = np.exp(lp)
     entropies = -np.sum(np.where(p > 0.0, p * lp, 0.0), axis=-1)  # exact_entropy per prompt

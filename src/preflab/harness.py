@@ -37,7 +37,7 @@ from .judges import Judge, JudgeSpec
 from .rng import mix_seeds, substream
 from .selection import SELECTOR_APL, SELECTOR_RANDOM, SelectionConfig
 from .trainer import RunResult, SftConfig, TrainConfig, run_online_dpo, sft_fit
-from .universe import PromptUniverse, UniverseConfig, generate_universe
+from .universe import ROLE_EVAL, PromptUniverse, UniverseConfig, generate_universe
 
 EVAL_CSV_HEADER = [
     "run_id",
@@ -128,13 +128,9 @@ class ExperimentGrid:
             )
         if self.universe is not None:
             self.universe.validate()
-        for name, values in (("selectors", self.selectors), ("seeds", self.seeds)):
-            if not values:
+        for name in ("selectors", "seeds", "annotators", "evaluators"):
+            if not getattr(self, name):
                 raise ConfigurationError(f"{name} must be non-empty")
-        if not self.annotators:
-            raise ConfigurationError("annotators must be non-empty")
-        if not self.evaluators:
-            raise ConfigurationError("evaluators must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError(f"seeds contain duplicates: {self.seeds}")
         for selector in self.selectors:
@@ -176,6 +172,21 @@ SUMMARY_CSV_HEADER = [f.name for f in fields(SummaryRow)]
 # --------------------------------------------------------------------------
 
 
+def _build_value(hint: type, value: Any, key_path: str, defaulted: list[str]):
+    """``value`` as a ``hint``: a dataclass built from an object, or a scalar of
+    that type (a bool is not an int, an int is a float, a float is finite)."""
+    if is_dataclass(hint):
+        return _build_dataclass(hint, value, key_path, defaulted)
+    if (
+        not isinstance(value, (int, float) if hint is float else hint)
+        or (isinstance(value, bool) and hint is not bool)
+        or (isinstance(value, float) and not math.isfinite(value))
+    ):
+        expected = "a finite float" if hint is float else hint.__name__
+        raise ConfigurationError(f"{key_path}: expected {expected}, got {value!r}")
+    return value
+
+
 def _build_dataclass(cls, data: Any, path: str, defaulted: list[str]):
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: expected an object, got {type(data).__name__}")
@@ -188,10 +199,7 @@ def _build_dataclass(cls, data: Any, path: str, defaulted: list[str]):
     for f in fields(cls):
         key_path = f"{path}.{f.name}" if path else f.name
         if f.name in data:
-            value = data[f.name]
-            if is_dataclass(hints[f.name]):
-                value = _build_dataclass(hints[f.name], value, key_path, defaulted)
-            kwargs[f.name] = value
+            kwargs[f.name] = _build_value(hints[f.name], data[f.name], key_path, defaulted)
         else:
             defaulted.append(key_path)
     try:
@@ -200,17 +208,7 @@ def _build_dataclass(cls, data: Any, path: str, defaulted: list[str]):
         raise ConfigurationError(f"{path}: {exc}") from exc
 
 
-_TOP_LEVEL_KEYS = {
-    "universe",
-    "universe_path",
-    "train",
-    "selectors",
-    "annotators",
-    "evaluators",
-    "seeds",
-    "eval",
-    "output_dir",
-}
+_TOP_LEVEL_KEYS = {f.name for f in fields(ExperimentGrid)} - {"eval_settings"} | {"eval"}
 
 
 def parse_config(path) -> tuple[ExperimentGrid, dict]:
@@ -239,32 +237,29 @@ def parse_config(path) -> tuple[ExperimentGrid, dict]:
         )
 
     defaulted = [k for k in ("train", "selectors", "seeds", "eval", "output_dir") if k not in data]
-    universe = None
-    if "universe" in data:
-        universe = _build_dataclass(UniverseConfig, data["universe"], "universe", [])
+
+    def _optional(key: str, hint: type):
+        return None if data.get(key) is None else _build_value(hint, data[key], key, [])
 
     def _section(cls, key: str):
         return _build_dataclass(cls, data[key], key, defaulted) if key in data else cls()
 
-    def _judges(key: str) -> list[JudgeSpec]:
-        entries = data.get(key, [])
+    def _list(key: str, default: list, hint: type) -> list:
+        entries = data.get(key, default)
         if not isinstance(entries, list):
-            raise ConfigurationError(f"{key}: expected a list")
-        return [
-            _build_dataclass(JudgeSpec, entry, f"{key}[{i}]", defaulted)
-            for i, entry in enumerate(entries)
-        ]
+            raise ConfigurationError(f"{key}: expected a list, got {entries!r}")
+        return [_build_value(hint, e, f"{key}[{i}]", defaulted) for i, e in enumerate(entries)]
 
     grid = ExperimentGrid(
-        universe=universe,
-        universe_path=data.get("universe_path"),
+        universe=_optional("universe", UniverseConfig),
+        universe_path=_optional("universe_path", str),
         train=_section(TrainTemplate, "train"),
-        selectors=list(data.get("selectors", [SELECTOR_RANDOM, SELECTOR_APL])),
-        annotators=_judges("annotators"),
-        evaluators=_judges("evaluators"),
-        seeds=list(data.get("seeds", [42, 43, 44])),
+        selectors=_list("selectors", [SELECTOR_RANDOM, SELECTOR_APL], str),
+        annotators=_list("annotators", [], JudgeSpec),
+        evaluators=_list("evaluators", [], JudgeSpec),
+        seeds=_list("seeds", [42, 43, 44], int),
         eval_settings=_section(EvalSettings, "eval"),
-        output_dir=data.get("output_dir", "runs"),
+        output_dir=_build_value(str, data.get("output_dir", "runs"), "output_dir", []),
     )
     grid.validate()
     manifest = {"config": grid_to_dict(grid), "defaulted_fields": sorted(defaulted)}
@@ -406,19 +401,21 @@ def evaluate_run(
     seed: int,
 ) -> list[list]:
     """One eval.csv row per evaluator for a finished run."""
-    eval_prompts = universe.eval_prompts()
+    eval_ids = universe.role_ids(ROLE_EVAL)
     final = result.final_policy
     sft = result.sft_policy
     acc = probe_accuracy(final, universe)
     delta_pp = 100.0 * (acc - probe_accuracy(sft, universe))
     mean_entropy, collapse = collapse_metrics(
-        final, sft, eval_prompts, settings.collapse_fraction
+        final, sft, universe.features, eval_ids, settings.collapse_fraction
     )
     rows = []
     for spec in evaluators:
         judge = Judge(replace(spec, seed=mix_seeds(spec.seed, seed)), universe)
         rng = substream(seed, "eval", spec.label)
-        estimate = estimate_win_rate(final, sft, judge, eval_prompts, settings.n_trials, rng)
+        estimate = estimate_win_rate(
+            final, sft, judge, universe.features, eval_ids, settings.n_trials, rng
+        )
         rows.append(
             [
                 run_id,
@@ -732,7 +729,9 @@ def write_summary(summary: list[SummaryRow], welch_records: list[dict], out_dir)
 
 
 def discover_run_dirs(out_dir) -> list[Path]:
-    out_dir = Path(out_dir)
-    return sorted(
-        d for d in out_dir.iterdir() if d.is_dir() and (d / "manifest.json").exists()
-    )
+    """Each directory under ``out_dir`` that holds a manifest.json; a missing
+    ``out_dir`` or one without any is a ConfigurationError."""
+    run_dirs = sorted(manifest.parent for manifest in Path(out_dir).glob("*/manifest.json"))
+    if not run_dirs:
+        raise ConfigurationError(f"no run directories found under {out_dir}")
+    return run_dirs

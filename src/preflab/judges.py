@@ -65,8 +65,7 @@ class Judge:
         self.spec = spec
         self._bias = universe.proxy_bias_direction
         self._rng = substream(spec.seed, "judge", spec.label)
-        rewards = np.array([p.true_reward for p in universe.prompts])
-        self._table = self._blend(rewards, universe.bias_scores())  # (N, V) proxy rewards
+        self._table = self._blend(universe.true_reward, universe.bias_scores())  # (N, V)
 
     @property
     def label(self) -> str:

@@ -17,7 +17,6 @@ draws on every platform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -87,17 +86,6 @@ def logits(policy: Policy, record: PromptRecord) -> np.ndarray:
     """Per-response logits z_y = dot(theta, phi(x, y))."""
     check_feature_dim(record.features, policy)
     return record.features @ policy.theta
-
-
-def stack_features(records: Sequence[PromptRecord], *policies: Policy) -> np.ndarray:
-    """Features of ``records`` as one (n, V, d) array, checked against the
-    dimension of every policy given."""
-    try:
-        features = np.stack([record.features for record in records])
-    except ValueError as exc:
-        raise ContractError(f"records do not share one feature shape: {exc}") from exc
-    check_feature_dim(features, *policies)
-    return features
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:

@@ -52,7 +52,7 @@ from .selection import (
     select_apl,
     select_random,
 )
-from .universe import PromptUniverse
+from .universe import ROLE_TRAIN, PromptUniverse
 
 
 @dataclass(frozen=True)
@@ -145,10 +145,9 @@ def sft_fit(universe: PromptUniverse, cfg: TrainConfig) -> Policy:
     the batch's stacked (b, V, d) features F and probabilities p.
     """
     cfg.sft.validate()
-    train = universe.train_prompts()
-    ids = np.array([p.prompt_id for p in train])
-    chosen = np.array([int(np.argmax(p.true_reward)) for p in train])
-    n = len(train)
+    ids = universe.role_ids(ROLE_TRAIN)
+    chosen = universe.true_reward[ids].argmax(axis=1)
+    n = ids.size
     batch_size = min(cfg.sft.batch, n)
     steps_per_epoch = math.ceil(n / batch_size)
     schedule = DpoConfig(
@@ -194,10 +193,10 @@ def run_online_dpo(
     cfg.validate()
     sel = cfg.selection
     beta = cfg.dpo.beta
-    train = universe.train_prompts()
-    if sel.batch_prompts > len(train):
+    train_ids = universe.role_ids(ROLE_TRAIN)
+    if sel.batch_prompts > train_ids.size:
         raise ConfigurationError(
-            f"batch_prompts {sel.batch_prompts} exceeds the {len(train)} train prompts"
+            f"batch_prompts {sel.batch_prompts} exceeds the {train_ids.size} train prompts"
         )
 
     ref = Policy(sft_policy.theta, label="sft")
@@ -213,10 +212,9 @@ def run_online_dpo(
     annotator = _annotator_for_run(cfg, universe)
 
     features = universe.features
-    train_ids = np.array([p.prompt_id for p in train])
     aborted = False
     for t in range(1, cfg.dpo.max_steps + 1):
-        prompt_ids = train_ids[prompt_rng.permutation(len(train))[: sel.batch_prompts]]
+        prompt_ids = train_ids[prompt_rng.permutation(train_ids.size)[: sel.batch_prompts]]
         candidates, log_probs = generate_candidates(
             policy, features, prompt_ids, sel, gen_rng, counters
         )

@@ -1,9 +1,12 @@
 """Synthetic preference environment: prompts, features, latent rewards.
 
 A universe replaces text datasets with a finite, exactly solvable stand-in.
-Each prompt carries V candidate responses described by feature vectors
-phi(x, y) in R^d, a latent true reward r*(x, y), and a role (train / eval /
-probe). Two unit directions shape the geometry:
+It is held as arrays over N prompts: the (N, V, d) feature vectors phi(x, y)
+of V candidate responses each, the (N, V) latent true rewards r*(x, y), and
+the (N,) constructed correct response of each probe prompt (-1 elsewhere).
+Roles are the contiguous prompt-id ranges train, eval, probe, in that order,
+with the sizes the config fixes. Per-prompt ``PromptRecord`` views exist for
+the scalar oracle and tests only. Two unit directions shape the geometry:
 
 * ``probe_direction`` (u): the direction that carries the true-reward signal.
   Probe prompts are constructed so their best response is decided by u alone.
@@ -62,6 +65,14 @@ class UniverseConfig:
     def total_prompts(self) -> int:
         return self.num_train_prompts + self.num_eval_prompts + self.num_probe_prompts
 
+    def roles(self) -> list[str]:
+        """The role of each prompt id: contiguous train, eval and probe ranges."""
+        return (
+            [ROLE_TRAIN] * self.num_train_prompts
+            + [ROLE_EVAL] * self.num_eval_prompts
+            + [ROLE_PROBE] * self.num_probe_prompts
+        )
+
     def validate(self) -> None:
         if self.responses_per_prompt < 2:
             raise ConfigurationError(
@@ -99,6 +110,8 @@ class UniverseConfig:
 
 @dataclass
 class PromptRecord:
+    """One prompt's rows of a universe's arrays, for the scalar oracle and tests."""
+
     prompt_id: int
     role: str
     features: np.ndarray  # (V, d)
@@ -108,26 +121,41 @@ class PromptRecord:
 
 @dataclass
 class PromptUniverse:
-    """Prompts, their stacked features, and the two unit directions.
+    """A universe's arrays and its two unit directions.
 
-    A universe is not changed after ``generate_universe`` or ``load``: its role
-    lists, content hash and bias-score table are cached on first use and never
-    invalidated (``dataclasses.replace`` starts every cache empty).
+    A universe is not changed after ``generate_universe`` or ``load``: its
+    record views, content hash and bias-score table are cached on first use
+    and never invalidated (``dataclasses.replace`` starts every cache empty).
     """
 
     config: UniverseConfig
-    prompts: list[PromptRecord]
-    features: np.ndarray  # (N, V, d); prompt i's features are the view features[i]
+    features: np.ndarray  # (N, V, d)
+    true_reward: np.ndarray  # (N, V)
+    correct_response: np.ndarray  # (N,) ints; -1 on non-probe prompts
     proxy_bias_direction: np.ndarray  # (d,), unit norm
     probe_direction: np.ndarray  # (d,), unit norm
-    _role_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _records: Optional[list] = field(default=None, init=False, repr=False, compare=False)
     _content_hash: Optional[str] = field(default=None, init=False, repr=False, compare=False)
     _bias_scores: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
+    def role_ids(self, role: str) -> np.ndarray:
+        """The prompt ids that have ``role``, ascending."""
+        return np.flatnonzero(np.array(self.config.roles()) == role)
+
+    @property
+    def prompts(self) -> list[PromptRecord]:
+        """One ``PromptRecord`` view into the arrays per prompt."""
+        if self._records is None:
+            self._records = [
+                PromptRecord(i, role, self.features[i], self.true_reward[i], None if c < 0 else c)
+                for i, (role, c) in enumerate(
+                    zip(self.config.roles(), self.correct_response.tolist())
+                )
+            ]
+        return self._records
+
     def prompts_with_role(self, role: str) -> list[PromptRecord]:
-        if role not in self._role_cache:
-            self._role_cache[role] = [p for p in self.prompts if p.role == role]
-        return self._role_cache[role]
+        return [self.prompts[i] for i in self.role_ids(role)]
 
     def train_prompts(self) -> list[PromptRecord]:
         return self.prompts_with_role(ROLE_TRAIN)
@@ -147,17 +175,20 @@ class PromptUniverse:
         return self._bias_scores
 
     def to_json_dict(self) -> dict:
+        features, rewards = self.features.tolist(), self.true_reward.tolist()
         return {
             "config": asdict(self.config),
             "prompts": [
                 {
-                    "prompt_id": p.prompt_id,
-                    "role": p.role,
-                    "features": p.features.tolist(),
-                    "true_reward": p.true_reward.tolist(),
-                    "correct_response": p.correct_response,
+                    "prompt_id": i,
+                    "role": role,
+                    "features": features[i],
+                    "true_reward": rewards[i],
+                    "correct_response": None if c < 0 else c,
                 }
-                for p in self.prompts
+                for i, (role, c) in enumerate(
+                    zip(self.config.roles(), self.correct_response.tolist())
+                )
             ],
             "proxy_bias_direction": self.proxy_bias_direction.tolist(),
             "probe_direction": self.probe_direction.tolist(),
@@ -165,28 +196,32 @@ class PromptUniverse:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PromptUniverse":
-        config = UniverseConfig(**data["config"])
+        """Build a universe from its JSON form; ConfigurationError unless it
+        passes ``validate_universe``."""
         try:
-            features = np.asarray([e["features"] for e in data["prompts"]], dtype=np.float64)
-        except ValueError as exc:
-            raise ConfigurationError(f"prompts do not share one feature shape: {exc}") from exc
-        prompts = [
-            PromptRecord(
-                prompt_id=entry["prompt_id"],
-                role=entry["role"],
-                features=features[i],
-                true_reward=np.asarray(entry["true_reward"], dtype=np.float64),
-                correct_response=entry["correct_response"],
+            config = UniverseConfig(**data["config"])
+        except TypeError as exc:
+            raise ConfigurationError(f"universe config: {exc}") from exc
+        entries = data["prompts"]
+        if [(e["prompt_id"], e["role"]) for e in entries] != list(enumerate(config.roles())):
+            raise ConfigurationError(
+                "prompt ids and roles break the role partition: prompt i needs id i and "
+                "the role that the config's train, eval and probe counts give it"
             )
-            for i, entry in enumerate(data["prompts"])
-        ]
-        return cls(
+        universe = cls(
             config=config,
-            prompts=prompts,
-            features=features,
+            features=_stack_rows([e["features"] for e in entries], "feature"),
+            true_reward=_stack_rows([e["true_reward"] for e in entries], "true_reward"),
+            correct_response=np.array(
+                [-1 if e["correct_response"] is None else e["correct_response"] for e in entries]
+            ),
             proxy_bias_direction=np.asarray(data["proxy_bias_direction"], dtype=np.float64),
             probe_direction=np.asarray(data["probe_direction"], dtype=np.float64),
         )
+        report = validate_universe(universe)
+        if report:
+            raise ConfigurationError("invalid universe: " + "; ".join(report))
+        return universe
 
     def _encode(self) -> bytes:
         """The canonical JSON encoding; its sha256 is stored as the content hash."""
@@ -200,14 +235,25 @@ class PromptUniverse:
 
     @classmethod
     def load(cls, path) -> "PromptUniverse":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"cannot read universe {path}: {exc}") from exc
+        return cls.from_json_dict(data)
 
     def content_hash(self) -> str:
         """sha256 of the canonical encoding: ``universe.json`` without its final newline."""
         if self._content_hash is None:
             self._encode()
         return self._content_hash
+
+
+def _stack_rows(rows: list, what: str) -> np.ndarray:
+    try:
+        return np.asarray(rows, dtype=np.float64)
+    except ValueError as exc:
+        raise ConfigurationError(f"prompts do not share one {what} shape: {exc}") from exc
 
 
 def make_tabular_features(num_prompts: int, responses_per_prompt: int) -> np.ndarray:
@@ -329,34 +375,17 @@ def generate_universe(config: UniverseConfig) -> PromptUniverse:
     noise = rng.normal(0.0, noise_scale, size=(n, v))
     rewards = config.true_reward_scale * (features @ u) + noise
 
-    roles = (
-        [ROLE_TRAIN] * config.num_train_prompts
-        + [ROLE_EVAL] * config.num_eval_prompts
-        + [ROLE_PROBE] * config.num_probe_prompts
-    )
-
-    prompts: list[PromptRecord] = []
-    for i, role in enumerate(roles):
-        reward = rewards[i]
-        correct: Optional[int] = None
-        if role == ROLE_PROBE:
-            features[i], reward, correct = _fix_probe_prompt(
-                rng, config, features[i], u, noise_scale
-            )
-        prompts.append(
-            PromptRecord(
-                prompt_id=i,
-                role=role,
-                features=features[i],
-                true_reward=np.ascontiguousarray(reward),
-                correct_response=correct,
-            )
+    correct = np.full(n, -1)
+    for i in range(n - config.num_probe_prompts, n):
+        features[i], rewards[i], correct[i] = _fix_probe_prompt(
+            rng, config, features[i], u, noise_scale
         )
 
     return PromptUniverse(
         config=config,
-        prompts=prompts,
         features=features,
+        true_reward=rewards,
+        correct_response=correct,
         proxy_bias_direction=g,
         probe_direction=u,
     )
@@ -365,7 +394,8 @@ def generate_universe(config: UniverseConfig) -> PromptUniverse:
 def validate_universe(universe: PromptUniverse) -> list[str]:
     """Check every structural invariant; returns violation descriptions.
 
-    Report-only: never raises on a bad universe, never mutates.
+    Report-only: never raises on a bad universe, never mutates. Prompt ids and
+    roles are array positions, so only the arrays' shapes and values can break.
     """
     report: list[str] = []
     config = universe.config
@@ -389,48 +419,33 @@ def validate_universe(universe: PromptUniverse) -> list[str]:
             f"{config.misalignment_rho!r} by more than 1e-6"
         )
 
-    expected_roles = (
-        [ROLE_TRAIN] * config.num_train_prompts
-        + [ROLE_EVAL] * config.num_eval_prompts
-        + [ROLE_PROBE] * config.num_probe_prompts
+    n, v, d = config.total_prompts, config.responses_per_prompt, config.feature_dim
+    shapes = {"features": (n, v, d), "true_reward": (n, v), "correct_response": (n,)}
+    wrong = [
+        f"{name} shape {getattr(universe, name).shape} != {shape}"
+        for name, shape in shapes.items()
+        if getattr(universe, name).shape != shape
+    ]
+    if wrong:
+        return report + wrong
+    for name in ("features", "true_reward"):
+        finite = np.isfinite(getattr(universe, name).reshape(n, -1)).all(axis=1)
+        report.extend(f"prompt {i}: {name} has non-finite values" for i in np.flatnonzero(~finite))
+
+    is_probe = np.array(config.roles()) == ROLE_PROBE
+    probes = np.flatnonzero(is_probe)
+    reward = universe.true_reward[probes]
+    tied = np.count_nonzero(reward == reward.max(axis=1, keepdims=True), axis=1) > 1
+    report.extend(f"prompt {i}: probe true_reward has a tied maximum" for i in probes[tied])
+    top = reward.argmax(axis=1)
+    correct = universe.correct_response
+    wrong_top = ~tied & (top != correct[probes])
+    report.extend(
+        f"prompt {i}: correct_response {correct[i]} is not the reward argmax {t}"
+        for i, t in zip(probes[wrong_top], top[wrong_top])
     )
-    if len(universe.prompts) != len(expected_roles):
-        report.append(
-            f"prompt count {len(universe.prompts)} does not match config total "
-            f"{len(expected_roles)}"
-        )
-
-    v = config.responses_per_prompt
-    d = config.feature_dim
-    for idx, prompt in enumerate(universe.prompts):
-        tag = f"prompt {prompt.prompt_id}"
-        if prompt.prompt_id != idx:
-            report.append(f"{tag}: ids are not contiguous (position {idx})")
-        if idx < len(expected_roles) and prompt.role != expected_roles[idx]:
-            report.append(f"{tag}: role {prompt.role!r} breaks the role partition")
-        if prompt.features.shape != (v, d):
-            report.append(f"{tag}: features shape {prompt.features.shape} != ({v}, {d})")
-            continue
-        if not np.all(np.isfinite(prompt.features)):
-            report.append(f"{tag}: features contain non-finite values")
-        if prompt.true_reward.shape != (v,):
-            report.append(f"{tag}: true_reward shape {prompt.true_reward.shape} != ({v},)")
-            continue
-        if not np.all(np.isfinite(prompt.true_reward)):
-            report.append(f"{tag}: true_reward contains non-finite values")
-        if prompt.role == ROLE_PROBE:
-            if prompt.correct_response is None:
-                report.append(f"{tag}: probe prompt lacks correct_response")
-            else:
-                top = _strict_argmax(prompt.true_reward)
-                if top is None:
-                    report.append(f"{tag}: probe true_reward has a tied maximum")
-                elif top != prompt.correct_response:
-                    report.append(
-                        f"{tag}: correct_response {prompt.correct_response} is not the "
-                        f"reward argmax {top}"
-                    )
-        elif prompt.correct_response is not None:
-            report.append(f"{tag}: non-probe prompt carries correct_response")
-
+    report.extend(
+        f"prompt {i}: non-probe prompt carries correct_response"
+        for i in np.flatnonzero(~is_probe & (correct != -1))
+    )
     return report

@@ -191,13 +191,20 @@ def test_criterion_04_self_play_neutrality():
     sigma = math.sqrt(0.25 / n)
 
     bt_judge = Judge(JudgeSpec(label="bt-eval", noise_temperature=0.7, seed=5), universe)
+    eval_ids = universe.role_ids("eval")
     est_bt = estimate_win_rate(
-        policy, policy, bt_judge, universe.eval_prompts(), n, np.random.default_rng(51)
+        policy, policy, bt_judge, universe.features, eval_ids, n, np.random.default_rng(51)
     )
     assert abs(est_bt.rate - 0.5) <= 3 * sigma
 
     est_biased = estimate_win_rate(
-        policy, policy, _SlotBiasedJudge(), universe.eval_prompts(), n, np.random.default_rng(52)
+        policy,
+        policy,
+        _SlotBiasedJudge(),
+        universe.features,
+        eval_ids,
+        n,
+        np.random.default_rng(52),
     )
     assert abs(est_biased.rate - 0.5) <= 3 * sigma
     print(
@@ -281,6 +288,7 @@ def _dissociation_protocol(universe, annotator_misalignment):
     truth_judge = Judge(
         JudgeSpec(label="truth-eval", kind="deterministic", misalignment=0.0), universe
     )
+    eval_ids = universe.role_ids("eval")
     for seed in DISSOCIATION_SEEDS:
         cfg = TrainConfig(
             dpo=DpoConfig(beta=0.1, learning_rate=0.02, max_steps=300, updates_per_sample=4),
@@ -311,7 +319,7 @@ def _dissociation_protocol(universe, annotator_misalignment):
         rng = np.random.default_rng(seed + 1000)
         proxy_rates.append(
             estimate_win_rate(
-                result.final_policy, sft, proxy_eval, universe.eval_prompts(), 2000, rng
+                result.final_policy, sft, proxy_eval, universe.features, eval_ids, 2000, rng
             ).rate
         )
         truth_rates.append(
@@ -319,7 +327,8 @@ def _dissociation_protocol(universe, annotator_misalignment):
                 result.final_policy,
                 sft,
                 truth_judge,
-                universe.eval_prompts(),
+                universe.features,
+                eval_ids,
                 2000,
                 np.random.default_rng(seed + 2000),
             ).rate

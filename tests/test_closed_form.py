@@ -297,7 +297,8 @@ def test_win_rate_matches_per_trial_sampling(
     batched, scalar = Judge(spec, universe), Judge(spec, universe)
     prompts = universe.eval_prompts()
     rng, oracle_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    est = estimate_win_rate(policy, ref, batched, prompts, n_trials, rng)
+    eval_ids = universe.role_ids("eval")
+    est = estimate_win_rate(policy, ref, batched, universe.features, eval_ids, n_trials, rng)
     assert est.wins == win_rate_oracle(policy, ref, scalar, prompts, n_trials, oracle_rng)
     if point_mass_self_play:
         assert est.rate == 0.5
@@ -426,4 +427,6 @@ def test_batched_selection_and_eval_contract_errors():
             wrong_dim, features, prompt_ids, cfg, np.random.default_rng(0), OpCounters()
         )
     with pytest.raises(ContractError, match="feature dim"):
-        estimate_win_rate(policy, wrong_dim, None, records, 10, np.random.default_rng(0))
+        estimate_win_rate(
+            policy, wrong_dim, None, features, prompt_ids, 10, np.random.default_rng(0)
+        )

@@ -27,6 +27,10 @@ class SlotBiasedJudge:
         return y1
 
 
+def eval_ids(universe):
+    return universe.role_ids("eval")
+
+
 def point_mass_policy(universe, record, response, scale=1e6):
     # a huge multiple of one response's features pins the sampler to it
     theta = scale * record.features[response]
@@ -39,7 +43,7 @@ class TestWinRate:
         evaluator = Judge(JudgeSpec(label="eval", seed=3), small_universe)
         n = 4000
         est = estimate_win_rate(
-            policy, policy, evaluator, small_universe.eval_prompts(), n, rng
+            policy, policy, evaluator, small_universe.features, eval_ids(small_universe), n, rng
         )
         sigma = math.sqrt(0.25 / n)
         assert abs(est.rate - 0.5) <= 3 * sigma
@@ -48,7 +52,13 @@ class TestWinRate:
         policy = Policy(rng.normal(size=small_universe.config.feature_dim))
         n = 4000
         est = estimate_win_rate(
-            policy, policy, SlotBiasedJudge(), small_universe.eval_prompts(), n, rng
+            policy,
+            policy,
+            SlotBiasedJudge(),
+            small_universe.features,
+            eval_ids(small_universe),
+            n,
+            rng,
         )
         sigma = math.sqrt(0.25 / n)
         assert abs(est.rate - 0.5) <= 3 * sigma
@@ -63,7 +73,8 @@ class TestWinRate:
             JudgeSpec(label="oracle", kind="deterministic", misalignment=0.0),
             small_universe,
         )
-        est = estimate_win_rate(p, ref, evaluator, [record], 500, rng)
+        ids = np.array([record.prompt_id])
+        est = estimate_win_rate(p, ref, evaluator, small_universe.features, ids, 500, rng)
         assert est.rate == 1.0
 
     def test_bt_evaluator_rate_tracks_sigmoid(self, small_universe):
@@ -75,7 +86,10 @@ class TestWinRate:
         evaluator = Judge(JudgeSpec(label="bt", seed=6), small_universe)
         expected = evaluator.preference_probability(record, hi, lo)
         n = 20_000
-        est = estimate_win_rate(p, ref, evaluator, [record], n, np.random.default_rng(2))
+        ids = np.array([record.prompt_id])
+        est = estimate_win_rate(
+            p, ref, evaluator, small_universe.features, ids, n, np.random.default_rng(2)
+        )
         se = math.sqrt(expected * (1 - expected) / n)
         assert abs(est.rate - expected) <= 5 * se
 
@@ -84,16 +98,18 @@ class TestWinRate:
         best = int(np.argmax(record.true_reward))
         p = point_mass_policy(small_universe, record, best)
         evaluator = Judge(JudgeSpec(label="eval", seed=1), small_universe)
-        est = estimate_win_rate(p, p, evaluator, [record], 50, rng)
+        ids = np.array([record.prompt_id])
+        est = estimate_win_rate(p, p, evaluator, small_universe.features, ids, 50, rng)
         assert 0.0 <= est.ci_low <= est.ci_high <= 1.0
 
     def test_requires_trials_and_prompts(self, small_universe, rng):
         p = Policy(np.zeros(small_universe.config.feature_dim))
         evaluator = Judge(JudgeSpec(label="eval"), small_universe)
+        features, ids = small_universe.features, eval_ids(small_universe)
         with pytest.raises(ContractError):
-            estimate_win_rate(p, p, evaluator, small_universe.eval_prompts(), 0, rng)
+            estimate_win_rate(p, p, evaluator, features, ids, 0, rng)
         with pytest.raises(ContractError):
-            estimate_win_rate(p, p, evaluator, [], 10, rng)
+            estimate_win_rate(p, p, evaluator, features, ids[:0], 10, rng)
 
 
 class TestProbeAccuracy:
@@ -139,7 +155,9 @@ class TestCapabilityDelta:
 class TestCollapseMetrics:
     def test_self_comparison_never_flags(self, small_universe, rng):
         p = Policy(rng.normal(size=small_universe.config.feature_dim))
-        _, flag = collapse_metrics(p, p, small_universe.eval_prompts(), 0.1)
+        _, flag = collapse_metrics(
+            p, p, small_universe.features, eval_ids(small_universe), 0.1
+        )
         assert flag is False
 
     def test_point_mass_policy_flags(self, small_universe):
@@ -147,7 +165,7 @@ class TestCollapseMetrics:
         record = small_universe.eval_prompts()[0]
         sharp = Policy(1e6 * record.features[0])
         mean_entropy, flag = collapse_metrics(
-            sharp, diffuse, small_universe.eval_prompts(), 0.1
+            sharp, diffuse, small_universe.features, eval_ids(small_universe), 0.1
         )
         assert flag is True
         assert mean_entropy < 0.2
@@ -156,7 +174,7 @@ class TestCollapseMetrics:
         diffuse = Policy(np.zeros(small_universe.config.feature_dim))
         p = Policy(rng.normal(size=small_universe.config.feature_dim))
         mean_entropy, flag = collapse_metrics(
-            p, diffuse, small_universe.eval_prompts(), 0.1
+            p, diffuse, small_universe.features, eval_ids(small_universe), 0.1
         )
         sft_entropy = np.mean(
             [exact_entropy(diffuse, r) for r in small_universe.eval_prompts()]
@@ -168,11 +186,13 @@ class TestCollapseMetrics:
         gen = np.random.default_rng(3)
         for scale in (0.0, 0.1, 1.0, 30.0, 1e6):
             p = Policy(scale * gen.normal(size=small_universe.config.feature_dim))
-            mean_entropy, _ = collapse_metrics(p, p, records, 0.1)
+            mean_entropy, _ = collapse_metrics(
+                p, p, small_universe.features, eval_ids(small_universe), 0.1
+            )
             expected = np.mean([exact_entropy(p, r) for r in records])
             assert mean_entropy == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_fraction_bounds(self, small_universe, rng):
         p = Policy(np.zeros(small_universe.config.feature_dim))
         with pytest.raises(ContractError, match="collapse_fraction"):
-            collapse_metrics(p, p, small_universe.eval_prompts(), 1.0)
+            collapse_metrics(p, p, small_universe.features, eval_ids(small_universe), 1.0)

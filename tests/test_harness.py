@@ -1,15 +1,19 @@
 """Grid configs, run directories, aggregation, pareto emission, CLI."""
 
+import copy
 import csv
 import functools
 import hashlib
 import json
+import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preflab import (
     ConfigurationError,
@@ -110,6 +114,106 @@ class TestParseConfig:
         path.write_text('{\n  "universe": ,\n}')
         with pytest.raises(ConfigurationError, match="line 2"):
             parse_config(path)
+
+    @pytest.mark.parametrize(
+        "key_path,value,fragment",
+        [
+            (("seeds",), "42", "seeds: expected a list"),
+            (("seeds",), [42.7], r"seeds\[0\]: expected int"),
+            (("train", "dpo", "beta"), "0.1", "train.dpo.beta: expected a finite float"),
+            (("eval", "n_trials"), 500.5, "eval.n_trials: expected int"),
+            (("eval", "n_trials"), True, "eval.n_trials: expected int"),
+            (("annotators", 0, "misalignment"), float("nan"), r"annotators\[0\]\.misalignment"),
+        ],
+    )
+    def test_wrong_type_names_the_key_path(self, tmp_path, key_path, value, fragment):
+        config = json.loads(SMOKE_CONFIG.read_text())
+        _set(config, key_path, value)
+        with pytest.raises(ConfigurationError, match=fragment):
+            parse_config(write_config(tmp_path, config))
+
+    def test_int_is_accepted_as_float(self, tmp_path):
+        config = grid_config(tmp_path / "runs")
+        config["train"]["dpo"]["learning_rate"] = 1
+        grid, manifest = parse_config(write_config(tmp_path, config))
+        assert grid.train.dpo.learning_rate == 1
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_any_bad_value_raises_configuration_error(self, tmp_path_factory, data):
+        # an unknown key, a wrong type or an out-of-range value anywhere in a
+        # valid config is a ConfigurationError, never another exception
+        config = json.loads(SMOKE_CONFIG.read_text())
+        key_path = data.draw(st.sampled_from(_paths(config)))
+        node = _get(config, key_path)
+        kind = data.draw(st.sampled_from(["unknown key", "wrong type", "out of range"]))
+        if kind == "unknown key" and isinstance(node, dict):
+            key = data.draw(st.text(min_size=1).filter(lambda k: k not in node))
+            key_path, value = (*key_path, key), 0
+        elif kind == "out of range" and _out_of_range(key_path, node) is not None:
+            value = data.draw(_out_of_range(key_path, node))
+        else:
+            value = data.draw(_wrong_type(node))
+        config = _set(copy.deepcopy(config), key_path, value)
+        path = tmp_path_factory.getbasetemp() / "bad_config.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(ConfigurationError):
+            parse_config(path)
+
+
+def _get(node, key_path):
+    for key in key_path:
+        node = node[key]
+    return node
+
+
+def _set(config, key_path, value):
+    if not key_path:
+        return value
+    _get(config, key_path[:-1])[key_path[-1]] = value
+    return config
+
+
+def _paths(node, key_path=()):
+    """Every key path in a config, the root included."""
+    children = ()
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    return [key_path] + [p for key, child in children for p in _paths(child, (*key_path, key))]
+
+
+def _wrong_type(node):
+    """Values of any JSON type but the one ``node`` has (an int stands for a float)."""
+    values = {
+        bool: st.booleans(),
+        int: st.integers(),
+        float: st.floats(allow_nan=False),
+        str: st.text(),
+        type(None): st.none(),
+        list: st.lists(st.integers(), max_size=2),
+        dict: st.dictionaries(st.text(), st.integers(), max_size=1),
+    }
+    accepted = (int, float) if type(node) is float else (type(node),)
+    return st.one_of([s for t, s in values.items() if t not in accepted])
+
+
+def _out_of_range(key_path, node):
+    """Values that ``validate`` rejects at ``key_path``, or None where every
+    value of the right type is valid (seeds and output_dir)."""
+    name = key_path[-1] if key_path else None
+    if isinstance(node, list):
+        return st.just([])
+    if "seed" in str(name) or key_path[:1] == ("seeds",) or name == "output_dir":
+        return None
+    if isinstance(node, float):
+        return st.one_of(st.floats(max_value=-1.01), st.sampled_from([math.inf, math.nan]))
+    if isinstance(node, int):
+        return st.integers(max_value=-1)
+    if isinstance(node, str):
+        return st.just("") if name == "label" else st.text().map(lambda s: "x-" + s)
+    return None
 
 
 class TestRunGrid:
@@ -212,6 +316,24 @@ class TestRunGrid:
         assert annotator_calls == len(run_dirs) * grid.train.dpo.max_steps
         assert batch_calls == {spec.label: len(run_dirs) for spec in grid.evaluators}
         assert scalar_calls == []
+
+    def test_runtime_reads_only_the_universe_arrays(self, tmp_path, monkeypatch):
+        def smoke_files():
+            grid, manifest = parse_config(SMOKE_CONFIG)
+            grid.output_dir = str(tmp_path / "runs")
+            run_grid(grid, grid_manifest=manifest, overwrite=True)
+            out = Path(grid.output_dir)
+            return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        plain = smoke_files()
+        assert len(plain) == 4 * 7 + 1  # seven files per run, and universe.json
+
+        def refuse(*args):
+            raise AssertionError("the runtime read a PromptRecord")
+
+        monkeypatch.setattr(PromptUniverse, "prompts", property(refuse))
+        monkeypatch.setattr(PromptUniverse, "prompts_with_role", refuse)
+        assert smoke_files() == plain
 
     def test_parallel_workers_get_the_universe_without_loading(self, tmp_path, monkeypatch):
         # forked workers inherit the patched load, so a load in any process logs
@@ -443,6 +565,10 @@ class TestCli:
         assert main(["sft", "--config", str(config_path), "--seed", "42"]) == 0
         doc = json.loads((out / "sft_policy.json").read_text())
         assert doc["label"] == "sft" and len(doc["theta"]) == doc["d"]
+
+    def test_report_on_a_missing_directory_exits_2(self, tmp_path, capsys):
+        assert main(["report", "--out", str(tmp_path / "missing")]) == 2
+        assert capsys.readouterr().err.startswith("error: no run directories found")
 
     def test_config_error_returns_nonzero(self, tmp_path):
         config = grid_config(tmp_path / "runs", seeds=[42, 42])

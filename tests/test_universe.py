@@ -16,6 +16,7 @@ from preflab import (
     make_tabular_features,
     validate_universe,
 )
+from preflab.cli import main
 
 
 def _cfg(**overrides):
@@ -157,18 +158,16 @@ class TestValidateUniverse:
 
     def test_tied_probe_reward_reported(self):
         u = generate_universe(_cfg())
-        probe = u.probe_prompts()[0]
-        tied = probe.true_reward.copy()
-        order = np.argsort(tied)
-        tied[order[-2]] = tied[order[-1]]
-        probe.true_reward = tied
-        report = validate_universe(u)
-        assert any("tied maximum" in line for line in report)
+        probe = u.role_ids("probe")[0]
+        order = np.argsort(u.true_reward[probe])
+        u.true_reward[probe, order[-2]] = u.true_reward[probe, order[-1]]
+        assert f"prompt {probe}: probe true_reward has a tied maximum" in validate_universe(u)
 
     def test_role_shuffle_reported(self):
-        u = generate_universe(_cfg())
-        u.prompts[0].role = "eval"
-        assert any("role partition" in line for line in validate_universe(u))
+        data = generate_universe(_cfg()).to_json_dict()
+        data["prompts"][12]["role"] = "Eval"
+        with pytest.raises(ConfigurationError, match="role partition"):
+            PromptUniverse.from_json_dict(data)
 
 
 class TestSerialization:
@@ -199,8 +198,8 @@ class TestSerialization:
         u = generate_universe(_cfg())
         assert len(u.train_prompts()) == 10
         old_hash = u.content_hash()
-        v = dataclasses.replace(u, prompts=u.prompts[:3])
-        assert [p.prompt_id for p in v.train_prompts()] == [0, 1, 2]
+        v = dataclasses.replace(u, true_reward=u.true_reward + 1.0)
+        assert v.train_prompts()[0].true_reward[0] == u.true_reward[0, 0] + 1.0
         payload = json.dumps(v.to_json_dict(), sort_keys=True).encode("utf-8")
         assert v.content_hash() == hashlib.sha256(payload).hexdigest() != old_hash
         assert len(u.train_prompts()) == 10
@@ -211,3 +210,59 @@ class TestSerialization:
         data["prompts"][3]["features"].pop()
         with pytest.raises(ConfigurationError, match="feature shape"):
             PromptUniverse.from_json_dict(data)
+
+
+def _wrong_correct_response(data):
+    probe = data["prompts"][-1]
+    probe["correct_response"] = (probe["correct_response"] + 1) % len(probe["true_reward"])
+
+
+MALFORMED = {
+    "moved id": (lambda d: d["prompts"][3].update(prompt_id=7), "role partition"),
+    "dropped prompt": (lambda d: d["prompts"].pop(), "role partition"),
+    "ragged true_reward": (lambda d: d["prompts"][4]["true_reward"].pop(), "true_reward shape"),
+    "short true_reward": (
+        lambda d: [p["true_reward"].pop() for p in d["prompts"]],
+        "true_reward shape",
+    ),
+    "unknown config key": (lambda d: d["config"].update(colour="red"), "colour"),
+    "wrong correct_response": (_wrong_correct_response, "not the reward argmax"),
+    "non-finite feature": (
+        lambda d: d["prompts"][0]["features"][0].__setitem__(0, float("nan")),
+        "non-finite",
+    ),
+}
+
+
+class TestLoadFailsClosed:
+    @pytest.mark.parametrize("edit,fragment", MALFORMED.values(), ids=MALFORMED)
+    def test_malformed_universe_raises_configuration_error(self, edit, fragment):
+        data = generate_universe(_cfg()).to_json_dict()
+        edit(data)
+        with pytest.raises(ConfigurationError, match=fragment):
+            PromptUniverse.from_json_dict(data)
+
+    @pytest.mark.parametrize("text", [None, "{", '{"config": '])
+    def test_unreadable_file_raises_configuration_error(self, tmp_path, text):
+        path = tmp_path / "universe.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigurationError, match="cannot read universe"):
+            PromptUniverse.load(path)
+
+    def test_sweep_on_a_malformed_universe_path_exits_2(self, tmp_path, capsys):
+        data = generate_universe(_cfg()).to_json_dict()
+        _wrong_correct_response(data)
+        universe_path = tmp_path / "universe.json"
+        universe_path.write_text(json.dumps(data))
+        config = {
+            "universe_path": str(universe_path),
+            "annotators": [{"label": "weak"}],
+            "evaluators": [{"label": "oracle"}],
+            "seeds": [1],
+            "output_dir": str(tmp_path / "runs"),
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid universe")
