@@ -22,9 +22,9 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Optional, Sequence, get_type_hints
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import stdtr
@@ -35,8 +35,9 @@ from .errors import ConfigurationError, TrainingError
 from .evaluation import collapse_metrics, estimate_win_rate, probe_accuracy
 from .judges import Judge, JudgeSpec
 from .rng import mix_seeds, substream
+from .schema import build_dataclass, build_value
 from .selection import SELECTOR_APL, SELECTOR_RANDOM, SelectionConfig
-from .trainer import RunResult, SftConfig, TrainConfig, run_online_dpo, sft_fit
+from .trainer import IterationLog, RunResult, SftConfig, TrainConfig, run_online_dpo, sft_fit
 from .universe import ROLE_EVAL, PromptUniverse, UniverseConfig, generate_universe
 
 EVAL_CSV_HEADER = [
@@ -53,15 +54,6 @@ EVAL_CSV_HEADER = [
     "mean_entropy",
     "collapse_flag",
 ]
-METRICS_CSV_HEADER = [
-    "iteration",
-    "mean_loss",
-    "labeled_pairs",
-    "lr",
-    "entropy_min",
-    "entropy_mean",
-    "entropy_max",
-]
 PARETO_CSV_HEADER = [
     "run_id",
     "selector",
@@ -72,6 +64,8 @@ PARETO_CSV_HEADER = [
     "delta_acc_pp",
     "collapse_flag",
 ]
+# pareto.csv columns named differently in eval.csv
+_EVAL_COLUMN = {"annotator": "annotator_label", "evaluator": "evaluator_label"}
 WELCH_CSV_HEADER = [
     "annotator",
     "evaluator",
@@ -165,47 +159,12 @@ class SummaryRow:
 
 
 SUMMARY_CSV_HEADER = [f.name for f in fields(SummaryRow)]
+METRICS_CSV_HEADER = [f.name for f in fields(IterationLog)]
 
 
 # --------------------------------------------------------------------------
 # config parsing (fail-closed, defaults recorded)
 # --------------------------------------------------------------------------
-
-
-def _build_value(hint: type, value: Any, key_path: str, defaulted: list[str]):
-    """``value`` as a ``hint``: a dataclass built from an object, or a scalar of
-    that type (a bool is not an int, an int is a float, a float is finite)."""
-    if is_dataclass(hint):
-        return _build_dataclass(hint, value, key_path, defaulted)
-    if (
-        not isinstance(value, (int, float) if hint is float else hint)
-        or (isinstance(value, bool) and hint is not bool)
-        or (isinstance(value, float) and not math.isfinite(value))
-    ):
-        expected = "a finite float" if hint is float else hint.__name__
-        raise ConfigurationError(f"{key_path}: expected {expected}, got {value!r}")
-    return value
-
-
-def _build_dataclass(cls, data: Any, path: str, defaulted: list[str]):
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{path}: expected an object, got {type(data).__name__}")
-    hints = get_type_hints(cls)
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ConfigurationError(f"{path}: unknown key(s) {unknown}; allowed: {sorted(known)}")
-    kwargs = {}
-    for f in fields(cls):
-        key_path = f"{path}.{f.name}" if path else f.name
-        if f.name in data:
-            kwargs[f.name] = _build_value(hints[f.name], data[f.name], key_path, defaulted)
-        else:
-            defaulted.append(key_path)
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 _TOP_LEVEL_KEYS = {f.name for f in fields(ExperimentGrid)} - {"eval_settings"} | {"eval"}
@@ -239,16 +198,16 @@ def parse_config(path) -> tuple[ExperimentGrid, dict]:
     defaulted = [k for k in ("train", "selectors", "seeds", "eval", "output_dir") if k not in data]
 
     def _optional(key: str, hint: type):
-        return None if data.get(key) is None else _build_value(hint, data[key], key, [])
+        return None if data.get(key) is None else build_value(hint, data[key], key, [])
 
     def _section(cls, key: str):
-        return _build_dataclass(cls, data[key], key, defaulted) if key in data else cls()
+        return build_dataclass(cls, data[key], key, defaulted) if key in data else cls()
 
     def _list(key: str, default: list, hint: type) -> list:
         entries = data.get(key, default)
         if not isinstance(entries, list):
             raise ConfigurationError(f"{key}: expected a list, got {entries!r}")
-        return [_build_value(hint, e, f"{key}[{i}]", defaulted) for i, e in enumerate(entries)]
+        return [build_value(hint, e, f"{key}[{i}]", defaulted) for i, e in enumerate(entries)]
 
     grid = ExperimentGrid(
         universe=_optional("universe", UniverseConfig),
@@ -259,7 +218,7 @@ def parse_config(path) -> tuple[ExperimentGrid, dict]:
         evaluators=_list("evaluators", [], JudgeSpec),
         seeds=_list("seeds", [42, 43, 44], int),
         eval_settings=_section(EvalSettings, "eval"),
-        output_dir=_build_value(str, data.get("output_dir", "runs"), "output_dir", []),
+        output_dir=build_value(str, data.get("output_dir", "runs"), "output_dir", []),
     )
     grid.validate()
     manifest = {"config": grid_to_dict(grid), "defaulted_fields": sorted(defaulted)}
@@ -315,9 +274,8 @@ def _write_run_outputs(
         METRICS_CSV_HEADER,
         [[getattr(log, key) for key in METRICS_CSV_HEADER] for log in result.per_iteration],
     )
-    encode = json.JSONEncoder(sort_keys=True).encode
     with open(run_dir / "events.jsonl", "w", encoding="utf-8") as fh:
-        fh.writelines(encode(event) + "\n" for event in result.events)
+        fh.writelines(result.event_lines)
     _write_json(run_dir / "sft_policy.json", result.sft_policy.to_json_dict())
     _write_json(run_dir / "final_policy.json", result.final_policy.to_json_dict())
     _write_json(run_dir / "counters.json", result.counters.to_json_dict())
@@ -379,7 +337,7 @@ def run_cell(
         "seed": seed,
         "universe_hash": universe_hash,
         "package_version": _package_version,
-        "aborted": any(e.get("type") == "abort" for e in result.events),
+        "aborted": result.aborted,
         "manifest_hash": hashlib.sha256(
             json.dumps(hash_payload, sort_keys=True).encode("utf-8")
         ).hexdigest(),
@@ -694,19 +652,7 @@ def emit_pareto(run_dirs: Sequence[Path], path) -> Path:
     _write_csv(
         path,
         PARETO_CSV_HEADER,
-        [
-            [
-                r["run_id"],
-                r["selector"],
-                r["annotator_label"],
-                r["evaluator_label"],
-                r["seed"],
-                r["win_rate"],
-                r["delta_acc_pp"],
-                r["collapse_flag"],
-            ]
-            for r in rows
-        ],
+        [[r[_EVAL_COLUMN.get(key, key)] for key in PARETO_CSV_HEADER] for r in rows],
     )
     return path
 

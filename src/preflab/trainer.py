@@ -13,6 +13,11 @@ Each stage runs once per iteration on the whole batch, as index arrays over
 array, selected indices, one labelling call, and the winner-minus-loser
 feature differences that every update of the iteration reuses.
 
+Events are formatted once, as they are produced: each is one canonical JSON
+line (keys sorted, ``json.dumps(event, sort_keys=True)`` plus a newline),
+built from int-only templates, with the int lists and APL scores passed
+through ``json.dumps`` so their text is the encoder's own.
+
 All stochastic streams are keyed by run_seed and a purpose tag, never by the
 selector, so runs that differ only in selector share prompt, generation, and
 supervised-fit randomness (paired comparisons). The annotator's stream is
@@ -23,6 +28,7 @@ once per update, by ``optimizer_step``); collapse is data, not failure.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -93,10 +99,10 @@ class IterationLog:
     iteration: int
     mean_loss: float
     labeled_pairs: int
+    lr: float
     entropy_min: float
     entropy_mean: float
     entropy_max: float
-    lr: float
 
 
 @dataclass
@@ -105,16 +111,13 @@ class RunResult:
     sft_policy: Policy
     per_iteration: list[IterationLog]
     counters: OpCounters
-    events: list[dict]
+    event_lines: list[str]  # the lines of events.jsonl, newline included
+    aborted: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "final_policy": self.final_policy.to_json_dict(),
-            "sft_policy": self.sft_policy.to_json_dict(),
-            "per_iteration": [vars(log) for log in self.per_iteration],
-            "counters": self.counters.to_json_dict(),
-            "events": self.events,
-        }
+    @property
+    def events(self) -> list[dict]:
+        """A decoded copy of ``event_lines``, for reading only."""
+        return [json.loads(line) for line in self.event_lines]
 
 
 def reference_preset() -> TrainConfig:
@@ -180,6 +183,12 @@ def sft_fit(universe: PromptUniverse, cfg: TrainConfig) -> Policy:
     return Policy(theta, label="sft")
 
 
+def _json_floats(values: list[float]) -> list[str]:
+    """Each float's text as ``json.dumps`` writes it (``NaN``/``Infinity``
+    included), from one encoder call for the whole list."""
+    return json.dumps(values)[1:-1].split(", ") if values else []
+
+
 def _annotator_for_run(cfg: TrainConfig, universe: PromptUniverse) -> Judge:
     # fold run_seed into the judge seed so seeds get independent label noise
     spec = replace(cfg.annotator, seed=mix_seeds(cfg.annotator.seed, cfg.run_seed))
@@ -203,7 +212,8 @@ def run_online_dpo(
     policy = Policy(sft_policy.theta, label="step-0")
     opt_state = OptimizerState.initial(policy.feature_dim)
     counters = OpCounters()
-    events: list[dict] = []
+    lines: list[str] = []
+    strategy = json.dumps(cfg.selector)
     logs: list[IterationLog] = []
 
     prompt_rng = substream(cfg.run_seed, "prompts")
@@ -218,53 +228,39 @@ def run_online_dpo(
         candidates, log_probs = generate_candidates(
             policy, features, prompt_ids, sel, gen_rng, counters
         )
-        events.append(
-            {
-                "type": "candidates",
-                "iteration": t,
-                "prompt_ids": prompt_ids.tolist(),
-                "candidates": candidates.tolist(),
-            }
+        lines.append(
+            f'{{"candidates": {json.dumps(candidates.tolist())}, "iteration": {t}, '
+            f'"prompt_ids": {json.dumps(prompt_ids.tolist())}, "type": "candidates"}}\n'
         )
         pairs, degenerate = form_pairs(candidates)
-        events.extend(
-            {"type": "degenerate_prompt", "iteration": t, "prompt_id": prompt_id}
+        lines.extend(
+            f'{{"iteration": {t}, "prompt_id": {prompt_id}, "type": "degenerate_prompt"}}\n'
             for prompt_id in prompt_ids[degenerate].tolist()
         )
 
         entropies = entropy_estimate(log_probs)
         if cfg.selector == SELECTOR_RANDOM:
             picked = select_random(pairs, sel.label_budget, select_rng)
-            scores = [None] * picked.size
+            scores = ["null"] * picked.size
         else:
             picked, margins = select_apl(
                 policy, ref, features, prompt_ids, entropies, pairs, sel, beta, counters
             )
-            scores = margins.tolist()
+            scores = _json_floats(margins.tolist())
         if picked.size < sel.label_budget:
-            events.append(
-                {
-                    "type": "budget_shortfall",
-                    "iteration": t,
-                    "selected": picked.size,
-                    "budget": sel.label_budget,
-                }
+            lines.append(
+                f'{{"budget": {sel.label_budget}, "iteration": {t}, '
+                f'"selected": {picked.size}, "type": "budget_shortfall"}}\n'
             )
 
         rows, y1, y2 = pairs[picked].T
         pair_prompts = prompt_ids[rows]
         winners = annotator.prefer_batch(pair_prompts, y1, y2)
         counters.judge_queries += picked.size
-        events.extend(
-            {
-                "type": "selection",
-                "iteration": t,
-                "strategy": cfg.selector,
-                "prompt_id": prompt_id,
-                "pair": [a, b],
-                "score": score,
-                "winner": winner,
-            }
+        lines.extend(
+            f'{{"iteration": {t}, "pair": [{a}, {b}], "prompt_id": {prompt_id}, '
+            f'"score": {score}, "strategy": {strategy}, "type": "selection", '
+            f'"winner": {winner}}}\n'
             for prompt_id, a, b, score, winner in zip(
                 pair_prompts.tolist(), y1.tolist(), y2.tolist(), scores, winners.tolist()
             )
@@ -284,7 +280,8 @@ def run_online_dpo(
                     new_theta, opt_state = optimizer_step(opt_state, policy.theta, grad, cfg.dpo)
                     policy = Policy.from_finite(new_theta, label=f"step-{opt_state.step}")
             except TrainingError as exc:
-                events.append({"type": "abort", "iteration": t, "reason": str(exc)})
+                abort = {"type": "abort", "iteration": t, "reason": str(exc)}
+                lines.append(json.dumps(abort, sort_keys=True) + "\n")
                 aborted = True
 
         logs.append(
@@ -306,5 +303,6 @@ def run_online_dpo(
         sft_policy=ref,
         per_iteration=logs,
         counters=counters,
-        events=events,
+        event_lines=lines,
+        aborted=aborted,
     )

@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .rng import substream
+from .schema import build_dataclass, build_value
 
 ROLE_TRAIN = "train"
 ROLE_EVAL = "eval"
@@ -196,28 +197,33 @@ class PromptUniverse:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PromptUniverse":
-        """Build a universe from its JSON form; ConfigurationError unless it
-        passes ``validate_universe``."""
+        """Build a universe from its JSON form; ConfigurationError unless its
+        config is well typed and it passes ``validate_universe``."""
         try:
-            config = UniverseConfig(**data["config"])
-        except TypeError as exc:
-            raise ConfigurationError(f"universe config: {exc}") from exc
-        entries = data["prompts"]
-        if [(e["prompt_id"], e["role"]) for e in entries] != list(enumerate(config.roles())):
-            raise ConfigurationError(
-                "prompt ids and roles break the role partition: prompt i needs id i and "
-                "the role that the config's train, eval and probe counts give it"
+            config = build_dataclass(UniverseConfig, data["config"], "universe config", [])
+            entries = data["prompts"]
+            if [(e["prompt_id"], e["role"]) for e in entries] != list(enumerate(config.roles())):
+                raise ConfigurationError(
+                    "prompt ids and roles break the role partition: prompt i needs id i and "
+                    "the role that the config's train, eval and probe counts give it"
+                )
+            universe = cls(
+                config=config,
+                features=_stack_rows([e["features"] for e in entries], "feature"),
+                true_reward=_stack_rows([e["true_reward"] for e in entries], "true_reward"),
+                correct_response=np.array(
+                    [
+                        -1
+                        if c is None
+                        else build_value(int, c, f"prompts[{i}].correct_response", [])
+                        for i, c in enumerate(e["correct_response"] for e in entries)
+                    ]
+                ),
+                proxy_bias_direction=np.asarray(data["proxy_bias_direction"], dtype=np.float64),
+                probe_direction=np.asarray(data["probe_direction"], dtype=np.float64),
             )
-        universe = cls(
-            config=config,
-            features=_stack_rows([e["features"] for e in entries], "feature"),
-            true_reward=_stack_rows([e["true_reward"] for e in entries], "true_reward"),
-            correct_response=np.array(
-                [-1 if e["correct_response"] is None else e["correct_response"] for e in entries]
-            ),
-            proxy_bias_direction=np.asarray(data["proxy_bias_direction"], dtype=np.float64),
-            probe_direction=np.asarray(data["probe_direction"], dtype=np.float64),
-        )
+        except (KeyError, TypeError) as exc:
+            raise ConfigurationError(f"malformed universe: {exc!r}") from exc
         report = validate_universe(universe)
         if report:
             raise ConfigurationError("invalid universe: " + "; ".join(report))

@@ -1,12 +1,14 @@
 """Behaviour lock: the smoke grid must reproduce its recorded fingerprint.
 
 ``behaviour_lock_smoke.json`` holds, per run of ``configs/smoke.json`` (both
-selectors, both seeds), the op counters, the universe hash, a digest and
-per-type counts of the event stream, a digest of the selection events
-(iteration, prompt, pair, winner), the APL margin of every selected pair, and
-the floats of ``metrics.csv`` and ``eval.csv``. Counters, hashes and digests
-must match exactly; CSV floats within 1e-9 relative; APL scores within 1e-12
-absolute (a margin near zero makes a relative bound meaningless).
+selectors, both seeds), the op counters, the universe hash, the sha256 of
+``events.jsonl``'s bytes, a digest and per-type counts of the event stream, a
+digest of the selection events (iteration, prompt, pair, winner), the APL
+margin of every selected pair, and the floats of ``metrics.csv`` and
+``eval.csv``. Counters, hashes and digests must match exactly, so the event
+file's key order and float text are pinned too; CSV floats within 1e-9
+relative; APL scores within 1e-12 absolute (a margin near zero makes a
+relative bound meaningless).
 
 Regenerate the fixture only when results are meant to change:
 
@@ -47,20 +49,21 @@ def fingerprint(run_dir: Path) -> dict:
     manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
     types, scores = [], []
     selection = hashlib.sha256()
-    with open(run_dir / "events.jsonl", encoding="utf-8") as fh:
-        for line in fh:
-            event = json.loads(line)
-            types.append(event["type"])
-            if event["type"] == "selection":
-                y1, y2 = event["pair"]
-                selection.update(
-                    f"{event['iteration']},{event['prompt_id']},{y1},{y2},{event['winner']}\n".encode()
-                )
-                if event["score"] is not None:
-                    scores.append(event["score"])
+    events = (run_dir / "events.jsonl").read_bytes()
+    for line in events.decode("utf-8").splitlines():
+        event = json.loads(line)
+        types.append(event["type"])
+        if event["type"] == "selection":
+            y1, y2 = event["pair"]
+            selection.update(
+                f"{event['iteration']},{event['prompt_id']},{y1},{y2},{event['winner']}\n".encode()
+            )
+            if event["score"] is not None:
+                scores.append(event["score"])
     return {
         "universe_hash": manifest["universe_hash"],
         "counters": json.loads((run_dir / "counters.json").read_text(encoding="utf-8")),
+        "events_sha256": hashlib.sha256(events).hexdigest(),
         "event_types_digest": hashlib.sha256("\n".join(types).encode()).hexdigest(),
         "event_type_counts": dict(sorted(Counter(types).items())),
         "selection_digest": selection.hexdigest(),
@@ -102,7 +105,14 @@ def test_smoke_grid_matches_recorded_fingerprint(tmp_path):
     assert sorted(actual) == sorted(recorded)
     for run_id, want in recorded.items():
         got = actual[run_id]
-        for key in ("universe_hash", "counters", "event_type_counts", "event_types_digest", "selection_digest"):
+        for key in (
+            "universe_hash",
+            "counters",
+            "events_sha256",
+            "event_type_counts",
+            "event_types_digest",
+            "selection_digest",
+        ):
             assert got[key] == want[key], f"{run_id}: {key} differs from the recorded run"
         _assert_table(f"{run_id} metrics.csv", got["metrics"], want["metrics"], CSV_REL_TOL)
         _assert_table(f"{run_id} eval.csv", got["eval"], want["eval"], CSV_REL_TOL)

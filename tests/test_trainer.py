@@ -1,6 +1,7 @@
 """Supervised fit and the online loop: determinism, budgets, aborts."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from preflab import (
     run_online_dpo,
     sft_fit,
 )
+from preflab.trainer import _json_floats
 
 
 def mean_chosen_log_prob(policy, universe):
@@ -161,9 +163,48 @@ class TestOnlineLoop:
         cfg = train_config(selector="apl")
         a = run_online_dpo(u, sft_fit(u, cfg), cfg)
         b = run_online_dpo(u, sft_fit(u, cfg), cfg)
-        assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
-            b.to_json_dict(), sort_keys=True
+        assert a.event_lines == b.event_lines
+        # through json.dumps, so that a NaN mean_loss compares equal to itself
+        for run_a, run_b in (
+            ([vars(log) for log in a.per_iteration], [vars(log) for log in b.per_iteration]),
+            (a.counters.to_json_dict(), b.counters.to_json_dict()),
+            (a.final_policy.to_json_dict(), b.final_policy.to_json_dict()),
+            (a.sft_policy.to_json_dict(), b.sft_policy.to_json_dict()),
+        ):
+            assert json.dumps(run_a, sort_keys=True) == json.dumps(run_b, sort_keys=True)
+        assert a.aborted is b.aborted is False
+
+    def test_every_event_line_is_canonical_json(self):
+        u = dense_universe()
+        apl_cfg, random_cfg = train_config(selector="apl"), train_config()
+        apl_run = run_online_dpo(u, sft_fit(u, apl_cfg), apl_cfg)
+        random_run = run_online_dpo(u, sft_fit(u, random_cfg), random_cfg)
+        # a point-mass sampler: degenerate prompts and budget shortfalls
+        collapsed = run_online_dpo(u, Policy(1e4 * u.probe_direction, label="sharp"), apl_cfg)
+        diverging = train_config(
+            dpo=DpoConfig(
+                beta=50.0, learning_rate=1e308, optimizer="sgd", warmup_ratio=0.0, max_steps=6
+            )
         )
+        with np.errstate(over="ignore"):
+            aborted = run_online_dpo(u, sft_fit(u, diverging), diverging)
+        assert aborted.aborted and not apl_run.aborted
+
+        kinds = set()
+        for result in (apl_run, random_run, collapsed, aborted):
+            for line in result.event_lines:
+                # one line, newline-terminated, sorted keys, the encoder's own text
+                assert line == json.dumps(json.loads(line), sort_keys=True) + "\n"
+                kinds.add(json.loads(line)["type"])
+        assert kinds == {"candidates", "degenerate_prompt", "budget_shortfall", "selection", "abort"}
+        scores = [e["score"] for e in random_run.events if e["type"] == "selection"]
+        assert scores and all(score is None for score in scores)
+
+    @pytest.mark.parametrize(
+        "values", [[], [0.0], [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, -1.5e-7]]
+    )
+    def test_score_text_is_the_encoders(self, values):
+        assert _json_floats(values) == [json.dumps(v) for v in values]
 
     def test_candidate_streams_paired_across_selectors(self):
         u = dense_universe()

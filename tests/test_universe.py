@@ -231,6 +231,27 @@ MALFORMED = {
         lambda d: d["prompts"][0]["features"][0].__setitem__(0, float("nan")),
         "non-finite",
     ),
+    "float prompt count": (
+        lambda d: d["config"].update(num_train_prompts=10.0),
+        "num_train_prompts: expected int",
+    ),
+    "string rho": (
+        lambda d: d["config"].update(misalignment_rho="0.3"),
+        "misalignment_rho: expected a finite float",
+    ),
+    "string seed": (lambda d: d["config"].update(seed="3"), "seed: expected int"),
+    "int tabular flag": (
+        lambda d: d["config"].update(tabular_mode=0),
+        "tabular_mode: expected bool",
+    ),
+    "missing config key": (lambda d: d["config"].pop("feature_dim"), "feature_dim"),
+    "float correct_response": (
+        lambda d: d["prompts"][-1].update(correct_response=2.0),
+        r"prompts\[19\].correct_response: expected int, got 2.0",
+    ),
+    "missing prompts": (lambda d: d.pop("prompts"), r"malformed universe: KeyError\('prompts'\)"),
+    "missing direction": (lambda d: d.pop("probe_direction"), r"KeyError\('probe_direction'\)"),
+    "prompt not an object": (lambda d: d["prompts"].__setitem__(0, [0]), "malformed universe"),
 }
 
 
