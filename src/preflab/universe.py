@@ -212,15 +212,9 @@ class PromptUniverse:
                 features=_stack_rows([e["features"] for e in entries], "feature"),
                 true_reward=_stack_rows([e["true_reward"] for e in entries], "true_reward"),
                 correct_response=np.array(
-                    [
-                        -1
-                        if c is None
-                        else build_value(int, c, f"prompts[{i}].correct_response", [])
-                        for i, c in enumerate(e["correct_response"] for e in entries)
-                    ]
+                    [_stored_response(e["correct_response"], i) for i, e in enumerate(entries)]
                 ),
-                proxy_bias_direction=np.asarray(data["proxy_bias_direction"], dtype=np.float64),
-                probe_direction=np.asarray(data["probe_direction"], dtype=np.float64),
+                **{k: _stack_rows(data[k], k) for k in ("proxy_bias_direction", "probe_direction")},
             )
         except (KeyError, TypeError) as exc:
             raise ConfigurationError(f"malformed universe: {exc!r}") from exc
@@ -256,10 +250,21 @@ class PromptUniverse:
 
 
 def _stack_rows(rows: list, what: str) -> np.ndarray:
+    """``rows`` as one float64 array; ConfigurationError if ragged or not all numbers."""
     try:
-        return np.asarray(rows, dtype=np.float64)
+        array = np.asarray(rows)
     except ValueError as exc:
-        raise ConfigurationError(f"prompts do not share one {what} shape: {exc}") from exc
+        raise ConfigurationError(f"{what} values do not share one {what} shape: {exc}") from exc
+    if array.dtype.kind not in "iuf":
+        raise ConfigurationError(f"{what} values are not all numbers (read as {array.dtype})")
+    return array.astype(np.float64, copy=False)
+
+
+def _stored_response(c, i: int) -> int:
+    """A stored correct_response, null (-1 in memory) or an int >= 0."""
+    if c is not None and build_value(int, c, f"prompts[{i}].correct_response", []) < 0:
+        raise ConfigurationError(f"prompts[{i}].correct_response: expected null or >= 0, got {c}")
+    return -1 if c is None else c
 
 
 def make_tabular_features(num_prompts: int, responses_per_prompt: int) -> np.ndarray:
@@ -410,23 +415,9 @@ def validate_universe(universe: PromptUniverse) -> list[str]:
     except ConfigurationError as exc:
         report.append(f"config: {exc}")
 
-    for name, vec in (
-        ("proxy_bias_direction", universe.proxy_bias_direction),
-        ("probe_direction", universe.probe_direction),
-    ):
-        norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > 1e-9:
-            report.append(f"{name} is not unit norm (|norm - 1| = {abs(norm - 1.0):.3e})")
-
-    cosine = float(universe.proxy_bias_direction @ universe.probe_direction)
-    if abs(cosine - config.misalignment_rho) > 1e-6:
-        report.append(
-            f"cosine(g, u) = {cosine!r} deviates from misalignment_rho = "
-            f"{config.misalignment_rho!r} by more than 1e-6"
-        )
-
     n, v, d = config.total_prompts, config.responses_per_prompt, config.feature_dim
     shapes = {"features": (n, v, d), "true_reward": (n, v), "correct_response": (n,)}
+    shapes.update(proxy_bias_direction=(d,), probe_direction=(d,))
     wrong = [
         f"{name} shape {getattr(universe, name).shape} != {shape}"
         for name, shape in shapes.items()
@@ -434,6 +425,17 @@ def validate_universe(universe: PromptUniverse) -> list[str]:
     ]
     if wrong:
         return report + wrong
+    # Written as "not <=" so that a NaN norm or cosine is reported too.
+    for name in ("proxy_bias_direction", "probe_direction"):
+        norm = float(np.linalg.norm(getattr(universe, name)))
+        if not abs(norm - 1.0) <= 1e-9:
+            report.append(f"{name} is not unit norm (|norm - 1| = {abs(norm - 1.0):.3e})")
+    cosine = float(universe.proxy_bias_direction @ universe.probe_direction)
+    if not abs(cosine - config.misalignment_rho) <= 1e-6:
+        report.append(
+            f"cosine(g, u) = {cosine!r} deviates from misalignment_rho = "
+            f"{config.misalignment_rho!r} by more than 1e-6"
+        )
     for name in ("features", "true_reward"):
         finite = np.isfinite(getattr(universe, name).reshape(n, -1)).all(axis=1)
         report.extend(f"prompt {i}: {name} has non-finite values" for i in np.flatnonzero(~finite))

@@ -7,9 +7,13 @@ import hashlib
 import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -517,6 +521,55 @@ class TestAggregation:
         assert summaries["with_failed"] == summaries["clean"]
 
 
+TAIL_DFS = [1, 1.5, 2, 2.37, 5, 10.2, 30, 58, 200, 1000]
+TAIL_TS = [0, 1e-8, 0.1, 1, 2.5, 10, 100]
+
+
+class TestStudentTail:
+    """``harness._t_two_sided_p`` against mpmath's regularized incomplete beta.
+
+    mpmath is the reference, not scipy: scipy.special.stdtr(1, -1e-8) is itself
+    3.1e-9 off the exact tail.
+    """
+
+    @pytest.mark.parametrize("df", TAIL_DFS)
+    def test_matches_mpmath_within_1e_12(self, df):
+        with mp.workdps(50):
+            for t in TAIL_TS:
+                nu = mp.mpf(df)
+                x = nu / (nu + mp.mpf(t) ** 2)
+                want = mp.betainc(nu / 2, mp.mpf(1) / 2, 0, x, regularized=True)
+                for sign in (1, -1):
+                    got = harness._t_two_sided_p(sign * t, df)
+                    if want >= mp.mpf("1e-300"):
+                        assert abs(got - want) <= 1e-12 * want, (df, sign * t, got)
+                    else:
+                        assert 0.0 <= got < 1e-299, (df, sign * t, got)
+
+    @pytest.mark.parametrize("t", [1e-8, 0.3, 1, 2.5, 10, 100])
+    def test_closed_forms_at_one_and_two_df(self, t):
+        with mp.workdps(50):
+            one = 1 - 2 / mp.pi * mp.atan(mp.mpf(t))
+            two = 1 - mp.mpf(t) / mp.sqrt(2 + mp.mpf(t) ** 2)
+            assert abs(harness._t_two_sided_p(t, 1.0) - one) <= 1e-12 * one
+            assert abs(harness._t_two_sided_p(-t, 2.0) - two) <= 1e-12 * two
+
+    @pytest.mark.parametrize("df", TAIL_DFS)
+    def test_zero_and_infinite_t(self, df):
+        assert harness._t_two_sided_p(0.0, df) == 1.0
+        assert harness._t_two_sided_p(-0.0, df) == 1.0
+        assert harness._t_two_sided_p(math.inf, df) == 0.0
+        assert harness._t_two_sided_p(-math.inf, df) == 0.0
+
+    def test_nan_data_returns_none_before_the_tail(self, monkeypatch):
+        def tail(t, df):
+            raise AssertionError(f"tail evaluated at t={t}, df={df}")
+
+        monkeypatch.setattr(harness, "_t_two_sided_p", tail)
+        assert harness._welch([0.5, math.nan, 0.7], [0.6, 0.8]) is None
+        assert harness._welch([0.5, 0.6], [math.nan, math.nan]) is None
+
+
 class TestPareto:
     def test_rows_header_and_ordering(self, tmp_path):
         dirs = [
@@ -569,6 +622,15 @@ class TestCli:
     def test_report_on_a_missing_directory_exits_2(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "missing")]) == 2
         assert capsys.readouterr().err.startswith("error: no run directories found")
+
+    def test_cli_import_loads_no_scipy(self):
+        code = "import sys, preflab.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+        env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_config_error_returns_nonzero(self, tmp_path):
         config = grid_config(tmp_path / "runs", seeds=[42, 42])

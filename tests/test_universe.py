@@ -252,6 +252,39 @@ MALFORMED = {
     "missing prompts": (lambda d: d.pop("prompts"), r"malformed universe: KeyError\('prompts'\)"),
     "missing direction": (lambda d: d.pop("probe_direction"), r"KeyError\('probe_direction'\)"),
     "prompt not an object": (lambda d: d["prompts"].__setitem__(0, [0]), "malformed universe"),
+    "string in direction": (
+        lambda d: d["probe_direction"].__setitem__(0, "x"),
+        "probe_direction values are not all numbers",
+    ),
+    "numeric string in direction": (
+        lambda d: d["proxy_bias_direction"].__setitem__(1, str(d["proxy_bias_direction"][1])),
+        "proxy_bias_direction values are not all numbers",
+    ),
+    "null in direction": (
+        lambda d: d["probe_direction"].__setitem__(2, None),
+        "probe_direction values are not all numbers",
+    ),
+    "NaN in direction": (
+        lambda d: d["probe_direction"].__setitem__(0, float("nan")),
+        "probe_direction is not unit norm",
+    ),
+    "long direction": (lambda d: d["probe_direction"].append(0.0), r"probe_direction shape \(9,\)"),
+    "string feature": (
+        lambda d: d["prompts"][2]["features"][1].__setitem__(0, "0.5"),
+        "feature values are not all numbers",
+    ),
+    "null true_reward": (
+        lambda d: d["prompts"][2]["true_reward"].__setitem__(0, None),
+        "true_reward values are not all numbers",
+    ),
+    "-1 correct_response on a non-probe prompt": (
+        lambda d: d["prompts"][0].update(correct_response=-1),
+        r"prompts\[0\].correct_response: expected null or >= 0, got -1",
+    ),
+    "-1 correct_response on a probe prompt": (
+        lambda d: d["prompts"][-1].update(correct_response=-1),
+        r"prompts\[19\].correct_response: expected null or >= 0, got -1",
+    ),
 }
 
 
