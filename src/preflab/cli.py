@@ -103,15 +103,7 @@ def _dispatch(args) -> int:
 
     if args.command == "sft":
         seed = args.seed if args.seed is not None else grid.seeds[0]
-        cfg = TrainConfig(
-            dpo=grid.train.dpo,
-            selection=grid.train.selection,
-            selector=grid.selectors[0],
-            annotator=grid.annotators[0],
-            sft=grid.train.sft,
-            run_seed=seed,
-        )
-        policy = sft_fit(universe, cfg)
+        policy = sft_fit(universe, TrainConfig(sft=grid.train.sft, run_seed=seed))
         out_dir = Path(grid.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         out = out_dir / "sft_policy.json"

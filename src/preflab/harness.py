@@ -23,6 +23,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import combinations
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -466,65 +467,26 @@ def run_grid(
 # --------------------------------------------------------------------------
 
 
-def _warn_skipped_runs(run_dirs: Sequence[Path]) -> None:
-    """Name on stderr each run directory without eval.csv (a failed run)."""
+def _read_runs(run_dirs: Sequence[Path]) -> tuple[list[dict], list[Path]]:
+    """The typed eval.csv rows of the run directories, each carrying its run's
+    counters.json under "counters" (None where there is none), and the
+    directories without eval.csv (failed runs)."""
+    rows, skipped = [], []
     for run_dir in map(Path, run_dirs):
-        if (run_dir / "eval.csv").exists():
+        if not (run_dir / "eval.csv").exists():
+            skipped.append(run_dir)
             continue
-        try:
-            manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
-            status = manifest["status"]
-        except (OSError, ValueError, KeyError):
-            status = "unreadable manifest"
-        print(
-            f"warning: {run_dir} has no eval.csv (manifest status {status!r}); "
-            "it is left out of the report",
-            file=sys.stderr,
-        )
-
-
-def _read_eval_rows(run_dirs: Sequence[Path]) -> list[dict]:
-    rows = []
-    for run_dir in run_dirs:
-        eval_path = Path(run_dir) / "eval.csv"
-        if not eval_path.exists():
-            continue
-        with open(eval_path, "r", encoding="utf-8", newline="") as fh:
+        path = run_dir / "counters.json"
+        counters = json.loads(path.read_text(encoding="utf-8")) if path.exists() else None
+        with open(run_dir / "eval.csv", "r", encoding="utf-8", newline="") as fh:
             for row in csv.DictReader(fh):
                 row["seed"] = int(row["seed"])
                 for key in ("win_rate", "ci_low", "ci_high", "probe_acc", "delta_acc_pp", "mean_entropy"):
                     row[key] = float(row[key])
                 row["collapse_flag"] = row["collapse_flag"] == "true"
+                row["counters"] = counters
                 rows.append(row)
-    return rows
-
-
-def _read_counters(run_dirs: Sequence[Path]) -> dict[str, dict]:
-    counters = {}
-    for run_dir in run_dirs:
-        counters_path = Path(run_dir) / "counters.json"
-        if counters_path.exists():
-            with open(counters_path, "r", encoding="utf-8") as fh:
-                counters[Path(run_dir).name] = json.load(fh)
-    return counters
-
-
-def _warn_unmatched_budgets(rows: list[dict], counters: dict[str, dict]) -> None:
-    """Name on stderr each (annotator, seed) whose selectors bought different
-    numbers of judge queries."""
-    queries: dict[tuple[str, int], dict[str, int]] = {}
-    for row in rows:
-        if row["run_id"] in counters:
-            key = (row["annotator_label"], row["seed"])
-            queries.setdefault(key, {})[row["selector"]] = counters[row["run_id"]]["judge_queries"]
-    for (annotator, seed), bought in sorted(queries.items()):
-        if len(set(bought.values())) > 1:
-            counts = ", ".join(f"{sel} {n}" for sel, n in sorted(bought.items()))
-            print(
-                f"warning: annotator {annotator!r} seed {seed}: selectors bought "
-                f"different judge-query counts ({counts})",
-                file=sys.stderr,
-            )
+    return rows, skipped
 
 
 def _welch(a: Sequence[float], b: Sequence[float]) -> Optional[tuple[float, float]]:
@@ -576,6 +538,11 @@ def _sample_std(values: Sequence[float]) -> float:
     return float(np.std(values, ddof=1))
 
 
+def _scoring(counters: Optional[dict]) -> int:
+    """A run's scoring log-prob evaluations; 0 for no run."""
+    return counters["policy_logprob_evals"] + counters["ref_logprob_evals"] if counters else 0
+
+
 def aggregate_summary(
     run_dirs: Sequence[Path],
 ) -> tuple[list[SummaryRow], list[dict]]:
@@ -585,69 +552,75 @@ def aggregate_summary(
     delta_acc_pp; cells with fewer than two seeds or zero variance on both
     sides are reported as degenerate rather than fabricating a p-value. A run
     directory without eval.csv (a failed run) is named in a warning on
-    stderr, so a shrunken n_seeds never goes unnoticed.
+    stderr, so a shrunken n_seeds never goes unnoticed, and so is each
+    (annotator, seed) whose selectors bought different numbers of judge queries.
     """
-    _warn_skipped_runs(run_dirs)
-    rows = _read_eval_rows(run_dirs)
+    rows, skipped = _read_runs(run_dirs)
+    for run_dir in skipped:
+        try:
+            status = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["status"]
+        except (OSError, ValueError, KeyError):
+            status = "unreadable manifest"
+        print(
+            f"warning: {run_dir} has no eval.csv (manifest status {status!r}); "
+            "it is left out of the report",
+            file=sys.stderr,
+        )
     if not rows:
         raise ConfigurationError("no eval.csv rows found under the given run directories")
-    counters = _read_counters(run_dirs)
-    _warn_unmatched_budgets(rows, counters)
-    scoring = {
-        run_id: c["policy_logprob_evals"] + c["ref_logprob_evals"] for run_id, c in counters.items()
-    }
 
-    groups: dict[tuple[str, str, str], list[dict]] = {}
+    # runs that share (annotator, seed) differ only in selector: they are the compared pairs
+    paired: dict[tuple[str, int], dict[str, dict]] = {}
     for row in rows:
-        key = (row["selector"], row["annotator_label"], row["evaluator_label"])
-        groups.setdefault(key, []).append(row)
-
-    random_scoring: dict[tuple[str, int], int] = {}
-    for row in rows:
-        if row["selector"] == SELECTOR_RANDOM and row["run_id"] in scoring:
-            random_scoring[(row["annotator_label"], row["seed"])] = scoring[row["run_id"]]
-
-    summary: list[SummaryRow] = []
-    for key in sorted(groups):
-        selector, annotator, evaluator = key
-        cell = sorted(groups[key], key=lambda r: r["seed"])
-        win_rates = [r["win_rate"] for r in cell]
-        deltas = [r["delta_acc_pp"] for r in cell]
-        extras = []
-        for r in cell:
-            own = scoring.get(r["run_id"])
-            if own is None:
-                continue
-            baseline = random_scoring.get((annotator, r["seed"]), own if selector == SELECTOR_RANDOM else 0)
-            extras.append(own - baseline)
-        summary.append(
-            SummaryRow(
-                selector=selector,
-                annotator=annotator,
-                evaluator=evaluator,
-                n_seeds=len(cell),
-                win_rate_mean=float(np.mean(win_rates)),
-                win_rate_std=_sample_std(win_rates),
-                delta_acc_mean=float(np.mean(deltas)),
-                delta_acc_std=_sample_std(deltas),
-                collapse_runs=sum(1 for r in cell if r["collapse_flag"]),
-                extra_scoring_ops_mean=float(np.mean(extras)) if extras else 0.0,
+        if row["counters"] is not None:
+            paired.setdefault((row["annotator_label"], row["seed"]), {})[row["selector"]] = row["counters"]
+    for (annotator, seed), by_selector in sorted(paired.items()):
+        bought = {selector: counters["judge_queries"] for selector, counters in by_selector.items()}
+        if len(set(bought.values())) > 1:
+            counts = ", ".join(f"{sel} {n}" for sel, n in sorted(bought.items()))
+            print(
+                f"warning: annotator {annotator!r} seed {seed}: selectors bought "
+                f"different judge-query counts ({counts})",
+                file=sys.stderr,
             )
-        )
 
-    welch_records: list[dict] = []
-    by_annotator_evaluator: dict[tuple[str, str], dict[str, list[dict]]] = {}
-    for row in rows:
+    cells: dict[tuple[str, str], dict[str, list[dict]]] = {}
+    for row in sorted(rows, key=lambda r: r["seed"]):
         key = (row["annotator_label"], row["evaluator_label"])
-        by_annotator_evaluator.setdefault(key, {}).setdefault(row["selector"], []).append(row)
-    for (annotator, evaluator), by_selector in sorted(by_annotator_evaluator.items()):
-        selectors = sorted(by_selector)
-        for i, sel_a in enumerate(selectors):
-            for sel_b in selectors[i + 1 :]:
-                for metric in ("win_rate", "delta_acc_pp"):
-                    a = [r[metric] for r in sorted(by_selector[sel_a], key=lambda r: r["seed"])]
-                    b = [r[metric] for r in sorted(by_selector[sel_b], key=lambda r: r["seed"])]
-                    record = {
+        cells.setdefault(key, {}).setdefault(row["selector"], []).append(row)
+
+    summary, welch_records = [], []
+    for (annotator, evaluator), by_selector in sorted(cells.items()):
+        for selector, cell in by_selector.items():
+            win_rates = [r["win_rate"] for r in cell]
+            deltas = [r["delta_acc_pp"] for r in cell]
+            # own scoring minus the paired random run's, or 0 without one
+            extras = [
+                _scoring(r["counters"]) - _scoring(paired[annotator, r["seed"]].get(SELECTOR_RANDOM))
+                for r in cell if r["counters"] is not None
+            ]
+            summary.append(
+                SummaryRow(
+                    selector=selector,
+                    annotator=annotator,
+                    evaluator=evaluator,
+                    n_seeds=len(cell),
+                    win_rate_mean=float(np.mean(win_rates)),
+                    win_rate_std=_sample_std(win_rates),
+                    delta_acc_mean=float(np.mean(deltas)),
+                    delta_acc_std=_sample_std(deltas),
+                    collapse_runs=sum(1 for r in cell if r["collapse_flag"]),
+                    extra_scoring_ops_mean=float(np.mean(extras)) if extras else 0.0,
+                )
+            )
+        for sel_a, sel_b in combinations(sorted(by_selector), 2):
+            for metric in ("win_rate", "delta_acc_pp"):
+                a = [r[metric] for r in by_selector[sel_a]]
+                b = [r[metric] for r in by_selector[sel_b]]
+                test = _welch(a, b)
+                t_stat, p_value = test if test else ("", "")
+                welch_records.append(
+                    {
                         "annotator": annotator,
                         "evaluator": evaluator,
                         "metric": metric,
@@ -657,22 +630,18 @@ def aggregate_summary(
                         "n_b": len(b),
                         "mean_a": float(np.mean(a)),
                         "mean_b": float(np.mean(b)),
-                        "t_stat": "",
-                        "p_value": "",
-                        "note": "",
+                        "t_stat": t_stat,
+                        "p_value": p_value,
+                        "note": "" if test else "degenerate",
                     }
-                    test = _welch(a, b)
-                    if test is None:
-                        record["note"] = "degenerate"
-                    else:
-                        record["t_stat"], record["p_value"] = test
-                    welch_records.append(record)
+                )
+    summary.sort(key=lambda row: (row.selector, row.annotator, row.evaluator))
     return summary, welch_records
 
 
 def emit_pareto(run_dirs: Sequence[Path], path) -> Path:
     """Plot-ready scatter data: one row per (run, evaluator)."""
-    rows = _read_eval_rows(run_dirs)
+    rows, _ = _read_runs(run_dirs)
     if not rows:
         raise ConfigurationError("no eval.csv rows found under the given run directories")
     rows.sort(key=lambda r: (r["selector"], r["annotator_label"], r["seed"], r["evaluator_label"]))

@@ -85,9 +85,6 @@ class OpCounters:
     judge_queries: int = 0
     generated_samples: int = 0
 
-    def scoring_evals(self) -> int:
-        return self.policy_logprob_evals + self.ref_logprob_evals
-
     def to_json_dict(self) -> dict:
         return asdict(self)
 

@@ -250,14 +250,22 @@ class PromptUniverse:
 
 
 def _stack_rows(rows: list, what: str) -> np.ndarray:
-    """``rows`` as one float64 array; ConfigurationError if ragged or not all numbers."""
+    """``rows`` as one float64 array; ConfigurationError if ragged or not all floats.
+
+    A JSON integer or boolean would load as a float but re-encode differently,
+    so the file's bytes would not hash to its content hash."""
     try:
         array = np.asarray(rows)
     except ValueError as exc:
         raise ConfigurationError(f"{what} values do not share one {what} shape: {exc}") from exc
     if array.dtype.kind not in "iuf":
         raise ConfigurationError(f"{what} values are not all numbers (read as {array.dtype})")
-    return array.astype(np.float64, copy=False)
+    others = set(map(type, np.asarray(rows, dtype=object).ravel().tolist())) - {float}
+    if others:
+        raise ConfigurationError(
+            f"{what} values are not all floats (found {', '.join(sorted(t.__name__ for t in others))})"
+        )
+    return array
 
 
 def _stored_response(c, i: int) -> int:

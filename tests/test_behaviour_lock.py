@@ -5,10 +5,11 @@ selectors, both seeds), the op counters, the universe hash, the sha256 of
 ``events.jsonl``'s bytes, a digest and per-type counts of the event stream, a
 digest of the selection events (iteration, prompt, pair, winner), the APL
 margin of every selected pair, and the floats of ``metrics.csv`` and
-``eval.csv``. Counters, hashes and digests must match exactly, so the event
-file's key order and float text are pinned too; CSV floats within 1e-9
-relative; APL scores within 1e-12 absolute (a margin near zero makes a
-relative bound meaningless).
+``eval.csv``; under ``"report"`` it holds the cells of the ``summary.csv``,
+``welch.csv`` and ``pareto.csv`` that ``report`` writes for those runs.
+Counters, hashes and digests must match exactly, so the event file's key order
+and float text are pinned too; CSV floats within 1e-9 relative; APL scores
+within 1e-12 absolute (a margin near zero makes a relative bound meaningless).
 
 Regenerate the fixture only when results are meant to change:
 
@@ -22,7 +23,7 @@ import math
 from collections import Counter
 from pathlib import Path
 
-from preflab import parse_config, run_grid
+from preflab import aggregate_summary, emit_pareto, parse_config, run_grid, write_summary
 
 ROOT = Path(__file__).resolve().parent.parent
 SMOKE_CONFIG = ROOT / "configs" / "smoke.json"
@@ -79,7 +80,17 @@ def run_smoke_grid(out_dir: Path) -> dict:
     config_path = out_dir.parent / "smoke_lock_config.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
     grid, manifest = parse_config(config_path)
-    return {d.name: fingerprint(d) for d in run_grid(grid, grid_manifest=manifest)}
+    run_dirs = run_grid(grid, grid_manifest=manifest)
+    fingerprints = {d.name: fingerprint(d) for d in run_dirs}
+    fingerprints["report"] = report_tables(run_dirs, out_dir)
+    return fingerprints
+
+
+def report_tables(run_dirs: list[Path], out_dir: Path) -> dict:
+    summary, welch = aggregate_summary(run_dirs)
+    write_summary(summary, welch, out_dir)
+    emit_pareto(run_dirs, out_dir / "pareto.csv")
+    return {name: _csv_cells(out_dir / f"{name}.csv") for name in ("summary", "welch", "pareto")}
 
 
 def _floats_close(got, want, rel: float, abs_: float) -> bool:
@@ -103,6 +114,8 @@ def test_smoke_grid_matches_recorded_fingerprint(tmp_path):
     recorded = json.loads(FIXTURE.read_text(encoding="utf-8"))
     actual = run_smoke_grid(tmp_path / "runs")
     assert sorted(actual) == sorted(recorded)
+    for name, want in recorded.pop("report").items():
+        _assert_table(f"{name}.csv", actual["report"][name], want, CSV_REL_TOL)
     for run_id, want in recorded.items():
         got = actual[run_id]
         for key in (

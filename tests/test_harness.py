@@ -445,20 +445,33 @@ class TestAggregation:
         for seed in (42, 43):
             dirs.append(fake_run_dir(tmp_path, "random", "weak", seed, 0.7, -1.0))
             dirs.append(fake_run_dir(tmp_path, "apl", "weak", seed, 0.7, -1.0, scoring=24))
+        # unequal seed counts: two apl runs against one random run
+        dirs.append(fake_run_dir(tmp_path, "apl", "strong", 42, 0.7, -1.0, scoring=24))
+        dirs.append(fake_run_dir(tmp_path, "apl", "strong", 43, 0.8, -2.0, scoring=24))
+        dirs.append(fake_run_dir(tmp_path, "random", "strong", 42, 0.6, -1.0))
         _, welch = aggregate_summary(dirs)
         assert welch and all(record["note"] == "degenerate" for record in welch)
+        strong = [r for r in welch if r["annotator"] == "strong"]
+        assert len(strong) == 2
+        assert all((r["selector_a"], r["n_a"], r["n_b"]) == ("apl", 2, 1) for r in strong)
 
     def test_extra_scoring_ops_paired_by_seed(self, tmp_path):
         dirs = []
-        for seed in (42, 43):
+        for seed in (42, 43, 44):
             dirs.append(fake_run_dir(tmp_path, "random", "weak", seed, 0.7, -1.0))
             dirs.append(
                 fake_run_dir(tmp_path, "apl", "weak", seed, 0.8, -0.5, scoring=24)
             )
+        # seed 44's apl run has no counters: left out of the extras, still a seed
+        (dirs[-1] / "counters.json").unlink()
+        # an apl run without a paired random run is charged its own scoring
+        dirs.append(fake_run_dir(tmp_path, "apl", "solo", 42, 0.8, -0.5, scoring=24))
         summary, _ = aggregate_summary(dirs)
-        by_selector = {row.selector: row for row in summary}
-        assert by_selector["apl"].extra_scoring_ops_mean == 48.0
-        assert by_selector["random"].extra_scoring_ops_mean == 0.0
+        by_cell = {(row.selector, row.annotator): row for row in summary}
+        assert by_cell["apl", "weak"].extra_scoring_ops_mean == 48.0
+        assert by_cell["apl", "weak"].n_seeds == 3
+        assert by_cell["random", "weak"].extra_scoring_ops_mean == 0.0
+        assert by_cell["apl", "solo"].extra_scoring_ops_mean == 48.0
 
     def test_welch_oracle_against_scipy(self, tmp_path):
         from scipy import stats
@@ -483,6 +496,10 @@ class TestAggregation:
                 fake_run_dir(out, "random", "weak", seed, 0.6, -1.0)
                 queries = apl_queries if seed == 43 else 10
                 fake_run_dir(out, "apl", "weak", seed, 0.7, -1.0, scoring=24, queries=queries)
+            # a run without counters.json cannot show an unmatched budget
+            fake_run_dir(out, "random", "weak", 44, 0.6, -1.0)
+            no_counters = fake_run_dir(out, "apl", "weak", 44, 0.7, -1.0, scoring=24, queries=8)
+            (no_counters / "counters.json").unlink()
             assert main(["report", "--out", str(out)]) == 0
             summaries[name] = (out / "summary.csv").read_bytes()
             warnings = [

@@ -277,6 +277,22 @@ MALFORMED = {
         lambda d: d["prompts"][2]["true_reward"].__setitem__(0, None),
         "true_reward values are not all numbers",
     ),
+    "true in true_reward": (
+        lambda d: d["prompts"][2].update(true_reward=[True] * len(d["prompts"][2]["true_reward"])),
+        r"true_reward values are not all floats \(found bool\)",
+    ),
+    "int feature": (
+        lambda d: d["prompts"][1]["features"][0].__setitem__(3, 0),
+        r"feature values are not all floats \(found int\)",
+    ),
+    "int in direction": (
+        lambda d: d["proxy_bias_direction"].__setitem__(0, 0),
+        r"proxy_bias_direction values are not all floats \(found int\)",
+    ),
+    "false in direction": (
+        lambda d: d["probe_direction"].__setitem__(1, False),
+        r"probe_direction values are not all floats \(found bool\)",
+    ),
     "-1 correct_response on a non-probe prompt": (
         lambda d: d["prompts"][0].update(correct_response=-1),
         r"prompts\[0\].correct_response: expected null or >= 0, got -1",
