@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigurationError
@@ -82,7 +83,7 @@ def _dispatch(args) -> int:
 
     grid, manifest = parse_config(args.config)
     if args.out:
-        grid.output_dir = args.out
+        grid = replace(grid, output_dir=args.out)
         manifest["config"]["output_dir"] = args.out
 
     if args.command == "generate":

@@ -25,7 +25,6 @@ batch-size independent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +34,10 @@ from .policy import Policy, check_feature_dim, log_prob
 from .policy import grad_log_prob  # noqa: F401  (traced by bench/spans.py)
 from .universe import PromptRecord
 
-OPTIMIZER_SGD = "sgd"
-OPTIMIZER_ADAM = "adam"
-
-SCHEDULE_CONSTANT = "constant"
-SCHEDULE_COSINE = "cosine"
+# Adam is the one optimizer, at its usual constants.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -53,23 +51,15 @@ class PreferenceTriple:
 class DpoConfig:
     beta: float = 0.1
     learning_rate: float = 0.02
-    optimizer: str = OPTIMIZER_ADAM
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.0
     warmup_ratio: float = 0.05
     updates_per_sample: int = 4
     max_steps: int = 625
-    lr_schedule: str = SCHEDULE_CONSTANT
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.beta <= 0:
             raise ConfigurationError(f"beta must be > 0, got {self.beta}")
         if self.learning_rate <= 0:
             raise ConfigurationError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.optimizer not in (OPTIMIZER_SGD, OPTIMIZER_ADAM):
-            raise ConfigurationError(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 <= self.warmup_ratio < 1.0:
             raise ConfigurationError(f"warmup_ratio must lie in [0, 1), got {self.warmup_ratio}")
         if self.updates_per_sample < 1:
@@ -78,14 +68,6 @@ class DpoConfig:
             )
         if self.max_steps < 0:
             raise ConfigurationError(f"max_steps must be >= 0, got {self.max_steps}")
-        if self.weight_decay < 0:
-            raise ConfigurationError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
-            raise ConfigurationError("adam betas must lie in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ConfigurationError(f"adam_eps must be > 0, got {self.adam_eps}")
-        if self.lr_schedule not in (SCHEDULE_CONSTANT, SCHEDULE_COSINE):
-            raise ConfigurationError(f"unknown lr_schedule {self.lr_schedule!r}")
 
     @property
     def total_updates(self) -> int:
@@ -150,42 +132,27 @@ def dpo_batch_grad(
 
 
 def lr_at_step(cfg: DpoConfig, step: int) -> float:
-    """Linear warmup over the first warmup_ratio of total updates, then
-    constant (or cosine decay to zero when lr_schedule = "cosine")."""
-    total = cfg.total_updates
-    if total <= 0:
-        return cfg.learning_rate
-    warmup = cfg.warmup_ratio * total
+    """Linear warmup over the first warmup_ratio of total updates, then constant."""
+    warmup = cfg.warmup_ratio * cfg.total_updates
     if warmup > 0 and step < warmup:
         return cfg.learning_rate * step / warmup
-    if cfg.lr_schedule == SCHEDULE_COSINE:
-        span = total - warmup
-        if span <= 0:
-            return cfg.learning_rate
-        progress = min(max((step - warmup) / span, 0.0), 1.0)
-        return cfg.learning_rate * 0.5 * (1.0 + math.cos(math.pi * progress))
     return cfg.learning_rate
 
 
 def optimizer_step(
-    state: OptimizerState, theta: np.ndarray, grad: np.ndarray, cfg: DpoConfig
+    state: OptimizerState, theta: np.ndarray, grad: np.ndarray, lr: float
 ) -> tuple[np.ndarray, OptimizerState]:
-    """One descent update; returns new parameters and state, inputs untouched.
-    Raises TrainingError for non-finite new parameters, as any non-finite gradient gives."""
+    """One Adam update at learning rate ``lr``; returns new parameters and state,
+    inputs untouched. Raises TrainingError for non-finite new parameters, as any
+    non-finite gradient gives."""
     if theta.shape != grad.shape:
         raise ContractError(f"theta shape {theta.shape} != grad shape {grad.shape}")
-    lr = lr_at_step(cfg, state.step)
     step = state.step + 1
-    if cfg.optimizer == OPTIMIZER_SGD:
-        new_theta = theta - lr * grad
-        m, v = state.first_moment, state.second_moment
-    else:
-        m = cfg.adam_beta1 * state.first_moment + (1.0 - cfg.adam_beta1) * grad
-        v = cfg.adam_beta2 * state.second_moment + (1.0 - cfg.adam_beta2) * grad * grad
-        m_hat = m / (1.0 - cfg.adam_beta1**step)
-        v_hat = v / (1.0 - cfg.adam_beta2**step)
-        update = m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-        new_theta = theta - lr * (update + cfg.weight_decay * theta)
+    m = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1**step)
+    v_hat = v / (1.0 - ADAM_BETA2**step)
+    new_theta = theta - lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS))
     if not np.all(np.isfinite(new_theta)):
         raise TrainingError(f"non-finite parameters at update {step}")
     return new_theta, OptimizerState(step, m, v)

@@ -36,7 +36,7 @@ from .evaluation import collapse_metrics, estimate_win_rate, probe_accuracy
 from .judges import Judge, JudgeSpec
 from .rng import mix_seeds, substream
 from .schema import build_dataclass, build_value
-from .selection import SELECTOR_APL, SELECTOR_RANDOM, SelectionConfig
+from .selection import SELECTOR_APL, SELECTOR_RANDOM, SelectionConfig, check_selector
 from .trainer import IterationLog, RunResult, SftConfig, TrainConfig, run_online_dpo, sft_fit
 from .universe import ROLE_EVAL, PromptUniverse, UniverseConfig, generate_universe
 
@@ -87,7 +87,7 @@ class EvalSettings:
     n_trials: int = 2000
     collapse_fraction: float = 0.1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_trials < 1:
             raise ConfigurationError(f"eval.n_trials must be >= 1, got {self.n_trials}")
         if not 0.0 < self.collapse_fraction < 1.0:
@@ -103,7 +103,7 @@ class TrainTemplate:
     sft: SftConfig = field(default_factory=SftConfig)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentGrid:
     universe: Optional[UniverseConfig] = None
     universe_path: Optional[str] = None
@@ -115,33 +115,24 @@ class ExperimentGrid:
     eval_settings: EvalSettings = field(default_factory=EvalSettings)
     output_dir: str = "runs"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if (self.universe is None) == (self.universe_path is None):
             raise ConfigurationError(
                 "exactly one of 'universe' and 'universe_path' must be given"
             )
-        if self.universe is not None:
-            self.universe.validate()
         for name in ("selectors", "seeds", "annotators", "evaluators"):
             if not getattr(self, name):
                 raise ConfigurationError(f"{name} must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError(f"seeds contain duplicates: {self.seeds}")
         for selector in self.selectors:
-            if selector not in (SELECTOR_RANDOM, SELECTOR_APL):
-                raise ConfigurationError(f"unknown selector {selector!r}")
+            check_selector(selector)
         if len(set(self.selectors)) != len(self.selectors):
             raise ConfigurationError("selectors contain duplicates")
         for group_name, specs in (("annotators", self.annotators), ("evaluators", self.evaluators)):
             labels = [s.label for s in specs]
             if len(set(labels)) != len(labels):
                 raise ConfigurationError(f"{group_name} labels must be distinct: {labels}")
-            for spec in specs:
-                spec.validate()
-        self.train.dpo.validate()
-        self.train.selection.validate()
-        self.train.sft.validate()
-        self.eval_settings.validate()
 
 
 @dataclass
@@ -220,7 +211,6 @@ def parse_config(path) -> tuple[ExperimentGrid, dict]:
         eval_settings=_section(EvalSettings, "eval"),
         output_dir=build_value(str, data.get("output_dir", "runs"), "output_dir", []),
     )
-    grid.validate()
     manifest = {"config": grid_to_dict(grid), "defaulted_fields": sorted(defaulted)}
     return grid, manifest
 
@@ -305,45 +295,41 @@ def run_cell(
         run_seed=seed,
     )
     run_id = run_id_for(selector, annotator.label, seed)
-    status = "completed"
-    error = None
-    try:
-        sft_policy = sft_fit(universe, cfg)
-        result = run_online_dpo(universe, sft_policy, cfg)
-    except TrainingError as exc:
-        status = "failed"
-        error = str(exc)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(
-            run_dir / "manifest.json",
-            {"run_id": run_id, "status": status, "error": error, "seed": seed},
-        )
-        return run_dir
-
-    eval_rows = evaluate_run(
-        universe, result, evaluators, eval_settings, run_id, selector, annotator.label, seed
-    )
     universe_hash = universe.content_hash()
     hash_payload = {
         "config": grid_manifest["config"] if grid_manifest else None,
         "universe_hash": universe_hash,
         "seed": seed,
+        "selector": selector,
+        "annotator": asdict(annotator),
     }
     manifest = {
         "run_id": run_id,
-        "status": status,
+        "status": "completed",
         "selector": selector,
         "annotator": asdict(annotator),
         "seed": seed,
         "universe_hash": universe_hash,
         "package_version": _package_version,
-        "aborted": result.aborted,
         "manifest_hash": hashlib.sha256(
             json.dumps(hash_payload, sort_keys=True).encode("utf-8")
         ).hexdigest(),
     }
     if grid_manifest:
         manifest["grid"] = grid_manifest
+    try:
+        sft_policy = sft_fit(universe, cfg)
+        result = run_online_dpo(universe, sft_policy, cfg)
+    except TrainingError as exc:
+        manifest.update(status="failed", error=str(exc))
+        run_dir.mkdir(parents=True, exist_ok=True)
+        _write_json(run_dir / "manifest.json", manifest)
+        return run_dir
+
+    manifest["aborted"] = result.aborted
+    eval_rows = evaluate_run(
+        universe, result, evaluators, eval_settings, run_id, selector, annotator.label, seed
+    )
     _write_run_outputs(run_dir, result, eval_rows, manifest)
     return run_dir
 
@@ -420,7 +406,6 @@ def run_grid(
     parallel: int = 1,
 ) -> list[Path]:
     """Execute every (selector, annotator, seed) cell of the grid."""
-    grid.validate()
     out = Path(grid.output_dir)
     cells = [
         (selector, annotator, seed)

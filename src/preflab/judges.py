@@ -42,7 +42,7 @@ class JudgeSpec:
     noise_temperature: float = 1.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.label:
             raise ConfigurationError("judge label must be non-empty")
         if self.kind not in (KIND_BRADLEY_TERRY, KIND_DETERMINISTIC):
@@ -61,7 +61,6 @@ class Judge:
     """A preference oracle bound to one universe's geometry."""
 
     def __init__(self, spec: JudgeSpec, universe: PromptUniverse):
-        spec.validate()
         self.spec = spec
         self._bias = universe.proxy_bias_direction
         self._rng = substream(spec.seed, "judge", spec.label)

@@ -46,6 +46,12 @@ from .policy import log_prob_vector  # noqa: F401  (traced by bench/spans.py)
 SELECTOR_RANDOM = "random"
 SELECTOR_APL = "apl"
 
+
+def check_selector(selector: str) -> None:
+    if selector not in (SELECTOR_RANDOM, SELECTOR_APL):
+        raise ConfigurationError(f"unknown selector {selector!r}")
+
+
 @dataclass(frozen=True)
 class SelectionConfig:
     batch_prompts: int = 64
@@ -53,7 +59,7 @@ class SelectionConfig:
     apl_top_prompts: int = 32
     label_budget: int = 64
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.candidates_per_prompt < 2:
             raise ConfigurationError(
                 f"candidates_per_prompt must be >= 2, got {self.candidates_per_prompt}"

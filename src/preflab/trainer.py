@@ -52,6 +52,7 @@ from .selection import (
     SELECTOR_RANDOM,
     OpCounters,
     SelectionConfig,
+    check_selector,
     entropy_estimate,
     form_pairs,
     generate_candidates,
@@ -61,13 +62,17 @@ from .selection import (
 from .universe import ROLE_TRAIN, PromptUniverse
 
 
+# Supervised fit: the share of its updates spent warming up.
+SFT_WARMUP_RATIO = 0.05
+
+
 @dataclass(frozen=True)
 class SftConfig:
     learning_rate: float = 0.05
     epochs: int = 12
     batch: int = 64
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.learning_rate <= 0:
             raise ConfigurationError(f"sft learning_rate must be > 0, got {self.learning_rate}")
         if self.epochs < 0:
@@ -85,13 +90,8 @@ class TrainConfig:
     sft: SftConfig = field(default_factory=SftConfig)
     run_seed: int = 0
 
-    def validate(self) -> None:
-        self.dpo.validate()
-        self.selection.validate()
-        self.sft.validate()
-        self.annotator.validate()
-        if self.selector not in (SELECTOR_RANDOM, SELECTOR_APL):
-            raise ConfigurationError(f"unknown selector {self.selector!r}")
+    def __post_init__(self) -> None:
+        check_selector(self.selector)
 
 
 @dataclass
@@ -139,27 +139,29 @@ def reference_preset() -> TrainConfig:
     )
 
 
+def sft_lr_at_step(cfg: SftConfig, step: int, total: int) -> float:
+    """Linear warmup over the first SFT_WARMUP_RATIO of ``total`` updates, then
+    cosine decay to zero at ``total``."""
+    warmup = SFT_WARMUP_RATIO * total
+    if step < warmup:
+        return cfg.learning_rate * step / warmup
+    progress = min((step - warmup) / (total - warmup), 1.0)
+    return cfg.learning_rate * 0.5 * (1.0 + math.cos(math.pi * progress))
+
+
 def sft_fit(universe: PromptUniverse, cfg: TrainConfig) -> Policy:
     """Maximize mean log-likelihood of each train prompt's best response.
 
-    Minibatch ascent (Adam, warmup + cosine) over cfg.sft.epochs passes; the
-    result is both the starting policy and the frozen reference. The
+    Minibatch ascent (Adam, ``sft_lr_at_step``) over cfg.sft.epochs passes;
+    the result is both the starting policy and the frozen reference. The
     minibatch gradient of -log pi(chosen) is -mean(phi_chosen - p^T F), over
     the batch's stacked (b, V, d) features F and probabilities p.
     """
-    cfg.sft.validate()
     ids = universe.role_ids(ROLE_TRAIN)
     chosen = universe.true_reward[ids].argmax(axis=1)
     n = ids.size
     batch_size = min(cfg.sft.batch, n)
-    steps_per_epoch = math.ceil(n / batch_size)
-    schedule = DpoConfig(
-        learning_rate=cfg.sft.learning_rate,
-        warmup_ratio=0.05,
-        lr_schedule="cosine",
-        max_steps=max(cfg.sft.epochs * steps_per_epoch, 1),
-        updates_per_sample=1,
-    )
+    total = max(cfg.sft.epochs * math.ceil(n / batch_size), 1)
     rng = substream(cfg.run_seed, "sft")
     dim = universe.config.feature_dim
     theta = np.zeros(dim)
@@ -174,7 +176,8 @@ def sft_fit(universe: PromptUniverse, cfg: TrainConfig) -> Policy:
             grad = -(features[np.arange(batch.size), chosen[batch]] - expected).sum(axis=0)
             grad /= batch.size
             try:
-                theta, state = optimizer_step(state, theta, grad, schedule)
+                lr = sft_lr_at_step(cfg.sft, state.step, total)
+                theta, state = optimizer_step(state, theta, grad, lr)
             except TrainingError as exc:
                 raise TrainingError(
                     f"supervised fit diverged at update {state.step + 1}; "
@@ -199,7 +202,6 @@ def run_online_dpo(
     universe: PromptUniverse, sft_policy: Policy, cfg: TrainConfig
 ) -> RunResult:
     """Execute the online loop; deterministic given (universe, cfg)."""
-    cfg.validate()
     sel = cfg.selection
     beta = cfg.dpo.beta
     train_ids = universe.role_ids(ROLE_TRAIN)
@@ -277,7 +279,7 @@ def run_online_dpo(
                     if math.isnan(mean_loss):
                         mean_loss = loss
                     last_lr = lr_at_step(cfg.dpo, opt_state.step)
-                    new_theta, opt_state = optimizer_step(opt_state, policy.theta, grad, cfg.dpo)
+                    new_theta, opt_state = optimizer_step(opt_state, policy.theta, grad, last_lr)
                     policy = Policy.from_finite(new_theta, label=f"step-{opt_state.step}")
             except TrainingError as exc:
                 abort = {"type": "abort", "iteration": t, "reason": str(exc)}

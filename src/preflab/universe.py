@@ -74,7 +74,7 @@ class UniverseConfig:
             + [ROLE_PROBE] * self.num_probe_prompts
         )
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.responses_per_prompt < 2:
             raise ConfigurationError(
                 f"responses_per_prompt must be >= 2, got {self.responses_per_prompt}"
@@ -376,7 +376,6 @@ def generate_universe(config: UniverseConfig) -> PromptUniverse:
     The rng consumption order is fixed (directions, features, noise, probe
     fix-ups in prompt order) so regeneration is bit-identical.
     """
-    config.validate()
     rng = substream(config.seed, "universe")
     n = config.total_prompts
     v = config.responses_per_prompt
@@ -413,16 +412,12 @@ def generate_universe(config: UniverseConfig) -> PromptUniverse:
 def validate_universe(universe: PromptUniverse) -> list[str]:
     """Check every structural invariant; returns violation descriptions.
 
-    Report-only: never raises on a bad universe, never mutates. Prompt ids and
-    roles are array positions, so only the arrays' shapes and values can break.
+    Report-only: never raises on a bad universe, never mutates. The config
+    checked itself when it was built, and prompt ids and roles are array
+    positions, so only the arrays' shapes and values can break.
     """
     report: list[str] = []
     config = universe.config
-    try:
-        config.validate()
-    except ConfigurationError as exc:
-        report.append(f"config: {exc}")
-
     n, v, d = config.total_prompts, config.responses_per_prompt, config.feature_dim
     shapes = {"features": (n, v, d), "true_reward": (n, v), "correct_response": (n,)}
     shapes.update(proxy_bias_direction=(d,), probe_direction=(d,))

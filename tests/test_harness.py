@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath as mp
@@ -21,8 +22,14 @@ from hypothesis import strategies as st
 
 from preflab import (
     ConfigurationError,
+    DpoConfig,
     Judge,
+    JudgeSpec,
     PromptUniverse,
+    SelectionConfig,
+    SftConfig,
+    TrainConfig,
+    UniverseConfig,
     aggregate_summary,
     emit_pareto,
     parse_config,
@@ -30,7 +37,13 @@ from preflab import (
 )
 from preflab import harness
 from preflab.cli import main
-from preflab.harness import EVAL_CSV_HEADER, discover_run_dirs, write_summary
+from preflab.harness import (
+    EVAL_CSV_HEADER,
+    EvalSettings,
+    ExperimentGrid,
+    discover_run_dirs,
+    write_summary,
+)
 
 
 SMOKE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "smoke.json"
@@ -103,6 +116,24 @@ class TestParseConfig:
         config = grid_config(tmp_path / "runs")
         config["universes"] = {}
         with pytest.raises(ConfigurationError, match="universes"):
+            parse_config(write_config(tmp_path, config))
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("optimizer", "sgd"),
+            ("adam_beta1", 0.9),
+            ("adam_beta2", 0.999),
+            ("adam_eps", 1e-8),
+            ("weight_decay", 0.0),
+            ("lr_schedule", "constant"),
+        ],
+    )
+    def test_removed_dpo_knobs_are_unknown_keys(self, tmp_path, key, value):
+        # Adam at fixed constants is the only optimizer, and each stage fixes its schedule
+        config = grid_config(tmp_path / "runs")
+        config["train"]["dpo"][key] = value
+        with pytest.raises(ConfigurationError, match=rf"train\.dpo: unknown key\(s\) \['{key}'\]"):
             parse_config(write_config(tmp_path, config))
 
     def test_omitted_beta_is_echoed_with_default(self, tmp_path):
@@ -220,6 +251,46 @@ def _out_of_range(key_path, node):
     return None
 
 
+UNIVERSE = dict(
+    num_train_prompts=10,
+    num_eval_prompts=5,
+    num_probe_prompts=5,
+    responses_per_prompt=4,
+    feature_dim=8,
+)
+GRID = dict(
+    universe=UniverseConfig(**UNIVERSE), annotators=[JudgeSpec("a")], evaluators=[JudgeSpec("e")]
+)
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        "cls,valid,overrides,fragment",
+        [
+            (UniverseConfig, UNIVERSE, dict(feature_dim=0), "feature_dim"),
+            (UniverseConfig, UNIVERSE, dict(tabular_mode=True), "tabular_mode"),
+            (DpoConfig, {}, dict(beta=0.0), "beta"),
+            (DpoConfig, {}, dict(warmup_ratio=1.0), "warmup_ratio"),
+            (SelectionConfig, {}, dict(apl_top_prompts=65), "apl_top_prompts"),
+            (SelectionConfig, {}, dict(label_budget=10_000), "capacity"),
+            (SftConfig, {}, dict(batch=0), "sft batch"),
+            (TrainConfig, {}, dict(selector="greedy"), "unknown selector"),
+            (JudgeSpec, dict(label="a"), dict(misalignment=1.5), "misalignment"),
+            (JudgeSpec, dict(label="a"), dict(label=""), "label"),
+            (EvalSettings, {}, dict(collapse_fraction=1.0), "collapse_fraction"),
+            (ExperimentGrid, GRID, dict(seeds=[42, 42]), "duplicates"),
+            (ExperimentGrid, GRID, dict(selectors=["random", "greedy"]), "unknown selector"),
+            (ExperimentGrid, GRID, dict(universe_path="universe.json"), "exactly one"),
+        ],
+    )
+    def test_out_of_range_config_cannot_be_built(self, cls, valid, overrides, fragment):
+        # checked once, when built: neither the constructor nor replace yields it
+        with pytest.raises(ConfigurationError, match=fragment):
+            cls(**{**valid, **overrides})
+        with pytest.raises(ConfigurationError, match=fragment):
+            replace(cls(**valid), **overrides)
+
+
 class TestRunGrid:
     def test_grid_product_and_artifacts(self, tmp_path):
         out = tmp_path / "runs"
@@ -283,7 +354,7 @@ class TestRunGrid:
         monkeypatch.setattr(PromptUniverse, "to_json_dict", counting_to_json_dict)
         monkeypatch.setattr(harness, "_write_run_outputs", capturing_write)
         grid, manifest = parse_config(SMOKE_CONFIG)
-        grid.output_dir = str(tmp_path / "runs")
+        grid = replace(grid, output_dir=str(tmp_path / "runs"))
         run_dirs = run_grid(grid, grid_manifest=manifest)
         assert len(run_dirs) == 4
         assert len(encodings) == 1  # universe.json and every cell's hash share one encoding
@@ -313,7 +384,7 @@ class TestRunGrid:
         monkeypatch.setattr(Judge, "prefer_batch", counting_prefer_batch)
         monkeypatch.setattr(Judge, "prefer", counting_prefer)
         grid, manifest = parse_config(SMOKE_CONFIG)
-        grid.output_dir = str(tmp_path / "runs")
+        grid = replace(grid, output_dir=str(tmp_path / "runs"))
         run_dirs = run_grid(grid, grid_manifest=manifest)
         # the annotator labels once per iteration; each evaluator judges once per cell
         annotator_calls = batch_calls.pop(grid.annotators[0].label)
@@ -324,7 +395,7 @@ class TestRunGrid:
     def test_runtime_reads_only_the_universe_arrays(self, tmp_path, monkeypatch):
         def smoke_files():
             grid, manifest = parse_config(SMOKE_CONFIG)
-            grid.output_dir = str(tmp_path / "runs")
+            grid = replace(grid, output_dir=str(tmp_path / "runs"))
             run_grid(grid, grid_manifest=manifest, overwrite=True)
             out = Path(grid.output_dir)
             return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
@@ -355,11 +426,11 @@ class TestRunGrid:
         )
         monkeypatch.setattr(harness, "ProcessPoolExecutor", fork_pool)
         grid, manifest = parse_config(SMOKE_CONFIG)
-        grid.output_dir = str(tmp_path / "par")
+        grid = replace(grid, output_dir=str(tmp_path / "par"))
         par_dirs = run_grid(grid, grid_manifest=manifest, parallel=2)
         assert not log.exists(), log.read_text()
 
-        grid.output_dir = str(tmp_path / "seq")
+        grid = replace(grid, output_dir=str(tmp_path / "seq"))
         seq_dirs = run_grid(grid, grid_manifest=manifest)
         universe_bytes = (tmp_path / "par" / "universe.json").read_bytes()
         universe_hash = hashlib.sha256(universe_bytes[:-1]).hexdigest()
@@ -369,11 +440,21 @@ class TestRunGrid:
                          "sft_policy.json", "final_policy.json"):
                 assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_manifest_hash_names_each_cell(self, tmp_path):
+        def smoke_hashes(out):
+            grid, manifest = parse_config(SMOKE_CONFIG)
+            run_dirs = run_grid(replace(grid, output_dir=str(out)), grid_manifest=manifest)
+            return [json.loads((d / "manifest.json").read_text())["manifest_hash"] for d in run_dirs]
+
+        first = smoke_hashes(tmp_path / "a")
+        assert len(first) == 4 and len(set(first)) == 4  # selector and annotator are hashed
+        assert smoke_hashes(tmp_path / "b") == first
+
     def test_parallel_matches_sequential(self, tmp_path):
         config = grid_config(tmp_path / "seq", seeds=[42], selectors=["random", "apl"])
         grid, manifest = parse_config(write_config(tmp_path, config))
         seq_dirs = run_grid(grid, grid_manifest=manifest)
-        grid.output_dir = str(tmp_path / "par")
+        grid = replace(grid, output_dir=str(tmp_path / "par"))
         par_dirs = run_grid(grid, grid_manifest=manifest, parallel=2)
         for a, b in zip(seq_dirs, par_dirs):
             assert (a / "eval.csv").read_bytes() == (b / "eval.csv").read_bytes()
@@ -648,6 +729,35 @@ class TestCli:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_failed_cells_write_full_manifests_and_report_exits_2(self, tmp_path, capsys):
+        config = json.loads(SMOKE_CONFIG.read_text())
+        config["train"]["sft"]["learning_rate"] = 1e308
+        out = tmp_path / "runs"
+        with np.errstate(all="ignore"):
+            assert main(["sweep", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
+        run_dirs = discover_run_dirs(out)
+        assert len(run_dirs) == 4
+        for run_dir in run_dirs:
+            assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json"]
+            manifest = json.loads((run_dir / "manifest.json").read_text())
+            # a completed run's manifest, with error for aborted
+            assert sorted(manifest) == [
+                "annotator", "error", "grid", "manifest_hash", "package_version",
+                "run_id", "seed", "selector", "status", "universe_hash",
+            ]
+            assert manifest["status"] == "failed"
+            assert manifest["error"] == "supervised fit diverged at update 3; reduce sft.learning_rate"
+            assert manifest["run_id"] == run_dir.name
+            assert manifest["grid"]["config"]["train"]["sft"]["learning_rate"] == 1e308
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[:4] == [
+            f"warning: {d} has no eval.csv (manifest status 'failed'); it is left out of the report"
+            for d in run_dirs
+        ]
+        assert err[4:] == ["error: no eval.csv rows found under the given run directories"]
 
     def test_config_error_returns_nonzero(self, tmp_path):
         config = grid_config(tmp_path / "runs", seeds=[42, 42])

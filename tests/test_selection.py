@@ -58,7 +58,7 @@ def apl(policy, ref, records, candidates, log_probs, cfg, counters=None, beta=0.
 
 class TestSelectionConfig:
     def test_valid(self):
-        SelectionConfig(4, 4, 2, 8).validate()
+        SelectionConfig(4, 4, 2, 8)
 
     @pytest.mark.parametrize(
         "args,fragment",
@@ -72,7 +72,7 @@ class TestSelectionConfig:
     )
     def test_bounds(self, args, fragment):
         with pytest.raises(ConfigurationError, match=fragment):
-            SelectionConfig(*args).validate()
+            SelectionConfig(*args)
 
 
 class TestGenerateCandidates:
@@ -174,7 +174,7 @@ class TestEntropyEstimate:
 def margins_of(policy, ref, record, pairs, beta, counters=None):
     """select_apl's margins for the given (y1, y2) pairs of one prompt."""
     rows = np.array([[0, y1, y2] for y1, y2 in pairs])
-    cfg = SelectionConfig(1, 2, 1, len(pairs))
+    cfg = SelectionConfig(1, record.features.shape[0], 1, len(pairs))
     picked, margins = select_apl(
         policy, ref, record.features[None], np.zeros(1, dtype=int), np.zeros(1), rows, cfg,
         beta, counters or OpCounters(),
