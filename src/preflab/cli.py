@@ -11,6 +11,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -148,6 +149,14 @@ def _dispatch(args) -> int:
         run_dirs = run_grid(
             grid, grid_manifest=manifest, overwrite=args.overwrite, parallel=args.parallel
         )
+        runs = [json.loads((d / "manifest.json").read_text(encoding="utf-8")) for d in run_dirs]
+        failed = [run for run in runs if run["status"] == "failed"]
+        for run in failed:
+            print(f"error: run {run['run_id']} failed: {run['error']}", file=sys.stderr)
+        if failed:
+            summary = f"{len(failed)} of {len(run_dirs)} runs failed under {grid.output_dir}"
+            print(summary, file=sys.stderr)
+            return 1
         print(f"completed {len(run_dirs)} runs under {grid.output_dir}")
         return 0
 

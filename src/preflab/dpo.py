@@ -97,12 +97,12 @@ def implicit_reward(
 def preference_deltas(features: np.ndarray, prompt_ids, winners, losers) -> np.ndarray:
     """phi(x, w) - phi(x, l) per labelled pair, gathered from (N, V, d) features."""
     prompt_ids, winners, losers = (np.asarray(a) for a in (prompt_ids, winners, losers))
-    if np.any(winners == losers):
+    if (winners == losers).any():
         raise ContractError("preference pair has winner == loser")
     n, v = features.shape[:2]
-    if np.any((winners < 0) | (winners >= v) | (losers < 0) | (losers >= v)):
+    if ((winners < 0) | (winners >= v) | (losers < 0) | (losers >= v)).any():
         raise ContractError(f"preference responses out of range for V={v}")
-    if np.any((prompt_ids < 0) | (prompt_ids >= n)):
+    if ((prompt_ids < 0) | (prompt_ids >= n)).any():
         raise ContractError(f"prompt_id out of range for {n} prompts")
     return features[prompt_ids, winners] - features[prompt_ids, losers]
 
@@ -126,7 +126,7 @@ def dpo_batch_grad(
         raise ContractError(f"beta must be > 0, got {beta}")
     check_feature_dim(dphi, policy, ref)
     h = beta * (dphi @ (policy.theta - ref.theta))
-    loss = float(np.mean(np.logaddexp(0.0, -h)))
+    loss = float(np.logaddexp(0.0, -h).sum() / len(h))
     coeff = -beta * np.exp(-np.logaddexp(0.0, h))  # -beta * sigmoid(-h)
     return loss, coeff @ dphi / len(dphi)
 
@@ -153,6 +153,6 @@ def optimizer_step(
     m_hat = m / (1.0 - ADAM_BETA1**step)
     v_hat = v / (1.0 - ADAM_BETA2**step)
     new_theta = theta - lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS))
-    if not np.all(np.isfinite(new_theta)):
+    if not np.isfinite(new_theta).all():
         raise TrainingError(f"non-finite parameters at update {step}")
     return new_theta, OptimizerState(step, m, v)

@@ -1,13 +1,14 @@
 """Win-rate against the frozen reference, probe accuracy, and collapse flags.
 
 Each metric reads the universe's (N, V, d) feature array at a set of prompt
-ids. Win-rate trials walk the eval prompt ids round-robin, sample one
-response from each side, and ask the evaluator judge which wins. Identical
-samples count as half a win (cheap and unbiased on finite response sets), and
-the pair is presented to the judge in a coin-flipped slot order so a
-position-biased judge cannot tilt the estimate. Each side's inverse CDF is computed once per
-eval prompt; a trial then draws the policy uniform, the reference uniform,
-and (only when the samples differ) the coin, in that order.
+ids. Win-rate trials walk the eval prompt ids round-robin, sample one response
+from each side, and ask the evaluator judge which wins. Identical samples count
+as half a win (cheap and unbiased on finite response sets), and the pair is
+shown to the judge in a coin-flipped slot order so a position-biased judge
+cannot tilt the estimate. Each side's inverse CDF is computed once per eval
+prompt; a trial takes the policy uniform, the reference uniform and (only when
+the samples differ) the coin, in that order, from one block of 3 per trial.
+The rng is then reset and advanced by the count used: it ends where scalar draws would.
 
 The evaluator contract is ``prefer_batch(prompt_ids, y1, y2) -> winners``, one
 call per estimate over every judged trial. The judge reads its own table by
@@ -65,36 +66,35 @@ def estimate_win_rate(
         raise ContractError("win-rate estimation needs at least one prompt")
     features = features[prompt_ids]
     check_feature_dim(features, policy, ref)
-    last = features.shape[1] - 1
-    # per-prompt inverse CDFs as lists: bisect_right is searchsorted(side="right")
+    # per-prompt inverse CDFs as lists, first V - 1 entries: bisect_right
+    # is searchsorted(side="right") clipped to V - 1 on a nondecreasing cdf
     policy_cdf, ref_cdf = (
-        np.cumsum(np.exp(log_softmax(features @ side.theta)), axis=1).tolist()
+        np.exp(log_softmax(features @ side.theta)[:, :-1]).cumsum(axis=1).tolist()
         for side in (policy, ref)
     )
+    state = rng.bit_generator.state
+    draw = iter(rng.random(3 * n_trials).tolist()).__next__  # at most 3 per trial
     ties = 0
     queries = []  # (prompt_ids index, slot 1, slot 2, policy's response) per judged trial
     for i in range(n_trials):
         j = i % len(prompt_ids)
-        y_policy = min(bisect_right(policy_cdf[j], rng.random()), last)
-        y_ref = min(bisect_right(ref_cdf[j], rng.random()), last)
+        y_policy = bisect_right(policy_cdf[j], draw())
+        y_ref = bisect_right(ref_cdf[j], draw())
         if y_policy == y_ref:
             ties += 1
-        elif rng.random() < 0.5:
+        elif draw() < 0.5:
             queries.append((j, y_policy, y_ref, y_policy))
         else:
             queries.append((j, y_ref, y_policy, y_policy))
+    rng.bit_generator.state = state  # then advance by the uniforms the walk used
+    rng.random(3 * n_trials - ties)
     rows, y1, y2, y_policy = np.array(queries, dtype=np.intp).reshape(-1, 4).T
     winners = evaluator.prefer_batch(prompt_ids[rows], y1, y2)
     wins = 0.5 * ties + int(np.count_nonzero(winners == y_policy))
     rate = wins / n_trials
     half_width = 1.96 * math.sqrt(max(rate * (1.0 - rate), 0.0) / n_trials)
-    return WinRateEstimate(
-        wins=wins,
-        trials=n_trials,
-        rate=rate,
-        ci_low=max(rate - half_width, 0.0),
-        ci_high=min(rate + half_width, 1.0),
-    )
+    ci = max(rate - half_width, 0.0), min(rate + half_width, 1.0)
+    return WinRateEstimate(wins=wins, trials=n_trials, rate=rate, ci_low=ci[0], ci_high=ci[1])
 
 
 def probe_accuracy(policy: Policy, universe: PromptUniverse) -> float:

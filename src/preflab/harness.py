@@ -37,7 +37,15 @@ from .judges import Judge, JudgeSpec
 from .rng import mix_seeds, substream
 from .schema import build_dataclass, build_value
 from .selection import SELECTOR_APL, SELECTOR_RANDOM, SelectionConfig, check_selector
-from .trainer import IterationLog, RunResult, SftConfig, TrainConfig, run_online_dpo, sft_fit
+from .trainer import (
+    IterationLog,
+    RunResult,
+    SftConfig,
+    TrainConfig,
+    batch_train_ids,
+    run_online_dpo,
+    sft_fit,
+)
 from .universe import ROLE_EVAL, PromptUniverse, UniverseConfig, generate_universe
 
 EVAL_CSV_HEADER = [
@@ -423,8 +431,9 @@ def run_grid(
             f"{[str(d) for d in existing]}"
         )
 
-    out.mkdir(parents=True, exist_ok=True)
     universe = _resolve_universe(grid)
+    batch_train_ids(universe, grid.train.selection)  # refuse before writing anything
+    out.mkdir(parents=True, exist_ok=True)
     universe_path = out / "universe.json"
     if universe_path.exists() and not overwrite and grid.universe_path is None:
         raise ConfigurationError(f"refusing to overwrite {universe_path} (pass overwrite)")

@@ -84,7 +84,7 @@ class Judge:
         # math.exp (libm) rather than np.exp, whose SIMD kernels round some
         # inputs differently on some CPUs: labels stay the same on every CPU
         scaled = np.logaddexp(0.0, -gap / self.spec.noise_temperature)
-        return np.array([math.exp(-x) for x in scaled.tolist()])
+        return np.array(list(map(math.exp, (-scaled).tolist())))
 
     def preference_probability(self, record: PromptRecord, y1: int, y2: int) -> float:
         """P(y1 beats y2) under the Bradley-Terry model; antisymmetric."""
@@ -107,9 +107,9 @@ class Judge:
     def prefer_batch(self, prompt_ids, y1, y2) -> np.ndarray:
         """Winner of each pair (prompt_ids[i], y1[i], y2[i]) of the judge's universe."""
         n, v = self._table.shape
-        if np.any((prompt_ids < 0) | (prompt_ids >= n)):
+        if ((prompt_ids < 0) | (prompt_ids >= n)).any():
             raise ContractError(f"prompt_id out of range for {n} prompts")
-        if np.any((y1 < 0) | (y1 >= v) | (y2 < 0) | (y2 >= v)):
+        if ((y1 < 0) | (y1 >= v) | (y2 < 0) | (y2 >= v)).any():
             raise ContractError(f"response index out of range for {v} responses")
         gap = self._table[prompt_ids, y1] - self._table[prompt_ids, y2]
         return np.where(self._first_wins(gap, y1, y2), y1, y2)

@@ -91,8 +91,8 @@ def logits(policy: Policy, record: PromptRecord) -> np.ndarray:
 def log_softmax(z: np.ndarray) -> np.ndarray:
     """Max-subtracted log-softmax over the last (response) axis; any leading
     axes are stacked prompts."""
-    m = np.max(z, axis=-1, keepdims=True)
-    return z - (m + np.log(np.sum(np.exp(z - m), axis=-1, keepdims=True)))
+    m = z.max(axis=-1, keepdims=True)
+    return z - (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))
 
 
 def log_prob_vector(policy: Policy, record: PromptRecord) -> np.ndarray:

@@ -109,16 +109,16 @@ def generate_candidates(
     Inverse CDF over exact probabilities, one uniform per draw; the (B, M)
     uniforms come from the stream in the same order as B draws of M.
     """
-    m = cfg.candidates_per_prompt
+    m, b = cfg.candidates_per_prompt, len(prompt_ids)
     batch = features[prompt_ids]
     check_feature_dim(batch, policy)
     lp = log_softmax(batch @ policy.theta)
-    cdf = np.cumsum(np.exp(lp), axis=1)
-    draws = rng.random((len(prompt_ids), m))
-    # searchsorted(cdf, u, side="right") counts the cdf entries <= u
-    idx = np.minimum((cdf[:, None, :] <= draws[:, :, None]).sum(axis=2), lp.shape[1] - 1)
-    counters.generated_samples += m * len(prompt_ids)
-    return idx, np.take_along_axis(lp, idx, axis=1)
+    # searchsorted(cdf, u, side="right") clipped to V - 1 counts the entries
+    # <= u among the first V - 1 of the nondecreasing cdf
+    cdf = np.exp(lp[:, :-1]).cumsum(axis=1)
+    idx = (cdf[:, None, :] <= rng.random((b, m))[:, :, None]).sum(axis=2)
+    counters.generated_samples += m * b
+    return idx, lp[np.arange(b)[:, None], idx]
 
 
 def form_pairs(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,7 +144,7 @@ def entropy_estimate(log_probs: np.ndarray) -> np.ndarray:
     """-(1/M) sum of each row's recorded log-probs; costs no policy evaluations."""
     if log_probs.shape[-1] == 0:
         raise ContractError("candidate set has no recorded log-probs")
-    return -log_probs.mean(axis=-1)
+    return -(log_probs.sum(axis=-1) / log_probs.shape[-1])
 
 
 def select_random(pairs: np.ndarray, budget: int, rng: np.random.Generator) -> np.ndarray:
@@ -175,7 +175,7 @@ def select_apl(
     lexicographically smaller pair). Returns the selected indices into
     ``pairs`` and their margins.
     """
-    rows = np.unique(pairs[:, 0])
+    rows = np.flatnonzero(np.bincount(pairs[:, 0], minlength=len(prompt_ids)))
     kept = rows[np.lexsort((prompt_ids[rows], -entropies[rows]))][: cfg.apl_top_prompts]
     if kept.size == 0:
         return np.zeros(0, dtype=int), np.zeros(0)
@@ -188,7 +188,7 @@ def select_apl(
     slot[kept] = np.arange(kept.size)
     scored = np.flatnonzero(slot[pairs[:, 0]] >= 0)
     row, y1, y2 = pairs[scored].T
-    if np.any((pairs[scored, 1:] < 0) | (pairs[scored, 1:] >= z.shape[1])):
+    if ((pairs[scored, 1:] < 0) | (pairs[scored, 1:] >= z.shape[1])).any():
         raise ContractError(f"pair responses out of range for {z.shape[1]} responses")
     margin = beta * np.abs(z[slot[row], y1] - z[slot[row], y2])
     counters.policy_logprob_evals += 2 * scored.size

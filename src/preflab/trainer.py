@@ -149,13 +149,16 @@ def sft_lr_at_step(cfg: SftConfig, step: int, total: int) -> float:
     return cfg.learning_rate * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sft_fit(universe: PromptUniverse, cfg: TrainConfig) -> Policy:
     """Maximize mean log-likelihood of each train prompt's best response.
 
     Minibatch ascent (Adam, ``sft_lr_at_step``) over cfg.sft.epochs passes;
     the result is both the starting policy and the frozen reference. The
     minibatch gradient of -log pi(chosen) is -mean(phi_chosen - p^T F), over
-    the batch's stacked (b, V, d) features F and probabilities p.
+    the batch's stacked (b, V, d) features F and probabilities p. Overflow in
+    the arithmetic is checked, not warned about: the first non-finite logits
+    or parameters raise TrainingError.
     """
     ids = universe.role_ids(ROLE_TRAIN)
     chosen = universe.true_reward[ids].argmax(axis=1)
@@ -166,12 +169,16 @@ def sft_fit(universe: PromptUniverse, cfg: TrainConfig) -> Policy:
     dim = universe.config.feature_dim
     theta = np.zeros(dim)
     state = OptimizerState.initial(dim)
+    diverged = "supervised fit diverged at update {}; reduce sft.learning_rate"
     for _ in range(cfg.sft.epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
             features = universe.features[ids[batch]]
-            probs = np.exp(log_softmax(features @ theta))
+            z = features @ theta
+            if not np.isfinite(z).all():
+                raise TrainingError(diverged.format(state.step + 1))
+            probs = np.exp(log_softmax(z))
             expected = np.einsum("bv,bvd->bd", probs, features)
             grad = -(features[np.arange(batch.size), chosen[batch]] - expected).sum(axis=0)
             grad /= batch.size
@@ -179,11 +186,19 @@ def sft_fit(universe: PromptUniverse, cfg: TrainConfig) -> Policy:
                 lr = sft_lr_at_step(cfg.sft, state.step, total)
                 theta, state = optimizer_step(state, theta, grad, lr)
             except TrainingError as exc:
-                raise TrainingError(
-                    f"supervised fit diverged at update {state.step + 1}; "
-                    "reduce sft.learning_rate"
-                ) from exc
+                raise TrainingError(diverged.format(state.step + 1)) from exc
     return Policy(theta, label="sft")
+
+
+def batch_train_ids(universe: PromptUniverse, sel: SelectionConfig) -> np.ndarray:
+    """The universe's train prompt ids, from which each iteration samples
+    ``sel.batch_prompts``; ConfigurationError when they are fewer."""
+    train_ids = universe.role_ids(ROLE_TRAIN)
+    if sel.batch_prompts > train_ids.size:
+        raise ConfigurationError(
+            f"batch_prompts {sel.batch_prompts} exceeds the {train_ids.size} train prompts"
+        )
+    return train_ids
 
 
 def _json_floats(values: list[float]) -> list[str]:
@@ -204,11 +219,7 @@ def run_online_dpo(
     """Execute the online loop; deterministic given (universe, cfg)."""
     sel = cfg.selection
     beta = cfg.dpo.beta
-    train_ids = universe.role_ids(ROLE_TRAIN)
-    if sel.batch_prompts > train_ids.size:
-        raise ConfigurationError(
-            f"batch_prompts {sel.batch_prompts} exceeds the {train_ids.size} train prompts"
-        )
+    train_ids = batch_train_ids(universe, sel)
 
     ref = Policy(sft_policy.theta, label="sft")
     policy = Policy(sft_policy.theta, label="step-0")
@@ -291,9 +302,9 @@ def run_online_dpo(
                 iteration=t,
                 mean_loss=mean_loss,
                 labeled_pairs=picked.size,
-                entropy_min=float(np.min(entropies)),
-                entropy_mean=float(np.mean(entropies)),
-                entropy_max=float(np.max(entropies)),
+                entropy_min=float(entropies.min()),
+                entropy_mean=float(entropies.sum() / entropies.size),
+                entropy_max=float(entropies.max()),
                 lr=last_lr,
             )
         )

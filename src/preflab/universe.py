@@ -168,11 +168,11 @@ class PromptUniverse:
         return self.prompts_with_role(ROLE_PROBE)
 
     def bias_scores(self) -> np.ndarray:
-        """(N, V) table of g . phi(x, y), one 1-D dot per response as a judge
-        scores a single response (``features @ g`` rounds differently)."""
+        """(N, V) table of g . phi(x, y); the stacked (N, V, 1, d) @ (d, 1) product
+        rounds like a judge's 1-D ``g @ phi`` (a test pins this), ``features @ g`` not."""
         if self._bias_scores is None:
-            g = self.proxy_bias_direction
-            self._bias_scores = np.array([[g @ phi for phi in rows] for rows in self.features])
+            g = self.proxy_bias_direction[:, None]
+            self._bias_scores = (self.features[:, :, None, :] @ g)[:, :, 0, 0]
         return self._bias_scores
 
     def to_json_dict(self) -> dict:

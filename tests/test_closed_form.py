@@ -10,11 +10,12 @@ hypothesis-chosen seed, so exact ties occur only where both forms tie exactly
 
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from preflab import (
@@ -269,6 +270,11 @@ def win_rate_oracle(policy, ref, evaluator, records, n_trials, rng):
     return wins
 
 
+def stream_state(rng):
+    """The bit generator's state as text (MT19937's key is an array)."""
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
 WIN_RATE_UNIVERSE = generate_universe(
     UniverseConfig(20, 7, 3, 5, 6, misalignment_rho=0.2, seed=13)
 )
@@ -281,12 +287,18 @@ WIN_RATE_UNIVERSE = generate_universe(
     n_trials=st.integers(1, 3000),
     misalignment=st.sampled_from([0.0, 0.4, 1.0]),
     point_mass_self_play=st.booleans(),
+    bit_generator=st.sampled_from([np.random.PCG64, np.random.MT19937]),
+)
+@example(
+    seed=5, n_trials=700, misalignment=0.4, point_mass_self_play=False,
+    bit_generator=np.random.MT19937,
 )
 def test_win_rate_matches_per_trial_sampling(
-    kind, seed, n_trials, misalignment, point_mass_self_play
+    kind, seed, n_trials, misalignment, point_mass_self_play, bit_generator
 ):
     # one prefer_batch call over the judged trials equals a scalar prefer per
-    # trial: same wins, and both the eval and the judge streams end in step
+    # trial: same wins, and both the eval and the judge streams end in step;
+    # the eval stream's end state holds for any bit generator, not just PCG64
     universe, gen = WIN_RATE_UNIVERSE, np.random.default_rng(seed)
     if point_mass_self_play:
         # every prompt's sampler is a point mass: all trials tie, none is judged
@@ -296,13 +308,13 @@ def test_win_rate_matches_per_trial_sampling(
     spec = JudgeSpec(label="eval", kind=kind, misalignment=misalignment, seed=seed % 89)
     batched, scalar = Judge(spec, universe), Judge(spec, universe)
     prompts = universe.eval_prompts()
-    rng, oracle_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    rng, oracle_rng = (np.random.Generator(bit_generator(seed + 1)) for _ in range(2))
     eval_ids = universe.role_ids("eval")
     est = estimate_win_rate(policy, ref, batched, universe.features, eval_ids, n_trials, rng)
     assert est.wins == win_rate_oracle(policy, ref, scalar, prompts, n_trials, oracle_rng)
     if point_mass_self_play:
         assert est.rate == 0.5
-    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert stream_state(rng) == stream_state(oracle_rng)
     assert batched._rng.bit_generator.state == scalar._rng.bit_generator.state
 
 
@@ -353,6 +365,36 @@ def test_bias_score_table_is_the_per_response_dot():
     flipped = dataclasses.replace(universe, proxy_bias_direction=-g)
     assert np.array_equal(flipped.bias_scores(), -table)
     assert universe.bias_scores() is table
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    counts=st.tuples(st.integers(1, 6), st.integers(1, 4), st.integers(1, 4)),
+    v=st.integers(2, 7),
+    d=st.integers(2, 64),
+    rho=st.sampled_from([-0.9, 0.0, 0.3]),
+    feature_scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    tabular=st.booleans(),
+)
+def test_bias_score_table_matches_the_per_row_loop(
+    seed, counts, v, d, rho, feature_scale, tabular
+):
+    # the stacked (N, V, 1, d) @ (d, 1) product against the loop it replaced,
+    # bit for bit (signed zeros of the one-hot tabular features included)
+    if tabular:
+        d = sum(counts) * v
+    universe = generate_universe(
+        UniverseConfig(
+            *counts, v, d, feature_scale=feature_scale, misalignment_rho=rho,
+            tabular_mode=tabular, seed=seed % 1000,
+        )
+    )
+    g = universe.proxy_bias_direction
+    loop = np.array([[g @ phi for phi in rows] for rows in universe.features])
+    table = universe.bias_scores()
+    assert table.shape == loop.shape and table.dtype == loop.dtype
+    assert table.tobytes() == loop.tobytes()
 
 
 def test_prefer_batch_contract_errors():

@@ -29,6 +29,7 @@ from preflab import (
     SelectionConfig,
     SftConfig,
     TrainConfig,
+    TrainingError,
     UniverseConfig,
     aggregate_summary,
     emit_pareto,
@@ -734,10 +735,18 @@ class TestCli:
         config = json.loads(SMOKE_CONFIG.read_text())
         config["train"]["sft"]["learning_rate"] = 1e308
         out = tmp_path / "runs"
-        with np.errstate(all="ignore"):
-            assert main(["sweep", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
+        # the sweep exits non-zero and names every failed cell; the diverging
+        # fit warns nothing (pytest turns warnings into errors)
+        assert main(["sweep", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 1
         run_dirs = discover_run_dirs(out)
         assert len(run_dirs) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert sorted(err[:4]) == [
+            f"error: run {d.name} failed: supervised fit diverged at update 3; "
+            "reduce sft.learning_rate"
+            for d in run_dirs
+        ]
+        assert err[4:] == [f"4 of 4 runs failed under {out}"]
         for run_dir in run_dirs:
             assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json"]
             manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -750,7 +759,6 @@ class TestCli:
             assert manifest["error"] == "supervised fit diverged at update 3; reduce sft.learning_rate"
             assert manifest["run_id"] == run_dir.name
             assert manifest["grid"]["config"]["train"]["sft"]["learning_rate"] == 1e308
-        capsys.readouterr()
         assert main(["report", "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err[:4] == [
@@ -758,6 +766,55 @@ class TestCli:
             for d in run_dirs
         ]
         assert err[4:] == ["error: no eval.csv rows found under the given run directories"]
+
+    def test_sweep_names_only_the_failed_cells(self, tmp_path, capsys, monkeypatch):
+        fit = harness.sft_fit
+
+        def fail_seed_43(universe, cfg):
+            if cfg.run_seed == 43:
+                raise TrainingError("supervised fit diverged at update 1; reduce sft.learning_rate")
+            return fit(universe, cfg)
+
+        monkeypatch.setattr(harness, "sft_fit", fail_seed_43)
+        out = tmp_path / "runs"
+        config_path = write_config(tmp_path, grid_config(out, seeds=[42, 43]))
+        assert main(["sweep", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"error: run {selector}__weak__seed43 failed: supervised fit diverged at update 1; "
+            "reduce sft.learning_rate"
+            for selector in ("random", "apl")
+        ] + [f"2 of 4 runs failed under {out}"]
+        for selector in ("random", "apl"):
+            # completed cells still write every output
+            assert (out / f"{selector}__weak__seed42" / "eval.csv").exists()
+            assert not (out / f"{selector}__weak__seed43" / "eval.csv").exists()
+
+    def test_oversized_batch_is_refused_before_any_file(self, tmp_path, capsys):
+        config = json.loads(SMOKE_CONFIG.read_text())
+        config["train"]["selection"]["batch_prompts"] = 40
+        out = tmp_path / "runs"
+        for args in ([], ["--parallel", "2"]):
+            argv = ["sweep", "--config", str(write_config(tmp_path, config)), "--out", str(out)]
+            assert main(argv + args) == 2
+            assert capsys.readouterr().err == (
+                "error: batch_prompts 40 exceeds the 32 train prompts\n"
+            )
+            assert not out.exists()
+
+    def test_oversized_batch_is_refused_on_a_universe_path(self, tmp_path):
+        config = json.loads(SMOKE_CONFIG.read_text())
+        universe_path = tmp_path / "universe.json"
+        config_path = write_config(tmp_path, config)
+        assert main(["generate", "--config", str(config_path), "--out", str(universe_path)]) == 0
+        del config["universe"]
+        config["universe_path"] = str(universe_path)
+        config["train"]["selection"]["batch_prompts"] = 40
+        config["output_dir"] = str(tmp_path / "runs")
+        grid, manifest = parse_config(write_config(tmp_path, config))
+        with pytest.raises(ConfigurationError, match="batch_prompts 40 exceeds the 32 train prompts"):
+            run_grid(grid, grid_manifest=manifest)
+        assert not (tmp_path / "runs").exists()
 
     def test_config_error_returns_nonzero(self, tmp_path):
         config = grid_config(tmp_path / "runs", seeds=[42, 42])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +241,20 @@ class TestOnlineLoop:
         cfg = train_config(sft=SftConfig(learning_rate=1e308, epochs=3, batch=8))
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingError, match="supervised fit diverged at update 3"):
+                sft_fit(u, cfg)
+
+    @pytest.mark.parametrize("seed", [42, 43])
+    def test_supervised_divergence_warns_nothing(self, seed):
+        # a smoke-sized fit at a learning rate at the float ceiling stops at
+        # its first non-finite logits, before numpy warns
+        u = dense_universe(seed=7)
+        cfg = train_config(sft=SftConfig(learning_rate=1e308, epochs=3, batch=16), run_seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                TrainingError,
+                match=r"^supervised fit diverged at update 3; reduce sft.learning_rate$",
+            ):
                 sft_fit(u, cfg)
 
     def test_update_policies_are_not_revalidated(self, monkeypatch):
