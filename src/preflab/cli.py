@@ -20,6 +20,7 @@ from .errors import ConfigurationError
 from .harness import (
     _resolve_universe,
     _write_json,
+    abort_reason,
     aggregate_summary,
     discover_run_dirs,
     emit_pareto,
@@ -151,11 +152,15 @@ def _dispatch(args) -> int:
         )
         runs = [json.loads((d / "manifest.json").read_text(encoding="utf-8")) for d in run_dirs]
         failed = [run for run in runs if run["status"] == "failed"]
+        aborted = [(d, run) for d, run in zip(run_dirs, runs) if run.get("aborted")]
         for run in failed:
             print(f"error: run {run['run_id']} failed: {run['error']}", file=sys.stderr)
-        if failed:
-            summary = f"{len(failed)} of {len(run_dirs)} runs failed under {grid.output_dir}"
-            print(summary, file=sys.stderr)
+        for run_dir, run in aborted:
+            print(f"error: run {run['run_id']} aborted: {abort_reason(run_dir)}", file=sys.stderr)
+        for what, count in (("failed", len(failed)), ("aborted", len(aborted))):
+            if count:
+                print(f"{count} of {len(run_dirs)} runs {what} under {grid.output_dir}", file=sys.stderr)
+        if failed or aborted:
             return 1
         print(f"completed {len(run_dirs)} runs under {grid.output_dir}")
         return 0

@@ -4,9 +4,10 @@ A grid config is a single JSON document. Parsing is fail-closed: unknown keys
 are rejected, and every field left to its default is recorded so the echoed
 manifest makes each run self-describing. One run directory is produced per
 (selector, annotator, seed) cell, holding the manifest, per-iteration metrics
-CSV, the event stream, policy checkpoints, op counters, and one eval row per
-evaluator. Runs that share (annotator, seed) differ only in selector and use
-identical random streams, so selector comparisons are paired.
+CSV, the event stream (written while the loop runs), policy checkpoints, op
+counters, and one eval row per evaluator (none for an aborted run). Runs that
+share (annotator, seed) differ only in selector and use identical random
+streams, so selector comparisons are paired.
 
 Reports: ``summary.csv`` (mean +/- sample std per cell plus collapse counts
 and extra scoring ops), ``welch.csv`` (Welch two-sample tests between
@@ -21,6 +22,7 @@ import hashlib
 import json
 import math
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import combinations
@@ -263,21 +265,21 @@ def run_id_for(selector: str, annotator_label: str, seed: int) -> str:
 def _write_run_outputs(
     run_dir: Path,
     result: RunResult,
-    eval_rows: list[list],
+    eval_rows: Optional[list[list]],
     manifest: dict,
 ) -> None:
-    run_dir.mkdir(parents=True, exist_ok=True)
+    """Write a trained cell's files beside its streamed events.jsonl; eval.csv
+    only when there are eval rows (an aborted run has none)."""
     _write_csv(
         run_dir / "metrics.csv",
         METRICS_CSV_HEADER,
         [[getattr(log, key) for key in METRICS_CSV_HEADER] for log in result.per_iteration],
     )
-    with open(run_dir / "events.jsonl", "w", encoding="utf-8") as fh:
-        fh.writelines(result.event_lines)
     _write_json(run_dir / "sft_policy.json", result.sft_policy.to_json_dict())
     _write_json(run_dir / "final_policy.json", result.final_policy.to_json_dict())
     _write_json(run_dir / "counters.json", result.counters.to_json_dict())
-    _write_csv(run_dir / "eval.csv", EVAL_CSV_HEADER, eval_rows)
+    if eval_rows is not None:
+        _write_csv(run_dir / "eval.csv", EVAL_CSV_HEADER, eval_rows)
     _write_json(run_dir / "manifest.json", manifest)
 
 
@@ -292,8 +294,13 @@ def run_cell(
     run_dir,
     grid_manifest: Optional[dict] = None,
 ) -> Path:
-    """Train one (selector, annotator, seed) cell and write its run directory."""
+    """Train one (selector, annotator, seed) cell and write its run directory.
+
+    The loop streams events.jsonl into the directory as it runs. A cell whose
+    training fails keeps only manifest.json; an aborted run is not evaluated,
+    so it has no eval.csv."""
     run_dir = Path(run_dir)
+    batch_train_ids(universe, template.selection)  # refuse before creating run_dir
     cfg = TrainConfig(
         dpo=template.dpo,
         selection=template.selection,
@@ -325,19 +332,24 @@ def run_cell(
     }
     if grid_manifest:
         manifest["grid"] = grid_manifest
+    run_dir.mkdir(parents=True, exist_ok=True)
+    events_path = run_dir / "events.jsonl"
     try:
         sft_policy = sft_fit(universe, cfg)
-        result = run_online_dpo(universe, sft_policy, cfg)
+        with open(events_path, "w", encoding="utf-8") as events:
+            result = run_online_dpo(universe, sft_policy, cfg, events)
     except TrainingError as exc:
+        events_path.unlink(missing_ok=True)  # a partial stream is no output
         manifest.update(status="failed", error=str(exc))
-        run_dir.mkdir(parents=True, exist_ok=True)
         _write_json(run_dir / "manifest.json", manifest)
         return run_dir
 
     manifest["aborted"] = result.aborted
-    eval_rows = evaluate_run(
-        universe, result, evaluators, eval_settings, run_id, selector, annotator.label, seed
-    )
+    eval_rows = None
+    if not result.aborted:
+        eval_rows = evaluate_run(
+            universe, result, evaluators, eval_settings, run_id, selector, annotator.label, seed
+        )
     _write_run_outputs(run_dir, result, eval_rows, manifest)
     return run_dir
 
@@ -545,19 +557,19 @@ def aggregate_summary(
     Welch's unequal-variance t-test compares selector pairs on win_rate and
     delta_acc_pp; cells with fewer than two seeds or zero variance on both
     sides are reported as degenerate rather than fabricating a p-value. A run
-    directory without eval.csv (a failed run) is named in a warning on
-    stderr, so a shrunken n_seeds never goes unnoticed, and so is each
+    directory without eval.csv (a failed or aborted run) is named in a warning
+    on stderr, so a shrunken n_seeds never goes unnoticed, and so is each
     (annotator, seed) whose selectors bought different numbers of judge queries.
     """
     rows, skipped = _read_runs(run_dirs)
     for run_dir in skipped:
         try:
-            status = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["status"]
+            manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+            why = "the run aborted" if manifest.get("aborted") else f"manifest status {manifest['status']!r}"
         except (OSError, ValueError, KeyError):
-            status = "unreadable manifest"
+            why = "manifest status 'unreadable manifest'"
         print(
-            f"warning: {run_dir} has no eval.csv (manifest status {status!r}); "
-            "it is left out of the report",
+            f"warning: {run_dir} has no eval.csv ({why}); it is left out of the report",
             file=sys.stderr,
         )
     if not rows:
@@ -663,6 +675,14 @@ def write_summary(summary: list[SummaryRow], welch_records: list[dict], out_dir)
         [[record[key] for key in WELCH_CSV_HEADER] for record in welch_records],
     )
     return summary_path, welch_path
+
+
+def abort_reason(run_dir) -> str:
+    """Why an aborted run stopped: the reason of its abort event, which is the
+    last line of its events.jsonl."""
+    with open(Path(run_dir) / "events.jsonl", "r", encoding="utf-8") as fh:
+        (last,) = deque(fh, maxlen=1)
+    return json.loads(last)["reason"]
 
 
 def discover_run_dirs(out_dir) -> list[Path]:

@@ -13,17 +13,20 @@ Each stage runs once per iteration on the whole batch, as index arrays over
 array, selected indices, one labelling call, and the winner-minus-loser
 feature differences that every update of the iteration reuses.
 
-Events are formatted once, as they are produced: each is one canonical JSON
-line (keys sorted, ``json.dumps(event, sort_keys=True)`` plus a newline),
-built from int-only templates, with the int lists and APL scores passed
-through ``json.dumps`` so their text is the encoder's own.
+Events are formatted once and written to the caller's text sink (a run's
+``events.jsonl``) as they are produced, so no run holds its event stream in
+memory. Each is one canonical JSON line (keys sorted,
+``json.dumps(event, sort_keys=True)`` plus a newline), built from int-only
+templates, with the int lists and APL scores passed through ``json.dumps`` so
+their text is the encoder's own.
 
 All stochastic streams are keyed by run_seed and a purpose tag, never by the
 selector, so runs that differ only in selector share prompt, generation, and
 supervised-fit randomness (paired comparisons). The annotator's stream is
 additionally folded with run_seed so different seeds see independent label
 noise. Non-finite parameters abort the run with a partial result (checked
-once per update, by ``optimizer_step``); collapse is data, not failure.
+once per update, by ``optimizer_step``, with numpy's overflow warnings off);
+collapse is data, not failure.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from typing import TextIO
 
 import numpy as np
 
@@ -111,13 +115,7 @@ class RunResult:
     sft_policy: Policy
     per_iteration: list[IterationLog]
     counters: OpCounters
-    event_lines: list[str]  # the lines of events.jsonl, newline included
     aborted: bool
-
-    @property
-    def events(self) -> list[dict]:
-        """A decoded copy of ``event_lines``, for reading only."""
-        return [json.loads(line) for line in self.event_lines]
 
 
 def reference_preset() -> TrainConfig:
@@ -214,9 +212,12 @@ def _annotator_for_run(cfg: TrainConfig, universe: PromptUniverse) -> Judge:
 
 
 def run_online_dpo(
-    universe: PromptUniverse, sft_policy: Policy, cfg: TrainConfig
+    universe: PromptUniverse, sft_policy: Policy, cfg: TrainConfig, events: TextIO
 ) -> RunResult:
-    """Execute the online loop; deterministic given (universe, cfg)."""
+    """Execute the online loop; deterministic given (universe, cfg).
+
+    Each event line is written to the text sink ``events`` as it is produced,
+    so the stream is never held in memory."""
     sel = cfg.selection
     beta = cfg.dpo.beta
     train_ids = batch_train_ids(universe, sel)
@@ -225,7 +226,6 @@ def run_online_dpo(
     policy = Policy(sft_policy.theta, label="step-0")
     opt_state = OptimizerState.initial(policy.feature_dim)
     counters = OpCounters()
-    lines: list[str] = []
     strategy = json.dumps(cfg.selector)
     logs: list[IterationLog] = []
 
@@ -241,12 +241,12 @@ def run_online_dpo(
         candidates, log_probs = generate_candidates(
             policy, features, prompt_ids, sel, gen_rng, counters
         )
-        lines.append(
+        events.write(
             f'{{"candidates": {json.dumps(candidates.tolist())}, "iteration": {t}, '
             f'"prompt_ids": {json.dumps(prompt_ids.tolist())}, "type": "candidates"}}\n'
         )
         pairs, degenerate = form_pairs(candidates)
-        lines.extend(
+        events.writelines(
             f'{{"iteration": {t}, "prompt_id": {prompt_id}, "type": "degenerate_prompt"}}\n'
             for prompt_id in prompt_ids[degenerate].tolist()
         )
@@ -261,7 +261,7 @@ def run_online_dpo(
             )
             scores = _json_floats(margins.tolist())
         if picked.size < sel.label_budget:
-            lines.append(
+            events.write(
                 f'{{"budget": {sel.label_budget}, "iteration": {t}, '
                 f'"selected": {picked.size}, "type": "budget_shortfall"}}\n'
             )
@@ -270,7 +270,7 @@ def run_online_dpo(
         pair_prompts = prompt_ids[rows]
         winners = annotator.prefer_batch(pair_prompts, y1, y2)
         counters.judge_queries += picked.size
-        lines.extend(
+        events.writelines(
             f'{{"iteration": {t}, "pair": [{a}, {b}], "prompt_id": {prompt_id}, '
             f'"score": {score}, "strategy": {strategy}, "type": "selection", '
             f'"winner": {winner}}}\n'
@@ -285,16 +285,19 @@ def run_online_dpo(
             losers = np.where(winners == y1, y2, y1)
             dphi = preference_deltas(features, pair_prompts, winners, losers)
             try:
-                for _ in range(cfg.dpo.updates_per_sample):
-                    loss, grad = dpo_batch_grad(policy, ref, dphi, beta)
-                    if math.isnan(mean_loss):
-                        mean_loss = loss
-                    last_lr = lr_at_step(cfg.dpo, opt_state.step)
-                    new_theta, opt_state = optimizer_step(opt_state, policy.theta, grad, last_lr)
-                    policy = Policy.from_finite(new_theta, label=f"step-{opt_state.step}")
+                # overflow in a diverging update is checked, not warned about:
+                # optimizer_step's parameter check aborts the run
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for _ in range(cfg.dpo.updates_per_sample):
+                        loss, grad = dpo_batch_grad(policy, ref, dphi, beta)
+                        if math.isnan(mean_loss):
+                            mean_loss = loss
+                        last_lr = lr_at_step(cfg.dpo, opt_state.step)
+                        new_theta, opt_state = optimizer_step(opt_state, policy.theta, grad, last_lr)
+                        policy = Policy.from_finite(new_theta, label=f"step-{opt_state.step}")
             except TrainingError as exc:
                 abort = {"type": "abort", "iteration": t, "reason": str(exc)}
-                lines.append(json.dumps(abort, sort_keys=True) + "\n")
+                events.write(json.dumps(abort, sort_keys=True) + "\n")
                 aborted = True
 
         logs.append(
@@ -316,6 +319,5 @@ def run_online_dpo(
         sft_policy=ref,
         per_iteration=logs,
         counters=counters,
-        event_lines=lines,
         aborted=aborted,
     )

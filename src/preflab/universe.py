@@ -19,14 +19,20 @@ at ``REWARD_NOISE_FRACTION`` of the reward scale. Probe prompts additionally
 enforce a clean top-gap along u (``PROBE_TOP_GAP_SIGMA`` standard deviations)
 and resample their noise until the noisy argmax agrees with the clean one, so
 ``correct_response`` is an unambiguous direction detector.
+
+``universe.json`` is ``json.dumps(universe.to_json_dict(), sort_keys=True)``
+plus a newline, and the content hash is the sha256 of that encoding. One
+streaming encoder produces both, one prompt at a time, so neither a save nor a
+hash builds the whole document in memory.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import BinaryIO, Iterator, Optional
 
 import numpy as np
 
@@ -175,22 +181,21 @@ class PromptUniverse:
             self._bias_scores = (self.features[:, :, None, :] @ g)[:, :, 0, 0]
         return self._bias_scores
 
+    def _prompt_entries(self) -> Iterator[dict]:
+        """Each prompt's JSON entry, in prompt order, built only as it is asked for."""
+        for i, (role, c) in enumerate(zip(self.config.roles(), self.correct_response.tolist())):
+            yield {
+                "prompt_id": i,
+                "role": role,
+                "features": self.features[i].tolist(),
+                "true_reward": self.true_reward[i].tolist(),
+                "correct_response": None if c < 0 else c,
+            }
+
     def to_json_dict(self) -> dict:
-        features, rewards = self.features.tolist(), self.true_reward.tolist()
         return {
             "config": asdict(self.config),
-            "prompts": [
-                {
-                    "prompt_id": i,
-                    "role": role,
-                    "features": features[i],
-                    "true_reward": rewards[i],
-                    "correct_response": None if c < 0 else c,
-                }
-                for i, (role, c) in enumerate(
-                    zip(self.config.roles(), self.correct_response.tolist())
-                )
-            ],
+            "prompts": list(self._prompt_entries()),
             "proxy_bias_direction": self.proxy_bias_direction.tolist(),
             "probe_direction": self.probe_direction.tolist(),
         }
@@ -223,15 +228,37 @@ class PromptUniverse:
             raise ConfigurationError("invalid universe: " + "; ".join(report))
         return universe
 
-    def _encode(self) -> bytes:
-        """The canonical JSON encoding; its sha256 is stored as the content hash."""
-        payload = json.dumps(self.to_json_dict(), sort_keys=True).encode("utf-8")
-        self._content_hash = hashlib.sha256(payload).hexdigest()
-        return payload
+    def _encode(self, fh: Optional[BinaryIO] = None) -> None:
+        """Stream the canonical encoding, ``json.dumps(self.to_json_dict(),
+        sort_keys=True)``, into sha256 and, when given, the binary file ``fh``;
+        store the digest as the content hash.
+
+        The sorted keys are config, probe_direction, prompts and
+        proxy_bias_direction, so the head holds the first two, then each prompt
+        entry follows on its own, then the bias direction: no more than one
+        prompt's text is held at a time."""
+        head = {"config": asdict(self.config), "probe_direction": self.probe_direction.tolist()}
+        tail = json.dumps(self.proxy_bias_direction.tolist())
+        pieces = itertools.chain(
+            [json.dumps(head, sort_keys=True)[:-1] + ', "prompts": ['],
+            (
+                (", " if i else "") + json.dumps(entry, sort_keys=True)
+                for i, entry in enumerate(self._prompt_entries())
+            ),
+            [f'], "proxy_bias_direction": {tail}}}'],
+        )
+        digest = hashlib.sha256()
+        for piece in pieces:
+            data = piece.encode("utf-8")
+            digest.update(data)
+            if fh is not None:
+                fh.write(data)
+        self._content_hash = digest.hexdigest()
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
-            fh.write(self._encode() + b"\n")
+            self._encode(fh)
+            fh.write(b"\n")
 
     @classmethod
     def load(cls, path) -> "PromptUniverse":

@@ -1,9 +1,11 @@
 """Shared fixtures and the acceptance-suite result banner."""
 
+import io
+
 import numpy as np
 import pytest
 
-from preflab import UniverseConfig, generate_universe
+from preflab import UniverseConfig, generate_universe, run_online_dpo
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +35,19 @@ def tabular_universe():
         seed=77,
     )
     return generate_universe(cfg)
+
+
+@pytest.fixture
+def stream_run():
+    """``run_online_dpo`` into an in-memory sink: returns the run's result and
+    the events.jsonl lines it wrote, newline included."""
+
+    def run(universe, sft_policy, cfg):
+        sink = io.StringIO()
+        result = run_online_dpo(universe, sft_policy, cfg, sink)
+        return result, sink.getvalue().splitlines(keepends=True)
+
+    return run
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ The dissociation and sanity protocols (criteria 6 and 7) share one frozen
 universe and differ only in the annotator/evaluator misalignment.
 """
 
+import io
 import json
 import math
 import time
@@ -218,7 +219,7 @@ def test_criterion_04_self_play_neutrality():
 # --------------------------------------------------------------------------
 
 
-def test_criterion_05_budget_matching():
+def test_criterion_05_budget_matching(stream_run):
     universe = generate_universe(
         UniverseConfig(
             num_train_prompts=64,
@@ -243,8 +244,8 @@ def test_criterion_05_budget_matching():
             sft=SftConfig(learning_rate=0.02, epochs=4, batch=32),
             run_seed=42,
         )
-        result = run_online_dpo(universe, sft_fit(universe, cfg), cfg)
-        shortfalls = [e for e in result.events if e["type"] == "budget_shortfall"]
+        result, lines = stream_run(universe, sft_fit(universe, cfg), cfg)
+        shortfalls = [e for e in map(json.loads, lines) if e["type"] == "budget_shortfall"]
         assert shortfalls == [], f"{selector} run hit a budget shortfall"
         assert result.counters.judge_queries == sum(
             log.labeled_pairs for log in result.per_iteration
@@ -306,7 +307,7 @@ def _dissociation_protocol(universe, annotator_misalignment):
             run_seed=seed,
         )
         sft = sft_fit(universe, cfg)
-        result = run_online_dpo(universe, sft, cfg)
+        result = run_online_dpo(universe, sft, cfg, io.StringIO())
         proxy_eval = Judge(
             JudgeSpec(
                 label="proxy-eval",

@@ -10,8 +10,8 @@ margin of every selected pair, and the floats of ``metrics.csv`` and
 Counters, hashes and digests must match exactly, so the event file's key order
 and float text are pinned too; CSV floats within 1e-9 relative; APL scores
 within 1e-12 absolute (a margin near zero makes a relative bound meaningless).
-A second test runs ``bench/run.py --check-only`` on the parallel smoke
-workload, which holds the benchmark's own seed-0 lock (``bench/reference.json``).
+A second test runs ``bench/run.py --check-only`` on each benchmark workload,
+which holds the benchmark's own seed-0 lock (``bench/reference.json``).
 
 Regenerate the fixture only when results are meant to change:
 
@@ -26,6 +26,8 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from preflab import aggregate_summary, emit_pareto, parse_config, run_grid, write_summary
 
@@ -136,18 +138,21 @@ def test_smoke_grid_matches_recorded_fingerprint(tmp_path):
         _assert_table(f"{run_id} APL scores", got["apl_scores"], want["apl_scores"], 0.0, SCORE_ABS_TOL)
 
 
-def test_bench_check_only_holds_the_seed_0_lock():
-    # bench/run.py --check-only compares every cell of the parallel smoke
-    # workload at seed 0 with bench/reference.json: counters, the selection
-    # digest, and eval floats within 1e-9
+@pytest.mark.parametrize(
+    "workload,cells",
+    [("goodhart_sweep", 6), ("reference_protocol", 2), ("smoke_grid_parallel", 32)],
+)
+def test_bench_check_only_holds_the_seed_0_lock(workload, cells):
+    # bench/run.py --check-only compares every cell of the workload at seed 0
+    # with bench/reference.json: counters, the selection digest, and eval
+    # floats within 1e-9
     result = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "run.py"),
-         "--workload", "smoke_grid_parallel", "--check-only"],
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload, "--check-only"],
         capture_output=True, text=True, cwd=ROOT, timeout=300,
     )
     assert result.returncode == 0, result.stderr
     line = json.loads(result.stdout.splitlines()[-1])
-    assert (line["correct"], line["failed"], line["attempted"]) == (True, 0, 32), result.stderr
+    assert (line["correct"], line["failed"], line["attempted"]) == (True, 0, cells), result.stderr
 
 
 if __name__ == "__main__":

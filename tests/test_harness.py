@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -337,23 +338,25 @@ class TestRunGrid:
         assert len(values) == 2
         assert values[0] == values[1]
 
-    def test_serial_grid_encodes_universe_once(self, tmp_path, monkeypatch):
+    def test_serial_grid_encodes_universe_once(self, tmp_path, monkeypatch, stream_run):
         encodings = []
-        to_json_dict = PromptUniverse.to_json_dict
+        encode = PromptUniverse._encode
 
-        def counting_to_json_dict(self):
+        def counting_encode(self, *args):
             encodings.append(1)
-            return to_json_dict(self)
+            return encode(self, *args)
 
-        results = {}
-        write_run_outputs = harness._write_run_outputs
+        streams, sinks = [], []
 
-        def capturing_write(run_dir, result, *args):
-            results[run_dir] = result
-            return write_run_outputs(run_dir, result, *args)
+        def capturing_loop(universe, sft_policy, cfg, events):
+            result, lines = stream_run(universe, sft_policy, cfg)
+            events.writelines(lines)
+            streams.append(lines)
+            sinks.append(events.name)
+            return result
 
-        monkeypatch.setattr(PromptUniverse, "to_json_dict", counting_to_json_dict)
-        monkeypatch.setattr(harness, "_write_run_outputs", capturing_write)
+        monkeypatch.setattr(PromptUniverse, "_encode", counting_encode)
+        monkeypatch.setattr(harness, "run_online_dpo", capturing_loop)
         grid, manifest = parse_config(SMOKE_CONFIG)
         grid = replace(grid, output_dir=str(tmp_path / "runs"))
         run_dirs = run_grid(grid, grid_manifest=manifest)
@@ -363,11 +366,13 @@ class TestRunGrid:
         universe_bytes = (tmp_path / "runs" / "universe.json").read_bytes()
         assert universe_bytes.endswith(b"\n")
         universe_hash = hashlib.sha256(universe_bytes[:-1]).hexdigest()
-        for run_dir in run_dirs:
+        # serial cells run in run_dirs order, each streaming into its own file
+        assert sinks == [str(run_dir / "events.jsonl") for run_dir in run_dirs]
+        for run_dir, stream in zip(run_dirs, streams):
             run_manifest = json.loads((run_dir / "manifest.json").read_text())
             assert run_manifest["universe_hash"] == universe_hash
             lines = (run_dir / "events.jsonl").read_text(encoding="utf-8").split("\n")
-            events = results[run_dir].events
+            events = [json.loads(line) for line in stream]
             assert lines == [json.dumps(event, sort_keys=True) for event in events] + [""]
 
     def test_evaluation_asks_each_evaluator_once_per_cell(self, tmp_path, monkeypatch):
@@ -790,6 +795,55 @@ class TestCli:
             assert (out / f"{selector}__weak__seed42" / "eval.csv").exists()
             assert not (out / f"{selector}__weak__seed43" / "eval.csv").exists()
 
+    def test_a_cell_failing_mid_stream_keeps_only_its_manifest(self, tmp_path, monkeypatch):
+        def fail_after_one_event(universe, sft_policy, cfg, events):
+            events.write('{"type": "candidates"}\n')
+            raise TrainingError("non-finite parameters at update 1")
+
+        monkeypatch.setattr(harness, "run_online_dpo", fail_after_one_event)
+        config = json.loads(SMOKE_CONFIG.read_text())
+        out = tmp_path / "runs"
+        assert main(["sweep", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 1
+        run_dirs = discover_run_dirs(out)
+        assert len(run_dirs) == 4
+        for run_dir in run_dirs:
+            assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json"]
+            manifest = json.loads((run_dir / "manifest.json").read_text())
+            assert (manifest["status"], manifest["error"]) == (
+                "failed", "non-finite parameters at update 1"
+            )
+
+    def test_aborted_runs_are_named_and_not_evaluated(self, tmp_path, capsys):
+        # Adam's first step moves each parameter by about 1e308; the second
+        # update overflows, and the parameter check aborts every cell
+        config = json.loads(SMOKE_CONFIG.read_text())
+        config["train"]["dpo"].update(learning_rate=1e308, beta=50.0, warmup_ratio=0.0)
+        out = tmp_path / "runs"
+        argv = ["sweep", "--config", str(write_config(tmp_path, config)), "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        run_dirs = discover_run_dirs(out)
+        assert len(run_dirs) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"error: run {d.name} aborted: non-finite parameters at update 2"
+            for d in sorted(run_dirs, key=lambda d: d.name.startswith("apl"))
+        ] + [f"4 of 4 runs aborted under {out}"]
+        for run_dir in run_dirs:
+            assert sorted(p.name for p in run_dir.iterdir()) == [
+                "counters.json", "events.jsonl", "final_policy.json",
+                "manifest.json", "metrics.csv", "sft_policy.json",
+            ]
+            manifest = json.loads((run_dir / "manifest.json").read_text())
+            assert (manifest["status"], manifest["aborted"]) == ("completed", True)
+        assert main(["report", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[:4] == [
+            f"warning: {d} has no eval.csv (the run aborted); it is left out of the report"
+            for d in run_dirs
+        ]
+
     def test_oversized_batch_is_refused_before_any_file(self, tmp_path, capsys):
         config = json.loads(SMOKE_CONFIG.read_text())
         config["train"]["selection"]["batch_prompts"] = 40
@@ -801,6 +855,10 @@ class TestCli:
                 "error: batch_prompts 40 exceeds the 32 train prompts\n"
             )
             assert not out.exists()
+        # a single cell is refused before its run directory exists
+        argv = ["train", "--config", str(write_config(tmp_path, config)), "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
 
     def test_oversized_batch_is_refused_on_a_universe_path(self, tmp_path):
         config = json.loads(SMOKE_CONFIG.read_text())

@@ -2,7 +2,9 @@
 
 import json
 import math
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from preflab import (
     UniverseConfig,
     generate_universe,
     log_prob,
+    parse_config,
     reference_preset,
     response_probabilities,
     probe_accuracy,
@@ -111,32 +114,32 @@ class TestReferencePreset:
 
 
 class TestOnlineLoop:
-    def test_zero_iterations_returns_sft(self):
+    def test_zero_iterations_returns_sft(self, stream_run):
         u = dense_universe()
         cfg = train_config(dpo=DpoConfig(max_steps=0))
         sft = sft_fit(u, cfg)
-        result = run_online_dpo(u, sft, cfg)
+        result, _ = stream_run(u, sft, cfg)
         np.testing.assert_array_equal(result.final_policy.theta, sft.theta)
         assert result.per_iteration == []
         assert result.counters.judge_queries == 0
 
-    def test_reference_is_bitwise_sft(self):
+    def test_reference_is_bitwise_sft(self, stream_run):
         u = dense_universe()
         cfg = train_config()
         sft = sft_fit(u, cfg)
-        result = run_online_dpo(u, sft, cfg)
+        result, _ = stream_run(u, sft, cfg)
         np.testing.assert_array_equal(result.sft_policy.theta, sft.theta)
 
-    def test_judge_queries_match_labeled_pairs(self):
+    def test_judge_queries_match_labeled_pairs(self, stream_run):
         u = dense_universe()
         cfg = train_config()
         sft = sft_fit(u, cfg)
-        result = run_online_dpo(u, sft, cfg)
+        result, _ = stream_run(u, sft, cfg)
         total = sum(log.labeled_pairs for log in result.per_iteration)
         assert result.counters.judge_queries == total
         assert total <= cfg.dpo.max_steps * cfg.selection.label_budget
 
-    def test_tabular_faithful_judge_preserves_probe_accuracy(self):
+    def test_tabular_faithful_judge_preserves_probe_accuracy(self, stream_run):
         # tabular blocks are disjoint, so training cannot move probe prompts
         cfg_u = UniverseConfig(
             num_train_prompts=8,
@@ -155,16 +158,16 @@ class TestOnlineLoop:
             ),
         )
         sft = sft_fit(u, cfg)
-        result = run_online_dpo(u, sft, cfg)
+        result, _ = stream_run(u, sft, cfg)
         drop = probe_accuracy(sft, u) - probe_accuracy(result.final_policy, u)
         assert drop <= 0.01
 
-    def test_run_result_serialization_deterministic(self):
+    def test_run_result_serialization_deterministic(self, stream_run):
         u = dense_universe()
         cfg = train_config(selector="apl")
-        a = run_online_dpo(u, sft_fit(u, cfg), cfg)
-        b = run_online_dpo(u, sft_fit(u, cfg), cfg)
-        assert a.event_lines == b.event_lines
+        a, a_lines = stream_run(u, sft_fit(u, cfg), cfg)
+        b, b_lines = stream_run(u, sft_fit(u, cfg), cfg)
+        assert a_lines == b_lines
         # through json.dumps, so that a NaN mean_loss compares equal to itself
         for run_a, run_b in (
             ([vars(log) for log in a.per_iteration], [vars(log) for log in b.per_iteration]),
@@ -175,28 +178,29 @@ class TestOnlineLoop:
             assert json.dumps(run_a, sort_keys=True) == json.dumps(run_b, sort_keys=True)
         assert a.aborted is b.aborted is False
 
-    def test_every_event_line_is_canonical_json(self):
+    def test_every_event_line_is_canonical_json(self, stream_run):
         u = dense_universe()
         apl_cfg, random_cfg = train_config(selector="apl"), train_config()
-        apl_run = run_online_dpo(u, sft_fit(u, apl_cfg), apl_cfg)
-        random_run = run_online_dpo(u, sft_fit(u, random_cfg), random_cfg)
+        apl_run, apl_lines = stream_run(u, sft_fit(u, apl_cfg), apl_cfg)
+        random_run, random_lines = stream_run(u, sft_fit(u, random_cfg), random_cfg)
         # a point-mass sampler: degenerate prompts and budget shortfalls
-        collapsed = run_online_dpo(u, Policy(1e4 * u.probe_direction, label="sharp"), apl_cfg)
+        _, collapsed_lines = stream_run(u, Policy(1e4 * u.probe_direction, label="sharp"), apl_cfg)
         diverging = train_config(
             dpo=DpoConfig(beta=50.0, learning_rate=1e308, warmup_ratio=0.0, max_steps=6)
         )
         with np.errstate(over="ignore", invalid="ignore"):
-            aborted = run_online_dpo(u, sft_fit(u, diverging), diverging)
+            aborted, aborted_lines = stream_run(u, sft_fit(u, diverging), diverging)
         assert aborted.aborted and not apl_run.aborted
 
         kinds = set()
-        for result in (apl_run, random_run, collapsed, aborted):
-            for line in result.event_lines:
+        for lines in (apl_lines, random_lines, collapsed_lines, aborted_lines):
+            for line in lines:
                 # one line, newline-terminated, sorted keys, the encoder's own text
                 assert line == json.dumps(json.loads(line), sort_keys=True) + "\n"
                 kinds.add(json.loads(line)["type"])
         assert kinds == {"candidates", "degenerate_prompt", "budget_shortfall", "selection", "abort"}
-        scores = [e["score"] for e in random_run.events if e["type"] == "selection"]
+        random_events = [json.loads(line) for line in random_lines]
+        scores = [e["score"] for e in random_events if e["type"] == "selection"]
         assert scores and all(score is None for score in scores)
 
     @pytest.mark.parametrize(
@@ -205,16 +209,16 @@ class TestOnlineLoop:
     def test_score_text_is_the_encoders(self, values):
         assert _json_floats(values) == [json.dumps(v) for v in values]
 
-    def test_candidate_streams_paired_across_selectors(self):
+    def test_candidate_streams_paired_across_selectors(self, stream_run):
         u = dense_universe()
         sft_a = sft_fit(u, train_config(selector="random"))
-        res_random = run_online_dpo(u, sft_a, train_config(selector="random"))
+        _, random_lines = stream_run(u, sft_a, train_config(selector="random"))
         sft_b = sft_fit(u, train_config(selector="apl"))
-        res_apl = run_online_dpo(u, sft_b, train_config(selector="apl"))
-        first = lambda events: next(e for e in events if e["type"] == "candidates")
-        assert first(res_random.events) == first(res_apl.events)
+        _, apl_lines = stream_run(u, sft_b, train_config(selector="apl"))
+        first = lambda lines: next(e for e in map(json.loads, lines) if e["type"] == "candidates")
+        assert first(random_lines) == first(apl_lines)
 
-    def test_divergence_aborts_with_partial_result(self):
+    def test_divergence_aborts_with_partial_result(self, stream_run):
         u = dense_universe()
         # Adam's first step moves each parameter by about the learning rate,
         # which is at the float ceiling; the second overflows
@@ -229,8 +233,8 @@ class TestOnlineLoop:
         )
         sft = sft_fit(u, cfg)
         with np.errstate(over="ignore", invalid="ignore"):
-            result = run_online_dpo(u, sft, cfg)
-        aborts = [e for e in result.events if e["type"] == "abort"]
+            result, lines = stream_run(u, sft, cfg)
+        aborts = [e for e in map(json.loads, lines) if e["type"] == "abort"]
         assert len(aborts) == 1
         assert aborts[0]["reason"] == "non-finite parameters at update 2"
         assert len(result.per_iteration) <= 6
@@ -257,7 +261,7 @@ class TestOnlineLoop:
             ):
                 sft_fit(u, cfg)
 
-    def test_update_policies_are_not_revalidated(self, monkeypatch):
+    def test_update_policies_are_not_revalidated(self, monkeypatch, stream_run):
         # optimizer_step checks each update's parameters; only the reference
         # and the starting policy go through Policy validation
         u = dense_universe()
@@ -271,12 +275,12 @@ class TestOnlineLoop:
             post_init(self)
 
         monkeypatch.setattr(Policy, "__post_init__", counting_post_init)
-        result = run_online_dpo(u, sft, cfg)
+        result, _ = stream_run(u, sft, cfg)
         assert validations == ["sft", "step-0"]
         assert result.final_policy.label == f"step-{cfg.dpo.total_updates}"
         assert not result.final_policy.theta.flags.writeable
 
-    def test_batch_larger_than_pool_rejected(self):
+    def test_batch_larger_than_pool_rejected(self, stream_run):
         u = dense_universe()
         cfg = train_config(
             selection=SelectionConfig(
@@ -285,14 +289,34 @@ class TestOnlineLoop:
         )
         sft = sft_fit(u, cfg)
         with pytest.raises(ConfigurationError, match="train prompts"):
-            run_online_dpo(u, sft, cfg)
+            stream_run(u, sft, cfg)
 
-    def test_collapsed_policy_logs_degenerate_and_shortfall(self):
+    def test_events_go_to_the_sink_as_they_are_produced(self, tmp_path):
+        # a reference_preset() cell writes 42.8k event lines (4.1 MB); a loop
+        # that held them as strings until it returned peaked near 6.5 MB traced
+        config = Path(__file__).resolve().parent.parent / "configs" / "goodhart_weak.json"
+        grid, _ = parse_config(config)
+        u = generate_universe(grid.universe)
+        cfg = reference_preset()
+        sft = sft_fit(u, cfg)
+        path = tmp_path / "events.jsonl"
+        tracemalloc.start()
+        try:
+            with open(path, "w", encoding="utf-8") as events:
+                result = run_online_dpo(u, sft, cfg, events)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not result.aborted and len(result.per_iteration) == cfg.dpo.max_steps
+        assert path.stat().st_size > 4_000_000
+        assert peak < 1_000_000
+
+    def test_collapsed_policy_logs_degenerate_and_shortfall(self, stream_run):
         u = dense_universe()
         cfg = train_config()
         # a huge theta makes every prompt's sampler a point mass
         sharp = Policy(1e4 * u.probe_direction, label="sharp")
-        result = run_online_dpo(u, sharp, cfg)
-        kinds = {e["type"] for e in result.events}
+        _, lines = stream_run(u, sharp, cfg)
+        kinds = {json.loads(line)["type"] for line in lines}
         assert "degenerate_prompt" in kinds
         assert "budget_shortfall" in kinds

@@ -3,10 +3,15 @@
 import dataclasses
 import hashlib
 import json
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preflab import (
     ConfigurationError,
@@ -14,9 +19,12 @@ from preflab import (
     UniverseConfig,
     generate_universe,
     make_tabular_features,
+    parse_config,
     validate_universe,
 )
 from preflab.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _cfg(**overrides):
@@ -205,6 +213,20 @@ class TestSerialization:
         assert len(u.train_prompts()) == 10
         assert u.content_hash() == old_hash
 
+    def test_saving_streams_one_prompt_at_a_time(self, tmp_path):
+        # the goodhart_weak universe encodes to 4.6 MB; a whole-document
+        # encode held about 16 MB of Python objects and copies at its peak
+        grid, _ = parse_config(CONFIGS / "goodhart_weak.json")
+        u = generate_universe(grid.universe)
+        tracemalloc.start()
+        try:
+            u.save(tmp_path / "universe.json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "universe.json").stat().st_size > 4_000_000
+        assert peak < 1_000_000
+
     def test_ragged_features_rejected_on_load(self):
         data = generate_universe(_cfg()).to_json_dict()
         data["prompts"][3]["features"].pop()
@@ -336,3 +358,40 @@ class TestLoadFailsClosed:
         config_path.write_text(json.dumps(config))
         assert main(["sweep", "--config", str(config_path)]) == 2
         assert capsys.readouterr().err.startswith("error: invalid universe")
+
+
+@st.composite
+def universe_configs(draw):
+    """Small dense or tabular universe configs, feature_dim 1 included."""
+    counts = [draw(st.integers(1, 5)) for _ in range(3)]
+    v = draw(st.integers(2, 5))
+    scales = dict(
+        feature_scale=draw(st.floats(0.1, 4.0)),
+        true_reward_scale=draw(st.floats(0.1, 4.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    if draw(st.booleans()):
+        d = sum(counts) * v
+        rho = draw(st.floats(-1.0, 1.0))
+        return UniverseConfig(*counts, v, d, tabular_mode=True, misalignment_rho=rho, **scales)
+    d = draw(st.integers(1, 6))
+    rho = draw(st.sampled_from([-1.0, 1.0]) if d == 1 else st.floats(-1.0, 1.0))
+    return UniverseConfig(*counts, v, d, misalignment_rho=rho, **scales)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(config=universe_configs())
+def test_streamed_encoding_is_the_canonical_json(config):
+    # universe.json is json.dumps of the dict form plus a newline, byte for
+    # byte, and every way of reaching the content hash agrees with its sha256
+    hashed = generate_universe(config)
+    before_save = hashed.content_hash()
+    saved = generate_universe(config)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "universe.json"
+        saved.save(path)
+        data = path.read_bytes()
+        loaded = PromptUniverse.load(path)
+    assert data == (json.dumps(saved.to_json_dict(), sort_keys=True) + "\n").encode("utf-8")
+    digest = hashlib.sha256(data[:-1]).hexdigest()
+    assert before_save == saved.content_hash() == loaded.content_hash() == digest
