@@ -16,11 +16,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, TrainingError
 from .harness import (
     _resolve_universe,
     _write_json,
-    abort_reason,
     aggregate_summary,
     discover_run_dirs,
     emit_pareto,
@@ -28,6 +27,7 @@ from .harness import (
     run_cell,
     run_grid,
     run_id_for,
+    run_outcome,
     write_summary,
 )
 from .trainer import TrainConfig, sft_fit
@@ -74,6 +74,23 @@ def main(argv=None) -> int:
         return 2
 
 
+def _outcome(run_dirs: list[Path], out_dir) -> int:
+    """Name each failed or aborted cell from its manifest on stderr; 1 if any."""
+    counts = {"failed": 0, "aborted": 0}
+    for run_dir in run_dirs:
+        run = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+        what = run_outcome(run)
+        if what in counts:
+            counts[what] += 1
+            print(f"error: run {run['run_id']} {what}: {run['error']}", file=sys.stderr)
+    for what, count in counts.items():
+        if count:
+            print(f"{count} of {len(run_dirs)} runs {what} under {out_dir}", file=sys.stderr)
+    if not any(counts.values()):
+        print(f"completed {len(run_dirs)} runs under {out_dir}")
+    return 1 if any(counts.values()) else 0
+
+
 def _dispatch(args) -> int:
     if args.command == "report":
         run_dirs = discover_run_dirs(args.out)
@@ -106,12 +123,15 @@ def _dispatch(args) -> int:
 
     if args.command == "sft":
         seed = args.seed if args.seed is not None else grid.seeds[0]
-        policy = sft_fit(universe, TrainConfig(sft=grid.train.sft, run_seed=seed))
-        out_dir = Path(grid.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        out = out_dir / "sft_policy.json"
+        out = Path(grid.output_dir) / "sft_policy.json"
         if out.exists() and not args.overwrite:
             raise ConfigurationError(f"refusing to overwrite {out} (pass --overwrite)")
+        try:
+            policy = sft_fit(universe, TrainConfig(sft=grid.train.sft, run_seed=seed))
+        except TrainingError as exc:
+            print(f"error: sft failed: {exc}", file=sys.stderr)
+            return 1
+        out.parent.mkdir(parents=True, exist_ok=True)
         _write_json(out, policy.to_json_dict())
         print(f"wrote {out}")
         return 0
@@ -119,51 +139,24 @@ def _dispatch(args) -> int:
     if args.command == "train":
         seed = args.seed if args.seed is not None else grid.seeds[0]
         selector = args.selector or grid.selectors[0]
-        if args.annotator:
-            matches = [a for a in grid.annotators if a.label == args.annotator]
-            if not matches:
-                raise ConfigurationError(
-                    f"annotator {args.annotator!r} not in config "
-                    f"({[a.label for a in grid.annotators]})"
-                )
-            annotator = matches[0]
-        else:
-            annotator = grid.annotators[0]
+        annotators = {a.label: a for a in grid.annotators}
+        annotator = annotators.get(args.annotator or grid.annotators[0].label)
+        if annotator is None:
+            raise ConfigurationError(
+                f"annotator {args.annotator!r} not in config ({list(annotators)})"
+            )
         run_dir = Path(grid.output_dir) / run_id_for(selector, annotator.label, seed)
         if run_dir.exists() and not args.overwrite:
             raise ConfigurationError(f"refusing to overwrite {run_dir} (pass --overwrite)")
-        run_cell(
-            universe,
-            grid.train,
-            selector,
-            annotator,
-            seed,
-            grid.evaluators,
-            grid.eval_settings,
-            run_dir,
-            manifest,
-        )
-        print(f"wrote {run_dir}")
-        return 0
+        cell = (grid.train, selector, annotator, seed, grid.evaluators, grid.eval_settings)
+        run_cell(universe, *cell, run_dir, manifest)
+        return _outcome([run_dir], grid.output_dir)
 
     if args.command == "sweep":
         run_dirs = run_grid(
             grid, grid_manifest=manifest, overwrite=args.overwrite, parallel=args.parallel
         )
-        runs = [json.loads((d / "manifest.json").read_text(encoding="utf-8")) for d in run_dirs]
-        failed = [run for run in runs if run["status"] == "failed"]
-        aborted = [(d, run) for d, run in zip(run_dirs, runs) if run.get("aborted")]
-        for run in failed:
-            print(f"error: run {run['run_id']} failed: {run['error']}", file=sys.stderr)
-        for run_dir, run in aborted:
-            print(f"error: run {run['run_id']} aborted: {abort_reason(run_dir)}", file=sys.stderr)
-        for what, count in (("failed", len(failed)), ("aborted", len(aborted))):
-            if count:
-                print(f"{count} of {len(run_dirs)} runs {what} under {grid.output_dir}", file=sys.stderr)
-        if failed or aborted:
-            return 1
-        print(f"completed {len(run_dirs)} runs under {grid.output_dir}")
-        return 0
+        return _outcome(run_dirs, grid.output_dir)
 
     raise ConfigurationError(f"unknown command {args.command!r}")
 

@@ -5,9 +5,10 @@ are rejected, and every field left to its default is recorded so the echoed
 manifest makes each run self-describing. One run directory is produced per
 (selector, annotator, seed) cell, holding the manifest, per-iteration metrics
 CSV, the event stream (written while the loop runs), policy checkpoints, op
-counters, and one eval row per evaluator (none for an aborted run). Runs that
-share (annotator, seed) differ only in selector and use identical random
-streams, so selector comparisons are paired.
+counters, and one eval row per evaluator (none for an aborted run). The
+manifest records how the run ended, and it is the one record every reader
+takes the outcome from. Runs that share (annotator, seed) differ only in
+selector and use identical random streams, so selector comparisons are paired.
 
 Reports: ``summary.csv`` (mean +/- sample std per cell plus collapse counts
 and extra scoring ops), ``welch.csv`` (Welch two-sample tests between
@@ -22,7 +23,6 @@ import hashlib
 import json
 import math
 import sys
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import combinations
@@ -74,6 +74,9 @@ PARETO_CSV_HEADER = [
     "delta_acc_pp",
     "collapse_flag",
 ]
+# the files a run writes; a reused run directory loses them, manifest.json first
+RUN_FILES = ("manifest.json", "eval.csv", "metrics.csv", "events.jsonl", "counters.json",
+             "sft_policy.json", "final_policy.json")
 # pareto.csv columns named differently in eval.csv
 _EVAL_COLUMN = {"annotator": "annotator_label", "evaluator": "evaluator_label"}
 WELCH_CSV_HEADER = [
@@ -199,7 +202,7 @@ def parse_config(path) -> tuple[ExperimentGrid, dict]:
     defaulted = [k for k in ("train", "selectors", "seeds", "eval", "output_dir") if k not in data]
 
     def _optional(key: str, hint: type):
-        return None if data.get(key) is None else build_value(hint, data[key], key, [])
+        return None if data.get(key) is None else build_value(hint, data[key], key, defaulted)
 
     def _section(cls, key: str):
         return build_dataclass(cls, data[key], key, defaulted) if key in data else cls()
@@ -296,9 +299,10 @@ def run_cell(
 ) -> Path:
     """Train one (selector, annotator, seed) cell and write its run directory.
 
-    The loop streams events.jsonl into the directory as it runs. A cell whose
-    training fails keeps only manifest.json; an aborted run is not evaluated,
-    so it has no eval.csv."""
+    A reused directory first loses its RUN_FILES, so a failed or killed rerun
+    leaves no old outcome. The loop streams events.jsonl into the directory as
+    it runs. A cell whose training fails keeps only manifest.json; an aborted
+    run records its reason there as "error" and has no eval.csv."""
     run_dir = Path(run_dir)
     batch_train_ids(universe, template.selection)  # refuse before creating run_dir
     cfg = TrainConfig(
@@ -333,6 +337,8 @@ def run_cell(
     if grid_manifest:
         manifest["grid"] = grid_manifest
     run_dir.mkdir(parents=True, exist_ok=True)
+    for name in RUN_FILES:
+        (run_dir / name).unlink(missing_ok=True)
     events_path = run_dir / "events.jsonl"
     try:
         sft_policy = sft_fit(universe, cfg)
@@ -344,12 +350,14 @@ def run_cell(
         _write_json(run_dir / "manifest.json", manifest)
         return run_dir
 
-    manifest["aborted"] = result.aborted
+    manifest["aborted"] = result.abort_reason is not None
     eval_rows = None
-    if not result.aborted:
+    if result.abort_reason is None:
         eval_rows = evaluate_run(
             universe, result, evaluators, eval_settings, run_id, selector, annotator.label, seed
         )
+    else:
+        manifest["error"] = result.abort_reason
     _write_run_outputs(run_dir, result, eval_rows, manifest)
     return run_dir
 
@@ -473,14 +481,34 @@ def run_grid(
 # --------------------------------------------------------------------------
 
 
-def _read_runs(run_dirs: Sequence[Path]) -> tuple[list[dict], list[Path]]:
-    """The typed eval.csv rows of the run directories, each carrying its run's
-    counters.json under "counters" (None where there is none), and the
-    directories without eval.csv (failed runs)."""
-    rows, skipped = [], []
+def _read_runs(run_dirs: Sequence[Path]) -> tuple[list[dict], list[tuple[Path, str]]]:
+    """From one read of each manifest.json: the typed eval.csv rows of the runs
+    that completed without aborting, each carrying its counters.json under
+    "counters" (None where there is none), and every other directory with why
+    it is left out. Included runs that differ in universe_hash,
+    grid.config.train or grid.config.eval are a ConfigurationError."""
+    rows, skipped, first = [], [], None
     for run_dir in map(Path, run_dirs):
+        try:
+            manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+            outcome = run_outcome(manifest)
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            skipped.append((run_dir, "unreadable manifest"))
+            continue
+        if outcome != "completed":
+            error = manifest.get("error", "no error recorded")
+            skipped.append((run_dir, f"the run {outcome}: {error}"))
+            continue
+        config = manifest.get("grid", {}).get("config", {})
+        grid = (manifest.get("universe_hash"), config.get("train"), config.get("eval"))
+        first = first or (run_dir, grid)
+        if grid != first[1]:
+            raise ConfigurationError(
+                f"{run_dir} and {first[0]} differ in universe_hash, grid.config.train "
+                "or grid.config.eval; report one grid per directory"
+            )
         if not (run_dir / "eval.csv").exists():
-            skipped.append(run_dir)
+            skipped.append((run_dir, "no eval.csv"))
             continue
         path = run_dir / "counters.json"
         counters = json.loads(path.read_text(encoding="utf-8")) if path.exists() else None
@@ -557,21 +585,13 @@ def aggregate_summary(
     Welch's unequal-variance t-test compares selector pairs on win_rate and
     delta_acc_pp; cells with fewer than two seeds or zero variance on both
     sides are reported as degenerate rather than fabricating a p-value. A run
-    directory without eval.csv (a failed or aborted run) is named in a warning
-    on stderr, so a shrunken n_seeds never goes unnoticed, and so is each
-    (annotator, seed) whose selectors bought different numbers of judge queries.
+    left out (see _read_runs) is named in a warning on stderr with its reason,
+    so a shrunken n_seeds never goes unnoticed, and so is each (annotator,
+    seed) whose selectors bought different numbers of judge queries.
     """
     rows, skipped = _read_runs(run_dirs)
-    for run_dir in skipped:
-        try:
-            manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
-            why = "the run aborted" if manifest.get("aborted") else f"manifest status {manifest['status']!r}"
-        except (OSError, ValueError, KeyError):
-            why = "manifest status 'unreadable manifest'"
-        print(
-            f"warning: {run_dir} has no eval.csv ({why}); it is left out of the report",
-            file=sys.stderr,
-        )
+    for run_dir, why in skipped:
+        print(f"warning: {run_dir} is left out of the report ({why})", file=sys.stderr)
     if not rows:
         raise ConfigurationError("no eval.csv rows found under the given run directories")
 
@@ -677,18 +697,15 @@ def write_summary(summary: list[SummaryRow], welch_records: list[dict], out_dir)
     return summary_path, welch_path
 
 
-def abort_reason(run_dir) -> str:
-    """Why an aborted run stopped: the reason of its abort event, which is the
-    last line of its events.jsonl."""
-    with open(Path(run_dir) / "events.jsonl", "r", encoding="utf-8") as fh:
-        (last,) = deque(fh, maxlen=1)
-    return json.loads(last)["reason"]
+def run_outcome(manifest: dict) -> str:
+    """How a run ended, from its manifest: "completed", "failed" or "aborted"."""
+    return "aborted" if manifest.get("aborted") else manifest["status"]
 
 
 def discover_run_dirs(out_dir) -> list[Path]:
-    """Each directory under ``out_dir`` that holds a manifest.json; a missing
-    ``out_dir`` or one without any is a ConfigurationError."""
-    run_dirs = sorted(manifest.parent for manifest in Path(out_dir).glob("*/manifest.json"))
+    """Each directory under ``out_dir``, with or without manifest.json (a killed
+    run); a missing or empty ``out_dir`` is a ConfigurationError."""
+    run_dirs = sorted(path for path in Path(out_dir).glob("*") if path.is_dir())
     if not run_dirs:
         raise ConfigurationError(f"no run directories found under {out_dir}")
     return run_dirs

@@ -24,9 +24,9 @@ All stochastic streams are keyed by run_seed and a purpose tag, never by the
 selector, so runs that differ only in selector share prompt, generation, and
 supervised-fit randomness (paired comparisons). The annotator's stream is
 additionally folded with run_seed so different seeds see independent label
-noise. Non-finite parameters abort the run with a partial result (checked
-once per update, by ``optimizer_step``, with numpy's overflow warnings off);
-collapse is data, not failure.
+noise. Non-finite parameters abort the run with a partial result whose
+``abort_reason`` says why (checked once per update, by ``optimizer_step``,
+with numpy's overflow warnings off); collapse is data, not failure.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import TextIO
+from typing import Optional, TextIO
 
 import numpy as np
 
@@ -115,7 +115,7 @@ class RunResult:
     sft_policy: Policy
     per_iteration: list[IterationLog]
     counters: OpCounters
-    aborted: bool
+    abort_reason: Optional[str]  # None for a run that finished
 
 
 def reference_preset() -> TrainConfig:
@@ -235,7 +235,7 @@ def run_online_dpo(
     annotator = _annotator_for_run(cfg, universe)
 
     features = universe.features
-    aborted = False
+    abort_reason = None
     for t in range(1, cfg.dpo.max_steps + 1):
         prompt_ids = train_ids[prompt_rng.permutation(train_ids.size)[: sel.batch_prompts]]
         candidates, log_probs = generate_candidates(
@@ -296,9 +296,9 @@ def run_online_dpo(
                         new_theta, opt_state = optimizer_step(opt_state, policy.theta, grad, last_lr)
                         policy = Policy.from_finite(new_theta, label=f"step-{opt_state.step}")
             except TrainingError as exc:
-                abort = {"type": "abort", "iteration": t, "reason": str(exc)}
+                abort_reason = str(exc)
+                abort = {"type": "abort", "iteration": t, "reason": abort_reason}
                 events.write(json.dumps(abort, sort_keys=True) + "\n")
-                aborted = True
 
         logs.append(
             IterationLog(
@@ -311,7 +311,7 @@ def run_online_dpo(
                 lr=last_lr,
             )
         )
-        if aborted:
+        if abort_reason is not None:
             break
 
     return RunResult(
@@ -319,5 +319,5 @@ def run_online_dpo(
         sft_policy=ref,
         per_iteration=logs,
         counters=counters,
-        aborted=aborted,
+        abort_reason=abort_reason,
     )

@@ -37,7 +37,7 @@ from preflab import (
     parse_config,
     run_grid,
 )
-from preflab import harness
+from preflab import cli, harness
 from preflab.cli import main
 from preflab.harness import (
     EVAL_CSV_HEADER,
@@ -95,6 +95,30 @@ def write_config(tmp_path, config):
     return path
 
 
+# one-cell smoke grids ending each way a cell can end, with the error it records
+SMOKE_OUTCOMES = {
+    "completed": ({}, None),
+    "failed": (
+        {"sft": {"learning_rate": 1e308}},
+        "supervised fit diverged at update 3; reduce sft.learning_rate",
+    ),
+    # Adam's first step moves each parameter by about 1e308; the second update
+    # overflows, and the parameter check aborts the cell
+    "aborted": (
+        {"dpo": {"learning_rate": 1e308, "beta": 50.0, "warmup_ratio": 0.0}},
+        "non-finite parameters at update 2",
+    ),
+}
+
+
+def one_cell_smoke(outcome="completed", seeds=(42,), selectors=("random",)):
+    config = json.loads(SMOKE_CONFIG.read_text())
+    config.update(seeds=list(seeds), selectors=list(selectors))
+    for section, values in SMOKE_OUTCOMES[outcome][0].items():
+        config["train"][section].update(values)
+    return config
+
+
 class TestParseConfig:
     def test_minimal_single_cell_grid(self, tmp_path):
         config = grid_config(tmp_path / "runs", selectors=["random"], seeds=[42])
@@ -145,6 +169,18 @@ class TestParseConfig:
         assert grid.train.dpo.beta == 0.1
         assert "train.dpo.beta" in manifest["defaulted_fields"]
         assert manifest["config"]["train"]["dpo"]["beta"] == 0.1
+
+    def test_smoke_config_lists_every_defaulted_field(self):
+        # the universe section's omitted fields included; manifest_hash does not cover them
+        _, manifest = parse_config(SMOKE_CONFIG)
+        assert manifest["defaulted_fields"] == [
+            "annotators[0].kind",
+            "evaluators[0].kind",
+            "evaluators[1].noise_temperature",
+            "train.dpo.warmup_ratio",
+            "universe.feature_scale",
+            "universe.tabular_mode",
+        ]
 
     def test_json_error_carries_line_context(self, tmp_path):
         path = tmp_path / "config.json"
@@ -503,7 +539,8 @@ def fake_run_dir(
             }
         )
     )
-    (run_dir / "manifest.json").write_text(json.dumps({"run_id": run_id, "seed": seed}))
+    manifest = {"run_id": run_id, "seed": seed, "status": "completed"}
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
     return run_dir
 
 
@@ -610,7 +647,9 @@ class TestAggregation:
                 failed = out / "random__weak__seed44"
                 failed.mkdir()
                 (failed / "manifest.json").write_text(
-                    json.dumps({"run_id": failed.name, "status": "failed", "seed": 44})
+                    json.dumps(
+                        {"run_id": failed.name, "status": "failed", "seed": 44, "error": "boom"}
+                    )
                 )
             assert main(["report", "--out", str(out)]) == 0
             summaries[name] = (out / "summary.csv").read_bytes()
@@ -618,11 +657,45 @@ class TestAggregation:
                 line for line in capsys.readouterr().err.splitlines() if "warning" in line
             ]
             if plant_failed:
-                assert len(warnings) == 1
-                assert "random__weak__seed44" in warnings[0] and "'failed'" in warnings[0]
+                assert warnings == [
+                    f"warning: {failed} is left out of the report (the run failed: boom)"
+                ]
             else:
                 assert warnings == []
         assert summaries["with_failed"] == summaries["clean"]
+
+    @pytest.mark.parametrize(
+        "manifest, why",
+        [
+            ({"status": "failed", "error": "boom"}, "the run failed: boom"),
+            ({"status": "completed", "aborted": True, "error": "x"}, "the run aborted: x"),
+            ({"status": "failed"}, "the run failed: no error recorded"),
+            ({"run_id": "no status"}, "unreadable manifest"),
+            ([], "unreadable manifest"),
+        ],
+    )
+    def test_the_manifest_decides_inclusion_over_a_stale_eval_csv(
+        self, tmp_path, capsys, manifest, why
+    ):
+        dirs = [fake_run_dir(tmp_path, "random", "weak", seed, 0.6, -1.0) for seed in (42, 43)]
+        clean = aggregate_summary(dirs)
+        # an old run's eval.csv beside a manifest that says the run is no result
+        stale = fake_run_dir(tmp_path, "random", "weak", 44, 0.99, 50.0)
+        (stale / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert aggregate_summary(dirs + [stale]) == clean
+        assert capsys.readouterr().err == f"warning: {stale} is left out of the report ({why})\n"
+        pareto = emit_pareto(dirs + [stale], tmp_path / "pareto.csv").read_text()
+        assert "seed44" not in pareto and len(pareto.splitlines()) == 3
+
+    def test_a_completed_run_without_eval_csv_is_named(self, tmp_path, capsys):
+        dirs = [fake_run_dir(tmp_path, "random", "weak", seed, 0.6, -1.0) for seed in (42, 43)]
+        (dirs[1] / "eval.csv").unlink()
+        (row,), _ = aggregate_summary(dirs)
+        assert row.n_seeds == 1
+        assert capsys.readouterr().err == (
+            f"warning: {dirs[1]} is left out of the report (no eval.csv)\n"
+        )
 
 
 TAIL_DFS = [1, 1.5, 2, 2.37, 5, 10.2, 30, 58, 200, 1000]
@@ -767,7 +840,8 @@ class TestCli:
         assert main(["report", "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err[:4] == [
-            f"warning: {d} has no eval.csv (manifest status 'failed'); it is left out of the report"
+            f"warning: {d} is left out of the report (the run failed: supervised fit diverged "
+            "at update 3; reduce sft.learning_rate)"
             for d in run_dirs
         ]
         assert err[4:] == ["error: no eval.csv rows found under the given run directories"]
@@ -836,13 +910,151 @@ class TestCli:
                 "manifest.json", "metrics.csv", "sft_policy.json",
             ]
             manifest = json.loads((run_dir / "manifest.json").read_text())
-            assert (manifest["status"], manifest["aborted"]) == ("completed", True)
+            assert (manifest["status"], manifest["aborted"], manifest["error"]) == (
+                "completed", True, "non-finite parameters at update 2"
+            )
         assert main(["report", "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err[:4] == [
-            f"warning: {d} has no eval.csv (the run aborted); it is left out of the report"
+            f"warning: {d} is left out of the report "
+            "(the run aborted: non-finite parameters at update 2)"
             for d in run_dirs
         ]
+
+    @pytest.mark.parametrize("outcome", sorted(SMOKE_OUTCOMES))
+    def test_train_and_sweep_report_one_outcome(self, tmp_path, capsys, outcome):
+        config_path = write_config(tmp_path, one_cell_smoke(outcome))
+        error = SMOKE_OUTCOMES[outcome][1]
+        named = [] if error is None else [f"error: run random__weak__seed42 {outcome}: {error}"]
+        for command in ("train", "sweep"):
+            out = tmp_path / command
+            code = main([command, "--config", str(config_path), "--out", str(out)])
+            err = capsys.readouterr().err.splitlines()
+            assert (code, [line for line in err if line.startswith("error:")]) == (
+                0 if error is None else 1, named
+            )
+            run_dir = out / "random__weak__seed42"
+            manifest = json.loads((run_dir / "manifest.json").read_text())
+            assert manifest.get("error") == error
+            assert manifest["status"] == ("failed" if outcome == "failed" else "completed")
+            assert (run_dir / "eval.csv").exists() == (error is None)
+            assert main(["report", "--out", str(out)]) == (0 if error is None else 2)
+            warnings = [
+                line for line in capsys.readouterr().err.splitlines() if "warning" in line
+            ]
+            assert warnings == (
+                [] if error is None
+                else [f"warning: {run_dir} is left out of the report (the run {outcome}: {error})"]
+            )
+
+    @pytest.mark.parametrize("outcome", ["failed", "aborted"])
+    def test_overwrite_leaves_no_old_outcome(self, tmp_path, capsys, outcome):
+        out = tmp_path / "runs"
+        run_dir = out / "random__weak__seed42"
+        argv = ["sweep", "--config", str(tmp_path / "config.json"), "--out", str(out)]
+        write_config(tmp_path, one_cell_smoke())
+        assert main(argv) == 0
+        (run_dir / "notes.txt").write_text("not a run file")
+        write_config(tmp_path, one_cell_smoke(outcome))
+        assert main(argv + ["--overwrite"]) == 1
+        written = ["manifest.json"]
+        if outcome == "aborted":
+            written += [
+                "counters.json", "events.jsonl", "final_policy.json", "metrics.csv",
+                "sft_policy.json",
+            ]
+        # the old eval.csv and the rest are gone; files a run does not write stay
+        assert sorted(p.name for p in run_dir.iterdir()) == sorted(written + ["notes.txt"])
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {run_dir} is left out of the report "
+            f"(the run {outcome}: {SMOKE_OUTCOMES[outcome][1]})",
+            "error: no eval.csv rows found under the given run directories",
+        ]
+
+    def test_a_killed_rerun_leaves_no_old_outcome(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "runs"
+        argv = ["train", "--config", str(write_config(tmp_path, one_cell_smoke())), "--out", str(out)]
+        assert main(argv) == 0
+
+        def killed(universe, cfg):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness, "sft_fit", killed)
+        with pytest.raises(KeyboardInterrupt):
+            main(argv + ["--overwrite"])
+        run_dir = out / "random__weak__seed42"
+        assert list(run_dir.iterdir()) == []
+        # the killed run still counts as a run directory, and report names it
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {run_dir} is left out of the report (unreadable manifest)",
+            "error: no eval.csv rows found under the given run directories",
+        ]
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("train", "dpo.max_steps", 10), ("eval", "n_trials", 100), ("universe", "seed", 8)],
+    )
+    def test_report_refuses_a_directory_mixing_grids(self, tmp_path, capsys, section, key, value):
+        out = tmp_path / "runs"
+        argv = ["sweep", "--config", str(tmp_path / "config.json"), "--out", str(out)]
+        write_config(tmp_path, one_cell_smoke())
+        assert main(argv) == 0
+        config = one_cell_smoke(seeds=[43])
+        *path, leaf = key.split(".")
+        functools.reduce(lambda d, k: d[k], [section, *path], config)[leaf] = value
+        write_config(tmp_path, config)
+        assert main(argv + ["--overwrite"]) == 0
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out / 'random__weak__seed43'} and {out / 'random__weak__seed42'} differ in "
+            "universe_hash, grid.config.train or grid.config.eval; report one grid per directory\n"
+        )
+        assert not (out / "summary.csv").exists()
+
+    def test_report_accepts_a_later_sweep_adding_seeds_and_selectors(self, tmp_path):
+        out = tmp_path / "runs"
+        argv = ["sweep", "--config", str(tmp_path / "config.json"), "--out", str(out)]
+        write_config(tmp_path, one_cell_smoke())
+        assert main(argv) == 0
+        write_config(tmp_path, one_cell_smoke(seeds=[43], selectors=["random", "apl"]))
+        assert main(argv + ["--overwrite"]) == 0
+        assert main(["report", "--out", str(out)]) == 0
+        with open(out / "summary.csv") as fh:
+            n_seeds = {(row["selector"], row["evaluator"]): row["n_seeds"] for row in csv.DictReader(fh)}
+        assert n_seeds == {
+            ("apl", "oracle"): "1", ("apl", "weak-eval"): "1",
+            ("random", "oracle"): "2", ("random", "weak-eval"): "2",
+        }
+
+    def test_refused_sft_never_fits(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "runs"
+        config_path = write_config(tmp_path, grid_config(out))
+        assert main(["sft", "--config", str(config_path)]) == 0
+        before = (out / "sft_policy.json").read_bytes()
+
+        def must_not_fit(universe, cfg):
+            raise AssertionError("sft_fit ran before the overwrite refusal")
+
+        monkeypatch.setattr(cli, "sft_fit", must_not_fit)
+        assert main(["sft", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: refusing to overwrite {out / 'sft_policy.json'} (pass --overwrite)\n"
+        )
+        assert (out / "sft_policy.json").read_bytes() == before
+
+    def test_diverging_sft_fails_without_a_file(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        config_path = write_config(tmp_path, one_cell_smoke("failed"))
+        assert main(["sft", "--config", str(config_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: sft failed: {SMOKE_OUTCOMES['failed'][1]}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_oversized_batch_is_refused_before_any_file(self, tmp_path, capsys):
         config = json.loads(SMOKE_CONFIG.read_text())

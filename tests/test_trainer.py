@@ -176,7 +176,7 @@ class TestOnlineLoop:
             (a.sft_policy.to_json_dict(), b.sft_policy.to_json_dict()),
         ):
             assert json.dumps(run_a, sort_keys=True) == json.dumps(run_b, sort_keys=True)
-        assert a.aborted is b.aborted is False
+        assert a.abort_reason is b.abort_reason is None
 
     def test_every_event_line_is_canonical_json(self, stream_run):
         u = dense_universe()
@@ -190,7 +190,10 @@ class TestOnlineLoop:
         )
         with np.errstate(over="ignore", invalid="ignore"):
             aborted, aborted_lines = stream_run(u, sft_fit(u, diverging), diverging)
-        assert aborted.aborted and not apl_run.aborted
+        assert apl_run.abort_reason is None
+        # the abort event, the stream's last line, carries the result's reason
+        assert json.loads(aborted_lines[-1])["reason"] == aborted.abort_reason
+        assert aborted.abort_reason.startswith("non-finite parameters at update ")
 
         kinds = set()
         for lines in (apl_lines, random_lines, collapsed_lines, aborted_lines):
@@ -307,7 +310,7 @@ class TestOnlineLoop:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert not result.aborted and len(result.per_iteration) == cfg.dpo.max_steps
+        assert result.abort_reason is None and len(result.per_iteration) == cfg.dpo.max_steps
         assert path.stat().st_size > 4_000_000
         assert peak < 1_000_000
 
