@@ -29,7 +29,6 @@ from .evaluation import (
 )
 from .harness import (
     aggregate_summary,
-    emit_pareto,
     parse_config,
     run_grid,
     write_summary,

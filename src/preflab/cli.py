@@ -3,7 +3,7 @@
 Subcommands:
     generate  build a universe JSON from the config's universe section
     sft       fit the supervised initialization and write its checkpoint
-    train     run a single (selector, annotator, seed) cell
+    train     run a single (selector, annotator, seed) cell: a one-cell sweep
     sweep     run the full experiment grid
     report    aggregate run directories into summary/welch/pareto CSVs
 """
@@ -22,12 +22,10 @@ from .harness import (
     _write_json,
     aggregate_summary,
     discover_run_dirs,
-    emit_pareto,
     parse_config,
-    run_cell,
     run_grid,
-    run_id_for,
     run_outcome,
+    save_universe,
     write_summary,
 )
 from .trainer import TrainConfig, sft_fit
@@ -93,11 +91,8 @@ def _outcome(run_dirs: list[Path], out_dir) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "report":
-        run_dirs = discover_run_dirs(args.out)
-        summary, welch = aggregate_summary(run_dirs)
-        summary_path, welch_path = write_summary(summary, welch, args.out)
-        pareto_path = emit_pareto(run_dirs, Path(args.out) / "pareto.csv")
-        print(f"wrote {summary_path}, {welch_path}, {pareto_path}")
+        paths = write_summary(*aggregate_summary(discover_run_dirs(args.out)), args.out)
+        print(f"wrote {', '.join(map(str, paths))}")
         return 0
 
     grid, manifest = parse_config(args.config)
@@ -109,17 +104,13 @@ def _dispatch(args) -> int:
         out = Path(args.out) if args.out else Path(grid.output_dir) / "universe.json"
         if out.suffix != ".json":
             out = out / "universe.json"
-        if out.exists() and not args.overwrite:
-            raise ConfigurationError(f"refusing to overwrite {out} (pass --overwrite)")
         if grid.universe is None:
             raise ConfigurationError("generate requires a 'universe' section in the config")
         out.parent.mkdir(parents=True, exist_ok=True)
         universe = generate_universe(grid.universe)
-        universe.save(out)
-        print(f"wrote {out} (hash {universe.content_hash()[:12]})")
+        written = save_universe(universe, out, args.overwrite)
+        print(f"{'wrote' if written else 'kept'} {out} (hash {universe.content_hash()[:12]})")
         return 0
-
-    universe = _resolve_universe(grid)
 
     if args.command == "sft":
         seed = args.seed if args.seed is not None else grid.seeds[0]
@@ -127,7 +118,7 @@ def _dispatch(args) -> int:
         if out.exists() and not args.overwrite:
             raise ConfigurationError(f"refusing to overwrite {out} (pass --overwrite)")
         try:
-            policy = sft_fit(universe, TrainConfig(sft=grid.train.sft, run_seed=seed))
+            policy = sft_fit(_resolve_universe(grid), TrainConfig(sft=grid.train.sft, run_seed=seed))
         except TrainingError as exc:
             print(f"error: sft failed: {exc}", file=sys.stderr)
             return 1
@@ -136,29 +127,16 @@ def _dispatch(args) -> int:
         print(f"wrote {out}")
         return 0
 
-    if args.command == "train":
+    if args.command == "train":  # a one-cell grid
+        annotators = {a.label: a for a in grid.annotators}
+        label = args.annotator or grid.annotators[0].label
+        if label not in annotators:
+            raise ConfigurationError(f"annotator {label!r} not in config ({list(annotators)})")
         seed = args.seed if args.seed is not None else grid.seeds[0]
         selector = args.selector or grid.selectors[0]
-        annotators = {a.label: a for a in grid.annotators}
-        annotator = annotators.get(args.annotator or grid.annotators[0].label)
-        if annotator is None:
-            raise ConfigurationError(
-                f"annotator {args.annotator!r} not in config ({list(annotators)})"
-            )
-        run_dir = Path(grid.output_dir) / run_id_for(selector, annotator.label, seed)
-        if run_dir.exists() and not args.overwrite:
-            raise ConfigurationError(f"refusing to overwrite {run_dir} (pass --overwrite)")
-        cell = (grid.train, selector, annotator, seed, grid.evaluators, grid.eval_settings)
-        run_cell(universe, *cell, run_dir, manifest)
-        return _outcome([run_dir], grid.output_dir)
-
-    if args.command == "sweep":
-        run_dirs = run_grid(
-            grid, grid_manifest=manifest, overwrite=args.overwrite, parallel=args.parallel
-        )
-        return _outcome(run_dirs, grid.output_dir)
-
-    raise ConfigurationError(f"unknown command {args.command!r}")
+        grid = replace(grid, selectors=[selector], annotators=[annotators[label]], seeds=[seed])
+    run_dirs = run_grid(grid, manifest, args.overwrite, getattr(args, "parallel", 1))
+    return _outcome(run_dirs, grid.output_dir)
 
 
 if __name__ == "__main__":

@@ -10,10 +10,14 @@ manifest records how the run ended, and it is the one record every reader
 takes the outcome from. Runs that share (annotator, seed) differ only in
 selector and use identical random streams, so selector comparisons are paired.
 
-Reports: ``summary.csv`` (mean +/- sample std per cell plus collapse counts
-and extra scoring ops), ``welch.csv`` (Welch two-sample tests between
-selectors per annotator/evaluator/metric), and ``pareto.csv`` (one point per
-run and evaluator, plot-ready).
+``run_grid`` runs every cell (``preflab train`` is a one-cell grid) and
+refuses existing run directories without overwrite; ``save_universe`` keeps
+one universe per output directory, so a grid grows by new cells only.
+
+Reports, from one read of the run directories: ``summary.csv`` (mean +/-
+sample std per cell plus collapse counts and extra scoring ops), ``welch.csv``
+(Welch two-sample tests between selectors per annotator/evaluator/metric), and
+``pareto.csv`` (one point per run and evaluator, plot-ready).
 """
 
 from __future__ import annotations
@@ -304,7 +308,6 @@ def run_cell(
     it runs. A cell whose training fails keeps only manifest.json; an aborted
     run records its reason there as "error" and has no eval.csv."""
     run_dir = Path(run_dir)
-    batch_train_ids(universe, template.selection)  # refuse before creating run_dir
     cfg = TrainConfig(
         dpo=template.dpo,
         selection=template.selection,
@@ -427,13 +430,36 @@ def _cell_worker(args: tuple) -> str:
     return str(run_cell(_worker_universe, *args))
 
 
+def save_universe(universe: PromptUniverse, path: Path, overwrite: bool) -> bool:
+    """The one rule for universe.json: write it when it is absent or on
+    overwrite, keep a file that holds this universe (its bytes without the final
+    newline, read 1 MiB at a time, hash to content_hash()), and refuse any other.
+    True when the file was written."""
+    if overwrite or not path.exists():
+        universe.save(path)
+        return True
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        chunk = fh.read(1 << 20)
+        while chunk:
+            following = fh.read(1 << 20)
+            digest.update(chunk if following else chunk.removesuffix(b"\n"))
+            chunk = following
+    if digest.hexdigest() != universe.content_hash():
+        raise ConfigurationError(f"{path} holds another universe (pass --overwrite)")
+    return False
+
+
 def run_grid(
     grid: ExperimentGrid,
     grid_manifest: Optional[dict] = None,
     overwrite: bool = False,
     parallel: int = 1,
 ) -> list[Path]:
-    """Execute every (selector, annotator, seed) cell of the grid."""
+    """Execute every (selector, annotator, seed) cell of the grid, on at most
+    one worker process per cell."""
+    if parallel < 1:
+        raise ConfigurationError(f"--parallel must be >= 1, got {parallel}")
     out = Path(grid.output_dir)
     cells = [
         (selector, annotator, seed)
@@ -447,32 +473,30 @@ def run_grid(
     existing = [d for d in run_dirs if d.exists()]
     if existing and not overwrite:
         raise ConfigurationError(
-            f"refusing to overwrite existing run directories (pass overwrite): "
+            f"refusing to overwrite existing run directories (pass --overwrite): "
             f"{[str(d) for d in existing]}"
         )
 
     universe = _resolve_universe(grid)
     batch_train_ids(universe, grid.train.selection)  # refuse before writing anything
     out.mkdir(parents=True, exist_ok=True)
-    universe_path = out / "universe.json"
-    if universe_path.exists() and not overwrite and grid.universe_path is None:
-        raise ConfigurationError(f"refusing to overwrite {universe_path} (pass overwrite)")
-    universe.save(universe_path)
+    save_universe(universe, out / "universe.json", overwrite)
 
     cell_args = [
-        (grid.train, selector, annotator, seed, grid.evaluators, grid.eval_settings, run_dir)
+        (grid.train, selector, annotator, seed, grid.evaluators, grid.eval_settings, run_dir,
+         grid_manifest)
         for (selector, annotator, seed), run_dir in zip(cells, run_dirs)
     ]
-    if parallel <= 1:
+    workers = min(parallel, len(cells))  # a pool forks every worker at its first submit
+    if workers == 1:
         for args in cell_args:
-            run_cell(universe, *args, grid_manifest)
+            run_cell(universe, *args)
         return run_dirs
 
-    jobs = [(*args, grid_manifest) for args in cell_args]
     with ProcessPoolExecutor(
-        max_workers=parallel, initializer=_set_worker_universe, initargs=(universe,)
+        max_workers=workers, initializer=_set_worker_universe, initargs=(universe,)
     ) as pool:
-        list(pool.map(_cell_worker, jobs))
+        list(pool.map(_cell_worker, cell_args))
     return run_dirs
 
 
@@ -579,8 +603,10 @@ def _scoring(counters: Optional[dict]) -> int:
 
 def aggregate_summary(
     run_dirs: Sequence[Path],
-) -> tuple[list[SummaryRow], list[dict]]:
-    """Mean +/- sample std per (selector, annotator, evaluator) plus Welch tests.
+) -> tuple[list[SummaryRow], list[dict], list[dict]]:
+    """From one read of the runs: mean +/- sample std per (selector, annotator,
+    evaluator), the Welch tests, and the pareto points (one per run and
+    evaluator).
 
     Welch's unequal-variance t-test compares selector pairs on win_rate and
     delta_acc_pp; cells with fewer than two seeds or zero variance on both
@@ -662,39 +688,24 @@ def aggregate_summary(
                     }
                 )
     summary.sort(key=lambda row: (row.selector, row.annotator, row.evaluator))
-    return summary, welch_records
-
-
-def emit_pareto(run_dirs: Sequence[Path], path) -> Path:
-    """Plot-ready scatter data: one row per (run, evaluator)."""
-    rows, _ = _read_runs(run_dirs)
-    if not rows:
-        raise ConfigurationError("no eval.csv rows found under the given run directories")
     rows.sort(key=lambda r: (r["selector"], r["annotator_label"], r["seed"], r["evaluator_label"]))
-    path = Path(path)
-    _write_csv(
-        path,
-        PARETO_CSV_HEADER,
-        [[r[_EVAL_COLUMN.get(key, key)] for key in PARETO_CSV_HEADER] for r in rows],
-    )
-    return path
+    pareto = [{key: r[_EVAL_COLUMN.get(key, key)] for key in PARETO_CSV_HEADER} for r in rows]
+    return summary, welch_records, pareto
 
 
-def write_summary(summary: list[SummaryRow], welch_records: list[dict], out_dir) -> tuple[Path, Path]:
+def write_summary(
+    summary: list[SummaryRow], welch_records: list[dict], pareto: list[dict], out_dir
+) -> tuple[Path, Path, Path]:
+    """Write summary.csv, welch.csv and pareto.csv under out_dir; their paths."""
     out_dir = Path(out_dir)
-    summary_path = out_dir / "summary.csv"
-    _write_csv(
-        summary_path,
-        SUMMARY_CSV_HEADER,
-        [[getattr(row, key) for key in SUMMARY_CSV_HEADER] for row in summary],
+    tables = (
+        ("summary.csv", SUMMARY_CSV_HEADER, [asdict(row) for row in summary]),
+        ("welch.csv", WELCH_CSV_HEADER, welch_records),
+        ("pareto.csv", PARETO_CSV_HEADER, pareto),
     )
-    welch_path = out_dir / "welch.csv"
-    _write_csv(
-        welch_path,
-        WELCH_CSV_HEADER,
-        [[record[key] for key in WELCH_CSV_HEADER] for record in welch_records],
-    )
-    return summary_path, welch_path
+    for name, header, records in tables:
+        _write_csv(out_dir / name, header, [[record[key] for key in header] for record in records])
+    return tuple(out_dir / name for name, _, _ in tables)
 
 
 def run_outcome(manifest: dict) -> str:

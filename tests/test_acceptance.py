@@ -31,7 +31,6 @@ from preflab import (
     counters_report,
     dpo_batch_grad,
     dpo_example_loss,
-    emit_pareto,
     entropy_estimate,
     estimate_win_rate,
     exact_entropy,
@@ -407,9 +406,8 @@ def test_criterion_08_parity_harness(tmp_path):
     run_dirs = run_grid(grid, grid_manifest=manifest)
     assert len(run_dirs) == 10
 
-    summary, welch = aggregate_summary(run_dirs)
-    write_summary(summary, welch, out)
-    emit_pareto(run_dirs, out / "pareto.csv")
+    summary, welch, pareto = aggregate_summary(run_dirs)
+    write_summary(summary, welch, pareto, out)
     assert (out / "summary.csv").exists() and (out / "welch.csv").exists()
 
     by_selector = {row.selector: row for row in summary}
@@ -523,9 +521,8 @@ def test_criterion_10_sweep_determinism(tmp_path):
         config_path.write_text(json.dumps(config_for(out)))
         grid, manifest = parse_config(config_path)
         run_dirs = run_grid(grid, grid_manifest=manifest)
-        summary, welch = aggregate_summary(run_dirs)
-        write_summary(summary, welch, out)
-        emit_pareto(run_dirs, out / "pareto.csv")
+        summary, welch, pareto = aggregate_summary(run_dirs)
+        write_summary(summary, welch, pareto, out)
         outputs.append((out, run_dirs))
 
     (out_a, dirs_a), (out_b, dirs_b) = outputs

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from preflab import aggregate_summary, emit_pareto, parse_config, run_grid, write_summary
+from preflab import aggregate_summary, parse_config, run_grid, write_summary
 
 ROOT = Path(__file__).resolve().parent.parent
 SMOKE_CONFIG = ROOT / "configs" / "smoke.json"
@@ -93,9 +93,8 @@ def run_smoke_grid(out_dir: Path) -> dict:
 
 
 def report_tables(run_dirs: list[Path], out_dir: Path) -> dict:
-    summary, welch = aggregate_summary(run_dirs)
-    write_summary(summary, welch, out_dir)
-    emit_pareto(run_dirs, out_dir / "pareto.csv")
+    summary, welch, pareto = aggregate_summary(run_dirs)
+    write_summary(summary, welch, pareto, out_dir)
     return {name: _csv_cells(out_dir / f"{name}.csv") for name in ("summary", "welch", "pareto")}
 
 

@@ -33,7 +33,6 @@ from preflab import (
     TrainingError,
     UniverseConfig,
     aggregate_summary,
-    emit_pareto,
     parse_config,
     run_grid,
 )
@@ -49,6 +48,7 @@ from preflab.harness import (
 
 
 SMOKE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "smoke.json"
+GOODHART_CONFIG = SMOKE_CONFIG.parent / "goodhart_weak.json"
 
 
 def grid_config(out_dir, **overrides):
@@ -354,7 +354,8 @@ class TestRunGrid:
         config = grid_config(out, seeds=[42], selectors=["random"])
         grid, manifest = parse_config(write_config(tmp_path, config))
         run_grid(grid, grid_manifest=manifest)
-        with pytest.raises(ConfigurationError, match="refusing to overwrite"):
+        with pytest.raises(ConfigurationError, match=r"refusing to overwrite existing run "
+                           r"directories \(pass --overwrite\)"):
             run_grid(grid, grid_manifest=manifest)
         run_grid(grid, grid_manifest=manifest, overwrite=True)
 
@@ -502,6 +503,51 @@ class TestRunGrid:
             assert (a / "eval.csv").read_bytes() == (b / "eval.csv").read_bytes()
             assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
 
+    @pytest.mark.parametrize("parallel", [0, -1])
+    def test_parallel_below_one_is_refused_before_any_file(self, tmp_path, capsys, parallel):
+        out = tmp_path / "runs"
+        argv = ["sweep", "--config", str(SMOKE_CONFIG), "--out", str(out)]
+        assert main(argv + ["--parallel", str(parallel)]) == 2
+        assert capsys.readouterr().err == f"error: --parallel must be >= 1, got {parallel}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "selectors, parallel, workers",
+        [(["random", "apl"], 8, [4]), (["random", "apl"], 3, [3]), (["random"], 2, [2]),
+         (["random"], 1, [])],
+    )
+    def test_pool_forks_at_most_one_worker_per_cell(
+        self, tmp_path, monkeypatch, selectors, parallel, workers
+    ):
+        seen = []
+
+        class InlinePool:
+            """Records max_workers and runs the cells in this process; starts no process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                seen.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "_worker_universe", None)
+        grid, manifest = parse_config(SMOKE_CONFIG)
+        # 2 or 4 cells: the smoke grid's two seeds under one or both selectors
+        grid = replace(grid, selectors=selectors, output_dir=str(tmp_path / "pool"))
+        pool_dirs = run_grid(grid, grid_manifest=manifest, parallel=parallel)
+        assert seen == workers and len(pool_dirs) == 2 * len(selectors)
+        serial_dirs = run_grid(replace(grid, output_dir=str(tmp_path / "serial")), manifest)
+        for a, b in zip(serial_dirs, pool_dirs):
+            assert (a / "eval.csv").read_bytes() == (b / "eval.csv").read_bytes()
+
 
 def fake_run_dir(
     root, selector, annotator, seed, win_rate, delta, scoring=0, collapse=False, queries=10
@@ -551,7 +597,7 @@ class TestAggregation:
             fake_run_dir(tmp_path, "random", "weak", 43, 0.62, -2.0),
             fake_run_dir(tmp_path, "random", "weak", 44, 0.64, -3.0),
         ]
-        summary, _ = aggregate_summary(dirs)
+        summary, _, _ = aggregate_summary(dirs)
         (row,) = summary
         assert row.win_rate_mean == pytest.approx(0.62)
         assert row.win_rate_std == pytest.approx(0.02)  # ddof=1 over {.60,.62,.64}
@@ -559,7 +605,7 @@ class TestAggregation:
 
     def test_single_seed_reports_zero_std(self, tmp_path):
         dirs = [fake_run_dir(tmp_path, "random", "weak", 42, 0.7, 0.0)]
-        summary, welch = aggregate_summary(dirs)
+        summary, welch, _ = aggregate_summary(dirs)
         assert summary[0].n_seeds == 1
         assert summary[0].win_rate_std == 0.0
         assert welch == []
@@ -573,7 +619,7 @@ class TestAggregation:
         dirs.append(fake_run_dir(tmp_path, "apl", "strong", 42, 0.7, -1.0, scoring=24))
         dirs.append(fake_run_dir(tmp_path, "apl", "strong", 43, 0.8, -2.0, scoring=24))
         dirs.append(fake_run_dir(tmp_path, "random", "strong", 42, 0.6, -1.0))
-        _, welch = aggregate_summary(dirs)
+        _, welch, _ = aggregate_summary(dirs)
         assert welch and all(record["note"] == "degenerate" for record in welch)
         strong = [r for r in welch if r["annotator"] == "strong"]
         assert len(strong) == 2
@@ -590,7 +636,7 @@ class TestAggregation:
         (dirs[-1] / "counters.json").unlink()
         # an apl run without a paired random run is charged its own scoring
         dirs.append(fake_run_dir(tmp_path, "apl", "solo", 42, 0.8, -0.5, scoring=24))
-        summary, _ = aggregate_summary(dirs)
+        summary, _, _ = aggregate_summary(dirs)
         by_cell = {(row.selector, row.annotator): row for row in summary}
         assert by_cell["apl", "weak"].extra_scoring_ops_mean == 48.0
         assert by_cell["apl", "weak"].n_seeds == 3
@@ -606,7 +652,7 @@ class TestAggregation:
         for seed, (a, b) in enumerate(zip(a_vals, b_vals), start=42):
             dirs.append(fake_run_dir(tmp_path, "random", "weak", seed, a, -1.0))
             dirs.append(fake_run_dir(tmp_path, "apl", "weak", seed, b, -1.0, scoring=24))
-        _, welch = aggregate_summary(dirs)
+        _, welch, _ = aggregate_summary(dirs)
         record = next(r for r in welch if r["metric"] == "win_rate")
         want_t, want_p = stats.ttest_ind(b_vals, a_vals, equal_var=False)
         assert record["t_stat"] == pytest.approx(float(want_t))
@@ -683,15 +729,33 @@ class TestAggregation:
         stale = fake_run_dir(tmp_path, "random", "weak", 44, 0.99, 50.0)
         (stale / "manifest.json").write_text(json.dumps(manifest))
         capsys.readouterr()
-        assert aggregate_summary(dirs + [stale]) == clean
+        tables = aggregate_summary(dirs + [stale])
+        assert tables == clean  # summary, welch and pareto rows alike
         assert capsys.readouterr().err == f"warning: {stale} is left out of the report ({why})\n"
-        pareto = emit_pareto(dirs + [stale], tmp_path / "pareto.csv").read_text()
+        assert [row["seed"] for row in tables[2]] == [42, 43]
+        pareto = write_summary(*tables, tmp_path)[2].read_text()
         assert "seed44" not in pareto and len(pareto.splitlines()) == 3
+
+    def test_report_reads_each_run_once(self, tmp_path, monkeypatch):
+        grid, manifest = parse_config(SMOKE_CONFIG)
+        out = tmp_path / "runs"
+        run_dirs = run_grid(replace(grid, output_dir=str(out)), grid_manifest=manifest)
+        reads, read_runs = [], harness._read_runs
+
+        def counting_read_runs(dirs):
+            reads.append(list(dirs))
+            return read_runs(dirs)
+
+        monkeypatch.setattr(harness, "_read_runs", counting_read_runs)
+        assert main(["report", "--out", str(out)]) == 0
+        assert reads == [sorted(run_dirs)]
+        with open(out / "pareto.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == len(run_dirs) * len(grid.evaluators)
 
     def test_a_completed_run_without_eval_csv_is_named(self, tmp_path, capsys):
         dirs = [fake_run_dir(tmp_path, "random", "weak", seed, 0.6, -1.0) for seed in (42, 43)]
         (dirs[1] / "eval.csv").unlink()
-        (row,), _ = aggregate_summary(dirs)
+        (row,), _, _ = aggregate_summary(dirs)
         assert row.n_seeds == 1
         assert capsys.readouterr().err == (
             f"warning: {dirs[1]} is left out of the report (no eval.csv)\n"
@@ -754,7 +818,12 @@ class TestPareto:
             fake_run_dir(tmp_path, "random", "weak", 42, 0.60, -1.0),
             fake_run_dir(tmp_path, "apl", "weak", 42, 0.62, -0.5, scoring=24),
         ]
-        path = emit_pareto(dirs, tmp_path / "pareto.csv")
+        tables = aggregate_summary(dirs)
+        assert [(row["selector"], row["seed"], row["win_rate"]) for row in tables[2]] == [
+            ("apl", 42, 0.62), ("random", 42, 0.60), ("random", 43, 0.61)
+        ]
+        path = write_summary(*tables, tmp_path)[2]
+        assert path == tmp_path / "pareto.csv"
         lines = path.read_text().splitlines()
         assert lines[0] == "run_id,selector,annotator,evaluator,seed,win_rate,delta_acc_pp,collapse_flag"
         assert len(lines) == 4
@@ -788,6 +857,20 @@ class TestCli:
             == 0
         )
         assert (out / "apl__weak__seed42" / "eval.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, error",
+        [("--selector", "greedy", "unknown selector 'greedy'"),
+         ("--annotator", "nobody", "annotator 'nobody' not in config (['weak'])")],
+    )
+    def test_train_refuses_an_unknown_cell_before_any_file(
+        self, tmp_path, capsys, flag, value, error
+    ):
+        out = tmp_path / "runs"
+        argv = ["train", "--config", str(SMOKE_CONFIG), "--out", str(out), flag, value]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
 
     def test_sft_subcommand(self, tmp_path):
         out = tmp_path / "runs"
@@ -1022,7 +1105,7 @@ class TestCli:
         write_config(tmp_path, one_cell_smoke())
         assert main(argv) == 0
         write_config(tmp_path, one_cell_smoke(seeds=[43], selectors=["random", "apl"]))
-        assert main(argv + ["--overwrite"]) == 0
+        assert main(argv) == 0
         assert main(["report", "--out", str(out)]) == 0
         with open(out / "summary.csv") as fh:
             n_seeds = {(row["selector"], row["evaluator"]): row["n_seeds"] for row in csv.DictReader(fh)}
@@ -1030,6 +1113,61 @@ class TestCli:
             ("apl", "oracle"): "1", ("apl", "weak-eval"): "1",
             ("random", "oracle"): "2", ("random", "weak-eval"): "2",
         }
+
+    def test_a_grid_grows_in_one_directory_without_overwrite(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        universe = out / "universe.json"
+        smoke = ["--config", str(SMOKE_CONFIG), "--out", str(out)]
+        assert main(["generate", *smoke]) == 0
+        smoke_bytes = universe.read_bytes()
+        assert main(["generate", *smoke]) == 0  # the same universe is kept
+        assert capsys.readouterr().out.splitlines()[1].startswith(f"kept {universe} (hash ")
+        assert main(["sweep", *smoke]) == 0
+        assert main(["train", *smoke, "--seed", "45"]) == 0
+        assert universe.read_bytes() == smoke_bytes
+        assert main(["report", "--out", str(out)]) == 0
+        with open(out / "summary.csv") as fh:
+            n_seeds = {(row["selector"], row["evaluator"]): row["n_seeds"] for row in csv.DictReader(fh)}
+        assert n_seeds == {
+            ("apl", "oracle"): "2", ("apl", "weak-eval"): "2",
+            ("random", "oracle"): "3", ("random", "weak-eval"): "3",
+        }
+        with open(out / "pareto.csv") as fh:
+            assert {row["seed"] for row in csv.DictReader(fh)} == {"42", "43", "45"}
+        # an existing cell is still refused
+        assert main(["train", *smoke, "--seed", "45"]) == 2
+        capsys.readouterr()
+
+        goodhart = ["--config", str(GOODHART_CONFIG), "--out", str(out)]
+        assert main(["generate", *goodhart]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {universe} holds another universe (pass --overwrite)\n"
+        )
+        assert universe.read_bytes() == smoke_bytes
+        assert main(["generate", *goodhart, "--overwrite"]) == 0
+        elsewhere = tmp_path / "goodhart.json"
+        assert main(["generate", "--config", str(GOODHART_CONFIG), "--out", str(elsewhere)]) == 0
+        assert universe.read_bytes() == elsewhere.read_bytes() != smoke_bytes
+
+    def test_a_universe_path_grid_keeps_only_its_own_universe(self, tmp_path, capsys):
+        smoke_universe, other = tmp_path / "smoke.json", tmp_path / "other" / "universe.json"
+        assert main(["generate", "--config", str(SMOKE_CONFIG), "--out", str(smoke_universe)]) == 0
+        assert main(["generate", "--config", str(GOODHART_CONFIG), "--out", str(other)]) == 0
+        other_bytes = other.read_bytes()
+        config = one_cell_smoke()
+        del config["universe"]
+        config["universe_path"] = str(smoke_universe)
+        argv = ["sweep", "--config", str(write_config(tmp_path, config)), "--out"]
+        capsys.readouterr()
+        assert main(argv + [str(other.parent)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {other} holds another universe (pass --overwrite)\n"
+        )
+        assert other.read_bytes() == other_bytes
+        assert sorted(p.name for p in other.parent.iterdir()) == ["universe.json"]
+        # the directory holding the universe_path file itself keeps it
+        assert main(argv + [str(tmp_path)]) == 0
+        assert (tmp_path / "universe.json").read_bytes() == smoke_universe.read_bytes()
 
     def test_refused_sft_never_fits(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "runs"

@@ -5,9 +5,13 @@ that a refactor drops would crash ``bench/run.py --trace 1`` instead of
 failing here. The sites are only resolved, no wrapper is installed.
 """
 
+import concurrent.futures
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+from preflab import harness
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -30,3 +34,10 @@ def test_every_traced_site_resolves():
             assert meth in vars(getattr(module, cls_name)), (module_name, attr)
         else:
             assert callable(getattr(module, attr)), (module_name, attr)
+
+
+def test_the_cell_span_and_pool_bindings_exist():
+    # the tracer reads run_cell's run_dir and selector arguments by parameter
+    # name, and replaces harness.ProcessPoolExecutor with a subclass of it
+    assert {"run_dir", "selector"} <= set(inspect.signature(harness.run_cell).parameters)
+    assert harness.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
