@@ -34,8 +34,6 @@ from .policy import Policy, check_feature_dim, log_softmax
 from .policy import exact_entropy, logits, sample_response  # noqa: F401  (traced by bench/spans.py)
 from .universe import ROLE_PROBE, PromptUniverse
 
-DEFAULT_COLLAPSE_FRACTION = 0.1
-
 
 @dataclass
 class WinRateEstimate:
@@ -122,7 +120,7 @@ def collapse_metrics(
     sft: Policy,
     features: np.ndarray,
     prompt_ids: np.ndarray,
-    collapse_fraction: float = DEFAULT_COLLAPSE_FRACTION,
+    collapse_fraction: float,
 ) -> tuple[float, bool]:
     """Mean exact entropy over ``prompt_ids``, rows of the (N, V, d) ``features``,
     and whether it signals collapse."""

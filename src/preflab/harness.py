@@ -1,14 +1,17 @@
 """Experiment grids over (selector x annotator x seed), aggregation, reports.
 
-A grid config is a single JSON document. Parsing is fail-closed: unknown keys
-are rejected, and every field left to its default is recorded so the echoed
-manifest makes each run self-describing. One run directory is produced per
-(selector, annotator, seed) cell, holding the manifest, per-iteration metrics
-CSV, the event stream (written while the loop runs), policy checkpoints, op
-counters, and one eval row per evaluator (none for an aborted run). The
-manifest records how the run ended, and it is the one record every reader
-takes the outcome from. Runs that share (annotator, seed) differ only in
-selector and use identical random streams, so selector comparisons are paired.
+A grid config is a single JSON document, built into an ``ExperimentGrid`` by
+one ``schema.build_dataclass`` walk, so the config dataclasses are the only
+statement of its fields, types and defaults. Parsing is fail-closed: unknown
+keys are rejected, and every field left to its default is recorded so the
+echoed manifest makes each run self-describing. One run directory is produced
+per (selector, annotator, seed) cell, holding the manifest, per-iteration
+metrics CSV, the event stream (written while the loop runs), policy
+checkpoints, op counters, and one eval row per evaluator (none for an aborted
+run). The manifest records how the run ended, and it is the one record every
+reader takes the outcome from. Runs that share (annotator, seed) differ only
+in selector and use identical random streams, so selector comparisons are
+paired.
 
 ``run_grid`` runs every cell (``preflab train`` is a one-cell grid) and
 refuses existing run directories without overwrite; ``save_universe`` keeps
@@ -41,7 +44,7 @@ from .errors import ConfigurationError, TrainingError
 from .evaluation import collapse_metrics, estimate_win_rate, probe_accuracy
 from .judges import Judge, JudgeSpec
 from .rng import mix_seeds, substream
-from .schema import build_dataclass, build_value
+from .schema import build_dataclass, json_key
 from .selection import SELECTOR_APL, SELECTOR_RANDOM, SelectionConfig, check_selector
 from .trainer import (
     IterationLog,
@@ -129,7 +132,7 @@ class ExperimentGrid:
     annotators: list[JudgeSpec] = field(default_factory=list)
     evaluators: list[JudgeSpec] = field(default_factory=list)
     seeds: list[int] = field(default_factory=lambda: [42, 43, 44])
-    eval_settings: EvalSettings = field(default_factory=EvalSettings)
+    eval_settings: EvalSettings = field(default_factory=EvalSettings, metadata={"key": "eval"})
     output_dir: str = "runs"
 
     def __post_init__(self) -> None:
@@ -175,67 +178,27 @@ METRICS_CSV_HEADER = [f.name for f in fields(IterationLog)]
 # --------------------------------------------------------------------------
 
 
-_TOP_LEVEL_KEYS = {f.name for f in fields(ExperimentGrid)} - {"eval_settings"} | {"eval"}
-
-
 def parse_config(path) -> tuple[ExperimentGrid, dict]:
-    """Load and validate a grid config; returns (grid, manifest echo).
-
-    The manifest echo carries the fully-resolved config plus the list of
-    fields that were filled from defaults.
-    """
+    """Load a grid config and build it with one schema walk over ``ExperimentGrid``;
+    returns (grid, manifest echo): the fully-resolved config, each field under
+    its JSON key, and the key path of every field filled from its default.
+    Every error names the file and the key path."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    defaulted = []
     try:
-        data = json.loads(text)
+        grid = build_dataclass(ExperimentGrid, json.loads(text), "", defaulted)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{path}: top level must be an object")
-    unknown = sorted(set(data) - _TOP_LEVEL_KEYS)
-    if unknown:
-        raise ConfigurationError(
-            f"{path}: unknown top-level key(s) {unknown}; allowed: {sorted(_TOP_LEVEL_KEYS)}"
-        )
-
-    defaulted = [k for k in ("train", "selectors", "seeds", "eval", "output_dir") if k not in data]
-
-    def _optional(key: str, hint: type):
-        return None if data.get(key) is None else build_value(hint, data[key], key, defaulted)
-
-    def _section(cls, key: str):
-        return build_dataclass(cls, data[key], key, defaulted) if key in data else cls()
-
-    def _list(key: str, default: list, hint: type) -> list:
-        entries = data.get(key, default)
-        if not isinstance(entries, list):
-            raise ConfigurationError(f"{key}: expected a list, got {entries!r}")
-        return [build_value(hint, e, f"{key}[{i}]", defaulted) for i, e in enumerate(entries)]
-
-    grid = ExperimentGrid(
-        universe=_optional("universe", UniverseConfig),
-        universe_path=_optional("universe_path", str),
-        train=_section(TrainTemplate, "train"),
-        selectors=_list("selectors", [SELECTOR_RANDOM, SELECTOR_APL], str),
-        annotators=_list("annotators", [], JudgeSpec),
-        evaluators=_list("evaluators", [], JudgeSpec),
-        seeds=_list("seeds", [42, 43, 44], int),
-        eval_settings=_section(EvalSettings, "eval"),
-        output_dir=build_value(str, data.get("output_dir", "runs"), "output_dir", []),
-    )
-    manifest = {"config": grid_to_dict(grid), "defaulted_fields": sorted(defaulted)}
-    return grid, manifest
-
-
-def grid_to_dict(grid: ExperimentGrid) -> dict:
-    config = asdict(grid)
-    config["eval"] = config.pop("eval_settings")
-    return config
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
+    config = {json_key(f): value for f, value in zip(fields(grid), asdict(grid).values())}
+    return grid, {"config": config, "defaulted_fields": sorted(defaulted)}
 
 
 # --------------------------------------------------------------------------

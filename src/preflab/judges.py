@@ -43,8 +43,12 @@ class JudgeSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.label:
-            raise ConfigurationError("judge label must be non-empty")
+        # the label names run directories: it must be one path component
+        if self.label in ("", ".", "..") or "/" in self.label or "\\" in self.label:
+            raise ConfigurationError(
+                f"judge label {self.label!r} must be non-empty, not '.' or '..', "
+                "and contain no '/' or '\\'"
+            )
         if self.kind not in (KIND_BRADLEY_TERRY, KIND_DETERMINISTIC):
             raise ConfigurationError(f"unknown judge kind {self.kind!r}")
         if not 0.0 <= self.misalignment <= 1.0:

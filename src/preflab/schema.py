@@ -3,15 +3,28 @@
 from __future__ import annotations
 
 import math
-from dataclasses import fields, is_dataclass
-from typing import Any, get_type_hints
+from dataclasses import Field, fields, is_dataclass
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
 from .errors import ConfigurationError
 
 
+def json_key(f: Field) -> str:
+    """A field's JSON key: its ``metadata["key"]`` where one is set, else its name."""
+    return f.metadata.get("key", f.name)
+
+
 def build_value(hint: type, value: Any, key_path: str, defaulted: list[str]):
-    """``value`` as a ``hint``: a dataclass built from an object, or a scalar of
-    that type (a bool is not an int, an int is a float, a float is finite)."""
+    """``value`` as a ``hint``: a dataclass built from an object, a list of X for
+    ``list[X]``, None or an X for ``Optional[X]``, or a scalar of that type (a
+    bool is not an int, an int is a float, a float is finite)."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:  # Optional[X], the one union a config declares
+        return None if value is None else build_value(args[0], value, key_path, defaulted)
+    if origin is list:
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{key_path}: expected a list, got {value!r}")
+        return [build_value(args[0], v, f"{key_path}[{i}]", defaulted) for i, v in enumerate(value)]
     if is_dataclass(hint):
         return build_dataclass(hint, value, key_path, defaulted)
     if (
@@ -25,22 +38,24 @@ def build_value(hint: type, value: Any, key_path: str, defaulted: list[str]):
 
 
 def build_dataclass(cls, data: Any, path: str, defaulted: list[str]):
-    """``cls`` from a JSON object; appends each defaulted key's path to ``defaulted``."""
+    """``cls`` from a JSON object; appends each defaulted key's path to ``defaulted``.
+    An empty ``path`` is the top level of the document."""
+    where = path or "top level"
     if not isinstance(data, dict):
-        raise ConfigurationError(f"{path}: expected an object, got {type(data).__name__}")
+        raise ConfigurationError(f"{where}: expected an object, got {type(data).__name__}")
     hints = get_type_hints(cls)
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - known)
+    names = {json_key(f): f.name for f in fields(cls)}
+    unknown = sorted(set(data) - set(names))
     if unknown:
-        raise ConfigurationError(f"{path}: unknown key(s) {unknown}; allowed: {sorted(known)}")
+        raise ConfigurationError(f"{where}: unknown key(s) {unknown}; allowed: {sorted(names)}")
     kwargs = {}
-    for f in fields(cls):
-        key_path = f"{path}.{f.name}" if path else f.name
-        if f.name in data:
-            kwargs[f.name] = build_value(hints[f.name], data[f.name], key_path, defaulted)
+    for key, name in names.items():
+        key_path = f"{path}.{key}" if path else key
+        if key in data:
+            kwargs[name] = build_value(hints[name], data[key], key_path, defaulted)
         else:
             defaulted.append(key_path)
     try:
         return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
+    except (TypeError, ConfigurationError) as exc:  # a missing field or a failed range check
+        raise ConfigurationError(f"{where}: {exc}") from exc

@@ -8,11 +8,12 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import mpmath as mp
@@ -180,7 +181,42 @@ class TestParseConfig:
             "train.dpo.warmup_ratio",
             "universe.feature_scale",
             "universe.tabular_mode",
+            "universe_path",
         ]
+
+    def test_minimal_config_is_the_dataclass_defaults(self, tmp_path):
+        universe, judge = UniverseConfig(**UNIVERSE), JudgeSpec("a")
+        config = {"universe": asdict(universe), "annotators": [asdict(judge)],
+                  "evaluators": [asdict(judge)]}
+        grid, manifest = parse_config(write_config(tmp_path, config))
+        assert grid == ExperimentGrid(universe=universe, annotators=[judge], evaluators=[judge])
+        assert manifest["defaulted_fields"] == [
+            "eval", "output_dir", "seeds", "selectors", "train", "universe_path"
+        ]
+
+    def test_eval_is_the_json_key_of_eval_settings(self, tmp_path):
+        config = grid_config(tmp_path / "runs", eval={"n_trials": 7})
+        grid, manifest = parse_config(write_config(tmp_path, config))
+        assert grid.eval_settings == EvalSettings(n_trials=7)
+        assert manifest["config"]["eval"] == {"n_trials": 7, "collapse_fraction": 0.1}
+        assert "eval.collapse_fraction" in manifest["defaulted_fields"]
+        del config["eval"]
+        config["eval_settings"] = {"n_trials": 7}
+        with pytest.raises(ConfigurationError, match=r"top level: unknown key\(s\) \['eval_settings'\]"):
+            parse_config(write_config(tmp_path, config))
+
+    @pytest.mark.parametrize(
+        "config,fragment",
+        [
+            (dict(grid_config("runs"), train=None), "train: expected an object, got NoneType"),
+            ([grid_config("runs")], "top level: expected an object, got list"),
+        ],
+        ids=["null_train", "list_top_level"],
+    )
+    def test_a_non_object_names_the_file_and_the_key(self, tmp_path, config, fragment):
+        path = write_config(tmp_path, config)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}: {fragment}$"):
+            parse_config(path)
 
     def test_json_error_carries_line_context(self, tmp_path):
         path = tmp_path / "config.json"
@@ -197,6 +233,7 @@ class TestParseConfig:
             (("eval", "n_trials"), 500.5, "eval.n_trials: expected int"),
             (("eval", "n_trials"), True, "eval.n_trials: expected int"),
             (("annotators", 0, "misalignment"), float("nan"), r"annotators\[0\]\.misalignment"),
+            (("annotators", 0, "misalignment"), 1.5, r"annotators\[0\]: misalignment must lie"),
         ],
     )
     def test_wrong_type_names_the_key_path(self, tmp_path, key_path, value, fragment):
@@ -273,8 +310,8 @@ def _wrong_type(node):
 
 
 def _out_of_range(key_path, node):
-    """Values that ``validate`` rejects at ``key_path``, or None where every
-    value of the right type is valid (seeds and output_dir)."""
+    """Values that the config types reject when built at ``key_path``, or None
+    where every value of the right type is valid (seeds and output_dir)."""
     name = key_path[-1] if key_path else None
     if isinstance(node, list):
         return st.just([])
@@ -319,6 +356,7 @@ class TestConfigTypes:
             (ExperimentGrid, GRID, dict(seeds=[42, 42]), "duplicates"),
             (ExperimentGrid, GRID, dict(selectors=["random", "greedy"]), "unknown selector"),
             (ExperimentGrid, GRID, dict(universe_path="universe.json"), "exactly one"),
+            (JudgeSpec, dict(label="a"), dict(label=".."), "label"),
         ],
     )
     def test_out_of_range_config_cannot_be_built(self, cls, valid, overrides, fragment):
@@ -1228,3 +1266,14 @@ class TestCli:
         config = grid_config(tmp_path / "runs", seeds=[42, 42])
         config_path = write_config(tmp_path, config)
         assert main(["sweep", "--config", str(config_path)]) == 2
+
+    @pytest.mark.parametrize("label", ["../x", "a/b"])
+    def test_a_label_that_is_not_one_path_component_is_refused(self, tmp_path, capsys, label):
+        # the annotator label names the run directory; a path in it would escape output_dir
+        config = one_cell_smoke()
+        config["annotators"][0]["label"] = label
+        out = tmp_path / "out" / "runs"
+        argv = ["sweep", "--config", str(write_config(tmp_path, config)), "--out", str(out)]
+        assert main(argv) == 2
+        assert f"judge label {label!r}" in capsys.readouterr().err
+        assert not out.parent.exists()

@@ -1,8 +1,9 @@
-"""Every name the benchmark tracer wraps still exists where it is looked up.
+"""Every name the benchmark tracer wraps or its workloads call still exists.
 
-``bench/spans.py`` rebinds each ``TRACED_SITES`` entry at run time; a name
-that a refactor drops would crash ``bench/run.py --trace 1`` instead of
-failing here. The sites are only resolved, no wrapper is installed.
+``bench/spans.py`` rebinds each ``TRACED_SITES`` entry at run time, and
+``bench/rep.py`` drives ``harness`` directly; a name that a refactor drops
+would crash ``bench/run.py`` instead of failing here. The sites are only
+resolved, no wrapper is installed.
 """
 
 import concurrent.futures
@@ -13,7 +14,8 @@ from pathlib import Path
 
 from preflab import harness
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def load_spans():
@@ -41,3 +43,17 @@ def test_the_cell_span_and_pool_bindings_exist():
     # name, and replaces harness.ProcessPoolExecutor with a subclass of it
     assert {"run_dir", "selector"} <= set(inspect.signature(harness.run_cell).parameters)
     assert harness.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+
+
+def test_the_reference_workload_bindings_exist():
+    # bench/rep.py's reference_protocol parses a config, builds a template and
+    # calls run_cell positionally with the grid's eval_settings
+    for name in ("TrainTemplate", "generate_universe", "run_id_for"):
+        assert callable(getattr(harness, name)), name
+    grid, manifest = harness.parse_config(ROOT / "configs" / "goodhart_weak.json")
+    assert isinstance(manifest["config"], dict)
+    assert isinstance(grid.eval_settings, harness.EvalSettings)
+    assert list(inspect.signature(harness.run_cell).parameters) == [
+        "universe", "template", "selector", "annotator", "seed", "evaluators",
+        "eval_settings", "run_dir", "grid_manifest",
+    ]
