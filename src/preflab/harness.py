@@ -31,46 +31,31 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from itertools import combinations
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
 from . import __version__ as _package_version
-from .dpo import DpoConfig
 from .errors import ConfigurationError, TrainingError
 from .evaluation import collapse_metrics, estimate_win_rate, probe_accuracy
 from .judges import Judge, JudgeSpec
-from .rng import mix_seeds, substream
+from .rng import substream
 from .schema import build_dataclass, json_key
-from .selection import SELECTOR_APL, SELECTOR_RANDOM, SelectionConfig, check_selector
+from .selection import SELECTOR_APL, SELECTOR_RANDOM, check_selector
 from .trainer import (
     IterationLog,
     RunResult,
-    SftConfig,
     TrainConfig,
+    TrainTemplate,
     batch_train_ids,
     run_online_dpo,
     sft_fit,
 )
 from .universe import ROLE_EVAL, PromptUniverse, UniverseConfig, generate_universe
 
-EVAL_CSV_HEADER = [
-    "run_id",
-    "selector",
-    "annotator_label",
-    "evaluator_label",
-    "seed",
-    "win_rate",
-    "ci_low",
-    "ci_high",
-    "probe_acc",
-    "delta_acc_pp",
-    "mean_entropy",
-    "collapse_flag",
-]
 PARETO_CSV_HEADER = [
     "run_id",
     "selector",
@@ -117,13 +102,6 @@ class EvalSettings:
 
 
 @dataclass(frozen=True)
-class TrainTemplate:
-    dpo: DpoConfig = field(default_factory=DpoConfig)
-    selection: SelectionConfig = field(default_factory=SelectionConfig)
-    sft: SftConfig = field(default_factory=SftConfig)
-
-
-@dataclass(frozen=True)
 class ExperimentGrid:
     universe: Optional[UniverseConfig] = None
     universe_path: Optional[str] = None
@@ -153,6 +131,28 @@ class ExperimentGrid:
             labels = [s.label for s in specs]
             if len(set(labels)) != len(labels):
                 raise ConfigurationError(f"{group_name} labels must be distinct: {labels}")
+        # a judge's noise stream is keyed by its label: a shared one would replay labels
+        shared = sorted({a.label for a in self.annotators} & {e.label for e in self.evaluators})
+        if shared:
+            raise ConfigurationError(f"annotators and evaluators share label(s) {shared}")
+
+
+@dataclass
+class EvalRow:
+    """One eval.csv row: a finished run scored by one evaluator."""
+
+    run_id: str
+    selector: str
+    annotator_label: str
+    evaluator_label: str
+    seed: int
+    win_rate: float
+    ci_low: float
+    ci_high: float
+    probe_acc: float
+    delta_acc_pp: float
+    mean_entropy: float
+    collapse_flag: bool
 
 
 @dataclass
@@ -169,8 +169,11 @@ class SummaryRow:
     extra_scoring_ops_mean: float
 
 
+EVAL_CSV_HEADER = [f.name for f in fields(EvalRow)]
 SUMMARY_CSV_HEADER = [f.name for f in fields(SummaryRow)]
 METRICS_CSV_HEADER = [f.name for f in fields(IterationLog)]
+# how _read_runs parses each eval.csv column; _fmt writes a bool as true/false
+_EVAL_PARSERS = {k: "true".__eq__ if t is bool else t for k, t in get_type_hints(EvalRow).items()}
 
 
 # --------------------------------------------------------------------------
@@ -214,12 +217,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _write_csv(path: Path, header: Sequence[str], records, get=getattr) -> None:
+    """One row per record, each header column read from it by ``get``: a
+    dataclass row's fields by default, a dict's keys with ``dict.__getitem__``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows([_fmt(get(record, key)) for key in header] for record in records)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -235,16 +239,12 @@ def run_id_for(selector: str, annotator_label: str, seed: int) -> str:
 def _write_run_outputs(
     run_dir: Path,
     result: RunResult,
-    eval_rows: Optional[list[list]],
+    eval_rows: Optional[list[EvalRow]],
     manifest: dict,
 ) -> None:
     """Write a trained cell's files beside its streamed events.jsonl; eval.csv
     only when there are eval rows (an aborted run has none)."""
-    _write_csv(
-        run_dir / "metrics.csv",
-        METRICS_CSV_HEADER,
-        [[getattr(log, key) for key in METRICS_CSV_HEADER] for log in result.per_iteration],
-    )
+    _write_csv(run_dir / "metrics.csv", METRICS_CSV_HEADER, result.per_iteration)
     _write_json(run_dir / "sft_policy.json", result.sft_policy.to_json_dict())
     _write_json(run_dir / "final_policy.json", result.final_policy.to_json_dict())
     _write_json(run_dir / "counters.json", result.counters.to_json_dict())
@@ -262,7 +262,7 @@ def run_cell(
     evaluators: Sequence[JudgeSpec],
     eval_settings: EvalSettings,
     run_dir,
-    grid_manifest: Optional[dict] = None,
+    grid_manifest: dict,
 ) -> Path:
     """Train one (selector, annotator, seed) cell and write its run directory.
 
@@ -271,37 +271,15 @@ def run_cell(
     it runs. A cell whose training fails keeps only manifest.json; an aborted
     run records its reason there as "error" and has no eval.csv."""
     run_dir = Path(run_dir)
-    cfg = TrainConfig(
-        dpo=template.dpo,
-        selection=template.selection,
-        selector=selector,
-        annotator=annotator,
-        sft=template.sft,
-        run_seed=seed,
-    )
+    cfg = TrainConfig(**vars(template), selector=selector, annotator=annotator, run_seed=seed)
     run_id = run_id_for(selector, annotator.label, seed)
-    universe_hash = universe.content_hash()
-    hash_payload = {
-        "config": grid_manifest["config"] if grid_manifest else None,
-        "universe_hash": universe_hash,
-        "seed": seed,
-        "selector": selector,
-        "annotator": asdict(annotator),
-    }
-    manifest = {
-        "run_id": run_id,
-        "status": "completed",
-        "selector": selector,
-        "annotator": asdict(annotator),
-        "seed": seed,
-        "universe_hash": universe_hash,
-        "package_version": _package_version,
-        "manifest_hash": hashlib.sha256(
-            json.dumps(hash_payload, sort_keys=True).encode("utf-8")
-        ).hexdigest(),
-    }
-    if grid_manifest:
-        manifest["grid"] = grid_manifest
+    # the manifest hash covers the cell's own fields and the grid config
+    cell = {"selector": selector, "annotator": asdict(annotator), "seed": seed,
+            "universe_hash": universe.content_hash()}
+    hashed = json.dumps(dict(cell, config=grid_manifest["config"]), sort_keys=True)
+    manifest = dict(cell, run_id=run_id, status="completed", package_version=_package_version,
+                    manifest_hash=hashlib.sha256(hashed.encode("utf-8")).hexdigest(),
+                    grid=grid_manifest)
     run_dir.mkdir(parents=True, exist_ok=True)
     for name in RUN_FILES:
         (run_dir / name).unlink(missing_ok=True)
@@ -337,7 +315,7 @@ def evaluate_run(
     selector: str,
     annotator_label: str,
     seed: int,
-) -> list[list]:
+) -> list[EvalRow]:
     """One eval.csv row per evaluator for a finished run."""
     eval_ids = universe.role_ids(ROLE_EVAL)
     final = result.final_policy
@@ -349,27 +327,17 @@ def evaluate_run(
     )
     rows = []
     for spec in evaluators:
-        judge = Judge(replace(spec, seed=mix_seeds(spec.seed, seed)), universe)
+        judge = Judge.for_run(spec, universe, seed)
         rng = substream(seed, "eval", spec.label)
         estimate = estimate_win_rate(
             final, sft, judge, universe.features, eval_ids, settings.n_trials, rng
         )
-        rows.append(
-            [
-                run_id,
-                selector,
-                annotator_label,
-                spec.label,
-                seed,
-                estimate.rate,
-                estimate.ci_low,
-                estimate.ci_high,
-                acc,
-                delta_pp,
-                mean_entropy,
-                collapse,
-            ]
-        )
+        rows.append(EvalRow(
+            run_id=run_id, selector=selector, annotator_label=annotator_label,
+            evaluator_label=spec.label, seed=seed, win_rate=estimate.rate,
+            ci_low=estimate.ci_low, ci_high=estimate.ci_high, probe_acc=acc,
+            delta_acc_pp=delta_pp, mean_entropy=mean_entropy, collapse_flag=collapse,
+        ))
     return rows
 
 
@@ -395,27 +363,19 @@ def _cell_worker(args: tuple) -> str:
 
 def save_universe(universe: PromptUniverse, path: Path, overwrite: bool) -> bool:
     """The one rule for universe.json: write it when it is absent or on
-    overwrite, keep a file that holds this universe (its bytes without the final
-    newline, read 1 MiB at a time, hash to content_hash()), and refuse any other.
+    overwrite, keep a file that holds this universe, and refuse any other.
     True when the file was written."""
     if overwrite or not path.exists():
         universe.save(path)
         return True
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        chunk = fh.read(1 << 20)
-        while chunk:
-            following = fh.read(1 << 20)
-            digest.update(chunk if following else chunk.removesuffix(b"\n"))
-            chunk = following
-    if digest.hexdigest() != universe.content_hash():
+    if not universe.is_saved_in(path):
         raise ConfigurationError(f"{path} holds another universe (pass --overwrite)")
     return False
 
 
 def run_grid(
     grid: ExperimentGrid,
-    grid_manifest: Optional[dict] = None,
+    grid_manifest: dict,
     overwrite: bool = False,
     parallel: int = 1,
 ) -> list[Path]:
@@ -468,13 +428,15 @@ def run_grid(
 # --------------------------------------------------------------------------
 
 
-def _read_runs(run_dirs: Sequence[Path]) -> tuple[list[dict], list[tuple[Path, str]]]:
-    """From one read of each manifest.json: the typed eval.csv rows of the runs
-    that completed without aborting, each carrying its counters.json under
-    "counters" (None where there is none), and every other directory with why
-    it is left out. Included runs that differ in universe_hash,
-    grid.config.train or grid.config.eval are a ConfigurationError."""
-    rows, skipped, first = [], [], None
+def _read_runs(
+    run_dirs: Sequence[Path],
+) -> tuple[list[EvalRow], dict[str, dict], list[tuple[Path, str]]]:
+    """From one read of each manifest.json: the eval.csv rows of the runs that
+    completed without aborting, the counters.json of each such run that has one
+    by its rows' run_id, and every other directory with why it is left out.
+    Included runs that differ in universe_hash, grid.config.train or
+    grid.config.eval are a ConfigurationError."""
+    rows, counters, skipped, first = [], {}, [], None
     for run_dir in map(Path, run_dirs):
         try:
             manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
@@ -497,17 +459,17 @@ def _read_runs(run_dirs: Sequence[Path]) -> tuple[list[dict], list[tuple[Path, s
         if not (run_dir / "eval.csv").exists():
             skipped.append((run_dir, "no eval.csv"))
             continue
-        path = run_dir / "counters.json"
-        counters = json.loads(path.read_text(encoding="utf-8")) if path.exists() else None
         with open(run_dir / "eval.csv", "r", encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
-                row["seed"] = int(row["seed"])
-                for key in ("win_rate", "ci_low", "ci_high", "probe_acc", "delta_acc_pp", "mean_entropy"):
-                    row[key] = float(row[key])
-                row["collapse_flag"] = row["collapse_flag"] == "true"
-                row["counters"] = counters
-                rows.append(row)
-    return rows, skipped
+            run_rows = [
+                EvalRow(**{key: parse(record[key]) for key, parse in _EVAL_PARSERS.items()})
+                for record in csv.DictReader(fh)
+            ]
+        path = run_dir / "counters.json"
+        if path.exists():
+            run_counters = json.loads(path.read_text(encoding="utf-8"))
+            counters.update((row.run_id, run_counters) for row in run_rows)
+        rows += run_rows
+    return rows, counters, skipped
 
 
 def _welch(a: Sequence[float], b: Sequence[float]) -> Optional[tuple[float, float]]:
@@ -578,7 +540,7 @@ def aggregate_summary(
     so a shrunken n_seeds never goes unnoticed, and so is each (annotator,
     seed) whose selectors bought different numbers of judge queries.
     """
-    rows, skipped = _read_runs(run_dirs)
+    rows, counters, skipped = _read_runs(run_dirs)
     for run_dir, why in skipped:
         print(f"warning: {run_dir} is left out of the report ({why})", file=sys.stderr)
     if not rows:
@@ -587,10 +549,10 @@ def aggregate_summary(
     # runs that share (annotator, seed) differ only in selector: they are the compared pairs
     paired: dict[tuple[str, int], dict[str, dict]] = {}
     for row in rows:
-        if row["counters"] is not None:
-            paired.setdefault((row["annotator_label"], row["seed"]), {})[row["selector"]] = row["counters"]
+        if row.run_id in counters:
+            paired.setdefault((row.annotator_label, row.seed), {})[row.selector] = counters[row.run_id]
     for (annotator, seed), by_selector in sorted(paired.items()):
-        bought = {selector: counters["judge_queries"] for selector, counters in by_selector.items()}
+        bought = {selector: run["judge_queries"] for selector, run in by_selector.items()}
         if len(set(bought.values())) > 1:
             counts = ", ".join(f"{sel} {n}" for sel, n in sorted(bought.items()))
             print(
@@ -599,20 +561,20 @@ def aggregate_summary(
                 file=sys.stderr,
             )
 
-    cells: dict[tuple[str, str], dict[str, list[dict]]] = {}
-    for row in sorted(rows, key=lambda r: r["seed"]):
-        key = (row["annotator_label"], row["evaluator_label"])
-        cells.setdefault(key, {}).setdefault(row["selector"], []).append(row)
+    cells: dict[tuple[str, str], dict[str, list[EvalRow]]] = {}
+    for row in sorted(rows, key=lambda r: r.seed):
+        key = (row.annotator_label, row.evaluator_label)
+        cells.setdefault(key, {}).setdefault(row.selector, []).append(row)
 
     summary, welch_records = [], []
     for (annotator, evaluator), by_selector in sorted(cells.items()):
         for selector, cell in by_selector.items():
-            win_rates = [r["win_rate"] for r in cell]
-            deltas = [r["delta_acc_pp"] for r in cell]
+            win_rates = [r.win_rate for r in cell]
+            deltas = [r.delta_acc_pp for r in cell]
             # own scoring minus the paired random run's, or 0 without one
             extras = [
-                _scoring(r["counters"]) - _scoring(paired[annotator, r["seed"]].get(SELECTOR_RANDOM))
-                for r in cell if r["counters"] is not None
+                _scoring(counters[r.run_id]) - _scoring(paired[annotator, r.seed].get(SELECTOR_RANDOM))
+                for r in cell if r.run_id in counters
             ]
             summary.append(
                 SummaryRow(
@@ -624,14 +586,14 @@ def aggregate_summary(
                     win_rate_std=_sample_std(win_rates),
                     delta_acc_mean=float(np.mean(deltas)),
                     delta_acc_std=_sample_std(deltas),
-                    collapse_runs=sum(1 for r in cell if r["collapse_flag"]),
+                    collapse_runs=sum(1 for r in cell if r.collapse_flag),
                     extra_scoring_ops_mean=float(np.mean(extras)) if extras else 0.0,
                 )
             )
         for sel_a, sel_b in combinations(sorted(by_selector), 2):
             for metric in ("win_rate", "delta_acc_pp"):
-                a = [r[metric] for r in by_selector[sel_a]]
-                b = [r[metric] for r in by_selector[sel_b]]
+                a = [getattr(r, metric) for r in by_selector[sel_a]]
+                b = [getattr(r, metric) for r in by_selector[sel_b]]
                 test = _welch(a, b)
                 t_stat, p_value = test if test else ("", "")
                 welch_records.append(
@@ -651,8 +613,8 @@ def aggregate_summary(
                     }
                 )
     summary.sort(key=lambda row: (row.selector, row.annotator, row.evaluator))
-    rows.sort(key=lambda r: (r["selector"], r["annotator_label"], r["seed"], r["evaluator_label"]))
-    pareto = [{key: r[_EVAL_COLUMN.get(key, key)] for key in PARETO_CSV_HEADER} for r in rows]
+    rows.sort(key=lambda r: (r.selector, r.annotator_label, r.seed, r.evaluator_label))
+    pareto = [{key: getattr(r, _EVAL_COLUMN.get(key, key)) for key in PARETO_CSV_HEADER} for r in rows]
     return summary, welch_records, pareto
 
 
@@ -662,13 +624,13 @@ def write_summary(
     """Write summary.csv, welch.csv and pareto.csv under out_dir; their paths."""
     out_dir = Path(out_dir)
     tables = (
-        ("summary.csv", SUMMARY_CSV_HEADER, [asdict(row) for row in summary]),
-        ("welch.csv", WELCH_CSV_HEADER, welch_records),
-        ("pareto.csv", PARETO_CSV_HEADER, pareto),
+        ("summary.csv", SUMMARY_CSV_HEADER, summary, getattr),
+        ("welch.csv", WELCH_CSV_HEADER, welch_records, dict.__getitem__),
+        ("pareto.csv", PARETO_CSV_HEADER, pareto, dict.__getitem__),
     )
-    for name, header, records in tables:
-        _write_csv(out_dir / name, header, [[record[key] for key in header] for record in records])
-    return tuple(out_dir / name for name, _, _ in tables)
+    for name, header, records, get in tables:
+        _write_csv(out_dir / name, header, records, get)
+    return tuple(out_dir / name for name, *_ in tables)
 
 
 def run_outcome(manifest: dict) -> str:

@@ -10,8 +10,10 @@ the exploit direction only. Bradley-Terry judges then prefer y1 over y2 with
 probability sigmoid((r~1 - r~2) / tau); deterministic judges take the argmax.
 
 Judges see only (prompt, y1, y2) - they can never read policy state - and own
-a private rng stream keyed by (seed, label), so an annotator and an evaluator
-with equal seeds still draw independent noise. ``prefer_batch(prompt_ids, y1,
+a private rng stream keyed by (seed, label), with the run seed folded in by
+``Judge.for_run``. Judges with different labels draw independent noise even at
+equal seeds; equal labels and seeds replay one stream, so a grid refuses an
+annotator and an evaluator that share a label. ``prefer_batch(prompt_ids, y1,
 y2) -> winners`` labels a whole batch of (prompt_id, y1, y2) at once from a
 per-universe table of g . phi and one draw of n uniforms (the same stream as
 n single draws). Both the trainer and ``estimate_win_rate`` label through it,
@@ -22,12 +24,12 @@ the record it is given and decides as a batch of one through the same method.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
-from .rng import substream
+from .rng import mix_seeds, substream
 from .universe import PromptRecord, PromptUniverse
 
 KIND_BRADLEY_TERRY = "bradley_terry"
@@ -69,6 +71,11 @@ class Judge:
         self._bias = universe.proxy_bias_direction
         self._rng = substream(spec.seed, "judge", spec.label)
         self._table = self._blend(universe.true_reward, universe.bias_scores())  # (N, V)
+
+    @classmethod
+    def for_run(cls, spec: JudgeSpec, universe: PromptUniverse, run_seed: int) -> "Judge":
+        """The judge ``spec`` in the run seeded ``run_seed``."""
+        return cls(replace(spec, seed=mix_seeds(spec.seed, run_seed)), universe)
 
     @property
     def label(self) -> str:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, TextIO
 
 import numpy as np
@@ -50,9 +50,8 @@ from .errors import ConfigurationError, TrainingError
 from .judges import Judge, JudgeSpec
 from .policy import Policy, log_softmax
 from .policy import grad_log_prob  # noqa: F401  (traced by bench/spans.py)
-from .rng import mix_seeds, substream
+from .rng import substream
 from .selection import (
-    SELECTOR_APL,
     SELECTOR_RANDOM,
     OpCounters,
     SelectionConfig,
@@ -86,12 +85,20 @@ class SftConfig:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainTemplate:
+    """The training settings every cell of a grid shares."""
+
     dpo: DpoConfig = field(default_factory=DpoConfig)
     selection: SelectionConfig = field(default_factory=SelectionConfig)
+    sft: SftConfig = field(default_factory=SftConfig)
+
+
+@dataclass(frozen=True)
+class TrainConfig(TrainTemplate):
+    """One run: the grid's template plus the cell's selector, annotator and seed."""
+
     selector: str = SELECTOR_RANDOM
     annotator: JudgeSpec = field(default_factory=lambda: JudgeSpec(label="annotator"))
-    sft: SftConfig = field(default_factory=SftConfig)
     run_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -205,12 +212,6 @@ def _json_floats(values: list[float]) -> list[str]:
     return json.dumps(values)[1:-1].split(", ") if values else []
 
 
-def _annotator_for_run(cfg: TrainConfig, universe: PromptUniverse) -> Judge:
-    # fold run_seed into the judge seed so seeds get independent label noise
-    spec = replace(cfg.annotator, seed=mix_seeds(cfg.annotator.seed, cfg.run_seed))
-    return Judge(spec, universe)
-
-
 def run_online_dpo(
     universe: PromptUniverse, sft_policy: Policy, cfg: TrainConfig, events: TextIO
 ) -> RunResult:
@@ -232,7 +233,7 @@ def run_online_dpo(
     prompt_rng = substream(cfg.run_seed, "prompts")
     gen_rng = substream(cfg.run_seed, "generation")
     select_rng = substream(cfg.run_seed, "random-selector")
-    annotator = _annotator_for_run(cfg, universe)
+    annotator = Judge.for_run(cfg.annotator, universe, cfg.run_seed)
 
     features = universe.features
     abort_reason = None

@@ -192,13 +192,17 @@ class PromptUniverse:
                 "correct_response": None if c < 0 else c,
             }
 
-    def to_json_dict(self) -> dict:
+    def _document(self, prompts: list) -> dict:
+        """The JSON document of this universe with ``prompts`` as its prompt list."""
         return {
             "config": asdict(self.config),
-            "prompts": list(self._prompt_entries()),
+            "prompts": prompts,
             "proxy_bias_direction": self.proxy_bias_direction.tolist(),
             "probe_direction": self.probe_direction.tolist(),
         }
+
+    def to_json_dict(self) -> dict:
+        return self._document(list(self._prompt_entries()))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PromptUniverse":
@@ -233,19 +237,17 @@ class PromptUniverse:
         sort_keys=True)``, into sha256 and, when given, the binary file ``fh``;
         store the digest as the content hash.
 
-        The sorted keys are config, probe_direction, prompts and
-        proxy_bias_direction, so the head holds the first two, then each prompt
-        entry follows on its own, then the bias direction: no more than one
-        prompt's text is held at a time."""
-        head = {"config": asdict(self.config), "probe_direction": self.probe_direction.tolist()}
-        tail = json.dumps(self.proxy_bias_direction.tolist())
+        The document with an empty prompt list, its one empty list, is split
+        there, and the prompt entries go between its two halves one at a time:
+        no more than one prompt's text is held at a time."""
+        head, tail = json.dumps(self._document([]), sort_keys=True).split("[]")
         pieces = itertools.chain(
-            [json.dumps(head, sort_keys=True)[:-1] + ', "prompts": ['],
+            [head, "["],
             (
                 (", " if i else "") + json.dumps(entry, sort_keys=True)
                 for i, entry in enumerate(self._prompt_entries())
             ),
-            [f'], "proxy_bias_direction": {tail}}}'],
+            ["]", tail],
         )
         digest = hashlib.sha256()
         for piece in pieces:
@@ -274,6 +276,18 @@ class PromptUniverse:
         if self._content_hash is None:
             self._encode()
         return self._content_hash
+
+    def is_saved_in(self, path) -> bool:
+        """Whether the file at ``path`` holds this universe: its bytes without the
+        final newline, read 1 MiB at a time, hash to ``content_hash()``."""
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            chunk = fh.read(1 << 20)
+            while chunk:
+                following = fh.read(1 << 20)
+                digest.update(chunk if following else chunk.removesuffix(b"\n"))
+                chunk = following
+        return digest.hexdigest() == self.content_hash()
 
 
 def _stack_rows(rows: list, what: str) -> np.ndarray:

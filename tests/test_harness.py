@@ -13,7 +13,7 @@ import subprocess
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import mpmath as mp
@@ -27,6 +27,8 @@ from preflab import (
     DpoConfig,
     Judge,
     JudgeSpec,
+    OpCounters,
+    Policy,
     PromptUniverse,
     SelectionConfig,
     SftConfig,
@@ -41,11 +43,13 @@ from preflab import cli, harness
 from preflab.cli import main
 from preflab.harness import (
     EVAL_CSV_HEADER,
+    EvalRow,
     EvalSettings,
     ExperimentGrid,
     discover_run_dirs,
     write_summary,
 )
+from preflab.trainer import RunResult
 
 
 SMOKE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "smoke.json"
@@ -185,14 +189,26 @@ class TestParseConfig:
         ]
 
     def test_minimal_config_is_the_dataclass_defaults(self, tmp_path):
-        universe, judge = UniverseConfig(**UNIVERSE), JudgeSpec("a")
+        universe, judge, evaluator = UniverseConfig(**UNIVERSE), JudgeSpec("a"), JudgeSpec("b")
         config = {"universe": asdict(universe), "annotators": [asdict(judge)],
-                  "evaluators": [asdict(judge)]}
+                  "evaluators": [asdict(evaluator)]}
         grid, manifest = parse_config(write_config(tmp_path, config))
-        assert grid == ExperimentGrid(universe=universe, annotators=[judge], evaluators=[judge])
+        assert grid == ExperimentGrid(universe=universe, annotators=[judge], evaluators=[evaluator])
         assert manifest["defaulted_fields"] == [
             "eval", "output_dir", "seeds", "selectors", "train", "universe_path"
         ]
+
+    def test_an_evaluator_sharing_an_annotator_label_is_refused(self, tmp_path):
+        # judges with one label and seed draw one noise stream: such an evaluator
+        # would replay the annotator's training labels in its win-rate trials
+        config = grid_config(tmp_path / "runs")
+        config["evaluators"].append(dict(config["annotators"][0]))
+        with pytest.raises(ConfigurationError, match=r"share label\(s\) \['weak'\]"):
+            parse_config(write_config(tmp_path, config))
+        out = tmp_path / "out"
+        argv = ["train", "--config", str(write_config(tmp_path, config)), "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
 
     def test_eval_is_the_json_key_of_eval_settings(self, tmp_path):
         config = grid_config(tmp_path / "runs", eval={"n_trials": 7})
@@ -626,6 +642,38 @@ def fake_run_dir(
     manifest = {"run_id": run_id, "seed": seed, "status": "completed"}
     (run_dir / "manifest.json").write_text(json.dumps(manifest))
     return run_dir
+
+
+class TestEvalCsv:
+    def test_the_header_is_the_eval_row_fields(self):
+        assert EVAL_CSV_HEADER == [f.name for f in fields(EvalRow)]
+
+    def test_rows_round_trip_through_the_cell_writer_and_reader(self, tmp_path):
+        run_id = "apl__weak__seed42"
+        written = [
+            EvalRow(run_id, "apl", "weak", "weak-eval", 42, 0.1 + 0.2, 1 / 3, 2 / 3, 0.75,
+                    -96.25, 1e-300, True),
+            EvalRow(run_id, "apl", "weak", "oracle", 42, 1.0, -0.0, float("inf"), 0.0,
+                    5e-324, float("nan"), False),
+        ]
+        result = RunResult(
+            final_policy=Policy(np.zeros(2), label="final"),
+            sft_policy=Policy(np.zeros(2), label="sft"),
+            per_iteration=[],
+            counters=OpCounters(judge_queries=7),
+            abort_reason=None,
+        )
+        manifest = {"run_id": run_id, "status": "completed", "aborted": False}
+        run_dir = tmp_path / run_id
+        run_dir.mkdir()
+        harness._write_run_outputs(run_dir, result, written, manifest)
+        rows, counters, skipped = harness._read_runs([run_dir])
+        assert skipped == [] and len(rows) == len(written)
+        for got, want in zip(rows, written):
+            for f in fields(EvalRow):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert (type(a), repr(a)) == (type(b), repr(b)), f.name
+        assert counters == {run_id: result.counters.to_json_dict()}
 
 
 class TestAggregation:

@@ -11,6 +11,7 @@ from preflab import (
     Judge,
     JudgeSpec,
 )
+from preflab.rng import mix_seeds
 
 SIGMOID_1 = 0.7310585786300049  # 1 / (1 + e^-1)
 
@@ -152,6 +153,12 @@ class TestMakeJudge:
         outcomes_a = [a.prefer(record, 0, 1) for _ in range(128)]
         outcomes_b = [b.prefer(record, 0, 1) for _ in range(128)]
         assert outcomes_a != outcomes_b
+
+    def test_for_run_folds_the_run_seed_into_the_judge_seed(self, small_universe):
+        judge = Judge.for_run(bt_spec(seed=21), small_universe, 42)
+        assert judge.spec == bt_spec(seed=mix_seeds(21, 42))
+        other_run = Judge.for_run(bt_spec(seed=21), small_universe, 43)
+        assert not np.array_equal(judge._rng.random(8), other_run._rng.random(8))
 
     def test_faithful_deterministic_prefers_correct_probe_response(self, small_universe):
         judge = Judge(
