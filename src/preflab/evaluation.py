@@ -38,7 +38,6 @@ from .universe import ROLE_PROBE, PromptUniverse
 @dataclass
 class WinRateEstimate:
     wins: float
-    trials: int
     rate: float
     ci_low: float
     ci_high: float
@@ -92,7 +91,7 @@ def estimate_win_rate(
     rate = wins / n_trials
     half_width = 1.96 * math.sqrt(max(rate * (1.0 - rate), 0.0) / n_trials)
     ci = max(rate - half_width, 0.0), min(rate + half_width, 1.0)
-    return WinRateEstimate(wins=wins, trials=n_trials, rate=rate, ci_low=ci[0], ci_high=ci[1])
+    return WinRateEstimate(wins=wins, rate=rate, ci_low=ci[0], ci_high=ci[1])
 
 
 def probe_accuracy(policy: Policy, universe: PromptUniverse) -> float:

@@ -40,11 +40,11 @@ import numpy as np
 
 from . import __version__ as _package_version
 from .errors import ConfigurationError, TrainingError
-from .evaluation import collapse_metrics, estimate_win_rate, probe_accuracy
+from .evaluation import capability_delta, collapse_metrics, estimate_win_rate, probe_accuracy
 from .judges import Judge, JudgeSpec
 from .rng import substream
 from .schema import build_dataclass, json_key
-from .selection import SELECTOR_APL, SELECTOR_RANDOM, check_selector
+from .selection import SELECTOR_APL, SELECTOR_RANDOM, OpCounters, check_selector, counters_report
 from .trainer import (
     IterationLog,
     RunResult,
@@ -172,8 +172,17 @@ class SummaryRow:
 EVAL_CSV_HEADER = [f.name for f in fields(EvalRow)]
 SUMMARY_CSV_HEADER = [f.name for f in fields(SummaryRow)]
 METRICS_CSV_HEADER = [f.name for f in fields(IterationLog)]
-# how _read_runs parses each eval.csv column; _fmt writes a bool as true/false
-_EVAL_PARSERS = {k: "true".__eq__ if t is bool else t for k, t in get_type_hints(EvalRow).items()}
+
+
+def _parse_bool(text: str) -> bool:
+    """A bool as _fmt writes it; ValueError on any text but true and false."""
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
+
+
+# how _read_eval_csv parses each eval.csv column, in header order
+_EVAL_PARSERS = [_parse_bool if t is bool else t for t in get_type_hints(EvalRow).values()]
 
 
 # --------------------------------------------------------------------------
@@ -321,7 +330,7 @@ def evaluate_run(
     final = result.final_policy
     sft = result.sft_policy
     acc = probe_accuracy(final, universe)
-    delta_pp = 100.0 * (acc - probe_accuracy(sft, universe))
+    delta_pp = capability_delta(final, sft, universe)
     mean_entropy, collapse = collapse_metrics(
         final, sft, universe.features, eval_ids, settings.collapse_fraction
     )
@@ -430,12 +439,13 @@ def run_grid(
 
 def _read_runs(
     run_dirs: Sequence[Path],
-) -> tuple[list[EvalRow], dict[str, dict], list[tuple[Path, str]]]:
+) -> tuple[list[EvalRow], dict[str, OpCounters], list[tuple[Path, str]]]:
     """From one read of each manifest.json: the eval.csv rows of the runs that
     completed without aborting, the counters.json of each such run that has one
-    by its rows' run_id, and every other directory with why it is left out.
-    Included runs that differ in universe_hash, grid.config.train or
-    grid.config.eval are a ConfigurationError."""
+    by its rows' run_id, and every other directory with why it is left out (an
+    eval.csv or counters.json that does not parse leaves its run out). Included
+    runs that differ in universe_hash, grid.config.train or grid.config.eval are
+    a ConfigurationError."""
     rows, counters, skipped, first = [], {}, [], None
     for run_dir in map(Path, run_dirs):
         try:
@@ -456,20 +466,49 @@ def _read_runs(
                 f"{run_dir} and {first[0]} differ in universe_hash, grid.config.train "
                 "or grid.config.eval; report one grid per directory"
             )
-        if not (run_dir / "eval.csv").exists():
+        path = run_dir / "eval.csv"
+        if not path.exists():
             skipped.append((run_dir, "no eval.csv"))
             continue
-        with open(run_dir / "eval.csv", "r", encoding="utf-8", newline="") as fh:
-            run_rows = [
-                EvalRow(**{key: parse(record[key]) for key, parse in _EVAL_PARSERS.items()})
-                for record in csv.DictReader(fh)
-            ]
-        path = run_dir / "counters.json"
-        if path.exists():
-            run_counters = json.loads(path.read_text(encoding="utf-8"))
+        try:  # path names the file read last, so the warning names the one that failed
+            run_rows = _read_eval_csv(path)
+            path = run_dir / "counters.json"
+            run_counters = _read_counters(path) if path.exists() else None
+        except (OSError, ValueError, csv.Error) as exc:
+            skipped.append((run_dir, f"unreadable {path.name}: {exc}"))
+            continue
+        if run_counters is not None:
             counters.update((row.run_id, run_counters) for row in run_rows)
         rows += run_rows
     return rows, counters, skipped
+
+
+def _read_eval_csv(path: Path) -> list[EvalRow]:
+    """A run's eval.csv rows; ValueError unless its header is EVAL_CSV_HEADER and it
+    has at least one row, each with one cell per column that parses as its type."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != EVAL_CSV_HEADER:
+            raise ValueError("its header is not the EvalRow fields")
+        rows = []
+        for record in reader:
+            if len(record) != len(_EVAL_PARSERS):
+                raise ValueError(f"line {reader.line_num} has {len(record)} cells")
+            rows.append(EvalRow(*(parse(cell) for parse, cell in zip(_EVAL_PARSERS, record))))
+    if not rows:
+        raise ValueError("no rows")
+    return rows
+
+
+def _read_counters(path: Path) -> OpCounters:
+    """A run's counters.json; ValueError unless it is an object of every OpCounters
+    field as an int, and nothing else."""
+    defaulted: list[str] = []
+    data = json.loads(path.read_text(encoding="utf-8"))
+    counters = build_dataclass(OpCounters, data, "", defaulted)
+    if defaulted:
+        raise ValueError(f"no {', '.join(defaulted)}")
+    return counters
 
 
 def _welch(a: Sequence[float], b: Sequence[float]) -> Optional[tuple[float, float]]:
@@ -521,11 +560,6 @@ def _sample_std(values: Sequence[float]) -> float:
     return float(np.std(values, ddof=1))
 
 
-def _scoring(counters: Optional[dict]) -> int:
-    """A run's scoring log-prob evaluations; 0 for no run."""
-    return counters["policy_logprob_evals"] + counters["ref_logprob_evals"] if counters else 0
-
-
 def aggregate_summary(
     run_dirs: Sequence[Path],
 ) -> tuple[list[SummaryRow], list[dict], list[dict]]:
@@ -547,12 +581,12 @@ def aggregate_summary(
         raise ConfigurationError("no eval.csv rows found under the given run directories")
 
     # runs that share (annotator, seed) differ only in selector: they are the compared pairs
-    paired: dict[tuple[str, int], dict[str, dict]] = {}
+    paired: dict[tuple[str, int], dict[str, OpCounters]] = {}
     for row in rows:
         if row.run_id in counters:
             paired.setdefault((row.annotator_label, row.seed), {})[row.selector] = counters[row.run_id]
     for (annotator, seed), by_selector in sorted(paired.items()):
-        bought = {selector: run["judge_queries"] for selector, run in by_selector.items()}
+        bought = {selector: run.judge_queries for selector, run in by_selector.items()}
         if len(set(bought.values())) > 1:
             counts = ", ".join(f"{sel} {n}" for sel, n in sorted(bought.items()))
             print(
@@ -571,9 +605,11 @@ def aggregate_summary(
         for selector, cell in by_selector.items():
             win_rates = [r.win_rate for r in cell]
             deltas = [r.delta_acc_pp for r in cell]
-            # own scoring minus the paired random run's, or 0 without one
+            # against the paired random run, or against no scoring without one
             extras = [
-                _scoring(counters[r.run_id]) - _scoring(paired[annotator, r.seed].get(SELECTOR_RANDOM))
+                counters_report(
+                    counters[r.run_id], paired[annotator, r.seed].get(SELECTOR_RANDOM, OpCounters())
+                )["extra_scoring_evals"]
                 for r in cell if r.run_id in counters
             ]
             summary.append(

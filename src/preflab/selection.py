@@ -208,11 +208,7 @@ def counters_report(counters: OpCounters, baseline: OpCounters) -> dict:
     accounting, not a reproduction of it.
     """
     deltas = {
-        "policy_logprob_evals_delta": counters.policy_logprob_evals
-        - baseline.policy_logprob_evals,
-        "ref_logprob_evals_delta": counters.ref_logprob_evals - baseline.ref_logprob_evals,
-        "judge_queries_delta": counters.judge_queries - baseline.judge_queries,
-        "generated_samples_delta": counters.generated_samples - baseline.generated_samples,
+        f"{name}_delta": value - getattr(baseline, name) for name, value in asdict(counters).items()
     }
     deltas["extra_scoring_evals"] = (
         deltas["policy_logprob_evals_delta"] + deltas["ref_logprob_evals_delta"]

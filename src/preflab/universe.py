@@ -4,8 +4,8 @@ A universe replaces text datasets with a finite, exactly solvable stand-in.
 It is held as arrays over N prompts: the (N, V, d) feature vectors phi(x, y)
 of V candidate responses each, the (N, V) latent true rewards r*(x, y), and
 the (N,) constructed correct response of each probe prompt (-1 elsewhere).
-Roles are the contiguous prompt-id ranges train, eval, probe, in that order,
-with the sizes the config fixes. Per-prompt ``PromptRecord`` views exist for
+Roles are contiguous prompt-id ranges, in the order and sizes of the config's
+``role_layout`` (train, eval, probe). Per-prompt ``PromptRecord`` views exist for
 the scalar oracle and tests only. Two unit directions shape the geometry:
 
 * ``probe_direction`` (u): the direction that carries the true-reward signal.
@@ -69,16 +69,18 @@ class UniverseConfig:
     seed: int = 0
 
     @property
+    def role_layout(self) -> tuple[tuple[str, int], ...]:
+        """Each role and its prompt count, in prompt-id order: contiguous id ranges."""
+        return ((ROLE_TRAIN, self.num_train_prompts), (ROLE_EVAL, self.num_eval_prompts),
+                (ROLE_PROBE, self.num_probe_prompts))
+
+    @property
     def total_prompts(self) -> int:
-        return self.num_train_prompts + self.num_eval_prompts + self.num_probe_prompts
+        return sum(count for _, count in self.role_layout)
 
     def roles(self) -> list[str]:
-        """The role of each prompt id: contiguous train, eval and probe ranges."""
-        return (
-            [ROLE_TRAIN] * self.num_train_prompts
-            + [ROLE_EVAL] * self.num_eval_prompts
-            + [ROLE_PROBE] * self.num_probe_prompts
-        )
+        """The role of each prompt id."""
+        return [role for role, count in self.role_layout for _ in range(count)]
 
     def __post_init__(self) -> None:
         if self.responses_per_prompt < 2:
@@ -87,10 +89,9 @@ class UniverseConfig:
             )
         if self.feature_dim < 1:
             raise ConfigurationError(f"feature_dim must be >= 1, got {self.feature_dim}")
-        for name in ("num_train_prompts", "num_eval_prompts", "num_probe_prompts"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {value}")
+        for role, count in self.role_layout:
+            if count < 1:
+                raise ConfigurationError(f"num_{role}_prompts must be >= 1, got {count}")
         if not -1.0 <= self.misalignment_rho <= 1.0:
             raise ConfigurationError(
                 f"misalignment_rho must lie in [-1, 1], got {self.misalignment_rho}"
@@ -146,8 +147,13 @@ class PromptUniverse:
     _bias_scores: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def role_ids(self, role: str) -> np.ndarray:
-        """The prompt ids that have ``role``, ascending."""
-        return np.flatnonzero(np.array(self.config.roles()) == role)
+        """The prompt ids that have ``role``, ascending; none for an unknown role."""
+        start = 0
+        for name, count in self.config.role_layout:
+            if name == role:
+                return np.arange(start, start + count)
+            start += count
+        return np.arange(0)
 
     @property
     def prompts(self) -> list[PromptRecord]:
@@ -434,20 +440,19 @@ def generate_universe(config: UniverseConfig) -> PromptUniverse:
     noise = rng.normal(0.0, noise_scale, size=(n, v))
     rewards = config.true_reward_scale * (features @ u) + noise
 
-    correct = np.full(n, -1)
-    for i in range(n - config.num_probe_prompts, n):
-        features[i], rewards[i], correct[i] = _fix_probe_prompt(
-            rng, config, features[i], u, noise_scale
-        )
-
-    return PromptUniverse(
+    universe = PromptUniverse(
         config=config,
         features=features,
         true_reward=rewards,
-        correct_response=correct,
+        correct_response=np.full(n, -1),
         proxy_bias_direction=g,
         probe_direction=u,
     )
+    for i in universe.role_ids(ROLE_PROBE):  # probe fix-ups, in place
+        features[i], rewards[i], universe.correct_response[i] = _fix_probe_prompt(
+            rng, config, features[i], u, noise_scale
+        )
+    return universe
 
 
 def validate_universe(universe: PromptUniverse) -> list[str]:
@@ -484,8 +489,7 @@ def validate_universe(universe: PromptUniverse) -> list[str]:
         finite = np.isfinite(getattr(universe, name).reshape(n, -1)).all(axis=1)
         report.extend(f"prompt {i}: {name} has non-finite values" for i in np.flatnonzero(~finite))
 
-    is_probe = np.array(config.roles()) == ROLE_PROBE
-    probes = np.flatnonzero(is_probe)
+    probes = universe.role_ids(ROLE_PROBE)
     reward = universe.true_reward[probes]
     tied = np.count_nonzero(reward == reward.max(axis=1, keepdims=True), axis=1) > 1
     report.extend(f"prompt {i}: probe true_reward has a tied maximum" for i in probes[tied])
@@ -498,6 +502,6 @@ def validate_universe(universe: PromptUniverse) -> list[str]:
     )
     report.extend(
         f"prompt {i}: non-probe prompt carries correct_response"
-        for i in np.flatnonzero(~is_probe & (correct != -1))
+        for i in np.setdiff1d(np.flatnonzero(correct != -1), probes)
     )
     return report

@@ -36,6 +36,8 @@ from preflab import (
     TrainingError,
     UniverseConfig,
     aggregate_summary,
+    capability_delta,
+    counters_report,
     parse_config,
     run_grid,
 )
@@ -47,6 +49,7 @@ from preflab.harness import (
     EvalSettings,
     ExperimentGrid,
     discover_run_dirs,
+    run_id_for,
     write_summary,
 )
 from preflab.trainer import RunResult
@@ -673,7 +676,97 @@ class TestEvalCsv:
             for f in fields(EvalRow):
                 a, b = getattr(got, f.name), getattr(want, f.name)
                 assert (type(a), repr(a)) == (type(b), repr(b)), f.name
-        assert counters == {run_id: result.counters.to_json_dict()}
+        assert counters == {run_id: result.counters}
+
+
+def _drop_last_cell(text, lines):
+    """``text`` with the last cell cut from each of its lines numbered in ``lines``."""
+    return "".join(
+        line.rsplit(",", 1)[0] + "\n" if i in lines else line
+        for i, line in enumerate(text.splitlines(keepends=True))
+    )
+
+
+def _counters_with(text, **changes):
+    counters = dict(json.loads(text), **changes)
+    return json.dumps({k: v for k, v in counters.items() if v is not None})
+
+
+class TestMalformedRunFiles:
+    # (file, how it is corrupted): each leaves its run out with a warning naming the file
+    CASES = {
+        "collapse_flag True": ("eval.csv", lambda t: t.replace(",false\n", ",True\n")),
+        "collapse_flag 1": ("eval.csv", lambda t: t.replace(",false\n", ",1\n")),
+        "collapse_flag column dropped": ("eval.csv", lambda t: _drop_last_cell(t, {0, 1})),
+        "a short row": ("eval.csv", lambda t: _drop_last_cell(t, {1})),
+        "an unparsable seed": ("eval.csv", lambda t: t.replace(",43,", ",forty-three,")),
+        "a header without rows": ("eval.csv", lambda t: t.splitlines(keepends=True)[0]),
+        "counters.json truncated": ("counters.json", lambda t: t[:40]),
+        "a counter missing": ("counters.json", lambda t: _counters_with(t, judge_queries=None)),
+        "a counter that is a bool": ("counters.json", lambda t: _counters_with(t, judge_queries=True)),
+        "a counter that is a float": ("counters.json", lambda t: _counters_with(t, judge_queries=10.0)),
+        "an unknown counter": ("counters.json", lambda t: _counters_with(t, wall_s=1)),
+        "a list": ("counters.json", lambda t: "[]"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_the_run_is_left_out_with_a_warning(self, tmp_path, capsys, case):
+        name, corrupt = self.CASES[case]
+        kept = fake_run_dir(tmp_path, "random", "weak", 42, 0.6, -1.0)
+        bad = fake_run_dir(tmp_path, "random", "weak", 43, 0.7, -2.0)
+        (bad / name).write_text(corrupt((bad / name).read_text()))
+        summary, _, pareto = aggregate_summary([kept, bad])
+        assert [(row.n_seeds, row.win_rate_mean) for row in summary] == [(1, 0.6)]
+        assert [point["run_id"] for point in pareto] == [kept.name]
+        (warning,) = capsys.readouterr().err.splitlines()
+        assert warning.startswith(f"warning: {bad} is left out of the report (unreadable {name}: ")
+
+
+@pytest.fixture(scope="module")
+def swept_smoke(tmp_path_factory):
+    """The output directory of ``configs/smoke.json`` swept and reported."""
+    out = tmp_path_factory.mktemp("smoke")
+    assert main(["sweep", "--config", str(SMOKE_CONFIG), "--out", str(out)]) == 0
+    assert main(["report", "--out", str(out)]) == 0
+    return out
+
+
+class TestPublishedNumbers:
+    # eval.csv and summary.csv publish the values of the functions the acceptance
+    # criteria test, computed again here from the run files
+
+    def test_delta_acc_pp_is_the_capability_delta_of_the_checkpoints(self, swept_smoke):
+        universe = PromptUniverse.load(swept_smoke / "universe.json")
+        run_dirs = discover_run_dirs(swept_smoke)
+        assert len(run_dirs) == 4
+        for run_dir in run_dirs:
+            final, sft = (
+                Policy.from_json_dict(json.loads((run_dir / f"{name}_policy.json").read_text()))
+                for name in ("final", "sft")
+            )
+            with open(run_dir / "eval.csv", newline="") as fh:
+                published = [float(row["delta_acc_pp"]) for row in csv.DictReader(fh)]
+            assert published == [capability_delta(final, sft, universe)] * 2, run_dir.name
+
+    def test_extra_scoring_ops_mean_is_the_mean_of_counters_report(self, swept_smoke):
+        grid, _ = parse_config(SMOKE_CONFIG)
+        counters = {
+            run_dir.name: OpCounters(**json.loads((run_dir / "counters.json").read_text()))
+            for run_dir in discover_run_dirs(swept_smoke)
+        }
+        with open(swept_smoke / "summary.csv", newline="") as fh:
+            summary = list(csv.DictReader(fh))
+        assert len(summary) == 4
+        for row in summary:
+            extras = [
+                counters_report(
+                    counters[run_id_for(row["selector"], row["annotator"], seed)],
+                    counters[run_id_for("random", row["annotator"], seed)],
+                )["extra_scoring_evals"]
+                for seed in grid.seeds
+            ]
+            assert float(row["extra_scoring_ops_mean"]) == float(np.mean(extras))
+            assert (min(extras) > 0) == (row["selector"] == "apl")
 
 
 class TestAggregation:

@@ -3,9 +3,11 @@
 ``bench/spans.py`` rebinds each ``TRACED_SITES`` entry at run time, and
 ``bench/rep.py`` drives ``harness`` directly; a name that a refactor drops
 would crash ``bench/run.py`` instead of failing here. The sites are only
-resolved, no wrapper is installed.
+resolved, no wrapper is installed. Conversely, an import that ``src/`` keeps
+only for the tracer must name a site the tracer patches in that module.
 """
 
+import ast
 import concurrent.futures
 import importlib
 import importlib.util
@@ -16,6 +18,7 @@ from preflab import harness
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
+TRACER_ONLY = "# noqa: F401  (traced by bench/spans.py)"
 
 
 def load_spans():
@@ -57,3 +60,21 @@ def test_the_reference_workload_bindings_exist():
         "universe", "template", "selector", "annotator", "seed", "evaluators",
         "eval_settings", "run_dir", "grid_manifest",
     ]
+
+
+def test_every_tracer_only_import_is_a_traced_site_of_its_module():
+    sites = set(load_spans().TRACED_SITES)
+    imported = []
+    for path in sorted((ROOT / "src" / "preflab").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        marked = {n for n, line in enumerate(text.splitlines(), 1) if line.endswith(TRACER_ONLY)}
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            lines = set(range(node.lineno, node.end_lineno + 1))
+            if marked & lines:
+                marked -= lines
+                imported += [(f"preflab.{path.stem}", a.asname or a.name) for a in node.names]
+        assert not marked, f"{path.name} lines {sorted(marked)} mark no import"
+    assert imported
+    assert [site for site in imported if site not in sites] == []

@@ -395,3 +395,18 @@ def test_streamed_encoding_is_the_canonical_json(config):
     assert data == (json.dumps(saved.to_json_dict(), sort_keys=True) + "\n").encode("utf-8")
     digest = hashlib.sha256(data[:-1]).hexdigest()
     assert before_save == saved.content_hash() == loaded.content_hash() == digest
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    counts=st.tuples(*[st.integers(1, 50)] * 3),
+    role=st.sampled_from(["train", "eval", "probe", "other"]),
+)
+def test_role_ids_are_the_ids_roles_gives_the_role(counts, role):
+    # role_ids is an arange over role_layout; the list of every prompt's role agrees
+    config = UniverseConfig(*counts, responses_per_prompt=2, feature_dim=2)
+    universe = generate_universe(config)
+    ids = universe.role_ids(role)
+    expected = np.flatnonzero(np.array(config.roles()) == role)
+    assert ids.dtype == expected.dtype
+    np.testing.assert_array_equal(ids, expected)
