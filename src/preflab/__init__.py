@@ -15,6 +15,7 @@ from .dpo import (
     PreferenceTriple,
     dpo_batch_grad,
     dpo_example_loss,
+    dpo_updates,
     implicit_reward,
     lr_at_step,
     optimizer_step,

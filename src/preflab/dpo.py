@@ -21,11 +21,18 @@ and a batch is one matrix-vector product over the feature differences,
 gathered once per labelled batch (``preference_deltas``) and reused by every
 update on it. The gradient is a mean (not a sum) so the learning rate is
 batch-size independent.
+
+``dpo_updates`` runs all of a labelled batch's Adam updates in one call and
+checks the batch once. ``dpo_batch_grad`` and ``optimizer_step`` are the
+single-update forms of the same arithmetic (the private ``_margins_and_grad``
+and ``_adam``): the supervised fit steps with ``optimizer_step``, and the
+tests hold the kernel to both, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -125,10 +132,8 @@ def dpo_batch_grad(
     if beta <= 0:
         raise ContractError(f"beta must be > 0, got {beta}")
     check_feature_dim(dphi, policy, ref)
-    h = beta * (dphi @ (policy.theta - ref.theta))
-    loss = float(np.logaddexp(0.0, -h).sum() / len(h))
-    coeff = -beta * np.exp(-np.logaddexp(0.0, h))  # -beta * sigmoid(-h)
-    return loss, coeff @ dphi / len(dphi)
+    h, grad = _margins_and_grad(policy.theta, ref.theta, dphi, beta)
+    return _mean_loss(h), grad
 
 
 def lr_at_step(cfg: DpoConfig, step: int) -> float:
@@ -148,11 +153,82 @@ def optimizer_step(
     if theta.shape != grad.shape:
         raise ContractError(f"theta shape {theta.shape} != grad shape {grad.shape}")
     step = state.step + 1
-    m = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * grad * grad
+    new_theta, m, v = _adam(theta, grad, state.first_moment, state.second_moment, step, lr)
+    if not np.isfinite(new_theta).all():
+        raise TrainingError(_nonfinite(step))
+    return new_theta, OptimizerState(step, m, v)
+
+
+@dataclass(frozen=True)
+class BatchUpdate:
+    """What ``dpo_updates`` leaves after one labelled batch.
+
+    ``theta`` and ``state`` are those of the last update whose parameters were
+    finite (the inputs when the first update fails); ``loss`` is the mean loss
+    at the batch's first update and ``lr`` the rate of the last update tried.
+    ``abort_reason`` is None when every update finished."""
+
+    theta: np.ndarray
+    state: OptimizerState
+    loss: float
+    lr: float
+    abort_reason: Optional[str]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def dpo_updates(
+    policy: Policy, ref: Policy, state: OptimizerState, dphi: np.ndarray, cfg: DpoConfig
+) -> BatchUpdate:
+    """``cfg.updates_per_sample`` Adam updates on one labelled batch of (n, d)
+    feature differences, at the ``lr_at_step`` schedule; inputs untouched.
+
+    The same arithmetic as that many ``dpo_batch_grad`` + ``lr_at_step`` +
+    ``optimizer_step`` calls, bit for bit, with the batch checked once and the
+    loss computed only at the first update. An update whose parameters are
+    non-finite stops the batch instead of raising: the result keeps the
+    updates before it and names the failing one in ``abort_reason``. Overflow
+    in a diverging update is checked that way, not warned about.
+    """
+    if len(dphi) == 0:
+        raise ContractError("dpo_updates requires a non-empty batch")
+    check_feature_dim(dphi, policy, ref)
+    theta, ref_theta = policy.theta, ref.theta
+    step, m, v = state.step, state.first_moment, state.second_moment
+    for update in range(cfg.updates_per_sample):
+        h, grad = _margins_and_grad(theta, ref_theta, dphi, cfg.beta)
+        if update == 0:
+            loss = _mean_loss(h)
+        lr = lr_at_step(cfg, step)
+        new_theta, new_m, new_v = _adam(theta, grad, m, v, step + 1, lr)
+        if not np.isfinite(new_theta).all():
+            return BatchUpdate(theta, OptimizerState(step, m, v), loss, lr, _nonfinite(step + 1))
+        theta, m, v, step = new_theta, new_m, new_v, step + 1
+    return BatchUpdate(theta, OptimizerState(step, m, v), loss, lr, None)
+
+
+def _margins_and_grad(
+    theta: np.ndarray, ref_theta: np.ndarray, dphi: np.ndarray, beta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (n,) implicit-reward margins h and the mean loss's gradient; unchecked."""
+    h = beta * (dphi @ (theta - ref_theta))
+    coeff = -beta * np.exp(-np.logaddexp(0.0, h))  # -beta * sigmoid(-h)
+    return h, coeff @ dphi / len(dphi)
+
+
+def _mean_loss(h: np.ndarray) -> float:
+    return float(np.logaddexp(0.0, -h).sum() / len(h))
+
+
+def _adam(
+    theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, step: int, lr: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adam's update number ``step`` (from 1): new parameters and moments, unchecked."""
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
     m_hat = m / (1.0 - ADAM_BETA1**step)
     v_hat = v / (1.0 - ADAM_BETA2**step)
-    new_theta = theta - lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS))
-    if not np.isfinite(new_theta).all():
-        raise TrainingError(f"non-finite parameters at update {step}")
-    return new_theta, OptimizerState(step, m, v)
+    return theta - lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS)), m, v
+
+
+def _nonfinite(step: int) -> str:
+    return f"non-finite parameters at update {step}"

@@ -40,7 +40,7 @@ class Policy:
 
     @classmethod
     def from_finite(cls, theta: np.ndarray, label: str = "") -> "Policy":
-        """Policy over a float64 vector already checked finite (by ``optimizer_step``),
+        """Policy over a float64 vector already checked finite (by ``dpo_updates``),
         without the checks of ``__post_init__``."""
         policy = object.__new__(cls)
         theta.setflags(write=False)

@@ -35,6 +35,7 @@ per scored pair), not what the closed form costs here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -134,10 +135,20 @@ def form_pairs(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values = np.sort(candidates, axis=1)
     first = np.ones((b, m), dtype=bool)
     first[:, 1:] = values[:, 1:] != values[:, :-1]
-    upper = np.arange(m)[:, None] < np.arange(m)
-    rows, i, j = np.nonzero(first[:, :, None] & first[:, None, :] & upper)
-    pairs = np.stack([rows, values[rows, i], values[rows, j]], axis=1)
+    i, j = _position_pairs(m)
+    rows, k = np.nonzero(first[:, i] & first[:, j])
+    pairs = np.stack([rows, values[rows, i[k]], values[rows, j[k]]], axis=1)
     return pairs, ~first[:, 1:].any(axis=1)
+
+
+@functools.lru_cache(maxsize=16)
+def _position_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only position pairs i < j of M candidates, in lexicographic
+    order; built once per M, as every iteration of a run shares it."""
+    i, j = np.triu_indices(m, 1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
 
 
 def entropy_estimate(log_probs: np.ndarray) -> np.ndarray:

@@ -11,22 +11,25 @@ it as the reference, then iterate
 Each stage runs once per iteration on the whole batch, as index arrays over
 ``PromptUniverse.features``: prompt ids, (B, M) candidates, a (P, 3) pair
 array, selected indices, one labelling call, and the winner-minus-loser
-feature differences that every update of the iteration reuses.
+feature differences that all of the iteration's updates reuse, in one
+``dpo_updates`` call.
 
 Events are formatted once and written to the caller's text sink (a run's
-``events.jsonl``) as they are produced, so no run holds its event stream in
-memory. Each is one canonical JSON line (keys sorted,
-``json.dumps(event, sort_keys=True)`` plus a newline), built from int-only
-templates, with the int lists and APL scores passed through ``json.dumps`` so
-their text is the encoder's own.
+``events.jsonl``) as they are produced, one write per kind per iteration, so
+no run holds its event stream in memory. Each is one canonical JSON line
+(keys sorted, ``json.dumps(event, sort_keys=True)`` plus a newline), built
+from f-strings that substitute only ints and text equal to ``json.dumps``'s:
+``str`` of a list of Python ints, the (B, M) candidates joined from a table of
+response-index strings, and APL scores through ``json.dumps`` itself.
 
 All stochastic streams are keyed by run_seed and a purpose tag, never by the
 selector, so runs that differ only in selector share prompt, generation, and
 supervised-fit randomness (paired comparisons). The annotator's stream is
 additionally folded with run_seed so different seeds see independent label
 noise. Non-finite parameters abort the run with a partial result whose
-``abort_reason`` says why (checked once per update, by ``optimizer_step``,
-with numpy's overflow warnings off); collapse is data, not failure.
+``abort_reason`` says why (checked after every update by ``dpo_updates``,
+with numpy's overflow warnings off), keeping the policy of the last finite
+update; collapse is data, not failure.
 """
 
 from __future__ import annotations
@@ -41,11 +44,12 @@ import numpy as np
 from .dpo import (
     DpoConfig,
     OptimizerState,
-    dpo_batch_grad,
+    dpo_updates,
     lr_at_step,
     optimizer_step,
     preference_deltas,
 )
+from .dpo import dpo_batch_grad  # noqa: F401  (traced by bench/spans.py)
 from .errors import ConfigurationError, TrainingError
 from .judges import Judge, JudgeSpec
 from .policy import Policy, log_softmax
@@ -236,21 +240,25 @@ def run_online_dpo(
     annotator = Judge.for_run(cfg.annotator, universe, cfg.run_seed)
 
     features = universe.features
+    # each response index's text, looked up: joining a gather of it writes the
+    # (B, M) candidates in about half the time of str() on their list
+    response_text = np.array([str(y) for y in range(features.shape[1])])
     abort_reason = None
     for t in range(1, cfg.dpo.max_steps + 1):
         prompt_ids = train_ids[prompt_rng.permutation(train_ids.size)[: sel.batch_prompts]]
         candidates, log_probs = generate_candidates(
             policy, features, prompt_ids, sel, gen_rng, counters
         )
+        candidate_text = "], [".join(map(", ".join, response_text[candidates].tolist()))
         events.write(
-            f'{{"candidates": {json.dumps(candidates.tolist())}, "iteration": {t}, '
-            f'"prompt_ids": {json.dumps(prompt_ids.tolist())}, "type": "candidates"}}\n'
+            f'{{"candidates": [[{candidate_text}]], "iteration": {t}, '
+            f'"prompt_ids": {prompt_ids.tolist()}, "type": "candidates"}}\n'
         )
         pairs, degenerate = form_pairs(candidates)
-        events.writelines(
-            f'{{"iteration": {t}, "prompt_id": {prompt_id}, "type": "degenerate_prompt"}}\n'
-            for prompt_id in prompt_ids[degenerate].tolist()
-        )
+        degenerate_ids = prompt_ids[degenerate].tolist()
+        if degenerate_ids:
+            head, tail = f'{{"iteration": {t}, "prompt_id": ', ', "type": "degenerate_prompt"}\n'
+            events.write(head + (tail + head).join(map(str, degenerate_ids)) + tail)
 
         entropies = entropy_estimate(log_probs)
         if cfg.selector == SELECTOR_RANDOM:
@@ -271,12 +279,16 @@ def run_online_dpo(
         pair_prompts = prompt_ids[rows]
         winners = annotator.prefer_batch(pair_prompts, y1, y2)
         counters.judge_queries += picked.size
-        events.writelines(
-            f'{{"iteration": {t}, "pair": [{a}, {b}], "prompt_id": {prompt_id}, '
-            f'"score": {score}, "strategy": {strategy}, "type": "selection", '
-            f'"winner": {winner}}}\n'
-            for prompt_id, a, b, score, winner in zip(
-                pair_prompts.tolist(), y1.tolist(), y2.tolist(), scores, winners.tolist()
+        events.write(
+            "".join(
+                [
+                    f'{{"iteration": {t}, "pair": [{a}, {b}], "prompt_id": {prompt_id}, '
+                    f'"score": {score}, "strategy": {strategy}, "type": "selection", '
+                    f'"winner": {winner}}}\n'
+                    for prompt_id, a, b, score, winner in zip(
+                        pair_prompts.tolist(), y1.tolist(), y2.tolist(), scores, winners.tolist()
+                    )
+                ]
             )
         )
 
@@ -285,19 +297,11 @@ def run_online_dpo(
         if picked.size:
             losers = np.where(winners == y1, y2, y1)
             dphi = preference_deltas(features, pair_prompts, winners, losers)
-            try:
-                # overflow in a diverging update is checked, not warned about:
-                # optimizer_step's parameter check aborts the run
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for _ in range(cfg.dpo.updates_per_sample):
-                        loss, grad = dpo_batch_grad(policy, ref, dphi, beta)
-                        if math.isnan(mean_loss):
-                            mean_loss = loss
-                        last_lr = lr_at_step(cfg.dpo, opt_state.step)
-                        new_theta, opt_state = optimizer_step(opt_state, policy.theta, grad, last_lr)
-                        policy = Policy.from_finite(new_theta, label=f"step-{opt_state.step}")
-            except TrainingError as exc:
-                abort_reason = str(exc)
+            batch = dpo_updates(policy, ref, opt_state, dphi, cfg.dpo)
+            opt_state, mean_loss, last_lr = batch.state, batch.loss, batch.lr
+            policy = Policy.from_finite(batch.theta, label=f"step-{opt_state.step}")
+            abort_reason = batch.abort_reason
+            if abort_reason is not None:
                 abort = {"type": "abort", "iteration": t, "reason": abort_reason}
                 events.write(json.dumps(abort, sort_keys=True) + "\n")
 

@@ -20,15 +20,19 @@ from hypothesis import strategies as st
 
 from preflab import (
     ContractError,
+    DpoConfig,
     Judge,
     JudgeSpec,
     OpCounters,
+    OptimizerState,
     Policy,
     PreferenceTriple,
     PromptRecord,
     SelectionConfig,
     UniverseConfig,
+    TrainingError,
     dpo_batch_grad,
+    dpo_updates,
     entropy_estimate,
     estimate_win_rate,
     form_pairs,
@@ -37,6 +41,8 @@ from preflab import (
     grad_log_prob,
     implicit_reward,
     log_prob_vector,
+    lr_at_step,
+    optimizer_step,
     preference_deltas,
     sample_response,
     select_apl,
@@ -106,6 +112,71 @@ def test_dpo_batch_grad_matches_per_pair_oracle(seed, v, d, n, theta_scale, beta
     assert math.isclose(loss, want_loss, rel_tol=1e-12, abs_tol=0.0)
     # a mean of signed terms can cancel, so the bound scales with the terms
     np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * scale)
+
+
+# max_steps 10 with warmup_ratio 0.1 ends the warmup at update k <= 5, so
+# start steps in [0, 10] fall before, across and after its end
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 5),
+    n=st.integers(1, 64),
+    d=st.integers(1, 16),
+    start=st.integers(0, 10),
+    beta=st.sampled_from([0.05, 0.5, 5.0]),
+    learning_rate=st.sampled_from([1e-3, 0.1, 1e308]),
+    zero_moments=st.booleans(),
+)
+@example(
+    seed=9, k=2, n=3, d=2, start=4, beta=0.5, learning_rate=1e308, zero_moments=False
+).via("an abort at the batch's first update")
+def test_dpo_updates_is_successive_single_updates(
+    seed, k, n, d, start, beta, learning_rate, zero_moments
+):
+    # at a learning rate at the float ceiling, zero moments move each parameter
+    # by about the rate per update, so most such batches overflow part-way: the
+    # kernel then keeps what the per-update path had before it raised
+    cfg = DpoConfig(
+        beta=beta, learning_rate=learning_rate, warmup_ratio=0.1, updates_per_sample=k,
+        max_steps=10,
+    )
+    gen = np.random.default_rng(seed)
+    policy, ref = Policy(gen.normal(size=d)), Policy(gen.normal(size=d))
+    dphi = gen.normal(size=(n, d))
+    moments = (np.zeros(d), np.zeros(d)) if zero_moments else (gen.normal(size=d), gen.random(d))
+    state = OptimizerState(start, *moments)
+    arrays = (policy.theta, ref.theta, dphi, state.first_moment, state.second_moment)
+    inputs = [a.tobytes() for a in arrays]
+
+    theta, want_state, losses, lr, reason = policy.theta, state, [], None, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = dpo_updates(policy, ref, state, dphi, cfg)
+        try:
+            for _ in range(k):
+                loss, grad = dpo_batch_grad(Policy(theta), ref, dphi, beta)
+                losses.append(loss)
+                lr = lr_at_step(cfg, want_state.step)
+                theta, want_state = optimizer_step(want_state, theta, grad, lr)
+        except TrainingError as exc:
+            reason = str(exc)
+
+    assert batch.abort_reason == reason
+    assert batch.theta.tobytes() == theta.tobytes()
+    assert batch.state.step == want_state.step
+    assert batch.state.first_moment.tobytes() == want_state.first_moment.tobytes()
+    assert batch.state.second_moment.tobytes() == want_state.second_moment.tobytes()
+    assert np.float64(batch.loss).tobytes() == np.float64(losses[0]).tobytes()
+    assert batch.lr == lr
+    # the kernel works on new arrays: its inputs, the start state's included, are untouched
+    assert [a.tobytes() for a in arrays] == inputs
+
+
+def test_dpo_updates_contract_errors():
+    policy, state, cfg = Policy(np.ones(3)), OptimizerState.initial(3), DpoConfig()
+    with pytest.raises(ContractError, match="non-empty"):
+        dpo_updates(policy, policy, state, np.zeros((0, 3)), cfg)
+    with pytest.raises(ContractError, match="feature dim"):
+        dpo_updates(policy, Policy(np.ones(4)), state, np.ones((2, 3)), cfg)
 
 
 # --------------------------------------------------------------------------

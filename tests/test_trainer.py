@@ -1,5 +1,6 @@
 """Supervised fit and the online loop: determinism, budgets, aborts."""
 
+import io
 import json
 import math
 import tracemalloc
@@ -8,26 +9,35 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from preflab import (
     ConfigurationError,
     DpoConfig,
+    Judge,
     JudgeSpec,
+    OptimizerState,
     Policy,
     SelectionConfig,
     SftConfig,
     TrainConfig,
     TrainingError,
     UniverseConfig,
+    dpo_batch_grad,
     generate_universe,
     log_prob,
+    lr_at_step,
+    optimizer_step,
     parse_config,
+    preference_deltas,
     reference_preset,
     response_probabilities,
     probe_accuracy,
     run_online_dpo,
     sft_fit,
 )
+from preflab import trainer
 from preflab.trainer import _json_floats
 
 
@@ -50,6 +60,36 @@ def dense_universe(seed=5):
             seed=seed,
         )
     )
+
+
+def replay_updates(universe, sft_policy, cfg, lines):
+    """The per-update path (``dpo_batch_grad``, ``lr_at_step``,
+    ``optimizer_step``, one call each per update) over each iteration's
+    labelled pairs, read back from the run's selection events. Returns the
+    parameters and step it ends at, each iteration's (first-update loss, last
+    learning rate tried) and the error that stopped it, if any."""
+    events = [json.loads(line) for line in lines]
+    ref = Policy(sft_policy.theta)
+    theta, state, rows = ref.theta, OptimizerState.initial(ref.feature_dim), []
+    for t in range(1, cfg.dpo.max_steps + 1):
+        picked = [e for e in events if e["type"] == "selection" and e["iteration"] == t]
+        loss, lr = math.nan, lr_at_step(cfg.dpo, state.step)
+        if picked:
+            prompt_ids = [e["prompt_id"] for e in picked]
+            winners = [e["winner"] for e in picked]
+            losers = [sum(e["pair"]) - e["winner"] for e in picked]
+            dphi = preference_deltas(universe.features, prompt_ids, winners, losers)
+            try:
+                for update in range(cfg.dpo.updates_per_sample):
+                    update_loss, grad = dpo_batch_grad(Policy(theta), ref, dphi, cfg.dpo.beta)
+                    if update == 0:
+                        loss = update_loss
+                    lr = lr_at_step(cfg.dpo, state.step)
+                    theta, state = optimizer_step(state, theta, grad, lr)
+            except TrainingError as exc:
+                return theta, state.step, rows + [(loss, lr)], str(exc)
+        rows.append((loss, lr))
+    return theta, state.step, rows, None
 
 
 def train_config(**overrides):
@@ -243,6 +283,32 @@ class TestOnlineLoop:
         assert len(result.per_iteration) <= 6
         assert np.all(np.isfinite(result.final_policy.theta))
 
+    def test_mid_batch_abort_keeps_the_updates_before_it(self, stream_run):
+        # warmup puts the first update's rate at 0 and the third's at inf, so
+        # update 3 of the first batch is the first non-finite one
+        cfg = train_config(
+            dpo=DpoConfig(
+                beta=50.0, learning_rate=1e308, warmup_ratio=0.1, max_steps=8, updates_per_sample=4
+            )
+        )
+        u = dense_universe()
+        sft = sft_fit(u, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result, lines = stream_run(u, sft, cfg)
+            theta, step, rows, reason = replay_updates(u, sft, cfg, lines)
+        assert reason == result.abort_reason == "non-finite parameters at update 3"
+        assert lines[-1] == (
+            '{"iteration": 1, "reason": "non-finite parameters at update 3", "type": "abort"}\n'
+        )
+        # the policy of update 2, the last finite one
+        assert step == 2 and result.final_policy.label == "step-2"
+        assert result.final_policy.theta.tobytes() == theta.tobytes()
+        assert not np.array_equal(theta, sft.theta)
+        # the metrics row: the loss of the batch's first update, the rate of
+        # the update that failed
+        logged = [(log.mean_loss, log.lr) for log in result.per_iteration]
+        assert logged == rows == [(math.log(2.0), math.inf)]
+
     def test_supervised_divergence_names_the_fit(self):
         u = dense_universe()
         cfg = train_config(sft=SftConfig(learning_rate=1e308, epochs=3, batch=8))
@@ -265,7 +331,7 @@ class TestOnlineLoop:
                 sft_fit(u, cfg)
 
     def test_update_policies_are_not_revalidated(self, monkeypatch, stream_run):
-        # optimizer_step checks each update's parameters; only the reference
+        # the batch kernel checks each update's parameters; only the reference
         # and the starting policy go through Policy validation
         u = dense_universe()
         cfg = train_config()
@@ -323,3 +389,122 @@ class TestOnlineLoop:
         kinds = {json.loads(line)["type"] for line in lines}
         assert "degenerate_prompt" in kinds
         assert "budget_shortfall" in kinds
+
+
+@pytest.fixture(scope="module")
+def wide_universe():
+    """Prompt ids past 1000 and response indices past 100."""
+    return generate_universe(
+        UniverseConfig(
+            num_train_prompts=2000,
+            num_eval_prompts=2,
+            num_probe_prompts=2,
+            responses_per_prompt=120,
+            feature_dim=3,
+            misalignment_rho=-0.5,
+            seed=3,
+        )
+    )
+
+
+def recording(fn, name, calls):
+    """``fn``, appending (name, args, result) to ``calls`` at each call."""
+
+    def wrapper(*args):
+        result = fn(*args)
+        calls.append((name, args, result))
+        return result
+
+    return wrapper
+
+
+def expected_events(calls, cfg, result):
+    """Each event of the run as a dict, rebuilt from what its stages returned."""
+    events = []
+    steps = iter(calls)
+    for t in range(1, len(result.per_iteration) + 1):
+        _, (_, _, prompt_ids, *_), (candidates, _) = next(steps)
+        events.append(
+            {"type": "candidates", "iteration": t, "prompt_ids": prompt_ids.tolist(),
+             "candidates": candidates.tolist()}
+        )
+        _, _, (_, degenerate) = next(steps)
+        events += [
+            {"type": "degenerate_prompt", "iteration": t, "prompt_id": prompt_id}
+            for prompt_id in prompt_ids[degenerate].tolist()
+        ]
+        name, _, picked = next(steps)
+        scores = [None] * len(picked)
+        if name == "select_apl":
+            picked, margins = picked
+            scores = margins.tolist()
+        if len(picked) < cfg.selection.label_budget:
+            events.append(
+                {"type": "budget_shortfall", "iteration": t,
+                 "budget": cfg.selection.label_budget, "selected": len(picked)}
+            )
+        _, (_, pair_prompts, y1, y2), winners = next(steps)
+        events += [
+            {"type": "selection", "iteration": t, "pair": [a, b], "prompt_id": prompt_id,
+             "score": score, "strategy": cfg.selector, "winner": winner}
+            for prompt_id, a, b, score, winner in zip(
+                pair_prompts.tolist(), y1.tolist(), y2.tolist(), scores, winners.tolist()
+            )
+        ]
+    if result.abort_reason is not None:
+        events.append(
+            {"type": "abort", "iteration": len(result.per_iteration),
+             "reason": result.abort_reason}
+        )
+    return events
+
+
+# sharpness scales the starting policy along the probe direction: 0 samples
+# uniformly over 120 responses (no degenerate prompt), 1e4 is a point mass
+# (every prompt of the first batch degenerate). A learning rate of 1e-15 moves
+# theta so little that APL margins read like 1.2e-17.
+@settings(max_examples=16, deadline=None, database=None, derandomize=True)
+@given(
+    selector=st.sampled_from(["random", "apl"]),
+    sharpness=st.sampled_from([0.0, 3.0, 1e4]),
+    learning_rate=st.sampled_from([1e-15, 0.05]),
+    run_seed=st.integers(0, 2**16),
+)
+@example(selector="apl", sharpness=0.0, learning_rate=1e-15, run_seed=0)
+@example(selector="random", sharpness=1e4, learning_rate=0.05, run_seed=0)
+def test_each_event_line_is_the_encoders_text_of_its_event(
+    wide_universe, selector, sharpness, learning_rate, run_seed
+):
+    u = wide_universe
+    cfg = train_config(
+        dpo=DpoConfig(
+            beta=0.1, learning_rate=learning_rate, warmup_ratio=0.0, max_steps=3,
+            updates_per_sample=2,
+        ),
+        selector=selector,
+        run_seed=run_seed,
+    )
+    calls = []
+    sink = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("generate_candidates", "form_pairs", "select_random", "select_apl"):
+            patch.setattr(trainer, name, recording(getattr(trainer, name), name, calls))
+        patch.setattr(Judge, "prefer_batch", recording(Judge.prefer_batch, "prefer_batch", calls))
+        result = run_online_dpo(u, Policy(sharpness * u.probe_direction), cfg, sink)
+    events = expected_events(calls, cfg, result)
+    lines = sink.getvalue().splitlines(keepends=True)
+    assert lines == [json.dumps(event, sort_keys=True) + "\n" for event in events]
+
+    kinds = [event["type"] for event in events]
+    if sharpness == 0.0:
+        assert max(max(e.get("prompt_ids", [0])) for e in events) > 1000
+        assert max(max(max(e.get("candidates", [[0]]))) for e in events) > 100
+        assert "degenerate_prompt" not in kinds
+    if sharpness == 1e4:
+        # the first batch samples from the point mass: nothing to select
+        first = [e for e in events if e["iteration"] == 1]
+        assert {"type": "budget_shortfall", "iteration": 1, "budget": 8, "selected": 0} in first
+        assert "selection" not in {e["type"] for e in first}
+    if selector == "apl" and learning_rate == 1e-15 and "selection" in kinds:
+        assert any("e-" in line for line in lines if '"selection"' in line)
+
