@@ -28,12 +28,7 @@ from .evaluation import (
     estimate_win_rate,
     probe_accuracy,
 )
-from .harness import (
-    aggregate_summary,
-    parse_config,
-    run_grid,
-    write_summary,
-)
+from .harness import parse_config, run_grid
 from .judges import KIND_BRADLEY_TERRY, KIND_DETERMINISTIC, Judge, JudgeSpec
 from .policy import (
     Policy,
@@ -45,6 +40,7 @@ from .policy import (
     response_probabilities,
     sample_response,
 )
+from .report import aggregate_summary, write_summary
 from .selection import (
     OpCounters,
     SelectionConfig,

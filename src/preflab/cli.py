@@ -11,23 +11,13 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigurationError, TrainingError
-from .harness import (
-    _resolve_universe,
-    _write_json,
-    aggregate_summary,
-    discover_run_dirs,
-    parse_config,
-    run_grid,
-    run_outcome,
-    save_universe,
-    write_summary,
-)
+from .harness import _resolve_universe, _write_json, parse_config, run_grid, save_universe
+from .report import aggregate_summary, discover_run_dirs, read_outcome, write_summary
 from .trainer import TrainConfig, sft_fit
 from .universe import generate_universe
 
@@ -76,8 +66,7 @@ def _outcome(run_dirs: list[Path], out_dir) -> int:
     """Name each failed or aborted cell from its manifest on stderr; 1 if any."""
     counts = {"failed": 0, "aborted": 0}
     for run_dir in run_dirs:
-        run = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
-        what = run_outcome(run)
+        run, what = read_outcome(run_dir)
         if what in counts:
             counts[what] += 1
             print(f"error: run {run['run_id']} {what}: {run['error']}", file=sys.stderr)

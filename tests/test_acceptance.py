@@ -414,16 +414,16 @@ def test_criterion_08_parity_harness(tmp_path):
     assert set(by_selector) == {"random", "apl"}
     for row in by_selector.values():
         assert row.n_seeds == 5 and row.win_rate_std >= 0.0
-    win_test = next(r for r in welch if r["metric"] == "win_rate")
-    delta_test = next(r for r in welch if r["metric"] == "delta_acc_pp")
+    win_test = next(r for r in welch if r.metric == "win_rate")
+    delta_test = next(r for r in welch if r.metric == "delta_acc_pp")
     for record in (win_test, delta_test):
-        assert record["note"] == "" and 0.0 <= record["p_value"] <= 1.0
+        assert record.note == "" and 0.0 <= record.p_value <= 1.0
     print(
         "PASS criterion 8: parity table emitted; "
         f"win-rate random {by_selector['random'].win_rate_mean:.3f}"
         f"+/-{by_selector['random'].win_rate_std:.3f} vs apl "
         f"{by_selector['apl'].win_rate_mean:.3f}+/-{by_selector['apl'].win_rate_std:.3f}; "
-        f"Welch p: win {win_test['p_value']:.3f}, delta {delta_test['p_value']:.3f} "
+        f"Welch p: win {win_test.p_value:.3f}, delta {delta_test.p_value:.3f} "
         "(observed outcome, reported not asserted)"
     )
 

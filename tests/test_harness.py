@@ -9,6 +9,7 @@ import math
 import multiprocessing
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -41,17 +42,10 @@ from preflab import (
     parse_config,
     run_grid,
 )
-from preflab import cli, harness
+from preflab import cli, harness, report
 from preflab.cli import main
-from preflab.harness import (
-    EVAL_CSV_HEADER,
-    EvalRow,
-    EvalSettings,
-    ExperimentGrid,
-    discover_run_dirs,
-    run_id_for,
-    write_summary,
-)
+from preflab.harness import EvalSettings, ExperimentGrid, run_id_for
+from preflab.report import EVAL_CSV_HEADER, EvalRow, discover_run_dirs, write_summary
 from preflab.trainer import RunResult
 
 
@@ -670,7 +664,7 @@ class TestEvalCsv:
         run_dir = tmp_path / run_id
         run_dir.mkdir()
         harness._write_run_outputs(run_dir, result, written, manifest)
-        rows, counters, skipped = harness._read_runs([run_dir])
+        rows, counters, skipped = report._read_runs([run_dir])
         assert skipped == [] and len(rows) == len(written)
         for got, want in zip(rows, written):
             for f in fields(EvalRow):
@@ -717,7 +711,7 @@ class TestMalformedRunFiles:
         (bad / name).write_text(corrupt((bad / name).read_text()))
         summary, _, pareto = aggregate_summary([kept, bad])
         assert [(row.n_seeds, row.win_rate_mean) for row in summary] == [(1, 0.6)]
-        assert [point["run_id"] for point in pareto] == [kept.name]
+        assert [point.run_id for point in pareto] == [kept.name]
         (warning,) = capsys.readouterr().err.splitlines()
         assert warning.startswith(f"warning: {bad} is left out of the report (unreadable {name}: ")
 
@@ -769,6 +763,27 @@ class TestPublishedNumbers:
             assert (min(extras) > 0) == (row["selector"] == "apl")
 
 
+# every CSV header as the lab writes it: a field reorder in a row dataclass fails here
+CSV_HEADERS = {
+    "summary.csv": "selector,annotator,evaluator,n_seeds,win_rate_mean,win_rate_std,"
+    "delta_acc_mean,delta_acc_std,collapse_runs,extra_scoring_ops_mean",
+    "welch.csv": "annotator,evaluator,metric,selector_a,selector_b,n_a,n_b,mean_a,mean_b,"
+    "t_stat,p_value,note",
+    "pareto.csv": "run_id,selector,annotator,evaluator,seed,win_rate,delta_acc_pp,collapse_flag",
+    "eval.csv": "run_id,selector,annotator_label,evaluator_label,seed,win_rate,ci_low,ci_high,"
+    "probe_acc,delta_acc_pp,mean_entropy,collapse_flag",
+    "metrics.csv": "iteration,mean_loss,labeled_pairs,lr,entropy_min,entropy_mean,entropy_max",
+}
+
+
+@pytest.mark.parametrize("name", CSV_HEADERS)
+def test_every_csv_header_the_lab_writes_is_pinned(swept_smoke, name):
+    paths = sorted(swept_smoke.glob(f"**/{name}"))
+    assert len(paths) == (1 if name in ("summary.csv", "welch.csv", "pareto.csv") else 4)
+    for path in paths:
+        assert path.read_text().splitlines()[0] == CSV_HEADERS[name], path
+
+
 class TestAggregation:
     def test_mean_and_sample_std_oracle(self, tmp_path):
         dirs = [
@@ -799,10 +814,10 @@ class TestAggregation:
         dirs.append(fake_run_dir(tmp_path, "apl", "strong", 43, 0.8, -2.0, scoring=24))
         dirs.append(fake_run_dir(tmp_path, "random", "strong", 42, 0.6, -1.0))
         _, welch, _ = aggregate_summary(dirs)
-        assert welch and all(record["note"] == "degenerate" for record in welch)
-        strong = [r for r in welch if r["annotator"] == "strong"]
+        assert welch and all(record.note == "degenerate" for record in welch)
+        strong = [r for r in welch if r.annotator == "strong"]
         assert len(strong) == 2
-        assert all((r["selector_a"], r["n_a"], r["n_b"]) == ("apl", 2, 1) for r in strong)
+        assert all((r.selector_a, r.n_a, r.n_b) == ("apl", 2, 1) for r in strong)
 
     def test_extra_scoring_ops_paired_by_seed(self, tmp_path):
         dirs = []
@@ -832,10 +847,10 @@ class TestAggregation:
             dirs.append(fake_run_dir(tmp_path, "random", "weak", seed, a, -1.0))
             dirs.append(fake_run_dir(tmp_path, "apl", "weak", seed, b, -1.0, scoring=24))
         _, welch, _ = aggregate_summary(dirs)
-        record = next(r for r in welch if r["metric"] == "win_rate")
+        record = next(r for r in welch if r.metric == "win_rate")
         want_t, want_p = stats.ttest_ind(b_vals, a_vals, equal_var=False)
-        assert record["t_stat"] == pytest.approx(float(want_t))
-        assert record["p_value"] == pytest.approx(float(want_p))
+        assert record.t_stat == pytest.approx(float(want_t))
+        assert record.p_value == pytest.approx(float(want_p))
 
     def test_unmatched_budgets_warned_once_per_seed(self, tmp_path, capsys):
         summaries = {}
@@ -911,21 +926,51 @@ class TestAggregation:
         tables = aggregate_summary(dirs + [stale])
         assert tables == clean  # summary, welch and pareto rows alike
         assert capsys.readouterr().err == f"warning: {stale} is left out of the report ({why})\n"
-        assert [row["seed"] for row in tables[2]] == [42, 43]
+        assert [row.seed for row in tables[2]] == [42, 43]
         pareto = write_summary(*tables, tmp_path)[2].read_text()
         assert "seed44" not in pareto and len(pareto.splitlines()) == 3
+
+    @pytest.mark.parametrize(
+        "recorded, refused",
+        [
+            ({}, False),  # a manifest without judge specs is compared on nothing
+            ({"annotator": {"label": "weak", "misalignment": 0.9}}, False),
+            ({"annotator": {"label": "weak", "misalignment": 0.0}}, True),
+            ({"grid": {"config": {"evaluators": [{"label": "weak", "misalignment": 0.0}]}}}, True),
+            ({"grid": {"config": {"evaluators": [{"label": "new", "misalignment": 0.0}]}}}, False),
+        ],
+    )
+    def test_a_judge_label_names_one_spec(self, tmp_path, recorded, refused):
+        first, second = (
+            fake_run_dir(tmp_path, "random", "weak", seed, 0.6, -1.0) for seed in (42, 43)
+        )
+        for run_dir, extra in (
+            (first, {"annotator": {"label": "weak", "misalignment": 0.9}}), (second, recorded)
+        ):
+            manifest = json.loads((run_dir / "manifest.json").read_text())
+            (run_dir / "manifest.json").write_text(json.dumps(dict(manifest, **extra)))
+        if not refused:
+            (row,), _, _ = aggregate_summary([first, second])
+            assert row.n_seeds == 2
+            return
+        with pytest.raises(ConfigurationError) as caught:
+            aggregate_summary([first, second])
+        assert str(caught.value) == (
+            f"{second} and {first} give judge 'weak' different specs; "
+            "a judge label must name one judge"
+        )
 
     def test_report_reads_each_run_once(self, tmp_path, monkeypatch):
         grid, manifest = parse_config(SMOKE_CONFIG)
         out = tmp_path / "runs"
         run_dirs = run_grid(replace(grid, output_dir=str(out)), grid_manifest=manifest)
-        reads, read_runs = [], harness._read_runs
+        reads, read_runs = [], report._read_runs
 
         def counting_read_runs(dirs):
             reads.append(list(dirs))
             return read_runs(dirs)
 
-        monkeypatch.setattr(harness, "_read_runs", counting_read_runs)
+        monkeypatch.setattr(report, "_read_runs", counting_read_runs)
         assert main(["report", "--out", str(out)]) == 0
         assert reads == [sorted(run_dirs)]
         with open(out / "pareto.csv") as fh:
@@ -946,7 +991,7 @@ TAIL_TS = [0, 1e-8, 0.1, 1, 2.5, 10, 100]
 
 
 class TestStudentTail:
-    """``harness._t_two_sided_p`` against mpmath's regularized incomplete beta.
+    """``report._t_two_sided_p`` against mpmath's regularized incomplete beta.
 
     mpmath is the reference, not scipy: scipy.special.stdtr(1, -1e-8) is itself
     3.1e-9 off the exact tail.
@@ -960,7 +1005,7 @@ class TestStudentTail:
                 x = nu / (nu + mp.mpf(t) ** 2)
                 want = mp.betainc(nu / 2, mp.mpf(1) / 2, 0, x, regularized=True)
                 for sign in (1, -1):
-                    got = harness._t_two_sided_p(sign * t, df)
+                    got = report._t_two_sided_p(sign * t, df)
                     if want >= mp.mpf("1e-300"):
                         assert abs(got - want) <= 1e-12 * want, (df, sign * t, got)
                     else:
@@ -971,23 +1016,23 @@ class TestStudentTail:
         with mp.workdps(50):
             one = 1 - 2 / mp.pi * mp.atan(mp.mpf(t))
             two = 1 - mp.mpf(t) / mp.sqrt(2 + mp.mpf(t) ** 2)
-            assert abs(harness._t_two_sided_p(t, 1.0) - one) <= 1e-12 * one
-            assert abs(harness._t_two_sided_p(-t, 2.0) - two) <= 1e-12 * two
+            assert abs(report._t_two_sided_p(t, 1.0) - one) <= 1e-12 * one
+            assert abs(report._t_two_sided_p(-t, 2.0) - two) <= 1e-12 * two
 
     @pytest.mark.parametrize("df", TAIL_DFS)
     def test_zero_and_infinite_t(self, df):
-        assert harness._t_two_sided_p(0.0, df) == 1.0
-        assert harness._t_two_sided_p(-0.0, df) == 1.0
-        assert harness._t_two_sided_p(math.inf, df) == 0.0
-        assert harness._t_two_sided_p(-math.inf, df) == 0.0
+        assert report._t_two_sided_p(0.0, df) == 1.0
+        assert report._t_two_sided_p(-0.0, df) == 1.0
+        assert report._t_two_sided_p(math.inf, df) == 0.0
+        assert report._t_two_sided_p(-math.inf, df) == 0.0
 
     def test_nan_data_returns_none_before_the_tail(self, monkeypatch):
         def tail(t, df):
             raise AssertionError(f"tail evaluated at t={t}, df={df}")
 
-        monkeypatch.setattr(harness, "_t_two_sided_p", tail)
-        assert harness._welch([0.5, math.nan, 0.7], [0.6, 0.8]) is None
-        assert harness._welch([0.5, 0.6], [math.nan, math.nan]) is None
+        monkeypatch.setattr(report, "_t_two_sided_p", tail)
+        assert report._welch([0.5, math.nan, 0.7], [0.6, 0.8]) is None
+        assert report._welch([0.5, 0.6], [math.nan, math.nan]) is None
 
 
 class TestPareto:
@@ -998,7 +1043,7 @@ class TestPareto:
             fake_run_dir(tmp_path, "apl", "weak", 42, 0.62, -0.5, scoring=24),
         ]
         tables = aggregate_summary(dirs)
-        assert [(row["selector"], row["seed"], row["win_rate"]) for row in tables[2]] == [
+        assert [(row.selector, row.seed, row.win_rate) for row in tables[2]] == [
             ("apl", 42, 0.62), ("random", 42, 0.60), ("random", 43, 0.61)
         ]
         path = write_summary(*tables, tmp_path)[2]
@@ -1277,6 +1322,57 @@ class TestCli:
             "universe_hash, grid.config.train or grid.config.eval; report one grid per directory\n"
         )
         assert not (out / "summary.csv").exists()
+
+    def test_report_refuses_two_runs_of_one_cell(self, tmp_path, capsys, swept_smoke):
+        out = tmp_path / "runs"
+        shutil.copytree(swept_smoke, out)
+        for name in ("summary.csv", "welch.csv", "pareto.csv"):
+            (out / name).unlink()
+        original = out / "apl__weak__seed42"
+        backup = shutil.copytree(original, out / "apl__weak__seed42.bak")
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {backup} and {original} both report selector 'apl', annotator 'weak', "
+            "seed 42; report one run per cell\n"
+        )
+        assert not (out / "summary.csv").exists()
+
+    @pytest.mark.parametrize("group, label", [("annotators", "weak"), ("evaluators", "oracle")])
+    def test_report_refuses_a_judge_label_naming_two_specs(self, tmp_path, capsys, group, label):
+        out = tmp_path / "runs"
+        argv = ["sweep", "--config", str(tmp_path / "config.json"), "--out", str(out)]
+        write_config(tmp_path, one_cell_smoke())
+        assert main(argv) == 0
+        config = one_cell_smoke(seeds=[43])
+        next(spec for spec in config[group] if spec["label"] == label)["misalignment"] = 0.5
+        write_config(tmp_path, config)
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out / 'random__weak__seed43'} and {out / 'random__weak__seed42'} give "
+            f"judge {label!r} different specs; a judge label must name one judge\n"
+        )
+        assert not (out / "summary.csv").exists()
+
+    def test_report_accepts_a_later_sweep_adding_judges(self, tmp_path):
+        out = tmp_path / "runs"
+        argv = ["sweep", "--config", str(tmp_path / "config.json"), "--out", str(out)]
+        write_config(tmp_path, one_cell_smoke())
+        assert main(argv) == 0
+        config = one_cell_smoke(seeds=[43])
+        config["annotators"].append(dict(config["annotators"][0], label="weak-2"))
+        config["evaluators"].append(dict(config["evaluators"][1], label="oracle-2"))
+        write_config(tmp_path, config)
+        assert main(argv) == 0
+        assert main(["report", "--out", str(out)]) == 0
+        with open(out / "summary.csv") as fh:
+            n_seeds = {(row["annotator"], row["evaluator"]): row["n_seeds"] for row in csv.DictReader(fh)}
+        assert n_seeds == {
+            ("weak", "oracle"): "2", ("weak", "weak-eval"): "2", ("weak", "oracle-2"): "1",
+            ("weak-2", "oracle"): "1", ("weak-2", "weak-eval"): "1", ("weak-2", "oracle-2"): "1",
+        }
 
     def test_report_accepts_a_later_sweep_adding_seeds_and_selectors(self, tmp_path):
         out = tmp_path / "runs"
