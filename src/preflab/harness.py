@@ -158,7 +158,7 @@ def _write_run_outputs(
     _write_csv(run_dir / "metrics.csv", IterationLog, result.per_iteration)
     _write_json(run_dir / "sft_policy.json", result.sft_policy.to_json_dict())
     _write_json(run_dir / "final_policy.json", result.final_policy.to_json_dict())
-    _write_json(run_dir / "counters.json", result.counters.to_json_dict())
+    _write_json(run_dir / "counters.json", asdict(result.counters))
     if eval_rows is not None:
         _write_csv(run_dir / "eval.csv", EvalRow, eval_rows)
     _write_json(run_dir / "manifest.json", manifest)

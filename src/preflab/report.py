@@ -5,7 +5,9 @@ its field names in order. ``_write_csv`` writes any of them; ``eval.csv`` is
 read back into ``EvalRow`` by its field types. ``read_outcome`` is the one
 reader of a run's manifest and of how the run ended.
 
-``report`` writes, from one read of the run directories: ``summary.csv``
+``report`` reads each completed run whole (its manifest's grid echo and
+annotator, eval.csv and counters.json) or leaves it out with a warning, and
+writes, from that one read of the run directories: ``summary.csv``
 (mean +/- sample std per cell plus collapse counts and extra scoring ops),
 ``welch.csv`` (Welch two-sample tests between selectors per
 annotator/evaluator/metric), and ``pareto.csv`` (one point per run and
@@ -147,54 +149,53 @@ def discover_run_dirs(out_dir) -> list[Path]:
 def _read_runs(
     run_dirs: Sequence[Path],
 ) -> tuple[list[EvalRow], dict[str, OpCounters], list[tuple[Path, str]]]:
-    """From one read of each manifest.json: the eval.csv rows of the runs that
-    completed without aborting, the counters.json of each such run that has one
-    by its rows' run_id, and every other directory with why it is left out (an
-    eval.csv or counters.json that does not parse leaves its run out). It is a
-    ConfigurationError when included runs differ in universe_hash,
-    grid.config.train or grid.config.eval, give one judge label two specs (the
-    manifest's annotator and grid.config.evaluators, where recorded), or report
-    the same (selector, annotator, seed)."""
+    """From one read of each run directory: the eval.csv rows of the runs that
+    completed without aborting, each such run's counters.json by its rows'
+    run_id, and every other directory with why it is left out. A completed run
+    is read whole or not at all: its manifest's universe_hash, grid echo
+    (grid.config.train, .eval and .evaluators) and annotator, every judge spec
+    with a label, then its eval.csv, then its counters.json; a run that lacks
+    or mistypes any of them is left out. It is a ConfigurationError when
+    included runs differ in universe_hash, grid.config.train or
+    grid.config.eval, give one judge label two specs, or report the same
+    (selector, annotator, seed)."""
     rows, counters, skipped, first = [], {}, [], None
     judges: dict[str, tuple[dict, Path]] = {}  # label: (spec, the first run that gives it)
     owners: dict[tuple[str, str, int], Path] = {}  # (selector, annotator, seed): its run
     for run_dir in map(Path, run_dirs):
-        try:
+        path = run_dir / "manifest.json"
+        try:  # path names the file read last, so the warning names the one that failed
             manifest, outcome = read_outcome(run_dir)
-        except (OSError, ValueError, KeyError, TypeError, AttributeError):
-            skipped.append((run_dir, "unreadable manifest"))
+            if outcome == "completed":
+                config = manifest["grid"]["config"]
+                grid = (manifest["universe_hash"], config["train"], config["eval"])
+                specs = [manifest["annotator"], *config["evaluators"]]
+                if not all(isinstance(spec["label"], str) for spec in specs):
+                    raise ValueError("a judge label is not a string")
+                path = run_dir / "eval.csv"
+                run_rows = _read_eval_csv(path)
+                path = run_dir / "counters.json"
+                run_counters = _read_counters(path)
+        except (OSError, ValueError, KeyError, TypeError, AttributeError, csv.Error) as exc:
+            skipped.append((run_dir, f"unreadable {path.name}: {exc}"))
             continue
         if outcome != "completed":
             error = manifest.get("error", "no error recorded")
             skipped.append((run_dir, f"the run {outcome}: {error}"))
             continue
-        config = manifest.get("grid", {}).get("config", {})
-        grid = (manifest.get("universe_hash"), config.get("train"), config.get("eval"))
         first = first or (run_dir, grid)
         if grid != first[1]:
             raise ConfigurationError(
                 f"{run_dir} and {first[0]} differ in universe_hash, grid.config.train "
                 "or grid.config.eval; report one grid per directory"
             )
-        annotator = [manifest["annotator"]] if "annotator" in manifest else []
-        for spec in annotator + config.get("evaluators", []):
+        for spec in specs:
             known, where = judges.setdefault(spec["label"], (spec, run_dir))
             if spec != known:
                 raise ConfigurationError(
                     f"{run_dir} and {where} give judge {spec['label']!r} different specs; "
                     "a judge label must name one judge"
                 )
-        path = run_dir / "eval.csv"
-        if not path.exists():
-            skipped.append((run_dir, "no eval.csv"))
-            continue
-        try:  # path names the file read last, so the warning names the one that failed
-            run_rows = _read_eval_csv(path)
-            path = run_dir / "counters.json"
-            run_counters = _read_counters(path) if path.exists() else None
-        except (OSError, ValueError, csv.Error) as exc:
-            skipped.append((run_dir, f"unreadable {path.name}: {exc}"))
-            continue
         for row in run_rows:
             owner = owners.setdefault((row.selector, row.annotator_label, row.seed), run_dir)
             if owner != run_dir:
@@ -202,8 +203,7 @@ def _read_runs(
                     f"{run_dir} and {owner} both report selector {row.selector!r}, annotator "
                     f"{row.annotator_label!r}, seed {row.seed}; report one run per cell"
                 )
-        if run_counters is not None:
-            counters.update((row.run_id, run_counters) for row in run_rows)
+        counters.update((row.run_id, run_counters) for row in run_rows)
         rows += run_rows
     return rows, counters, skipped
 
@@ -308,8 +308,7 @@ def aggregate_summary(
     # runs that share (annotator, seed) differ only in selector: they are the compared pairs
     paired: dict[tuple[str, int], dict[str, OpCounters]] = {}
     for row in rows:
-        if row.run_id in counters:
-            paired.setdefault((row.annotator_label, row.seed), {})[row.selector] = counters[row.run_id]
+        paired.setdefault((row.annotator_label, row.seed), {})[row.selector] = counters[row.run_id]
     for (annotator, seed), by_selector in sorted(paired.items()):
         bought = {selector: run.judge_queries for selector, run in by_selector.items()}
         if len(set(bought.values())) > 1:
@@ -335,14 +334,14 @@ def aggregate_summary(
                 counters_report(
                     counters[r.run_id], paired[annotator, r.seed].get(SELECTOR_RANDOM, OpCounters())
                 )["extra_scoring_evals"]
-                for r in cell if r.run_id in counters
+                for r in cell
             ]
             summary.append(SummaryRow(
                 selector=selector, annotator=annotator, evaluator=evaluator, n_seeds=len(cell),
                 win_rate_mean=float(np.mean(win_rates)), win_rate_std=_sample_std(win_rates),
                 delta_acc_mean=float(np.mean(deltas)), delta_acc_std=_sample_std(deltas),
                 collapse_runs=sum(1 for r in cell if r.collapse_flag),
-                extra_scoring_ops_mean=float(np.mean(extras)) if extras else 0.0,
+                extra_scoring_ops_mean=float(np.mean(extras)),
             ))
         for sel_a, sel_b in combinations(sorted(by_selector), 2):
             for metric in ("win_rate", "delta_acc_pp"):

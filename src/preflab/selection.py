@@ -92,9 +92,6 @@ class OpCounters:
     judge_queries: int = 0
     generated_samples: int = 0
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def generate_candidates(
     policy: Policy,

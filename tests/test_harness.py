@@ -600,44 +600,40 @@ class TestRunGrid:
             assert (a / "eval.csv").read_bytes() == (b / "eval.csv").read_bytes()
 
 
+def lab_manifest(run_id, annotator, seed):
+    """A completed run's manifest with what ``report`` reads of one that
+    ``run_cell`` writes: the cell, a universe hash and the grid echo of
+    ``configs/smoke.json``."""
+    _, grid_manifest = parse_config(SMOKE_CONFIG)
+    return {
+        "run_id": run_id, "seed": seed, "annotator": asdict(JudgeSpec(label=annotator)),
+        "universe_hash": "0" * 64, "status": "completed", "aborted": False,
+        "grid": grid_manifest,
+    }
+
+
 def fake_run_dir(
     root, selector, annotator, seed, win_rate, delta, scoring=0, collapse=False, queries=10
 ):
+    """A completed run written through the lab's own writer, with one eval row."""
     run_id = f"{selector}__{annotator}__seed{seed}"
     run_dir = root / run_id
     run_dir.mkdir(parents=True)
-    rows = [
-        [
-            run_id,
-            selector,
-            annotator,
-            "eval-judge",
-            seed,
-            repr(win_rate),
-            repr(max(win_rate - 0.02, 0.0)),
-            repr(min(win_rate + 0.02, 1.0)),
-            "0.5",
-            repr(delta),
-            "1.0",
-            "true" if collapse else "false",
-        ]
-    ]
-    with open(run_dir / "eval.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EVAL_CSV_HEADER)
-        writer.writerows(rows)
-    (run_dir / "counters.json").write_text(
-        json.dumps(
-            {
-                "policy_logprob_evals": scoring,
-                "ref_logprob_evals": scoring,
-                "judge_queries": queries,
-                "generated_samples": 40,
-            }
-        )
+    row = EvalRow(
+        run_id, selector, annotator, "eval-judge", seed, win_rate, max(win_rate - 0.02, 0.0),
+        min(win_rate + 0.02, 1.0), 0.5, delta, 1.0, collapse,
     )
-    manifest = {"run_id": run_id, "seed": seed, "status": "completed"}
-    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    result = RunResult(
+        final_policy=Policy(np.zeros(2), label="final"),
+        sft_policy=Policy(np.zeros(2), label="sft"),
+        per_iteration=[],
+        counters=OpCounters(
+            policy_logprob_evals=scoring, ref_logprob_evals=scoring, judge_queries=queries,
+            generated_samples=40,
+        ),
+        abort_reason=None,
+    )
+    harness._write_run_outputs(run_dir, result, [row], lab_manifest(run_id, annotator, seed))
     return run_dir
 
 
@@ -660,10 +656,9 @@ class TestEvalCsv:
             counters=OpCounters(judge_queries=7),
             abort_reason=None,
         )
-        manifest = {"run_id": run_id, "status": "completed", "aborted": False}
         run_dir = tmp_path / run_id
         run_dir.mkdir()
-        harness._write_run_outputs(run_dir, result, written, manifest)
+        harness._write_run_outputs(run_dir, result, written, lab_manifest(run_id, "weak", 42))
         rows, counters, skipped = report._read_runs([run_dir])
         assert skipped == [] and len(rows) == len(written)
         for got, want in zip(rows, written):
@@ -681,13 +676,21 @@ def _drop_last_cell(text, lines):
     )
 
 
-def _counters_with(text, **changes):
-    counters = dict(json.loads(text), **changes)
-    return json.dumps({k: v for k, v in counters.items() if v is not None})
+def _json_with(text, key_path, value=None):
+    """``text``'s JSON with the value at the dotted ``key_path`` set, or removed if None."""
+    data = json.loads(text)
+    *parents, leaf = key_path.split(".")
+    node = functools.reduce(lambda d, k: d[k], parents, data)
+    if value is None:
+        del node[leaf]
+    else:
+        node[leaf] = value
+    return json.dumps(data)
 
 
 class TestMalformedRunFiles:
-    # (file, how it is corrupted): each leaves its run out with a warning naming the file
+    # (file, how it is corrupted, or None where it is deleted): each leaves its
+    # run out with a warning naming the file
     CASES = {
         "collapse_flag True": ("eval.csv", lambda t: t.replace(",false\n", ",True\n")),
         "collapse_flag 1": ("eval.csv", lambda t: t.replace(",false\n", ",1\n")),
@@ -695,12 +698,24 @@ class TestMalformedRunFiles:
         "a short row": ("eval.csv", lambda t: _drop_last_cell(t, {1})),
         "an unparsable seed": ("eval.csv", lambda t: t.replace(",43,", ",forty-three,")),
         "a header without rows": ("eval.csv", lambda t: t.splitlines(keepends=True)[0]),
+        "no eval.csv": ("eval.csv", None),
         "counters.json truncated": ("counters.json", lambda t: t[:40]),
-        "a counter missing": ("counters.json", lambda t: _counters_with(t, judge_queries=None)),
-        "a counter that is a bool": ("counters.json", lambda t: _counters_with(t, judge_queries=True)),
-        "a counter that is a float": ("counters.json", lambda t: _counters_with(t, judge_queries=10.0)),
-        "an unknown counter": ("counters.json", lambda t: _counters_with(t, wall_s=1)),
+        "a counter missing": ("counters.json", lambda t: _json_with(t, "judge_queries")),
+        "a counter that is a bool": ("counters.json", lambda t: _json_with(t, "judge_queries", True)),
+        "a counter that is a float": ("counters.json", lambda t: _json_with(t, "judge_queries", 10.0)),
+        "an unknown counter": ("counters.json", lambda t: _json_with(t, "wall_s", 1)),
         "a list": ("counters.json", lambda t: "[]"),
+        "no counters.json": ("counters.json", None),
+        "a grid that is a list": ("manifest.json", lambda t: _json_with(t, "grid", [])),
+        "no grid": ("manifest.json", lambda t: _json_with(t, "grid")),
+        "an annotator that is a string": ("manifest.json", lambda t: _json_with(t, "annotator", "weak")),
+        "evaluators that are a string": (
+            "manifest.json", lambda t: _json_with(t, "grid.config.evaluators", "oracle")
+        ),
+        "a judge spec without a label": ("manifest.json", lambda t: _json_with(t, "annotator.label")),
+        "a judge label that is a list": (
+            "manifest.json", lambda t: _json_with(t, "annotator.label", ["weak"])
+        ),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -708,7 +723,10 @@ class TestMalformedRunFiles:
         name, corrupt = self.CASES[case]
         kept = fake_run_dir(tmp_path, "random", "weak", 42, 0.6, -1.0)
         bad = fake_run_dir(tmp_path, "random", "weak", 43, 0.7, -2.0)
-        (bad / name).write_text(corrupt((bad / name).read_text()))
+        if corrupt is None:
+            (bad / name).unlink()
+        else:
+            (bad / name).write_text(corrupt((bad / name).read_text()))
         summary, _, pareto = aggregate_summary([kept, bad])
         assert [(row.n_seeds, row.win_rate_mean) for row in summary] == [(1, 0.6)]
         assert [point.run_id for point in pareto] == [kept.name]
@@ -819,21 +837,25 @@ class TestAggregation:
         assert len(strong) == 2
         assert all((r.selector_a, r.n_a, r.n_b) == ("apl", 2, 1) for r in strong)
 
-    def test_extra_scoring_ops_paired_by_seed(self, tmp_path):
+    def test_extra_scoring_ops_paired_by_seed(self, tmp_path, capsys):
         dirs = []
         for seed in (42, 43, 44):
             dirs.append(fake_run_dir(tmp_path, "random", "weak", seed, 0.7, -1.0))
             dirs.append(
                 fake_run_dir(tmp_path, "apl", "weak", seed, 0.8, -0.5, scoring=24)
             )
-        # seed 44's apl run has no counters: left out of the extras, still a seed
+        # seed 44's apl run has no counters: it is left out whole, not only of the extras
         (dirs[-1] / "counters.json").unlink()
         # an apl run without a paired random run is charged its own scoring
         dirs.append(fake_run_dir(tmp_path, "apl", "solo", 42, 0.8, -0.5, scoring=24))
         summary, _, _ = aggregate_summary(dirs)
+        (warning,) = capsys.readouterr().err.splitlines()
+        assert warning.startswith(
+            f"warning: {dirs[5]} is left out of the report (unreadable counters.json: "
+        )
         by_cell = {(row.selector, row.annotator): row for row in summary}
         assert by_cell["apl", "weak"].extra_scoring_ops_mean == 48.0
-        assert by_cell["apl", "weak"].n_seeds == 3
+        assert by_cell["apl", "weak"].n_seeds == 2
         assert by_cell["random", "weak"].extra_scoring_ops_mean == 0.0
         assert by_cell["apl", "solo"].extra_scoring_ops_mean == 48.0
 
@@ -860,15 +882,18 @@ class TestAggregation:
                 fake_run_dir(out, "random", "weak", seed, 0.6, -1.0)
                 queries = apl_queries if seed == 43 else 10
                 fake_run_dir(out, "apl", "weak", seed, 0.7, -1.0, scoring=24, queries=queries)
-            # a run without counters.json cannot show an unmatched budget
+            # a run without counters.json is left out, so it cannot show an unmatched budget
             fake_run_dir(out, "random", "weak", 44, 0.6, -1.0)
             no_counters = fake_run_dir(out, "apl", "weak", 44, 0.7, -1.0, scoring=24, queries=8)
             (no_counters / "counters.json").unlink()
             assert main(["report", "--out", str(out)]) == 0
             summaries[name] = (out / "summary.csv").read_bytes()
-            warnings = [
+            left_out, *warnings = [
                 line for line in capsys.readouterr().err.splitlines() if "warning" in line
             ]
+            assert left_out.startswith(
+                f"warning: {no_counters} is left out of the report (unreadable counters.json: "
+            )
             if apl_queries == 10:
                 assert warnings == []
             else:
@@ -910,8 +935,8 @@ class TestAggregation:
             ({"status": "failed", "error": "boom"}, "the run failed: boom"),
             ({"status": "completed", "aborted": True, "error": "x"}, "the run aborted: x"),
             ({"status": "failed"}, "the run failed: no error recorded"),
-            ({"run_id": "no status"}, "unreadable manifest"),
-            ([], "unreadable manifest"),
+            ({"run_id": "no status"}, "unreadable manifest.json: 'status'"),
+            ([], "unreadable manifest.json: 'list' object has no attribute 'get'"),
         ],
     )
     def test_the_manifest_decides_inclusion_over_a_stale_eval_csv(
@@ -933,25 +958,28 @@ class TestAggregation:
     @pytest.mark.parametrize(
         "recorded, refused",
         [
-            ({}, False),  # a manifest without judge specs is compared on nothing
-            ({"annotator": {"label": "weak", "misalignment": 0.9}}, False),
-            ({"annotator": {"label": "weak", "misalignment": 0.0}}, True),
-            ({"grid": {"config": {"evaluators": [{"label": "weak", "misalignment": 0.0}]}}}, True),
-            ({"grid": {"config": {"evaluators": [{"label": "new", "misalignment": 0.0}]}}}, False),
+            # a completed manifest without its annotator is left out, not compared on less
+            (("annotator", None), False),
+            (("annotator", asdict(JudgeSpec(label="weak"))), False),  # the same spec
+            (("annotator.misalignment", 0.123), True),
+            (("grid.config.evaluators", [{"label": "weak", "misalignment": 0.0}]), True),
+            (("grid.config.evaluators", [{"label": "new", "misalignment": 0.0}]), False),
         ],
     )
-    def test_a_judge_label_names_one_spec(self, tmp_path, recorded, refused):
+    def test_a_judge_label_names_one_spec(self, tmp_path, capsys, recorded, refused):
         first, second = (
             fake_run_dir(tmp_path, "random", "weak", seed, 0.6, -1.0) for seed in (42, 43)
         )
-        for run_dir, extra in (
-            (first, {"annotator": {"label": "weak", "misalignment": 0.9}}), (second, recorded)
-        ):
-            manifest = json.loads((run_dir / "manifest.json").read_text())
-            (run_dir / "manifest.json").write_text(json.dumps(dict(manifest, **extra)))
+        path = second / "manifest.json"
+        path.write_text(_json_with(path.read_text(), *recorded))
         if not refused:
+            left_out = recorded == ("annotator", None)
             (row,), _, _ = aggregate_summary([first, second])
-            assert row.n_seeds == 2
+            assert row.n_seeds == (1 if left_out else 2)
+            assert capsys.readouterr().err == (
+                f"warning: {second} is left out of the report "
+                "(unreadable manifest.json: 'annotator')\n" if left_out else ""
+            )
             return
         with pytest.raises(ConfigurationError) as caught:
             aggregate_summary([first, second])
@@ -960,10 +988,8 @@ class TestAggregation:
             "a judge label must name one judge"
         )
 
-    def test_report_reads_each_run_once(self, tmp_path, monkeypatch):
+    def test_report_reads_each_run_once(self, tmp_path, monkeypatch, capsys):
         grid, manifest = parse_config(SMOKE_CONFIG)
-        out = tmp_path / "runs"
-        run_dirs = run_grid(replace(grid, output_dir=str(out)), grid_manifest=manifest)
         reads, read_runs = [], report._read_runs
 
         def counting_read_runs(dirs):
@@ -971,18 +997,28 @@ class TestAggregation:
             return read_runs(dirs)
 
         monkeypatch.setattr(report, "_read_runs", counting_read_runs)
-        assert main(["report", "--out", str(out)]) == 0
-        assert reads == [sorted(run_dirs)]
-        with open(out / "pareto.csv") as fh:
-            assert len(list(csv.DictReader(fh))) == len(run_dirs) * len(grid.evaluators)
+        for parallel in (1, 2):
+            out = tmp_path / f"runs{parallel}"
+            run_dirs = run_grid(
+                replace(grid, output_dir=str(out)), grid_manifest=manifest, parallel=parallel
+            )
+            reads.clear()
+            capsys.readouterr()
+            assert main(["report", "--out", str(out)]) == 0
+            # every run the lab writes is read whole: none is left out (smoke's
+            # selectors still buy unmatched judge-query counts, which report warns of)
+            assert "is left out" not in capsys.readouterr().err
+            assert reads == [sorted(run_dirs)]
+            with open(out / "pareto.csv") as fh:
+                assert len(list(csv.DictReader(fh))) == len(run_dirs) * len(grid.evaluators)
 
     def test_a_completed_run_without_eval_csv_is_named(self, tmp_path, capsys):
         dirs = [fake_run_dir(tmp_path, "random", "weak", seed, 0.6, -1.0) for seed in (42, 43)]
         (dirs[1] / "eval.csv").unlink()
         (row,), _, _ = aggregate_summary(dirs)
         assert row.n_seeds == 1
-        assert capsys.readouterr().err == (
-            f"warning: {dirs[1]} is left out of the report (no eval.csv)\n"
+        assert capsys.readouterr().err.startswith(
+            f"warning: {dirs[1]} is left out of the report (unreadable eval.csv: "
         )
 
 
@@ -1297,7 +1333,8 @@ class TestCli:
         capsys.readouterr()
         assert main(["report", "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"warning: {run_dir} is left out of the report (unreadable manifest)",
+            f"warning: {run_dir} is left out of the report (unreadable manifest.json: "
+            f"[Errno 2] No such file or directory: '{run_dir / 'manifest.json'}')",
             "error: no eval.csv rows found under the given run directories",
         ]
 

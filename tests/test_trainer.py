@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -211,7 +212,7 @@ class TestOnlineLoop:
         # through json.dumps, so that a NaN mean_loss compares equal to itself
         for run_a, run_b in (
             ([vars(log) for log in a.per_iteration], [vars(log) for log in b.per_iteration]),
-            (a.counters.to_json_dict(), b.counters.to_json_dict()),
+            (asdict(a.counters), asdict(b.counters)),
             (a.final_policy.to_json_dict(), b.final_policy.to_json_dict()),
             (a.sft_policy.to_json_dict(), b.sft_policy.to_json_dict()),
         ):
