@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands:
-    generate  build a universe JSON from the config's universe section
+    generate  write the universe file (universe.npz) of the config's universe section
     sft       fit the supervised initialization and write its checkpoint
     train     run a single (selector, annotator, seed) cell: a one-cell sweep
     sweep     run the full experiment grid
@@ -31,8 +31,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help=out_help)
         p.add_argument("--overwrite", action="store_true", help="allow clobbering outputs")
 
-    p = sub.add_parser("generate", help="write the universe JSON")
-    add_common(p, "output file (default: <output_dir>/universe.json)")
+    p = sub.add_parser("generate", help="write the universe file")
+    add_common(p, "a path ending in .npz is the file, any other a directory for its "
+                  "universe.npz (default: <output_dir>/universe.npz)")
 
     p = sub.add_parser("sft", help="fit and save the supervised initialization")
     add_common(p, "output directory (default: config output_dir)")
@@ -90,9 +91,9 @@ def _dispatch(args) -> int:
         manifest["config"]["output_dir"] = args.out
 
     if args.command == "generate":
-        out = Path(args.out) if args.out else Path(grid.output_dir) / "universe.json"
-        if out.suffix != ".json":
-            out = out / "universe.json"
+        out = Path(args.out) if args.out else Path(grid.output_dir) / "universe.npz"
+        if out.suffix != ".npz":
+            out = out / "universe.npz"
         if grid.universe is None:
             raise ConfigurationError("generate requires a 'universe' section in the config")
         out.parent.mkdir(parents=True, exist_ok=True)

@@ -16,9 +16,9 @@ comparisons are paired.
 
 ``run_grid`` runs every cell (``preflab train`` is a one-cell grid) and
 refuses existing run directories without overwrite; ``save_universe`` keeps
-one universe per output directory, so a grid grows by new cells only. The
-CSV files are written as ``report``'s row dataclasses, and ``report`` reads
-the run directories back.
+one ``universe.npz`` per output directory, so a grid grows by new cells only.
+The CSV files are written as ``report``'s row dataclasses, and ``report``
+reads the run directories back.
 """
 
 from __future__ import annotations
@@ -273,8 +273,8 @@ def _cell_worker(args: tuple) -> str:
 
 
 def save_universe(universe: PromptUniverse, path: Path, overwrite: bool) -> bool:
-    """The one rule for universe.json: write it when it is absent or on
-    overwrite, keep a file that holds this universe, and refuse any other.
+    """The one rule for a universe file: write it when it is absent or on
+    overwrite, keep a file that loads as this universe, and refuse any other.
     True when the file was written."""
     if overwrite or not path.exists():
         universe.save(path)
@@ -314,7 +314,8 @@ def run_grid(
     universe = _resolve_universe(grid)
     batch_train_ids(universe, grid.train.selection)  # refuse before writing anything
     out.mkdir(parents=True, exist_ok=True)
-    save_universe(universe, out / "universe.json", overwrite)
+    save_universe(universe, out / "universe.npz", overwrite)
+    universe.content_hash()  # hashed once, before any worker gets a copy of the universe
 
     cell_args = [
         (grid.train, selector, annotator, seed, grid.evaluators, grid.eval_settings, run_dir,

@@ -177,7 +177,8 @@ def _read_runs(
                 path = run_dir / "counters.json"
                 run_counters = _read_counters(path)
         except (OSError, ValueError, KeyError, TypeError, AttributeError, csv.Error) as exc:
-            skipped.append((run_dir, f"unreadable {path.name}: {exc}"))
+            why = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+            skipped.append((run_dir, f"unreadable {path.name}: {why}"))
             continue
         if outcome != "completed":
             error = manifest.get("error", "no error recorded")

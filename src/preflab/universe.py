@@ -20,25 +20,24 @@ enforce a clean top-gap along u (``PROBE_TOP_GAP_SIGMA`` standard deviations)
 and resample their noise until the noisy argmax agrees with the clean one, so
 ``correct_response`` is an unambiguous direction detector.
 
-``universe.json`` is ``json.dumps(universe.to_json_dict(), sort_keys=True)``
-plus a newline, and the content hash is the sha256 of that encoding. One
-streaming encoder produces both, one prompt at a time, so neither a save nor a
-hash builds the whole document in memory.
+The universe file, ``universe.npz``, holds the five arrays in canonical dtypes
+and the config as JSON text; ``load`` reads it without pickle and fails closed.
+The content hash reads the arrays' raw bytes, not the file.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
+import zipfile
 from dataclasses import asdict, dataclass, field
-from typing import BinaryIO, Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .rng import substream
-from .schema import build_dataclass, build_value
+from .schema import build_dataclass
 
 ROLE_TRAIN = "train"
 ROLE_EVAL = "eval"
@@ -53,6 +52,10 @@ PROBE_TOP_GAP_SIGMA = 1.0
 _MAX_REDRAWS = 10_000
 _NOISE_DECAY_EVERY = 32
 _MAX_TABULAR_CELLS = 1 << 26  # one-hot feature tensor must stay addressable
+
+# the universe file's arrays and their canonical dtypes, in name order: the hash's order
+_ARRAY_DTYPES = {"correct_response": "<i8", "features": "<f8", "probe_direction": "<f8",
+                 "proxy_bias_direction": "<f8", "true_reward": "<f8"}
 
 
 @dataclass(frozen=True)
@@ -159,12 +162,9 @@ class PromptUniverse:
     def prompts(self) -> list[PromptRecord]:
         """One ``PromptRecord`` view into the arrays per prompt."""
         if self._records is None:
-            self._records = [
-                PromptRecord(i, role, self.features[i], self.true_reward[i], None if c < 0 else c)
-                for i, (role, c) in enumerate(
-                    zip(self.config.roles(), self.correct_response.tolist())
-                )
-            ]
+            correct = [None if c < 0 else c for c in self.correct_response.tolist()]
+            self._records = list(map(PromptRecord, range(len(correct)), self.config.roles(),
+                                     self.features, self.true_reward, correct))
         return self._records
 
     def prompts_with_role(self, role: str) -> list[PromptRecord]:
@@ -187,139 +187,63 @@ class PromptUniverse:
             self._bias_scores = (self.features[:, :, None, :] @ g)[:, :, 0, 0]
         return self._bias_scores
 
-    def _prompt_entries(self) -> Iterator[dict]:
-        """Each prompt's JSON entry, in prompt order, built only as it is asked for."""
-        for i, (role, c) in enumerate(zip(self.config.roles(), self.correct_response.tolist())):
-            yield {
-                "prompt_id": i,
-                "role": role,
-                "features": self.features[i].tolist(),
-                "true_reward": self.true_reward[i].tolist(),
-                "correct_response": None if c < 0 else c,
-            }
+    def _arrays(self) -> dict[str, np.ndarray]:
+        """The five arrays in canonical dtype and C order (no copy where they are)."""
+        return {n: np.ascontiguousarray(getattr(self, n), t) for n, t in _ARRAY_DTYPES.items()}
 
-    def _document(self, prompts: list) -> dict:
-        """The JSON document of this universe with ``prompts`` as its prompt list."""
-        return {
-            "config": asdict(self.config),
-            "prompts": prompts,
-            "proxy_bias_direction": self.proxy_bias_direction.tolist(),
-            "probe_direction": self.probe_direction.tolist(),
-        }
-
-    def to_json_dict(self) -> dict:
-        return self._document(list(self._prompt_entries()))
+    def save(self, path) -> None:
+        """Write the universe file to ``path`` itself (``np.savez`` adds ``.npz`` to a name)."""
+        config = np.array(json.dumps(asdict(self.config), sort_keys=True))
+        with open(path, "wb") as fh:
+            np.savez(fh, config=config, **self._arrays())
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "PromptUniverse":
-        """Build a universe from its JSON form; ConfigurationError unless its
-        config is well typed and it passes ``validate_universe``."""
+    def load(cls, path) -> "PromptUniverse":
+        """Read a universe file, without pickle; ConfigurationError unless it holds a config
+        string and exactly the five arrays in canonical dtypes, a complete, well-typed
+        config, and a universe that passes ``validate_universe``."""
         try:
-            config = build_dataclass(UniverseConfig, data["config"], "universe config", [])
-            entries = data["prompts"]
-            if [(e["prompt_id"], e["role"]) for e in entries] != list(enumerate(config.roles())):
-                raise ConfigurationError(
-                    "prompt ids and roles break the role partition: prompt i needs id i and "
-                    "the role that the config's train, eval and probe counts give it"
-                )
-            universe = cls(
-                config=config,
-                features=_stack_rows([e["features"] for e in entries], "feature"),
-                true_reward=_stack_rows([e["true_reward"] for e in entries], "true_reward"),
-                correct_response=np.array(
-                    [_stored_response(e["correct_response"], i) for i, e in enumerate(entries)]
-                ),
-                **{k: _stack_rows(data[k], k) for k in ("proxy_bias_direction", "probe_direction")},
-            )
-        except (KeyError, TypeError) as exc:
-            raise ConfigurationError(f"malformed universe: {exc!r}") from exc
+            with np.lib.npyio.NpzFile(path, allow_pickle=False) as archive:
+                arrays = {name: archive[name] for name in archive.files}
+            text = arrays.pop("config", None)
+            if not (isinstance(text, np.ndarray) and text.dtype.kind == "U" and text.ndim == 0):
+                raise ValueError("no config string")
+            data = json.loads(text.item())
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise ConfigurationError(f"cannot read universe {path}: {exc}") from exc
+        found = {name: np.asarray(a).dtype.str for name, a in arrays.items()}
+        if found != _ARRAY_DTYPES:
+            raise ConfigurationError(f"universe {path} holds arrays {found}, not {_ARRAY_DTYPES}")
+        defaulted: list[str] = []
+        config = build_dataclass(UniverseConfig, data, "universe config", defaulted)
+        if defaulted:
+            raise ConfigurationError(f"missing key(s) {defaulted}")
+        universe = cls(config=config, **arrays)
         report = validate_universe(universe)
         if report:
             raise ConfigurationError("invalid universe: " + "; ".join(report))
         return universe
 
-    def _encode(self, fh: Optional[BinaryIO] = None) -> None:
-        """Stream the canonical encoding, ``json.dumps(self.to_json_dict(),
-        sort_keys=True)``, into sha256 and, when given, the binary file ``fh``;
-        store the digest as the content hash.
-
-        The document with an empty prompt list, its one empty list, is split
-        there, and the prompt entries go between its two halves one at a time:
-        no more than one prompt's text is held at a time."""
-        head, tail = json.dumps(self._document([]), sort_keys=True).split("[]")
-        pieces = itertools.chain(
-            [head, "["],
-            (
-                (", " if i else "") + json.dumps(entry, sort_keys=True)
-                for i, entry in enumerate(self._prompt_entries())
-            ),
-            ["]", tail],
-        )
-        digest = hashlib.sha256()
-        for piece in pieces:
-            data = piece.encode("utf-8")
-            digest.update(data)
-            if fh is not None:
-                fh.write(data)
-        self._content_hash = digest.hexdigest()
-
-    def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            self._encode(fh)
-            fh.write(b"\n")
-
-    @classmethod
-    def load(cls, path) -> "PromptUniverse":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ConfigurationError(f"cannot read universe {path}: {exc}") from exc
-        return cls.from_json_dict(data)
-
     def content_hash(self) -> str:
-        """sha256 of the canonical encoding: ``universe.json`` without its final newline."""
+        """sha256 of the canonical header, ``json.dumps({"config": asdict(config),
+        name: {"dtype": dtype, "shape": shape} for each array}, sort_keys=True)``
+        in UTF-8, then each array's raw little-endian C-order bytes in name order."""
         if self._content_hash is None:
-            self._encode()
+            arrays = self._arrays()
+            header = {n: {"dtype": a.dtype.str, "shape": list(a.shape)} for n, a in arrays.items()}
+            header["config"] = asdict(self.config)
+            digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode("utf-8"))
+            for array in arrays.values():
+                digest.update(array)
+            self._content_hash = digest.hexdigest()
         return self._content_hash
 
     def is_saved_in(self, path) -> bool:
-        """Whether the file at ``path`` holds this universe: its bytes without the
-        final newline, read 1 MiB at a time, hash to ``content_hash()``."""
-        digest = hashlib.sha256()
-        with open(path, "rb") as fh:
-            chunk = fh.read(1 << 20)
-            while chunk:
-                following = fh.read(1 << 20)
-                digest.update(chunk if following else chunk.removesuffix(b"\n"))
-                chunk = following
-        return digest.hexdigest() == self.content_hash()
-
-
-def _stack_rows(rows: list, what: str) -> np.ndarray:
-    """``rows`` as one float64 array; ConfigurationError if ragged or not all floats.
-
-    A JSON integer or boolean would load as a float but re-encode differently,
-    so the file's bytes would not hash to its content hash."""
-    try:
-        array = np.asarray(rows)
-    except ValueError as exc:
-        raise ConfigurationError(f"{what} values do not share one {what} shape: {exc}") from exc
-    if array.dtype.kind not in "iuf":
-        raise ConfigurationError(f"{what} values are not all numbers (read as {array.dtype})")
-    others = set(map(type, np.asarray(rows, dtype=object).ravel().tolist())) - {float}
-    if others:
-        raise ConfigurationError(
-            f"{what} values are not all floats (found {', '.join(sorted(t.__name__ for t in others))})"
-        )
-    return array
-
-
-def _stored_response(c, i: int) -> int:
-    """A stored correct_response, null (-1 in memory) or an int >= 0."""
-    if c is not None and build_value(int, c, f"prompts[{i}].correct_response", []) < 0:
-        raise ConfigurationError(f"prompts[{i}].correct_response: expected null or >= 0, got {c}")
-    return -1 if c is None else c
+        """Whether the file at ``path`` loads as a universe with this content hash."""
+        try:
+            return self.load(path).content_hash() == self.content_hash()
+        except ConfigurationError:
+            return False
 
 
 def make_tabular_features(num_prompts: int, responses_per_prompt: int) -> np.ndarray:

@@ -20,6 +20,7 @@ Regenerate the fixture only when results are meant to change:
 Regeneration keeps each recorded float that the new run matches within the
 lock's tolerance, so at an unchanged commit it leaves the fixture
 byte-identical, and after a change only the values that moved are rewritten.
+It prints, per run id, the fixture keys whose value changed.
 """
 
 import csv
@@ -169,6 +170,25 @@ def regenerated(actual: dict, recorded: dict) -> dict:
     return actual
 
 
+def changed_keys(actual: dict, recorded: dict) -> dict[str, list[str]]:
+    """Per run id (and ``"report"``), the fixture keys whose value ``actual``
+    changes from ``recorded``; a run on one side only changes all its keys."""
+    changes = {}
+    for run_id in sorted({*actual, *recorded}):
+        got, want = actual.get(run_id, {}), recorded.get(run_id, {})
+        changes[run_id] = sorted(key for key in {*got, *want} if got.get(key) != want.get(key))
+    return changes
+
+
+def test_changed_keys_names_each_moved_value_per_run():
+    recorded = {"report": {"summary": [[1.0]]}, "r": {"universe_hash": "a", "counters": {"n": 1}}}
+    actual = {"report": {"summary": [[1.0]]}, "r": {"universe_hash": "b", "counters": {"n": 1}},
+              "s": {"counters": {"n": 2}}}
+    assert changed_keys(actual, recorded) == {
+        "r": ["universe_hash"], "report": [], "s": ["counters"],
+    }
+
+
 def test_regeneration_rewrites_only_values_beyond_the_tolerance():
     recorded = {
         "report": {"summary": [["apl", 0.5, 2.0]]},
@@ -210,6 +230,8 @@ if __name__ == "__main__":
         fingerprints = run_smoke_grid(Path(tmp) / "runs")
     recorded = json.loads(FIXTURE.read_text(encoding="utf-8")) if FIXTURE.exists() else {}
     fingerprints = regenerated(fingerprints, recorded)
+    for run_id, keys in changed_keys(fingerprints, recorded).items():
+        print(f"{run_id}: {', '.join(keys) if keys else 'unchanged'}")
     lines = [f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(fingerprints.items())]
     FIXTURE.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
     print(f"wrote {FIXTURE}")

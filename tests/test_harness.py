@@ -3,7 +3,6 @@
 import copy
 import csv
 import functools
-import hashlib
 import json
 import math
 import multiprocessing
@@ -368,7 +367,7 @@ class TestConfigTypes:
             (EvalSettings, {}, dict(collapse_fraction=1.0), "collapse_fraction"),
             (ExperimentGrid, GRID, dict(seeds=[42, 42]), "duplicates"),
             (ExperimentGrid, GRID, dict(selectors=["random", "greedy"]), "unknown selector"),
-            (ExperimentGrid, GRID, dict(universe_path="universe.json"), "exactly one"),
+            (ExperimentGrid, GRID, dict(universe_path="universe.npz"), "exactly one"),
             (JudgeSpec, dict(label="a"), dict(label=".."), "label"),
         ],
     )
@@ -428,11 +427,12 @@ class TestRunGrid:
 
     def test_serial_grid_encodes_universe_once(self, tmp_path, monkeypatch, stream_run):
         encodings = []
-        encode = PromptUniverse._encode
+        content_hash = PromptUniverse.content_hash
 
-        def counting_encode(self, *args):
-            encodings.append(1)
-            return encode(self, *args)
+        def counting_content_hash(self):
+            if self._content_hash is None:  # a computation, not a cached answer
+                encodings.append(1)
+            return content_hash(self)
 
         streams, sinks = [], []
 
@@ -443,17 +443,15 @@ class TestRunGrid:
             sinks.append(events.name)
             return result
 
-        monkeypatch.setattr(PromptUniverse, "_encode", counting_encode)
+        monkeypatch.setattr(PromptUniverse, "content_hash", counting_content_hash)
         monkeypatch.setattr(harness, "run_online_dpo", capturing_loop)
         grid, manifest = parse_config(SMOKE_CONFIG)
         grid = replace(grid, output_dir=str(tmp_path / "runs"))
         run_dirs = run_grid(grid, grid_manifest=manifest)
         assert len(run_dirs) == 4
-        assert len(encodings) == 1  # universe.json and every cell's hash share one encoding
+        assert len(encodings) == 1  # every cell's manifest shares one hash computation
 
-        universe_bytes = (tmp_path / "runs" / "universe.json").read_bytes()
-        assert universe_bytes.endswith(b"\n")
-        universe_hash = hashlib.sha256(universe_bytes[:-1]).hexdigest()
+        universe_hash = PromptUniverse.load(tmp_path / "runs" / "universe.npz").content_hash()
         # serial cells run in run_dirs order, each streaming into its own file
         assert sinks == [str(run_dir / "events.jsonl") for run_dir in run_dirs]
         for run_dir, stream in zip(run_dirs, streams):
@@ -495,7 +493,7 @@ class TestRunGrid:
             return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
         plain = smoke_files()
-        assert len(plain) == 4 * 7 + 1  # seven files per run, and universe.json
+        assert len(plain) == 4 * 7 + 1  # seven files per run, and universe.npz
 
         def refuse(*args):
             raise AssertionError("the runtime read a PromptRecord")
@@ -505,16 +503,26 @@ class TestRunGrid:
         assert smoke_files() == plain
 
     def test_parallel_workers_get_the_universe_without_loading(self, tmp_path, monkeypatch):
-        # forked workers inherit the patched load, so a load in any process logs
-        log = tmp_path / "loads.log"
-        load = PromptUniverse.load.__func__
+        # forked workers inherit the patched methods, so a load or a hash
+        # computation in any process logs
+        log = tmp_path / "calls.log"
+        load, content_hash = PromptUniverse.load.__func__, PromptUniverse.content_hash
+
+        def logged(line):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{line}\n")
 
         def logging_load(cls, path):
-            with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{path}\n")
+            logged(f"load {path}")
             return load(cls, path)
 
+        def logging_content_hash(self):
+            if self._content_hash is None:
+                logged(f"hash in {os.getpid()}")
+            return content_hash(self)
+
         monkeypatch.setattr(PromptUniverse, "load", classmethod(logging_load))
+        monkeypatch.setattr(PromptUniverse, "content_hash", logging_content_hash)
         fork_pool = functools.partial(
             ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
         )
@@ -522,12 +530,12 @@ class TestRunGrid:
         grid, manifest = parse_config(SMOKE_CONFIG)
         grid = replace(grid, output_dir=str(tmp_path / "par"))
         par_dirs = run_grid(grid, grid_manifest=manifest, parallel=2)
-        assert not log.exists(), log.read_text()
+        # one hash, in the main process before the pool starts, and no load
+        assert log.read_text().splitlines() == [f"hash in {os.getpid()}"]
 
         grid = replace(grid, output_dir=str(tmp_path / "seq"))
         seq_dirs = run_grid(grid, grid_manifest=manifest)
-        universe_bytes = (tmp_path / "par" / "universe.json").read_bytes()
-        universe_hash = hashlib.sha256(universe_bytes[:-1]).hexdigest()
+        universe_hash = PromptUniverse.load(tmp_path / "par" / "universe.npz").content_hash()
         for a, b in zip(seq_dirs, par_dirs):
             assert json.loads((b / "manifest.json").read_text())["universe_hash"] == universe_hash
             for name in ("metrics.csv", "events.jsonl", "counters.json", "eval.csv",
@@ -717,6 +725,8 @@ class TestMalformedRunFiles:
             "manifest.json", lambda t: _json_with(t, "annotator.label", ["weak"])
         ),
     }
+    # the whole reason given, where the case pins it
+    REASONS = {"no grid": "missing key 'grid'", "a judge spec without a label": "missing key 'label'"}
 
     @pytest.mark.parametrize("case", CASES)
     def test_the_run_is_left_out_with_a_warning(self, tmp_path, capsys, case):
@@ -731,7 +741,10 @@ class TestMalformedRunFiles:
         assert [(row.n_seeds, row.win_rate_mean) for row in summary] == [(1, 0.6)]
         assert [point.run_id for point in pareto] == [kept.name]
         (warning,) = capsys.readouterr().err.splitlines()
-        assert warning.startswith(f"warning: {bad} is left out of the report (unreadable {name}: ")
+        head = f"warning: {bad} is left out of the report (unreadable {name}: "
+        assert warning.startswith(head)
+        if case in self.REASONS:
+            assert warning == f"{head}{self.REASONS[case]})"
 
 
 @pytest.fixture(scope="module")
@@ -748,7 +761,7 @@ class TestPublishedNumbers:
     # criteria test, computed again here from the run files
 
     def test_delta_acc_pp_is_the_capability_delta_of_the_checkpoints(self, swept_smoke):
-        universe = PromptUniverse.load(swept_smoke / "universe.json")
+        universe = PromptUniverse.load(swept_smoke / "universe.npz")
         run_dirs = discover_run_dirs(swept_smoke)
         assert len(run_dirs) == 4
         for run_dir in run_dirs:
@@ -935,7 +948,7 @@ class TestAggregation:
             ({"status": "failed", "error": "boom"}, "the run failed: boom"),
             ({"status": "completed", "aborted": True, "error": "x"}, "the run aborted: x"),
             ({"status": "failed"}, "the run failed: no error recorded"),
-            ({"run_id": "no status"}, "unreadable manifest.json: 'status'"),
+            ({"run_id": "no status"}, "unreadable manifest.json: missing key 'status'"),
             ([], "unreadable manifest.json: 'list' object has no attribute 'get'"),
         ],
     )
@@ -978,7 +991,7 @@ class TestAggregation:
             assert row.n_seeds == (1 if left_out else 2)
             assert capsys.readouterr().err == (
                 f"warning: {second} is left out of the report "
-                "(unreadable manifest.json: 'annotator')\n" if left_out else ""
+                "(unreadable manifest.json: missing key 'annotator')\n" if left_out else ""
             )
             return
         with pytest.raises(ConfigurationError) as caught:
@@ -1109,14 +1122,23 @@ class TestCli:
     def test_generate_and_train_single_cell(self, tmp_path):
         out = tmp_path / "runs"
         config_path = write_config(tmp_path, grid_config(out))
-        universe_path = tmp_path / "universe.json"
+        universe_path = tmp_path / "universe.npz"
         assert main(["generate", "--config", str(config_path), "--out", str(universe_path)]) == 0
-        assert universe_path.exists()
+        assert universe_path.is_file()
         assert (
             main(["train", "--config", str(config_path), "--seed", "42", "--selector", "apl"])
             == 0
         )
         assert (out / "apl__weak__seed42" / "eval.csv").exists()
+
+    def test_generate_out_is_a_file_only_with_the_npz_suffix(self, tmp_path):
+        generate = ["generate", "--config", str(SMOKE_CONFIG), "--out"]
+        for name in ("smoke.npz", "smoke.json", "runs"):
+            assert main(generate + [str(tmp_path / name)]) == 0
+        smoke_bytes = (tmp_path / "smoke.npz").read_bytes()
+        for directory in ("smoke.json", "runs"):
+            assert [p.name for p in (tmp_path / directory).iterdir()] == ["universe.npz"]
+            assert (tmp_path / directory / "universe.npz").read_bytes() == smoke_bytes
 
     @pytest.mark.parametrize(
         "flag, value, error",
@@ -1428,7 +1450,7 @@ class TestCli:
 
     def test_a_grid_grows_in_one_directory_without_overwrite(self, tmp_path, capsys):
         out = tmp_path / "runs"
-        universe = out / "universe.json"
+        universe = out / "universe.npz"
         smoke = ["--config", str(SMOKE_CONFIG), "--out", str(out)]
         assert main(["generate", *smoke]) == 0
         smoke_bytes = universe.read_bytes()
@@ -1457,12 +1479,12 @@ class TestCli:
         )
         assert universe.read_bytes() == smoke_bytes
         assert main(["generate", *goodhart, "--overwrite"]) == 0
-        elsewhere = tmp_path / "goodhart.json"
+        elsewhere = tmp_path / "goodhart.npz"
         assert main(["generate", "--config", str(GOODHART_CONFIG), "--out", str(elsewhere)]) == 0
         assert universe.read_bytes() == elsewhere.read_bytes() != smoke_bytes
 
     def test_a_universe_path_grid_keeps_only_its_own_universe(self, tmp_path, capsys):
-        smoke_universe, other = tmp_path / "smoke.json", tmp_path / "other" / "universe.json"
+        smoke_universe, other = tmp_path / "smoke.npz", tmp_path / "other" / "universe.npz"
         assert main(["generate", "--config", str(SMOKE_CONFIG), "--out", str(smoke_universe)]) == 0
         assert main(["generate", "--config", str(GOODHART_CONFIG), "--out", str(other)]) == 0
         other_bytes = other.read_bytes()
@@ -1476,10 +1498,10 @@ class TestCli:
             f"error: {other} holds another universe (pass --overwrite)\n"
         )
         assert other.read_bytes() == other_bytes
-        assert sorted(p.name for p in other.parent.iterdir()) == ["universe.json"]
+        assert sorted(p.name for p in other.parent.iterdir()) == ["universe.npz"]
         # the directory holding the universe_path file itself keeps it
         assert main(argv + [str(tmp_path)]) == 0
-        assert (tmp_path / "universe.json").read_bytes() == smoke_universe.read_bytes()
+        assert (tmp_path / "universe.npz").read_bytes() == smoke_universe.read_bytes()
 
     def test_refused_sft_never_fits(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "runs"
@@ -1524,7 +1546,7 @@ class TestCli:
 
     def test_oversized_batch_is_refused_on_a_universe_path(self, tmp_path):
         config = json.loads(SMOKE_CONFIG.read_text())
-        universe_path = tmp_path / "universe.json"
+        universe_path = tmp_path / "universe.npz"
         config_path = write_config(tmp_path, config)
         assert main(["generate", "--config", str(config_path), "--out", str(universe_path)]) == 0
         del config["universe"]

@@ -4,7 +4,7 @@ import dataclasses
 import hashlib
 import json
 import tempfile
-import tracemalloc
+import zipfile
 from pathlib import Path
 
 import mpmath as mp
@@ -25,6 +25,7 @@ from preflab import (
 from preflab.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SMOKE_CONFIG = CONFIGS / "smoke.json"
 
 
 def _cfg(**overrides):
@@ -154,6 +155,48 @@ class TestTabularFeatures:
             make_tabular_features(10_000, 100)
 
 
+# the universe file's arrays and their canonical dtypes, in name order
+ARRAYS = {"correct_response": "<i8", "features": "<f8", "probe_direction": "<f8",
+          "proxy_bias_direction": "<f8", "true_reward": "<f8"}
+
+
+def _documented_hash(universe):
+    """The content hash as the README defines it: the sha256 of the sorted-key
+    JSON header, then each array's little-endian C-order bytes, in name order."""
+    header = {"config": dataclasses.asdict(universe.config)}
+    header.update(
+        (name, {"dtype": dtype, "shape": list(getattr(universe, name).shape)})
+        for name, dtype in ARRAYS.items()
+    )
+    digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode("utf-8"))
+    for name, dtype in ARRAYS.items():
+        digest.update(getattr(universe, name).astype(dtype).tobytes(order="C"))
+    return digest.hexdigest()
+
+
+def _members(universe) -> dict:
+    """The universe file's members, its config as a dict, for editing."""
+    members = {name: getattr(universe, name).copy() for name in ARRAYS}
+    members["config"] = dataclasses.asdict(universe.config)
+    return members
+
+
+def _write(path, members):
+    """``np.savez`` of ``members`` to exactly ``path``, a dict config as JSON text."""
+    config = members.get("config")
+    if isinstance(config, dict):
+        members = dict(members, config=np.array(json.dumps(config, sort_keys=True)))
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+    return path
+
+
+def _swap_rows(members, i, j):
+    """Prompts i and j trade all their rows in a universe file's ``members``."""
+    for name in ("features", "true_reward", "correct_response"):
+        members[name][[i, j]] = members[name][[j, i]]
+
+
 class TestValidateUniverse:
     def test_fresh_universe_is_clean(self):
         assert validate_universe(generate_universe(_cfg())) == []
@@ -172,35 +215,45 @@ class TestValidateUniverse:
         assert f"prompt {probe}: probe true_reward has a tied maximum" in validate_universe(u)
 
     def test_role_shuffle_reported(self):
-        data = generate_universe(_cfg()).to_json_dict()
-        data["prompts"][12]["role"] = "Eval"
-        with pytest.raises(ConfigurationError, match="role partition"):
-            PromptUniverse.from_json_dict(data)
+        # roles are row positions: a probe prompt's rows at a train position
+        # leave a train prompt with a correct_response and a probe without one
+        u = generate_universe(_cfg())
+        train, probe = u.role_ids("train")[0], u.role_ids("probe")[0]
+        members = _members(u)
+        _swap_rows(members, train, probe)
+        report = validate_universe(dataclasses.replace(u, **{n: members[n] for n in ARRAYS}))
+        assert f"prompt {train}: non-probe prompt carries correct_response" in report
+        assert any(line.startswith(f"prompt {probe}: correct_response -1 is not") for line in report)
 
 
 class TestSerialization:
-    def test_json_roundtrip_is_exact(self, tmp_path):
+    def test_roundtrip_is_exact(self, tmp_path):
         u = generate_universe(_cfg())
-        path = tmp_path / "universe.json"
+        path = tmp_path / "universe.npz"
         u.save(path)
         loaded = PromptUniverse.load(path)
         assert loaded.config == u.config
-        np.testing.assert_array_equal(loaded.probe_direction, u.probe_direction)
-        for a, b in zip(u.prompts, loaded.prompts):
-            np.testing.assert_array_equal(a.features, b.features)
-            np.testing.assert_array_equal(a.true_reward, b.true_reward)
-            assert a.correct_response == b.correct_response
-        # universe.json is the canonical encoding plus a newline, and the
-        # content hash is the sha256 of that encoding
-        data = path.read_bytes()
-        assert data == json.dumps(u.to_json_dict(), sort_keys=True).encode("utf-8") + b"\n"
-        digest = hashlib.sha256(data[:-1]).hexdigest()
-        assert u.content_hash() == digest
-        assert loaded.content_hash() == digest
+        for name, dtype in ARRAYS.items():
+            assert getattr(loaded, name).dtype == dtype
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(u, name))
+        assert loaded.content_hash() == u.content_hash()
+        # the file holds the config as sorted-key JSON text and the five arrays
+        with np.load(path, allow_pickle=False) as archive:
+            assert sorted(archive.files) == sorted(["config", *ARRAYS])
+            config = archive["config"]
+            assert config.shape == () and config.dtype.kind == "U"
+            assert config.item() == json.dumps(dataclasses.asdict(u.config), sort_keys=True)
         for universe in (u, loaded):
             # every record's features are a view into the stacked (N, V, d) array
             assert universe.features.shape == (20, 4, 8)
             assert all(np.shares_memory(r.features, universe.features) for r in universe.prompts)
+
+    def test_save_writes_exactly_its_path(self, tmp_path):
+        # np.savez given a name would add ".npz"; save is given an open file
+        u = generate_universe(_cfg())
+        u.save(tmp_path / "universe.json")
+        assert [p.name for p in tmp_path.iterdir()] == ["universe.json"]
+        assert PromptUniverse.load(tmp_path / "universe.json").content_hash() == u.content_hash()
 
     def test_replace_starts_caches_empty(self):
         u = generate_universe(_cfg())
@@ -208,145 +261,196 @@ class TestSerialization:
         old_hash = u.content_hash()
         v = dataclasses.replace(u, true_reward=u.true_reward + 1.0)
         assert v.train_prompts()[0].true_reward[0] == u.true_reward[0, 0] + 1.0
-        payload = json.dumps(v.to_json_dict(), sort_keys=True).encode("utf-8")
-        assert v.content_hash() == hashlib.sha256(payload).hexdigest() != old_hash
+        assert v.content_hash() == _documented_hash(v) != old_hash
         assert len(u.train_prompts()) == 10
         assert u.content_hash() == old_hash
 
-    def test_saving_streams_one_prompt_at_a_time(self, tmp_path):
-        # the goodhart_weak universe encodes to 4.6 MB; a whole-document
-        # encode held about 16 MB of Python objects and copies at its peak
-        grid, _ = parse_config(CONFIGS / "goodhart_weak.json")
-        u = generate_universe(grid.universe)
-        tracemalloc.start()
-        try:
-            u.save(tmp_path / "universe.json")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert (tmp_path / "universe.json").stat().st_size > 4_000_000
-        assert peak < 1_000_000
-
-    def test_ragged_features_rejected_on_load(self):
-        data = generate_universe(_cfg()).to_json_dict()
-        data["prompts"][3]["features"].pop()
-        with pytest.raises(ConfigurationError, match="feature shape"):
-            PromptUniverse.from_json_dict(data)
+    def test_ragged_features_rejected_on_load(self, tmp_path):
+        # ragged rows fit only an object array, which is a pickle: load refuses it
+        u = generate_universe(_cfg())
+        members = _members(u)
+        members["features"] = np.empty(20, dtype=object)  # the last prompt one response short
+        members["features"][:] = [*u.features[:-1], u.features[-1, :-1]]
+        path = _write(tmp_path / "universe.npz", members)
+        with pytest.raises(ConfigurationError, match="Object arrays cannot be loaded"):
+            PromptUniverse.load(path)
 
 
-def _wrong_correct_response(data):
-    probe = data["prompts"][-1]
-    probe["correct_response"] = (probe["correct_response"] + 1) % len(probe["true_reward"])
+class TestContentHash:
+    def test_hash_is_the_documented_header_and_array_bytes(self):
+        for config in (_cfg(), _cfg(tabular_mode=True, feature_dim=80)):
+            u = generate_universe(config)
+            assert u.content_hash() == _documented_hash(u)
+
+    def test_memory_and_byte_order_do_not_change_the_hash(self):
+        u = generate_universe(_cfg())
+        fortran = dataclasses.replace(u, **{n: np.asfortranarray(getattr(u, n)) for n in ARRAYS})
+        assert not fortran.features.flags.c_contiguous
+        big_endian = dataclasses.replace(
+            u, **{n: getattr(u, n).astype(getattr(u, n).dtype.newbyteorder(">")) for n in ARRAYS}
+        )
+        assert big_endian.features.dtype.str == ">f8"
+        assert fortran.content_hash() == big_endian.content_hash() == u.content_hash()
+
+    @pytest.mark.parametrize("name", ARRAYS)
+    def test_one_element_changes_the_hash(self, name):
+        u = generate_universe(_cfg())
+        changed = getattr(u, name).copy()
+        changed.flat[-1] += 1
+        assert dataclasses.replace(u, **{name: changed}).content_hash() != u.content_hash()
+
+
+def _wrong_correct_response(members):
+    probe = members["correct_response"]
+    probe[-1] = (probe[-1] + 1) % members["true_reward"].shape[1]
+
+
+def _drop_last_prompt(members):
+    for name in ("features", "true_reward", "correct_response"):
+        members[name] = members[name][:-1]
+
+
+def _set(name, value):
+    return lambda m: m.__setitem__(name, value(m[name]))
 
 
 MALFORMED = {
-    "moved id": (lambda d: d["prompts"][3].update(prompt_id=7), "role partition"),
-    "dropped prompt": (lambda d: d["prompts"].pop(), "role partition"),
-    "ragged true_reward": (lambda d: d["prompts"][4]["true_reward"].pop(), "true_reward shape"),
-    "short true_reward": (
-        lambda d: [p["true_reward"].pop() for p in d["prompts"]],
-        "true_reward shape",
+    "-1 correct_response on a probe prompt": (
+        lambda m: m["correct_response"].__setitem__(19, -1),
+        "prompt 19: correct_response -1 is not the reward argmax",
     ),
-    "unknown config key": (lambda d: d["config"].update(colour="red"), "colour"),
+    "a correct_response on a non-probe prompt": (
+        lambda m: m["correct_response"].__setitem__(0, 1),
+        "prompt 0: non-probe prompt carries correct_response",
+    ),
     "wrong correct_response": (_wrong_correct_response, "not the reward argmax"),
+    "moved ids: a train and a probe prompt swap rows": (
+        lambda m: _swap_rows(m, 0, 19),
+        "prompt 0: non-probe prompt carries correct_response",
+    ),
     "non-finite feature": (
-        lambda d: d["prompts"][0]["features"][0].__setitem__(0, float("nan")),
-        "non-finite",
-    ),
-    "float prompt count": (
-        lambda d: d["config"].update(num_train_prompts=10.0),
-        "num_train_prompts: expected int",
-    ),
-    "string rho": (
-        lambda d: d["config"].update(misalignment_rho="0.3"),
-        "misalignment_rho: expected a finite float",
-    ),
-    "string seed": (lambda d: d["config"].update(seed="3"), "seed: expected int"),
-    "int tabular flag": (
-        lambda d: d["config"].update(tabular_mode=0),
-        "tabular_mode: expected bool",
-    ),
-    "missing config key": (lambda d: d["config"].pop("feature_dim"), "feature_dim"),
-    "float correct_response": (
-        lambda d: d["prompts"][-1].update(correct_response=2.0),
-        r"prompts\[19\].correct_response: expected int, got 2.0",
-    ),
-    "missing prompts": (lambda d: d.pop("prompts"), r"malformed universe: KeyError\('prompts'\)"),
-    "missing direction": (lambda d: d.pop("probe_direction"), r"KeyError\('probe_direction'\)"),
-    "prompt not an object": (lambda d: d["prompts"].__setitem__(0, [0]), "malformed universe"),
-    "string in direction": (
-        lambda d: d["probe_direction"].__setitem__(0, "x"),
-        "probe_direction values are not all numbers",
-    ),
-    "numeric string in direction": (
-        lambda d: d["proxy_bias_direction"].__setitem__(1, str(d["proxy_bias_direction"][1])),
-        "proxy_bias_direction values are not all numbers",
-    ),
-    "null in direction": (
-        lambda d: d["probe_direction"].__setitem__(2, None),
-        "probe_direction values are not all numbers",
+        lambda m: m["features"].__setitem__((0, 0, 0), float("nan")), "non-finite"
     ),
     "NaN in direction": (
-        lambda d: d["probe_direction"].__setitem__(0, float("nan")),
+        lambda m: m["probe_direction"].__setitem__(0, float("nan")),
         "probe_direction is not unit norm",
     ),
-    "long direction": (lambda d: d["probe_direction"].append(0.0), r"probe_direction shape \(9,\)"),
-    "string feature": (
-        lambda d: d["prompts"][2]["features"][1].__setitem__(0, "0.5"),
-        "feature values are not all numbers",
-    ),
-    "null true_reward": (
-        lambda d: d["prompts"][2]["true_reward"].__setitem__(0, None),
-        "true_reward values are not all numbers",
-    ),
-    "true in true_reward": (
-        lambda d: d["prompts"][2].update(true_reward=[True] * len(d["prompts"][2]["true_reward"])),
-        r"true_reward values are not all floats \(found bool\)",
-    ),
-    "int feature": (
-        lambda d: d["prompts"][1]["features"][0].__setitem__(3, 0),
-        r"feature values are not all floats \(found int\)",
-    ),
+    "dropped prompt": (_drop_last_prompt, r"features shape \(19, 4, 8\) != \(20, 4, 8\)"),
+    "short true_reward": (_set("true_reward", lambda a: a[:, :-1]), "true_reward shape"),
+    "long direction": (_set("probe_direction", lambda a: np.append(a, 0.0)),
+                       r"probe_direction shape \(9,\)"),
+    "missing array": (lambda m: m.pop("probe_direction"), "holds arrays"),
+    "extra array": (lambda m: m.__setitem__("colour", np.zeros(2)), "holds arrays"),
+    "int feature": (_set("features", lambda a: a.astype(np.int64)), "'features': '<i8'"),
     "int in direction": (
-        lambda d: d["proxy_bias_direction"].__setitem__(0, 0),
-        r"proxy_bias_direction values are not all floats \(found int\)",
+        _set("proxy_bias_direction", lambda a: a.astype(np.int64)),
+        "'proxy_bias_direction': '<i8'",
     ),
-    "false in direction": (
-        lambda d: d["probe_direction"].__setitem__(1, False),
-        r"probe_direction values are not all floats \(found bool\)",
+    "float correct_response": (
+        _set("correct_response", lambda a: a.astype(np.float64)), "'correct_response': '<f8'"
     ),
-    "-1 correct_response on a non-probe prompt": (
-        lambda d: d["prompts"][0].update(correct_response=-1),
-        r"prompts\[0\].correct_response: expected null or >= 0, got -1",
+    "false in direction": (_set("probe_direction", lambda a: a > 0), r"'probe_direction': '\|b1'"),
+    "true in true_reward": (_set("true_reward", lambda a: a != 0), r"'true_reward': '\|b1'"),
+    "big-endian features": (_set("features", lambda a: a.astype(">f8")), "'features': '>f8'"),
+    "string feature": (_set("features", lambda a: a.astype(str)), "'features': '<U"),
+    "string in direction": (_set("probe_direction", lambda a: np.full(a.shape, "x")),
+                            "'probe_direction': '<U1'"),
+    "numeric string in direction": (
+        _set("proxy_bias_direction", lambda a: a.astype(str)), "'proxy_bias_direction': '<U"
     ),
-    "-1 correct_response on a probe prompt": (
-        lambda d: d["prompts"][-1].update(correct_response=-1),
-        r"prompts\[19\].correct_response: expected null or >= 0, got -1",
+    "null in direction, an object array": (
+        _set("probe_direction", lambda a: np.array([None] * a.size)),
+        "Object arrays cannot be loaded when allow_pickle=False",
     ),
+    "null true_reward, an object array": (
+        _set("true_reward", lambda a: a.astype(object)),
+        "Object arrays cannot be loaded when allow_pickle=False",
+    ),
+    "ragged true_reward, an object array": (
+        _set("true_reward", lambda a: np.array([[0.0], [0.0, 1.0]], dtype=object)),
+        "Object arrays cannot be loaded when allow_pickle=False",
+    ),
+    "unknown config key": (lambda m: m["config"].update(colour="red"), "colour"),
+    "float prompt count": (
+        lambda m: m["config"].update(num_train_prompts=10.0), "num_train_prompts: expected int"
+    ),
+    "string rho": (
+        lambda m: m["config"].update(misalignment_rho="0.3"),
+        "misalignment_rho: expected a finite float",
+    ),
+    "string seed": (lambda m: m["config"].update(seed="3"), "seed: expected int"),
+    "int tabular flag": (
+        lambda m: m["config"].update(tabular_mode=0), "tabular_mode: expected bool"
+    ),
+    "missing config key": (lambda m: m["config"].pop("feature_dim"), "feature_dim"),
+    "missing defaulted config key": (
+        lambda m: m["config"].pop("seed"), r"^missing key\(s\) \['universe config.seed'\]$"
+    ),
+    "missing config": (lambda m: m.pop("config"), "no config string"),
+    "config a list of strings": (
+        _set("config", lambda c: np.array([json.dumps(c)])), "no config string"
+    ),
+    "config not JSON": (_set("config", lambda c: np.array("{")), "cannot read universe"),
+    "config not an object": (_set("config", lambda c: np.array("[]")), "expected an object"),
 }
 
 
 class TestLoadFailsClosed:
     @pytest.mark.parametrize("edit,fragment", MALFORMED.values(), ids=MALFORMED)
-    def test_malformed_universe_raises_configuration_error(self, edit, fragment):
-        data = generate_universe(_cfg()).to_json_dict()
-        edit(data)
+    def test_malformed_universe_raises_configuration_error(self, tmp_path, edit, fragment):
+        members = _members(generate_universe(_cfg()))
+        edit(members)
+        path = _write(tmp_path / "universe.npz", members)
         with pytest.raises(ConfigurationError, match=fragment):
-            PromptUniverse.from_json_dict(data)
+            PromptUniverse.load(path)
 
     @pytest.mark.parametrize("text", [None, "{", '{"config": '])
     def test_unreadable_file_raises_configuration_error(self, tmp_path, text):
-        path = tmp_path / "universe.json"
+        path = tmp_path / "universe.npz"
         if text is not None:
             path.write_text(text)
         with pytest.raises(ConfigurationError, match="cannot read universe"):
             PromptUniverse.load(path)
 
+    @pytest.mark.parametrize("kind", ["npy file", "json universe", "truncated zip", "empty file"])
+    def test_a_file_that_is_not_a_universe_archive_is_refused(self, tmp_path, kind):
+        u = generate_universe(_cfg())
+        path = tmp_path / "universe.npz"
+        if kind == "npy file":
+            np.save(tmp_path / "features.npy", u.features)
+            (tmp_path / "features.npy").rename(path)
+        elif kind == "json universe":  # the layout universe files once had
+            prompts = [{"prompt_id": i, "features": u.features[i].tolist()} for i in range(20)]
+            document = {"config": dataclasses.asdict(u.config), "prompts": prompts}
+            path.write_text(json.dumps(document, sort_keys=True) + "\n")
+        elif kind == "truncated zip":
+            u.save(path)
+            path.write_bytes(path.read_bytes()[:-100])
+        else:
+            path.touch()
+        with pytest.raises(ConfigurationError, match=f"cannot read universe {path}: "):
+            PromptUniverse.load(path)
+        # a file that does not load is another universe to save_universe
+        out = ["--config", str(SMOKE_CONFIG), "--out", str(path)]
+        assert not u.is_saved_in(path)
+        data = path.read_bytes()
+        assert main(["generate", *out]) == 2
+        assert path.read_bytes() == data
+        assert main(["generate", *out, "--overwrite"]) == 0
+        assert PromptUniverse.load(path).config == parse_config(SMOKE_CONFIG)[0].universe
+
+    def test_a_member_that_is_not_an_array_is_refused(self, tmp_path):
+        path = tmp_path / "universe.npz"
+        _write(path, _members(generate_universe(_cfg())))
+        with zipfile.ZipFile(path, "a") as archive:
+            archive.writestr("notes.txt", "not an array")
+        with pytest.raises(ConfigurationError, match=r"'notes.txt': '\|S12'"):
+            PromptUniverse.load(path)
+
     def test_sweep_on_a_malformed_universe_path_exits_2(self, tmp_path, capsys):
-        data = generate_universe(_cfg()).to_json_dict()
-        _wrong_correct_response(data)
-        universe_path = tmp_path / "universe.json"
-        universe_path.write_text(json.dumps(data))
+        members = _members(generate_universe(_cfg()))
+        _wrong_correct_response(members)
+        universe_path = _write(tmp_path / "universe.npz", members)
         config = {
             "universe_path": str(universe_path),
             "annotators": [{"label": "weak"}],
@@ -381,19 +485,21 @@ def universe_configs(draw):
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(config=universe_configs())
-def test_streamed_encoding_is_the_canonical_json(config):
-    # universe.json is json.dumps of the dict form plus a newline, byte for
-    # byte, and every way of reaching the content hash agrees with its sha256
+def test_saved_bytes_are_deterministic(config):
+    # two saves, and a save of what was loaded, write the same bytes, and
+    # every way of reaching the content hash agrees with the documented one
     hashed = generate_universe(config)
     before_save = hashed.content_hash()
     saved = generate_universe(config)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "universe.json"
-        saved.save(path)
-        data = path.read_bytes()
-        loaded = PromptUniverse.load(path)
-    assert data == (json.dumps(saved.to_json_dict(), sort_keys=True) + "\n").encode("utf-8")
-    digest = hashlib.sha256(data[:-1]).hexdigest()
+        first, second, again = (Path(tmp) / name for name in ("a.npz", "b.npz", "c.npz"))
+        saved.save(first)
+        saved.save(second)
+        loaded = PromptUniverse.load(first)
+        loaded.save(again)
+        data = first.read_bytes()
+        assert second.read_bytes() == data == again.read_bytes()
+    digest = _documented_hash(saved)
     assert before_save == saved.content_hash() == loaded.content_hash() == digest
 
 
