@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, TrainingError
-from .policy import Policy, check_feature_dim, log_prob
+from .policy import Policy, check_feature_dim, check_indices, log_prob
 from .policy import grad_log_prob  # noqa: F401  (traced by bench/spans.py)
 from .universe import PromptRecord
 
@@ -102,15 +102,14 @@ def implicit_reward(
 
 
 def preference_deltas(features: np.ndarray, prompt_ids, winners, losers) -> np.ndarray:
-    """phi(x, w) - phi(x, l) per labelled pair, gathered from (N, V, d) features."""
+    """phi(x, w) - phi(x, l) per labelled pair from (N, V, d) features; indices checked."""
     prompt_ids, winners, losers = (np.asarray(a) for a in (prompt_ids, winners, losers))
     if (winners == losers).any():
         raise ContractError("preference pair has winner == loser")
     n, v = features.shape[:2]
-    if ((winners < 0) | (winners >= v) | (losers < 0) | (losers >= v)).any():
-        raise ContractError(f"preference responses out of range for V={v}")
-    if ((prompt_ids < 0) | (prompt_ids >= n)).any():
-        raise ContractError(f"prompt_id out of range for {n} prompts")
+    check_indices(winners, v, "winner")
+    check_indices(losers, v, "loser")
+    check_indices(prompt_ids, n, "prompt_id")
     return features[prompt_ids, winners] - features[prompt_ids, losers]
 
 

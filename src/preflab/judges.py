@@ -16,9 +16,10 @@ equal seeds; equal labels and seeds replay one stream, so a grid refuses an
 annotator and an evaluator that share a label. ``prefer_batch(prompt_ids, y1,
 y2) -> winners`` labels a whole batch of (prompt_id, y1, y2) at once from a
 per-universe table of g . phi and one draw of n uniforms (the same stream as
-n single draws). Both the trainer and ``estimate_win_rate`` label through it,
-once per iteration and once per estimate. ``prefer(record, y1, y2)`` scores
-the record it is given and decides as a batch of one through the same method.
+n single draws); ``policy.check_indices`` refuses ids outside the table. Both
+the trainer and ``estimate_win_rate`` label through it, once per iteration and
+once per estimate. ``prefer(record, y1, y2)`` scores the record it is given
+and decides as a batch of one through the same method.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
+from .policy import check_indices
 from .rng import mix_seeds, substream
 from .universe import PromptRecord, PromptUniverse
 
@@ -87,8 +89,7 @@ class Judge:
 
     def proxy_reward(self, record: PromptRecord, y: int) -> float:
         """(1 - lambda) * r*(x, y) + lambda * dot(g, phi(x, y)); no rng."""
-        if not 0 <= y < record.features.shape[0]:
-            raise ContractError(f"response index {y} out of range")
+        check_indices(y, record.features.shape[0], "response index")
         return float(self._blend(record.true_reward[y], self._bias @ record.features[y]))
 
     def _win_probability(self, gap: np.ndarray) -> np.ndarray:
@@ -118,10 +119,9 @@ class Judge:
     def prefer_batch(self, prompt_ids, y1, y2) -> np.ndarray:
         """Winner of each pair (prompt_ids[i], y1[i], y2[i]) of the judge's universe."""
         n, v = self._table.shape
-        if ((prompt_ids < 0) | (prompt_ids >= n)).any():
-            raise ContractError(f"prompt_id out of range for {n} prompts")
-        if ((y1 < 0) | (y1 >= v) | (y2 < 0) | (y2 >= v)).any():
-            raise ContractError(f"response index out of range for {v} responses")
+        check_indices(prompt_ids, n, "prompt_id")
+        check_indices(y1, v, "y1")
+        check_indices(y2, v, "y2")
         gap = self._table[prompt_ids, y1] - self._table[prompt_ids, y2]
         return np.where(self._first_wins(gap, y1, y2), y1, y2)
 

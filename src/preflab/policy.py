@@ -75,11 +75,12 @@ def check_feature_dim(features: np.ndarray, *policies: Policy) -> None:
             )
 
 
-def _check_response(record: PromptRecord, y: int) -> None:
-    if not 0 <= y < record.features.shape[0]:
-        raise ContractError(
-            f"response index {y} out of range for {record.features.shape[0]} responses"
-        )
+def check_indices(values, bound: int, what: str) -> None:
+    """Raise ContractError unless every entry of ``values`` lies in [0, bound);
+    NumPy indexing would wrap -1 to the last row without an error."""
+    values = np.asarray(values)
+    if values.size and (values.min() < 0 or values.max() >= bound):
+        raise ContractError(f"{what} out of range for {bound}")
 
 
 def logits(policy: Policy, record: PromptRecord) -> np.ndarray:
@@ -101,7 +102,7 @@ def log_prob_vector(policy: Policy, record: PromptRecord) -> np.ndarray:
 
 
 def log_prob(policy: Policy, record: PromptRecord, y: int) -> float:
-    _check_response(record, y)
+    check_indices(y, record.features.shape[0], "response index")
     return float(log_prob_vector(policy, record)[y])
 
 
@@ -119,7 +120,7 @@ def sample_response(policy: Policy, record: PromptRecord, rng: np.random.Generat
 
 def grad_log_prob(policy: Policy, record: PromptRecord, y: int) -> np.ndarray:
     """d/dtheta log pi(y | x) = phi(x, y) - E_pi[phi(x, .)]."""
-    _check_response(record, y)
+    check_indices(y, record.features.shape[0], "response index")
     probs = response_probabilities(policy, record)
     return record.features[y] - probs @ record.features
 

@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
-from .policy import Policy, check_feature_dim, log_softmax
+from .policy import Policy, check_feature_dim, check_indices, log_softmax
 from .policy import log_prob_vector  # noqa: F401  (traced by bench/spans.py)
 
 SELECTOR_RANDOM = "random"
@@ -181,23 +181,22 @@ def select_apl(
     drop out of both selectors symmetrically. Stage 2 margin-scores every pair
     in the kept pools and takes the top L (ties to lower prompt_id, then the
     lexicographically smaller pair). Returns the selected indices into
-    ``pairs`` and their margins.
+    ``pairs`` and their margins. Checks beta and the feature dimension first,
+    so an empty pool does not skip them.
     """
+    if beta <= 0:
+        raise ContractError(f"beta must be > 0, got {beta}")
+    check_feature_dim(features, policy, ref)
     rows = np.flatnonzero(np.bincount(pairs[:, 0], minlength=len(prompt_ids)))
     kept = rows[np.lexsort((prompt_ids[rows], -entropies[rows]))][: cfg.apl_top_prompts]
     if kept.size == 0:
         return np.zeros(0, dtype=int), np.zeros(0)
-    if beta <= 0:
-        raise ContractError(f"beta must be > 0, got {beta}")
-    batch = features[prompt_ids[kept]]
-    check_feature_dim(batch, policy, ref)
-    z = batch @ (policy.theta - ref.theta)
+    z = features[prompt_ids[kept]] @ (policy.theta - ref.theta)
     slot = np.full(len(prompt_ids), -1)
     slot[kept] = np.arange(kept.size)
     scored = np.flatnonzero(slot[pairs[:, 0]] >= 0)
     row, y1, y2 = pairs[scored].T
-    if ((pairs[scored, 1:] < 0) | (pairs[scored, 1:] >= z.shape[1])).any():
-        raise ContractError(f"pair responses out of range for {z.shape[1]} responses")
+    check_indices(pairs[scored, 1:], z.shape[1], "pair response")
     margin = beta * np.abs(z[slot[row], y1] - z[slot[row], y2])
     counters.policy_logprob_evals += 2 * scored.size
     counters.ref_logprob_evals += 2 * scored.size

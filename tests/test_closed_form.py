@@ -474,6 +474,10 @@ def test_prefer_batch_contract_errors():
         judge.prefer_batch(np.array([0, 1]), np.array([0, 2]), np.array([1, 2]))
     with pytest.raises(ContractError, match="out of range"):
         judge.prefer_batch(np.array([0]), np.array([0]), np.array([5]))
+    # a response of -1 must not wrap to the last one either, in either slot
+    for y1, y2 in ((-1, 1), (0, -1)):
+        with pytest.raises(ContractError, match="out of range"):
+            judge.prefer_batch(np.array([0]), np.array([y1]), np.array([y2]))
     # prompt ids index the judge's own table: -1 must not wrap to the last row
     n = len(JUDGE_UNIVERSE.prompts)
     for bad in (-1, n):
@@ -533,8 +537,9 @@ def test_batched_selection_and_eval_contract_errors():
         apl(policy, 0.0)
     with pytest.raises(ContractError, match="feature dim"):
         apl(wrong_dim, 0.1)
-    with pytest.raises(ContractError, match="out of range"):
-        apl(policy, 0.1, np.array([[0, 0, 4], [1, 0, 1]]))
+    for bad in ([[0, 0, 4], [1, 0, 1]], [[0, -1, 1], [1, 0, 1]]):
+        with pytest.raises(ContractError, match="out of range"):
+            apl(policy, 0.1, np.array(bad))
     with pytest.raises(ContractError, match="feature dim"):
         generate_candidates(
             wrong_dim, features, prompt_ids, cfg, np.random.default_rng(0), OpCounters()
@@ -543,3 +548,23 @@ def test_batched_selection_and_eval_contract_errors():
         estimate_win_rate(
             policy, wrong_dim, None, features, prompt_ids, 10, np.random.default_rng(0)
         )
+
+
+def test_select_apl_checks_its_arguments_on_an_empty_pool():
+    # every prompt degenerate, so no pair is scored: beta and the reference's
+    # feature dimension are still refused
+    features = stacked(gaussian_records(np.random.default_rng(2), 2, 4, 3))
+    policy, empty = Policy(np.ones(3)), np.zeros((0, 3), dtype=int)
+
+    def apl(ref, beta):
+        select_apl(
+            policy, ref, features, np.arange(2), np.ones(2), empty,
+            SelectionConfig(2, 2, 2, 1), beta, OpCounters(),
+        )
+
+    for beta in (0.0, -1.0):
+        with pytest.raises(ContractError, match="beta"):
+            apl(policy, beta)
+    with pytest.raises(ContractError, match="feature dim"):
+        apl(Policy(np.ones(5)), 0.1)
+    apl(policy, 0.1)

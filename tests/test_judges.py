@@ -127,6 +127,14 @@ class TestPrefer:
         with pytest.raises(ContractError, match="identical"):
             judge.prefer(small_universe.prompts[0], 1, 1)
 
+    def test_out_of_range_response_rejected(self, small_universe):
+        # -1 would score the last response without an error
+        judge = Judge(bt_spec(), small_universe)
+        record = small_universe.prompts[0]
+        for y in (record.features.shape[0], -1):
+            with pytest.raises(ContractError, match="out of range"):
+                judge.proxy_reward(record, y)
+
     def test_bt_win_frequency_tracks_sigmoid(self, small_universe):
         judge = Judge(bt_spec(seed=11), small_universe)
         record = small_universe.prompts[4]

@@ -9,6 +9,9 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from preflab import (
     ContractError,
@@ -24,6 +27,7 @@ from preflab import (
     response_probabilities,
     sample_response,
 )
+from preflab.policy import check_indices
 
 
 def record_from_features(features):
@@ -92,8 +96,29 @@ class TestLogProb:
             assert abs(total - 1.0) < 1e-12
 
     def test_out_of_range_response_rejected(self):
-        with pytest.raises(ContractError, match="out of range"):
-            log_prob(TWO_LOGIT_POLICY, TWO_LOGIT_RECORD, 2)
+        # -1 would index the last response without an error
+        for fn in (log_prob, grad_log_prob):
+            for y in (2, -1):
+                with pytest.raises(ContractError, match="out of range"):
+                    fn(TWO_LOGIT_POLICY, TWO_LOGIT_RECORD, y)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    values=hnp.arrays(
+        np.int64,
+        hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4),
+        elements=st.integers(-3, 8),
+    ),
+    bound=st.integers(0, 6),
+)
+@example(values=np.zeros((0, 3), dtype=np.int64), bound=0)
+def test_check_indices_raises_exactly_outside_the_bound(values, bound):
+    if ((values < 0) | (values >= bound)).any():
+        with pytest.raises(ContractError, match=f"idx out of range for {bound}"):
+            check_indices(values, bound, "idx")
+    else:
+        check_indices(values, bound, "idx")
 
 
 class TestSampling:
