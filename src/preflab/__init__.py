@@ -59,7 +59,6 @@ from .trainer import (
     sft_fit,
 )
 from .universe import (
-    PromptRecord,
     PromptUniverse,
     UniverseConfig,
     generate_universe,

@@ -39,7 +39,6 @@ import numpy as np
 from .errors import ConfigurationError, ContractError, TrainingError
 from .policy import Policy, check_feature_dim, check_indices, log_prob
 from .policy import grad_log_prob  # noqa: F401  (traced by bench/spans.py)
-from .universe import PromptRecord
 
 # Adam is the one optimizer, at its usual constants.
 ADAM_BETA1 = 0.9
@@ -93,12 +92,12 @@ class OptimizerState:
 
 
 def implicit_reward(
-    policy: Policy, ref: Policy, record: PromptRecord, y: int, beta: float
+    policy: Policy, ref: Policy, features: np.ndarray, y: int, beta: float
 ) -> float:
-    """beta * (log pi_theta(y|x) - log pi_ref(y|x))."""
+    """beta * (log pi_theta(y|x) - log pi_ref(y|x)) for one prompt's (V, d) features."""
     if beta <= 0:
         raise ContractError(f"beta must be > 0, got {beta}")
-    return beta * (log_prob(policy, record, y) - log_prob(ref, record, y))
+    return beta * (log_prob(policy, features, y) - log_prob(ref, features, y))
 
 
 def preference_deltas(features: np.ndarray, prompt_ids, winners, losers) -> np.ndarray:
@@ -114,10 +113,10 @@ def preference_deltas(features: np.ndarray, prompt_ids, winners, losers) -> np.n
 
 
 def dpo_example_loss(
-    policy: Policy, ref: Policy, record: PromptRecord, triple: PreferenceTriple, beta: float
+    policy: Policy, ref: Policy, features: np.ndarray, triple: PreferenceTriple, beta: float
 ) -> float:
-    """softplus(-h) with h the winner-loser implicit-reward gap; > 0 always."""
-    dphi = preference_deltas(record.features[None], [0], [triple.winner], [triple.loser])
+    """softplus(-h), h the winner-loser implicit-reward gap on (V, d) features; > 0 always."""
+    dphi = preference_deltas(features[None], [0], [triple.winner], [triple.loser])
     return dpo_batch_grad(policy, ref, dphi, beta)[0]
 
 

@@ -1,14 +1,16 @@
 """Win-rate against the frozen reference, probe accuracy, and collapse flags.
 
 Each metric reads the universe's (N, V, d) feature array at a set of prompt
-ids. Win-rate trials walk the eval prompt ids round-robin, sample one response
-from each side, and ask the evaluator judge which wins. Identical samples count
-as half a win (cheap and unbiased on finite response sets), and the pair is
-shown to the judge in a coin-flipped slot order so a position-biased judge
-cannot tilt the estimate. Each side's inverse CDF is computed once per eval
-prompt; a trial takes the policy uniform, the reference uniform and (only when
-the samples differ) the coin, in that order, from one block of 3 per trial.
-The rng is then reset and advanced by the count used: it ends where scalar draws would.
+ids and passes that stack to ``policy.log_prob_vector``, ``logits`` or
+``exact_entropy``, one call per policy. Win-rate trials walk the eval prompt
+ids round-robin, sample one response from each side, and ask the evaluator
+judge which wins. Identical samples count as half a win (cheap and unbiased
+on finite response sets), and the pair is shown to the judge in a coin-flipped
+slot order so a position-biased judge cannot tilt the estimate. Each side's
+inverse CDF is computed once per eval prompt; a trial takes the policy
+uniform, the reference uniform and (only when the samples differ) the coin,
+in that order, from one block of 3 per trial. The rng is then reset and
+advanced by the count used: it ends where scalar draws would.
 
 The evaluator contract is ``prefer_batch(prompt_ids, y1, y2) -> winners``, one
 call per estimate over every judged trial. The judge reads its own table by
@@ -16,9 +18,9 @@ prompt id, so the features must be those of the evaluator's universe.
 
 Probe accuracy is the fraction of probe prompts whose policy argmax equals
 the universe's ``correct_response``; the capability delta against the
-reference is reported in percentage points. Entropy collapse is flagged when the mean
-exact policy entropy over eval prompts (one stacked log-softmax per policy)
-falls below a configured fraction of the reference policy's.
+reference is reported in percentage points. Entropy collapse is flagged
+when the mean exact policy entropy over eval prompts falls below a configured
+fraction of the reference policy's.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .policy import Policy, check_feature_dim, log_softmax
-from .policy import exact_entropy, logits, sample_response  # noqa: F401  (traced by bench/spans.py)
+from .policy import Policy, exact_entropy, log_prob_vector, logits
+from .policy import sample_response  # noqa: F401  (traced by bench/spans.py)
 from .universe import ROLE_PROBE, PromptUniverse
 
 
@@ -62,11 +64,10 @@ def estimate_win_rate(
     if len(prompt_ids) == 0:
         raise ContractError("win-rate estimation needs at least one prompt")
     features = features[prompt_ids]
-    check_feature_dim(features, policy, ref)
     # per-prompt inverse CDFs as lists, first V - 1 entries: bisect_right
     # is searchsorted(side="right") clipped to V - 1 on a nondecreasing cdf
     policy_cdf, ref_cdf = (
-        np.exp(log_softmax(features @ side.theta)[:, :-1]).cumsum(axis=1).tolist()
+        np.exp(log_prob_vector(side, features)[:, :-1]).cumsum(axis=1).tolist()
         for side in (policy, ref)
     )
     state = rng.bit_generator.state
@@ -103,9 +104,7 @@ def probe_accuracy(policy: Policy, universe: PromptUniverse) -> float:
     probes = universe.role_ids(ROLE_PROBE)
     if probes.size == 0:
         raise ContractError("universe has no probe prompts")
-    features = universe.features[probes]
-    check_feature_dim(features, policy)
-    best = np.argmax(features @ policy.theta, axis=1)
+    best = np.argmax(logits(policy, universe.features[probes]), axis=1)
     return int(np.count_nonzero(best == universe.correct_response[probes])) / probes.size
 
 
@@ -128,9 +127,7 @@ def collapse_metrics(
             f"collapse_fraction must lie in (0, 1), got {collapse_fraction}"
         )
     features = features[prompt_ids]
-    check_feature_dim(features, policy, sft)
-    lp = log_softmax(np.stack([features @ policy.theta, features @ sft.theta]))
-    p = np.exp(lp)
-    entropies = -np.sum(np.where(p > 0.0, p * lp, 0.0), axis=-1)  # exact_entropy per prompt
-    mean_entropy, sft_entropy = np.mean(entropies, axis=1).tolist()
+    mean_entropy, sft_entropy = (
+        float(np.mean(exact_entropy(side, features))) for side in (policy, sft)
+    )
     return mean_entropy, mean_entropy < collapse_fraction * sft_entropy

@@ -13,13 +13,14 @@ Judges see only (prompt, y1, y2) - they can never read policy state - and own
 a private rng stream keyed by (seed, label), with the run seed folded in by
 ``Judge.for_run``. Judges with different labels draw independent noise even at
 equal seeds; equal labels and seeds replay one stream, so a grid refuses an
-annotator and an evaluator that share a label. ``prefer_batch(prompt_ids, y1,
-y2) -> winners`` labels a whole batch of (prompt_id, y1, y2) at once from a
-per-universe table of g . phi and one draw of n uniforms (the same stream as
-n single draws); ``policy.check_indices`` refuses ids outside the table. Both
-the trainer and ``estimate_win_rate`` label through it, once per iteration and
-once per estimate. ``prefer(record, y1, y2)`` scores the record it is given
-and decides as a batch of one through the same method.
+annotator and an evaluator that share a label.
+
+Every method reads the judge's (N, V) proxy-reward table by prompt id, and
+``policy.check_indices`` refuses ids outside it. ``prefer_batch(prompt_ids,
+y1, y2) -> winners`` labels a whole batch at once with one draw of n uniforms
+(the same stream as n single draws); the trainer and ``estimate_win_rate``
+label through it, once per iteration and once per estimate, and
+``prefer(prompt_id, y1, y2)`` is ``prefer_batch`` of one.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import ConfigurationError, ContractError
 from .policy import check_indices
 from .rng import mix_seeds, substream
-from .universe import PromptRecord, PromptUniverse
+from .universe import PromptUniverse
 
 KIND_BRADLEY_TERRY = "bradley_terry"
 KIND_DETERMINISTIC = "deterministic"
@@ -70,9 +71,9 @@ class Judge:
 
     def __init__(self, spec: JudgeSpec, universe: PromptUniverse):
         self.spec = spec
-        self._bias = universe.proxy_bias_direction
         self._rng = substream(spec.seed, "judge", spec.label)
-        self._table = self._blend(universe.true_reward, universe.bias_scores())  # (N, V)
+        lam = spec.misalignment
+        self._table = (1.0 - lam) * universe.true_reward + lam * universe.bias_scores()  # (N, V)
 
     @classmethod
     def for_run(cls, spec: JudgeSpec, universe: PromptUniverse, run_seed: int) -> "Judge":
@@ -83,14 +84,12 @@ class Judge:
     def label(self) -> str:
         return self.spec.label
 
-    def _blend(self, true_reward, bias_score):
-        lam = self.spec.misalignment
-        return (1.0 - lam) * true_reward + lam * bias_score
-
-    def proxy_reward(self, record: PromptRecord, y: int) -> float:
+    def proxy_reward(self, prompt_id: int, y: int) -> float:
         """(1 - lambda) * r*(x, y) + lambda * dot(g, phi(x, y)); no rng."""
-        check_indices(y, record.features.shape[0], "response index")
-        return float(self._blend(record.true_reward[y], self._bias @ record.features[y]))
+        n, v = self._table.shape
+        check_indices(prompt_id, n, "prompt_id")
+        check_indices(y, v, "response index")
+        return float(self._table[prompt_id, y])
 
     def _win_probability(self, gap: np.ndarray) -> np.ndarray:
         # math.exp (libm) rather than np.exp, whose SIMD kernels round some
@@ -98,13 +97,13 @@ class Judge:
         scaled = np.logaddexp(0.0, -gap / self.spec.noise_temperature)
         return np.array(list(map(math.exp, (-scaled).tolist())))
 
-    def preference_probability(self, record: PromptRecord, y1: int, y2: int) -> float:
+    def preference_probability(self, prompt_id: int, y1: int, y2: int) -> float:
         """P(y1 beats y2) under the Bradley-Terry model; antisymmetric."""
         if self.spec.kind != KIND_BRADLEY_TERRY:
             raise ContractError(
                 "preference_probability is only defined for bradley_terry judges"
             )
-        gap = self.proxy_reward(record, y1) - self.proxy_reward(record, y2)
+        gap = self.proxy_reward(prompt_id, y1) - self.proxy_reward(prompt_id, y2)
         return float(self._win_probability(np.array([gap]))[0])
 
     def _first_wins(self, gap: np.ndarray, y1, y2) -> np.ndarray:
@@ -125,8 +124,7 @@ class Judge:
         gap = self._table[prompt_ids, y1] - self._table[prompt_ids, y2]
         return np.where(self._first_wins(gap, y1, y2), y1, y2)
 
-    def prefer(self, record: PromptRecord, y1: int, y2: int) -> int:
-        """Winner of the pair, decided as a batch of one; advances the judge rng
+    def prefer(self, prompt_id: int, y1: int, y2: int) -> int:
+        """Winner of the pair, ``prefer_batch`` of one; advances the judge rng
         once for BT judges."""
-        gap = self.proxy_reward(record, y1) - self.proxy_reward(record, y2)
-        return y1 if self._first_wins(np.array([gap]), y1, y2)[0] else y2
+        return int(self.prefer_batch(np.array([prompt_id]), np.array([y1]), np.array([y2]))[0])

@@ -12,6 +12,11 @@ All log-probabilities use the max-subtracted logsumexp
 which is exact for any finite logits. Sampling is inverse-CDF over the exact
 probabilities in index order, so a shared uniform stream reproduces identical
 draws on every platform.
+
+``logits``, ``log_prob_vector``, ``response_probabilities`` and ``exact_entropy``
+take one prompt's (V, d) features or a (..., V, d) stack such as
+``universe.features[prompt_ids]``, and give each prompt's result bit for bit.
+``log_prob``, ``sample_response`` and ``grad_log_prob`` take one prompt's rows.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .universe import PromptRecord
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,10 +87,10 @@ def check_indices(values, bound: int, what: str) -> None:
         raise ContractError(f"{what} out of range for {bound}")
 
 
-def logits(policy: Policy, record: PromptRecord) -> np.ndarray:
-    """Per-response logits z_y = dot(theta, phi(x, y))."""
-    check_feature_dim(record.features, policy)
-    return record.features @ policy.theta
+def logits(policy: Policy, features: np.ndarray) -> np.ndarray:
+    """Per-response logits z_y = dot(theta, phi(x, y)); checks the feature dim."""
+    check_feature_dim(features, policy)
+    return features @ policy.theta
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
@@ -96,38 +100,37 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     return z - (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))
 
 
-def log_prob_vector(policy: Policy, record: PromptRecord) -> np.ndarray:
-    """log pi(y | x) for every response of the prompt."""
-    return log_softmax(logits(policy, record))
+def log_prob_vector(policy: Policy, features: np.ndarray) -> np.ndarray:
+    """log pi(y | x) for every response of each prompt in ``features``."""
+    return log_softmax(logits(policy, features))
 
 
-def log_prob(policy: Policy, record: PromptRecord, y: int) -> float:
-    check_indices(y, record.features.shape[0], "response index")
-    return float(log_prob_vector(policy, record)[y])
+def log_prob(policy: Policy, features: np.ndarray, y: int) -> float:
+    check_indices(y, features.shape[0], "response index")
+    return float(log_prob_vector(policy, features)[y])
 
 
-def response_probabilities(policy: Policy, record: PromptRecord) -> np.ndarray:
-    return np.exp(log_prob_vector(policy, record))
+def response_probabilities(policy: Policy, features: np.ndarray) -> np.ndarray:
+    return np.exp(log_prob_vector(policy, features))
 
 
-def sample_response(policy: Policy, record: PromptRecord, rng: np.random.Generator) -> int:
+def sample_response(policy: Policy, features: np.ndarray, rng: np.random.Generator) -> int:
     """Draw one response by inverse CDF over exact probabilities (one uniform)."""
-    probs = response_probabilities(policy, record)
+    probs = response_probabilities(policy, features)
     cdf = np.cumsum(probs)
     draw = rng.random()
     return int(min(np.searchsorted(cdf, draw, side="right"), probs.size - 1))
 
 
-def grad_log_prob(policy: Policy, record: PromptRecord, y: int) -> np.ndarray:
+def grad_log_prob(policy: Policy, features: np.ndarray, y: int) -> np.ndarray:
     """d/dtheta log pi(y | x) = phi(x, y) - E_pi[phi(x, .)]."""
-    check_indices(y, record.features.shape[0], "response index")
-    probs = response_probabilities(policy, record)
-    return record.features[y] - probs @ record.features
+    check_indices(y, features.shape[0], "response index")
+    probs = response_probabilities(policy, features)
+    return features[y] - probs @ features
 
 
-def exact_entropy(policy: Policy, record: PromptRecord) -> float:
-    """Shannon entropy -sum_y pi log pi, from exact probabilities; in [0, ln V]."""
-    lp = log_prob_vector(policy, record)
+def exact_entropy(policy: Policy, features: np.ndarray) -> np.ndarray:
+    """Shannon entropy -sum_y pi log pi per prompt, from exact probabilities; in [0, ln V]."""
+    lp = log_prob_vector(policy, features)
     p = np.exp(lp)
-    mask = p > 0.0
-    return float(-np.sum(p[mask] * lp[mask]))
+    return -np.sum(np.where(p > 0.0, p * lp, 0.0), axis=-1)

@@ -41,8 +41,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
-from .policy import Policy, check_feature_dim, check_indices, log_softmax
-from .policy import log_prob_vector  # noqa: F401  (traced by bench/spans.py)
+from .policy import Policy, check_feature_dim, check_indices, log_prob_vector
 
 SELECTOR_RANDOM = "random"
 SELECTOR_APL = "apl"
@@ -108,9 +107,8 @@ def generate_candidates(
     uniforms come from the stream in the same order as B draws of M.
     """
     m, b = cfg.candidates_per_prompt, len(prompt_ids)
-    batch = features[prompt_ids]
-    check_feature_dim(batch, policy)
-    lp = log_softmax(batch @ policy.theta)
+    check_indices(prompt_ids, len(features), "prompt_id")
+    lp = log_prob_vector(policy, features[prompt_ids])
     # searchsorted(cdf, u, side="right") clipped to V - 1 counts the entries
     # <= u among the first V - 1 of the nondecreasing cdf
     cdf = np.exp(lp[:, :-1]).cumsum(axis=1)
@@ -187,6 +185,7 @@ def select_apl(
     if beta <= 0:
         raise ContractError(f"beta must be > 0, got {beta}")
     check_feature_dim(features, policy, ref)
+    check_indices(pairs[:, 0], len(prompt_ids), "pair batch row")
     rows = np.flatnonzero(np.bincount(pairs[:, 0], minlength=len(prompt_ids)))
     kept = rows[np.lexsort((prompt_ids[rows], -entropies[rows]))][: cfg.apl_top_prompts]
     if kept.size == 0:

@@ -5,8 +5,9 @@ It is held as arrays over N prompts: the (N, V, d) feature vectors phi(x, y)
 of V candidate responses each, the (N, V) latent true rewards r*(x, y), and
 the (N,) constructed correct response of each probe prompt (-1 elsewhere).
 Roles are contiguous prompt-id ranges, in the order and sizes of the config's
-``role_layout`` (train, eval, probe). Per-prompt ``PromptRecord`` views exist for
-the scalar oracle and tests only. Two unit directions shape the geometry:
+``role_layout`` (train, eval, probe); ``role_ids`` gives a role's ids, and a
+prompt's rows are ``features[prompt_id]`` and ``true_reward[prompt_id]``. Two
+unit directions shape the geometry:
 
 * ``probe_direction`` (u): the direction that carries the true-reward signal.
   Probe prompts are constructed so their best response is decided by u alone.
@@ -81,10 +82,6 @@ class UniverseConfig:
     def total_prompts(self) -> int:
         return sum(count for _, count in self.role_layout)
 
-    def roles(self) -> list[str]:
-        """The role of each prompt id."""
-        return [role for role, count in self.role_layout for _ in range(count)]
-
     def __post_init__(self) -> None:
         if self.responses_per_prompt < 2:
             raise ConfigurationError(
@@ -120,23 +117,12 @@ class UniverseConfig:
 
 
 @dataclass
-class PromptRecord:
-    """One prompt's rows of a universe's arrays, for the scalar oracle and tests."""
-
-    prompt_id: int
-    role: str
-    features: np.ndarray  # (V, d)
-    true_reward: np.ndarray  # (V,)
-    correct_response: Optional[int] = None
-
-
-@dataclass
 class PromptUniverse:
     """A universe's arrays and its two unit directions.
 
     A universe is not changed after ``generate_universe`` or ``load``: its
-    record views, content hash and bias-score table are cached on first use
-    and never invalidated (``dataclasses.replace`` starts every cache empty).
+    content hash and bias-score table are cached on first use and never
+    invalidated (``dataclasses.replace`` starts every cache empty).
     """
 
     config: UniverseConfig
@@ -145,7 +131,6 @@ class PromptUniverse:
     correct_response: np.ndarray  # (N,) ints; -1 on non-probe prompts
     proxy_bias_direction: np.ndarray  # (d,), unit norm
     probe_direction: np.ndarray  # (d,), unit norm
-    _records: Optional[list] = field(default=None, init=False, repr=False, compare=False)
     _content_hash: Optional[str] = field(default=None, init=False, repr=False, compare=False)
     _bias_scores: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
@@ -158,30 +143,10 @@ class PromptUniverse:
             start += count
         return np.arange(0)
 
-    @property
-    def prompts(self) -> list[PromptRecord]:
-        """One ``PromptRecord`` view into the arrays per prompt."""
-        if self._records is None:
-            correct = [None if c < 0 else c for c in self.correct_response.tolist()]
-            self._records = list(map(PromptRecord, range(len(correct)), self.config.roles(),
-                                     self.features, self.true_reward, correct))
-        return self._records
-
-    def prompts_with_role(self, role: str) -> list[PromptRecord]:
-        return [self.prompts[i] for i in self.role_ids(role)]
-
-    def train_prompts(self) -> list[PromptRecord]:
-        return self.prompts_with_role(ROLE_TRAIN)
-
-    def eval_prompts(self) -> list[PromptRecord]:
-        return self.prompts_with_role(ROLE_EVAL)
-
-    def probe_prompts(self) -> list[PromptRecord]:
-        return self.prompts_with_role(ROLE_PROBE)
-
     def bias_scores(self) -> np.ndarray:
-        """(N, V) table of g . phi(x, y); the stacked (N, V, 1, d) @ (d, 1) product
-        rounds like a judge's 1-D ``g @ phi`` (a test pins this), ``features @ g`` not."""
+        """(N, V) table of g . phi(x, y), which judges blend into their proxy
+        rewards; the stacked (N, V, 1, d) @ (d, 1) product rounds each entry like
+        the 1-D dot ``g @ features[i, y]`` (a test pins this), ``features @ g`` not."""
         if self._bias_scores is None:
             g = self.proxy_bias_direction[:, None]
             self._bias_scores = (self.features[:, :, None, :] @ g)[:, :, 0, 0]

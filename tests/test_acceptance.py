@@ -21,7 +21,6 @@ from preflab import (
     OpCounters,
     Policy,
     PreferenceTriple,
-    PromptRecord,
     SelectionConfig,
     SftConfig,
     TrainConfig,
@@ -62,7 +61,7 @@ def _draw_dpo_instance(gen):
     while True:
         d = int(gen.integers(2, 17))
         v = int(gen.integers(2, 9))
-        record = PromptRecord(0, "train", gen.normal(size=(v, d)), np.zeros(v))
+        features = gen.normal(size=(v, d))
         policy, ref = Policy(gen.normal(size=d)), Policy(gen.normal(size=d))
         beta = float(gen.uniform(0.05, 2.0))
         batch = []
@@ -70,14 +69,14 @@ def _draw_dpo_instance(gen):
         for _ in range(int(gen.integers(1, 5))):
             w, l = gen.choice(v, 2, replace=False)
             triple = PreferenceTriple(0, int(w), int(l))
-            h = implicit_reward(policy, ref, record, triple.winner, beta) - implicit_reward(
-                policy, ref, record, triple.loser, beta
+            h = implicit_reward(policy, ref, features, triple.winner, beta) - implicit_reward(
+                policy, ref, features, triple.loser, beta
             )
             saturated = saturated or abs(h) > 4.0
             batch.append(triple)
         if not saturated:
             dphi = preference_deltas(
-                record.features[None],
+                features[None],
                 [0] * len(batch),
                 [t.winner for t in batch],
                 [t.loser for t in batch],
@@ -121,12 +120,12 @@ def test_criterion_02_loss_identity_at_reference():
     for _ in range(200):
         d = int(gen.integers(2, 12))
         v = int(gen.integers(2, 7))
-        record = PromptRecord(0, "train", gen.normal(size=(v, d)), np.zeros(v))
+        features = gen.normal(size=(v, d))
         theta = gen.normal(size=d)
         policy, ref = Policy(theta), Policy(theta.copy())
         w, l = gen.choice(v, 2, replace=False)
         beta = float(gen.uniform(0.05, 2.0))
-        loss = dpo_example_loss(policy, ref, record, PreferenceTriple(0, int(w), int(l)), beta)
+        loss = dpo_example_loss(policy, ref, features, PreferenceTriple(0, int(w), int(l)), beta)
         worst = max(worst, abs(loss - LN2))
         assert abs(loss - LN2) <= 1e-12
     print(f"PASS criterion 2: max |loss - ln2| = {worst:.2e} over 200 reference triples")
@@ -143,11 +142,10 @@ def test_criterion_03_entropy_estimator_calibration():
     resamples = 10_000
     for trial in range(20):
         v = int(gen.integers(2, 7))
-        record = PromptRecord(0, "train", np.eye(v), np.zeros(v))
         policy = Policy(gen.normal(size=v))
-        lp = log_prob_vector(policy, record)
+        lp = log_prob_vector(policy, np.eye(v))
         p = np.exp(lp)
-        exact = exact_entropy(policy, record)
+        exact = exact_entropy(policy, np.eye(v))
         cdf = np.cumsum(p)
         idx = np.minimum((gen.random((resamples, m))[..., None] > cdf[:-1]).sum(-1), v - 1)
         estimates = entropy_estimate(lp[idx])  # one estimate per resample
@@ -156,9 +154,8 @@ def test_criterion_03_entropy_estimator_calibration():
         assert abs(np.mean(estimates) - exact) <= 3 * se
 
     for v in (3, 4, 7):
-        record = PromptRecord(0, "train", np.eye(v), np.zeros(v))
         uniform = Policy(np.zeros(v))
-        lp = log_prob_vector(uniform, record)
+        lp = log_prob_vector(uniform, np.eye(v))
         assert entropy_estimate(lp[[0] * m]) == math.log(v)  # exact, not approximate
     print("PASS criterion 3: 20 policies within 3 SE; uniform estimate exactly ln V")
 
@@ -436,11 +433,9 @@ def test_criterion_08_parity_harness(tmp_path):
 def test_criterion_09_overhead_accounting():
     b, m, n_keep, budget = 4, 4, 2, 12
     gen = np.random.default_rng(2)
-    records = [
-        PromptRecord(i, "train", gen.normal(size=(m, 8)), np.zeros(m)) for i in range(b)
-    ]
+    features = gen.normal(size=(b, m, 8))
     policy, ref = Policy(gen.normal(size=8)), Policy(gen.normal(size=8))
-    features, prompt_ids = np.stack([r.features for r in records]), np.arange(b)
+    prompt_ids = np.arange(b)
     candidates = np.tile([0, 1, 2, 3], (b, 1))  # all distinct: no degenerate prompts
     entropies = entropy_estimate(np.array([[-0.3 - 0.05 * i] * m for i in range(b)]))
     pairs, degenerate = form_pairs(candidates)

@@ -1,7 +1,7 @@
 """The batched closed-form paths against per-pair and per-prompt oracles.
 
 Each oracle is the loop the batched code replaced, written with the public
-per-record functions (``implicit_reward``, ``grad_log_prob``,
+per-prompt functions (``implicit_reward``, ``grad_log_prob``,
 ``log_prob_vector``, ``sample_response``, ``Judge.prefer``) or plain Python
 (``itertools.combinations``). Inputs are Gaussian features drawn from a
 hypothesis-chosen seed, so exact ties occur only where both forms tie exactly
@@ -27,7 +27,6 @@ from preflab import (
     OptimizerState,
     Policy,
     PreferenceTriple,
-    PromptRecord,
     SelectionConfig,
     UniverseConfig,
     TrainingError,
@@ -52,14 +51,9 @@ from preflab import (
 PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
 
-def gaussian_records(gen, n, v, d):
-    return [
-        PromptRecord(i, "train", gen.normal(size=(v, d)), np.zeros(v)) for i in range(n)
-    ]
-
-
-def stacked(records):
-    return np.stack([r.features for r in records])
+def gaussian_features(gen, n, v, d):
+    """(n, v, d) features: prompt by prompt, the draws of n (v, d) calls."""
+    return gen.normal(size=(n, v, d))
 
 
 # --------------------------------------------------------------------------
@@ -70,13 +64,13 @@ def stacked(records):
 def dpo_oracle(policy, ref, batch, beta):
     """Per-pair loss and gradient, plus the largest summand magnitude."""
     loss, grad, scale = 0.0, np.zeros(policy.feature_dim), 0.0
-    for record, t in batch:
-        h = implicit_reward(policy, ref, record, t.winner, beta) - implicit_reward(
-            policy, ref, record, t.loser, beta
+    for rows, t in batch:
+        h = implicit_reward(policy, ref, rows, t.winner, beta) - implicit_reward(
+            policy, ref, rows, t.loser, beta
         )
         loss += float(np.logaddexp(0.0, -h))
         term = -beta * math.exp(-np.logaddexp(0.0, h)) * (
-            grad_log_prob(policy, record, t.winner) - grad_log_prob(policy, record, t.loser)
+            grad_log_prob(policy, rows, t.winner) - grad_log_prob(policy, rows, t.loser)
         )
         grad += term
         scale = max(scale, float(np.max(np.abs(term))))
@@ -96,16 +90,16 @@ def test_dpo_batch_grad_matches_per_pair_oracle(seed, v, d, n, theta_scale, beta
     # theta_scale 10 with beta 5 puts |h| in the hundreds: softplus and the
     # sigmoid weight both sit deep in their tails
     gen = np.random.default_rng(seed)
-    records = gaussian_records(gen, 4, v, d)
+    features = gaussian_features(gen, 4, v, d)
     policy = Policy(gen.normal(scale=theta_scale, size=d))
     ref = Policy(gen.normal(scale=theta_scale, size=d))
     batch = []
     for _ in range(n):
-        record = records[int(gen.integers(4))]
+        prompt_id = int(gen.integers(4))
         w, l = gen.choice(v, size=2, replace=False)
-        batch.append((record, PreferenceTriple(record.prompt_id, int(w), int(l))))
+        batch.append((features[prompt_id], PreferenceTriple(prompt_id, int(w), int(l))))
     ids, winners, losers = zip(*((t.prompt_id, t.winner, t.loser) for _, t in batch))
-    dphi = preference_deltas(stacked(records), ids, winners, losers)
+    dphi = preference_deltas(features, ids, winners, losers)
 
     loss, grad = dpo_batch_grad(policy, ref, dphi, beta)
     want_loss, want_grad, scale = dpo_oracle(policy, ref, batch, beta)
@@ -235,21 +229,22 @@ def test_selectors_return_at_most_budget_distinct_pairs(seed, b, m, v, data):
         assert not degenerate[pairs[picked, 0]].any()
 
 
-def apl_oracle(policy, ref, records, candidates, log_probs, cfg, beta):
-    """Per-prompt pools, entropy ranking and a per-pair implicit_reward sort."""
+def apl_oracle(policy, ref, features, candidates, log_probs, cfg, beta):
+    """Per-prompt pools, entropy ranking and a per-pair implicit_reward sort;
+    batch row i is prompt id i."""
     pools = pools_oracle(candidates)
     ranked = sorted(
-        (float(np.mean(lp)), record.prompt_id, i)
-        for i, (record, lp) in enumerate(zip(records, log_probs.tolist()))
-        if pools[i]
+        (float(np.mean(lp)), prompt_id)
+        for prompt_id, lp in enumerate(log_probs.tolist())
+        if pools[prompt_id]
     )
     counters = OpCounters()
     scored = []
-    for _, prompt_id, i in ranked[: cfg.apl_top_prompts]:
-        for y1, y2 in pools[i]:
+    for _, prompt_id in ranked[: cfg.apl_top_prompts]:
+        for y1, y2 in pools[prompt_id]:
             margin = abs(
-                implicit_reward(policy, ref, records[i], y1, beta)
-                - implicit_reward(policy, ref, records[i], y2, beta)
+                implicit_reward(policy, ref, features[prompt_id], y1, beta)
+                - implicit_reward(policy, ref, features[prompt_id], y2, beta)
             )
             counters.policy_logprob_evals += 2
             counters.ref_logprob_evals += 2
@@ -273,7 +268,7 @@ def test_select_apl_picks_the_oracle_pairs(seed, v, d, b, m, at_reference, data)
     budget = data.draw(st.integers(1, n_keep * m * (m - 1) // 2))
     cfg = SelectionConfig(b, m, n_keep, budget)
     gen = np.random.default_rng(seed)
-    records = gaussian_records(gen, b, v, d)
+    features = gaussian_features(gen, b, v, d)
     policy = Policy(gen.normal(size=d))
     ref = Policy(policy.theta.copy() if at_reference else gen.normal(size=d))
     candidates, log_probs = gen.integers(v, size=(b, m)), gen.normal(size=(b, m))
@@ -282,11 +277,11 @@ def test_select_apl_picks_the_oracle_pairs(seed, v, d, b, m, at_reference, data)
 
     counters = OpCounters()
     picked, margins = select_apl(
-        policy, ref, stacked(records), prompt_ids, entropy_estimate(log_probs), pairs, cfg,
+        policy, ref, features, prompt_ids, entropy_estimate(log_probs), pairs, cfg,
         0.3, counters,
     )
     want, want_scores, want_counters = apl_oracle(
-        policy, ref, records, candidates, log_probs, cfg, 0.3
+        policy, ref, features, candidates, log_probs, cfg, 0.3
     )
     assert as_tuples(pairs, picked, prompt_ids) == want
     assert counters == want_counters
@@ -309,34 +304,34 @@ def test_select_apl_picks_the_oracle_pairs(seed, v, d, b, m, at_reference, data)
 )
 def test_generate_candidates_matches_per_prompt_draws(seed, v, d, b, m, theta_scale):
     gen = np.random.default_rng(seed)
-    records = gaussian_records(gen, b, v, d)
+    features = gaussian_features(gen, b, v, d)
     policy = Policy(gen.normal(scale=theta_scale, size=d))
     candidates, log_probs = generate_candidates(
-        policy, stacked(records), np.arange(b), SelectionConfig(b, m, 1, 1),
+        policy, features, np.arange(b), SelectionConfig(b, m, 1, 1),
         np.random.default_rng(seed), OpCounters(),
     )
     rng = np.random.default_rng(seed)
-    for record, row, row_lp in zip(records, candidates, log_probs):
-        lp = log_prob_vector(policy, record)
+    for rows, row, row_lp in zip(features, candidates, log_probs):
+        lp = log_prob_vector(policy, rows)
         cdf = np.cumsum(np.exp(lp))
         idx = np.minimum(np.searchsorted(cdf, rng.random(m), side="right"), v - 1)
         assert row.tolist() == idx.tolist()
         np.testing.assert_allclose(row_lp, lp[idx], rtol=0.0, atol=1e-12)
 
 
-def win_rate_oracle(policy, ref, evaluator, records, n_trials, rng):
+def win_rate_oracle(policy, ref, evaluator, features, prompt_ids, n_trials, rng):
     wins = 0.0
     for i in range(n_trials):
-        record = records[i % len(records)]
-        y_policy = sample_response(policy, record, rng)
-        y_ref = sample_response(ref, record, rng)
+        prompt_id = int(prompt_ids[i % len(prompt_ids)])
+        y_policy = sample_response(policy, features[prompt_id], rng)
+        y_ref = sample_response(ref, features[prompt_id], rng)
         if y_policy == y_ref:
             wins += 0.5
             continue
         if rng.random() < 0.5:
-            winner = evaluator.prefer(record, y_policy, y_ref)
+            winner = evaluator.prefer(prompt_id, y_policy, y_ref)
         else:
-            winner = evaluator.prefer(record, y_ref, y_policy)
+            winner = evaluator.prefer(prompt_id, y_ref, y_policy)
         wins += winner == y_policy
     return wins
 
@@ -378,11 +373,12 @@ def test_win_rate_matches_per_trial_sampling(
         policy, ref = Policy(gen.normal(size=6)), Policy(gen.normal(size=6))
     spec = JudgeSpec(label="eval", kind=kind, misalignment=misalignment, seed=seed % 89)
     batched, scalar = Judge(spec, universe), Judge(spec, universe)
-    prompts = universe.eval_prompts()
     rng, oracle_rng = (np.random.Generator(bit_generator(seed + 1)) for _ in range(2))
     eval_ids = universe.role_ids("eval")
     est = estimate_win_rate(policy, ref, batched, universe.features, eval_ids, n_trials, rng)
-    assert est.wins == win_rate_oracle(policy, ref, scalar, prompts, n_trials, oracle_rng)
+    assert est.wins == win_rate_oracle(
+        policy, ref, scalar, universe.features, eval_ids, n_trials, oracle_rng
+    )
     if point_mass_self_play:
         assert est.rate == 0.5
     assert stream_state(rng) == stream_state(oracle_rng)
@@ -407,7 +403,7 @@ JUDGE_UNIVERSE = generate_universe(UniverseConfig(24, 6, 4, 5, 7, misalignment_r
 def test_prefer_batch_matches_sequential_prefer(seed, n, kind, misalignment, temperature):
     universe = JUDGE_UNIVERSE
     gen = np.random.default_rng(seed)
-    prompt_ids = gen.integers(len(universe.prompts), size=n)
+    prompt_ids = gen.integers(len(universe.features), size=n)
     y1 = gen.integers(5, size=n)
     y2 = (y1 + gen.integers(1, 5, size=n)) % 5
     spec = JudgeSpec(
@@ -417,7 +413,7 @@ def test_prefer_batch_matches_sequential_prefer(seed, n, kind, misalignment, tem
     batched, sequential = Judge(spec, universe), Judge(spec, universe)
     got = batched.prefer_batch(prompt_ids, y1, y2)
     want = [
-        sequential.prefer(universe.prompts[p], a, b)
+        sequential.prefer(p, a, b)
         for p, a, b in zip(prompt_ids.tolist(), y1.tolist(), y2.tolist())
     ]
     assert got.tolist() == want
@@ -428,10 +424,9 @@ def test_bias_score_table_is_the_per_response_dot():
     universe = generate_universe(UniverseConfig(20, 7, 3, 5, 6, misalignment_rho=0.2, seed=13))
     table = universe.bias_scores()
     g = universe.proxy_bias_direction
-    for n, record in enumerate(universe.prompts):
+    for n in range(len(universe.features)):
         for y in range(5):
             assert table[n, y] == g @ universe.features[n, y]  # bit for bit
-            assert table[n, y] == g @ record.features[y]
     assert universe.bias_scores() is table  # cached
     flipped = dataclasses.replace(universe, proxy_bias_direction=-g)
     assert np.array_equal(flipped.bias_scores(), -table)
@@ -479,7 +474,7 @@ def test_prefer_batch_contract_errors():
         with pytest.raises(ContractError, match="out of range"):
             judge.prefer_batch(np.array([0]), np.array([y1]), np.array([y2]))
     # prompt ids index the judge's own table: -1 must not wrap to the last row
-    n = len(JUDGE_UNIVERSE.prompts)
+    n = len(JUDGE_UNIVERSE.features)
     for bad in (-1, n):
         with pytest.raises(ContractError, match="prompt_id out of range"):
             judge.prefer_batch(np.array([0, bad]), np.array([0, 1]), np.array([1, 2]))
@@ -524,8 +519,7 @@ def test_dpo_batch_grad_contract_errors(batch, beta, ref_dim, fragment):
 
 def test_batched_selection_and_eval_contract_errors():
     gen = np.random.default_rng(2)
-    records = gaussian_records(gen, 2, 4, 3)
-    features, prompt_ids, entropies = stacked(records), np.arange(2), np.ones(2)
+    features, prompt_ids, entropies = gaussian_features(gen, 2, 4, 3), np.arange(2), np.ones(2)
     policy, wrong_dim = Policy(np.ones(3)), Policy(np.ones(5))
     pairs = np.array([[0, 0, 1], [1, 0, 1]])
     cfg = SelectionConfig(2, 2, 2, 1)
@@ -540,10 +534,20 @@ def test_batched_selection_and_eval_contract_errors():
     for bad in ([[0, 0, 4], [1, 0, 1]], [[0, -1, 1], [1, 0, 1]]):
         with pytest.raises(ContractError, match="out of range"):
             apl(policy, 0.1, np.array(bad))
+    # a pair's batch row must name one of the 2 prompts: -1 must not wrap
+    for row in (2, -1):
+        with pytest.raises(ContractError, match="pair batch row out of range"):
+            apl(policy, 0.1, np.array([[0, 0, 1], [row, 0, 1]]))
     with pytest.raises(ContractError, match="feature dim"):
         generate_candidates(
             wrong_dim, features, prompt_ids, cfg, np.random.default_rng(0), OpCounters()
         )
+    # -1 must not sample the last prompt
+    for bad in (-1, 2):
+        with pytest.raises(ContractError, match="prompt_id out of range"):
+            generate_candidates(
+                policy, features, np.array([0, bad]), cfg, np.random.default_rng(0), OpCounters()
+            )
     with pytest.raises(ContractError, match="feature dim"):
         estimate_win_rate(
             policy, wrong_dim, None, features, prompt_ids, 10, np.random.default_rng(0)
@@ -553,7 +557,7 @@ def test_batched_selection_and_eval_contract_errors():
 def test_select_apl_checks_its_arguments_on_an_empty_pool():
     # every prompt degenerate, so no pair is scored: beta and the reference's
     # feature dimension are still refused
-    features = stacked(gaussian_records(np.random.default_rng(2), 2, 4, 3))
+    features = gaussian_features(np.random.default_rng(2), 2, 4, 3)
     policy, empty = Policy(np.ones(3)), np.zeros((0, 3), dtype=int)
 
     def apl(ref, beta):

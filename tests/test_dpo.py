@@ -13,7 +13,6 @@ from preflab import (
     OptimizerState,
     Policy,
     PreferenceTriple,
-    PromptRecord,
     TrainingError,
     dpo_batch_grad,
     dpo_example_loss,
@@ -28,35 +27,27 @@ from preflab.trainer import SftConfig, sft_lr_at_step
 LN2 = 0.6931471805599453
 
 
-def two_response_record():
-    return PromptRecord(
-        prompt_id=0, role="train", features=np.eye(2), true_reward=np.zeros(2)
-    )
+TWO_RESPONSE_FEATURES = np.eye(2)
 
 
 def random_instance(gen, n_triples=1):
     d = int(gen.integers(2, 17))
     v = int(gen.integers(2, 9))
-    record = PromptRecord(
-        prompt_id=0,
-        role="train",
-        features=gen.normal(size=(v, d)),
-        true_reward=np.zeros(v),
-    )
+    features = gen.normal(size=(v, d))
     policy = Policy(gen.normal(size=d))
     ref = Policy(gen.normal(size=d))
     triples = []
     for _ in range(n_triples):
         w, l = gen.choice(v, size=2, replace=False)
-        triples.append((record, PreferenceTriple(0, int(w), int(l))))
+        triples.append((features, PreferenceTriple(0, int(w), int(l))))
     return policy, ref, triples
 
 
 def deltas(batch):
-    """Winner-minus-loser features of (record, triple) pairs, as the trainer
-    gathers them for dpo_batch_grad."""
+    """Winner-minus-loser features of ((V, d) features, triple) pairs, as the
+    trainer gathers them for dpo_batch_grad."""
     return preference_deltas(
-        np.stack([record.features for record, _ in batch]),
+        np.stack([features for features, _ in batch]),
         np.arange(len(batch)),
         [t.winner for _, t in batch],
         [t.loser for _, t in batch],
@@ -68,13 +59,13 @@ class TestImplicitReward:
         theta = rng.normal(size=small_universe.config.feature_dim)
         p = Policy(theta)
         ref = Policy(theta.copy())
-        for record in small_universe.prompts[:4]:
+        for features in small_universe.features[:4]:
             for y in range(small_universe.config.responses_per_prompt):
-                assert implicit_reward(p, ref, record, y, 0.5) == 0.0
+                assert implicit_reward(p, ref, features, y, 0.5) == 0.0
 
     def test_two_logit_tabular_oracle(self):
         # mpmath: beta * (log-softmax under theta minus log-softmax under 0)
-        record = two_response_record()
+        features = TWO_RESPONSE_FEATURES
         p = Policy(np.array([0.7, -0.1]))
         ref = Policy(np.zeros(2))
         with mp.workdps(50):
@@ -83,8 +74,8 @@ class TestImplicitReward:
             want1 = float(2 * ((mp.mpf("-0.1") - lse) - mp.log(mp.mpf("0.5"))))
         assert want0 == pytest.approx(0.6440930292243352, abs=1e-15)
         assert want1 == pytest.approx(-0.9559069707756648, abs=1e-15)
-        r0 = implicit_reward(p, ref, record, 0, 2.0)
-        r1 = implicit_reward(p, ref, record, 1, 2.0)
+        r0 = implicit_reward(p, ref, features, 0, 2.0)
+        r1 = implicit_reward(p, ref, features, 1, 2.0)
         assert r0 == pytest.approx(want0, abs=1e-12)
         assert r1 == pytest.approx(want1, abs=1e-12)
         # in tabular mode the margin collapses to beta * |logit gap|
@@ -93,9 +84,9 @@ class TestImplicitReward:
     def test_linear_in_beta(self, small_universe, rng):
         p = Policy(rng.normal(size=small_universe.config.feature_dim))
         ref = Policy(rng.normal(size=small_universe.config.feature_dim))
-        record = small_universe.prompts[2]
-        base = implicit_reward(p, ref, record, 1, 0.3)
-        assert implicit_reward(p, ref, record, 1, 0.6) == pytest.approx(
+        features = small_universe.features[2]
+        base = implicit_reward(p, ref, features, 1, 0.3)
+        assert implicit_reward(p, ref, features, 1, 0.6) == pytest.approx(
             2 * base, rel=1e-12
         )
 
@@ -104,32 +95,32 @@ class TestExampleLoss:
     def test_ln2_at_reference(self, small_universe, rng):
         theta = rng.normal(size=small_universe.config.feature_dim)
         p, ref = Policy(theta), Policy(theta.copy())
-        for record in small_universe.prompts[:6]:
-            t = PreferenceTriple(record.prompt_id, 0, 1)
-            assert abs(dpo_example_loss(p, ref, record, t, 0.1) - LN2) < 1e-12
+        for prompt_id, features in enumerate(small_universe.features[:6]):
+            t = PreferenceTriple(prompt_id, 0, 1)
+            assert abs(dpo_example_loss(p, ref, features, t, 0.1) - LN2) < 1e-12
 
     def test_softplus_oracle_h_half(self):
         # tabular V=2, beta=0.5, theta logit gap 1.0 -> h = 0.5
-        record = two_response_record()
+        features = TWO_RESPONSE_FEATURES
         p = Policy(np.array([1.0, 0.0]))
         ref = Policy(np.zeros(2))
         t = PreferenceTriple(0, 0, 1)
         with mp.workdps(50):
             want = float(mp.log(1 + mp.e ** mp.mpf("-0.5")))
         assert want == pytest.approx(0.4740769841801067, abs=1e-15)
-        assert dpo_example_loss(p, ref, record, t, 0.5) == pytest.approx(want, abs=1e-12)
+        assert dpo_example_loss(p, ref, features, t, 0.5) == pytest.approx(want, abs=1e-12)
 
     def test_winner_swap_identity(self):
         # softplus(h) + softplus(-h) = |h| + 2 softplus(-|h|)
-        record = two_response_record()
+        features = TWO_RESPONSE_FEATURES
         p = Policy(np.array([1.0, 0.0]))
         ref = Policy(np.zeros(2))
         beta = 0.5
-        h = implicit_reward(p, ref, record, 0, beta) - implicit_reward(
-            p, ref, record, 1, beta
+        h = implicit_reward(p, ref, features, 0, beta) - implicit_reward(
+            p, ref, features, 1, beta
         )
-        loss_fwd = dpo_example_loss(p, ref, record, PreferenceTriple(0, 0, 1), beta)
-        loss_rev = dpo_example_loss(p, ref, record, PreferenceTriple(0, 1, 0), beta)
+        loss_fwd = dpo_example_loss(p, ref, features, PreferenceTriple(0, 0, 1), beta)
+        loss_rev = dpo_example_loss(p, ref, features, PreferenceTriple(0, 1, 0), beta)
         assert loss_fwd + loss_rev == pytest.approx(
             abs(h) + 2 * min(loss_fwd, loss_rev), abs=1e-12
         )
@@ -138,26 +129,26 @@ class TestExampleLoss:
         gen = np.random.default_rng(17)
         for _ in range(50):
             policy, ref, triples = random_instance(gen)
-            record, triple = triples[0]
-            assert dpo_example_loss(policy, ref, record, triple, 0.7) > 0.0
+            features, triple = triples[0]
+            assert dpo_example_loss(policy, ref, features, triple, 0.7) > 0.0
 
     def test_invalid_triple_rejected(self):
-        record = two_response_record()
+        features = TWO_RESPONSE_FEATURES
         p = Policy(np.zeros(2))
         with pytest.raises(ContractError, match="winner == loser"):
-            dpo_example_loss(p, p, record, PreferenceTriple(0, 1, 1), 0.1)
+            dpo_example_loss(p, p, features, PreferenceTriple(0, 1, 1), 0.1)
         with pytest.raises(ContractError, match="out of range"):
-            dpo_example_loss(p, p, record, PreferenceTriple(0, 2, 1), 0.1)
+            dpo_example_loss(p, p, features, PreferenceTriple(0, 2, 1), 0.1)
 
 
 class TestBatchGradient:
     def test_symmetric_batch_gradient_vanishes(self, small_universe, rng):
         theta = rng.normal(size=small_universe.config.feature_dim)
         p, ref = Policy(theta), Policy(theta.copy())
-        record = small_universe.prompts[0]
+        features = small_universe.features[0]
         batch = [
-            (record, PreferenceTriple(0, 0, 1)),
-            (record, PreferenceTriple(0, 1, 0)),
+            (features, PreferenceTriple(0, 0, 1)),
+            (features, PreferenceTriple(0, 1, 0)),
         ]
         loss, grad = dpo_batch_grad(p, ref, deltas(batch), 0.3)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
@@ -166,10 +157,10 @@ class TestBatchGradient:
     def test_single_triple_at_reference(self, small_universe, rng):
         theta = rng.normal(size=small_universe.config.feature_dim)
         p, ref = Policy(theta), Policy(theta.copy())
-        record = small_universe.prompts[1]
+        features = small_universe.features[1]
         beta = 0.4
-        _, grad = dpo_batch_grad(p, ref, deltas([(record, PreferenceTriple(1, 2, 0))]), beta)
-        want = -beta / 2 * (grad_log_prob(p, record, 2) - grad_log_prob(p, record, 0))
+        _, grad = dpo_batch_grad(p, ref, deltas([(features, PreferenceTriple(1, 2, 0))]), beta)
+        want = -beta / 2 * (grad_log_prob(p, features, 2) - grad_log_prob(p, features, 0))
         np.testing.assert_allclose(grad, want, atol=1e-12)
 
     def test_finite_difference_50_batches(self):
@@ -196,14 +187,14 @@ class TestBatchGradient:
         # logits together: h, loss, and grad are unchanged
         cfg = tabular_universe.config
         v = cfg.responses_per_prompt
-        record = tabular_universe.prompts[0]
+        features = tabular_universe.features[0]
         gen = np.random.default_rng(3)
         theta = gen.normal(size=cfg.feature_dim)
         ref = Policy(gen.normal(size=cfg.feature_dim))
         shifted = theta.copy()
         shifted[0:v] += 2.5
         triple = PreferenceTriple(0, 1, 3)
-        batch = [(record, triple)]
+        batch = [(features, triple)]
         loss_a, grad_a = dpo_batch_grad(Policy(theta), ref, deltas(batch), 0.2)
         loss_b, grad_b = dpo_batch_grad(Policy(shifted), ref, deltas(batch), 0.2)
         assert abs(loss_a - loss_b) < 1e-12

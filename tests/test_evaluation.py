@@ -31,9 +31,9 @@ def eval_ids(universe):
     return universe.role_ids("eval")
 
 
-def point_mass_policy(universe, record, response, scale=1e6):
+def point_mass_policy(universe, prompt_id, response, scale=1e6):
     # a huge multiple of one response's features pins the sampler to it
-    theta = scale * record.features[response]
+    theta = scale * universe.features[prompt_id, response]
     return Policy(theta)
 
 
@@ -64,29 +64,29 @@ class TestWinRate:
         assert abs(est.rate - 0.5) <= 3 * sigma
 
     def test_deterministic_faithful_evaluator_perfect_split(self, small_universe, rng):
-        record = small_universe.eval_prompts()[0]
-        best = int(np.argmax(record.true_reward))
-        worst = int(np.argmin(record.true_reward))
-        p = point_mass_policy(small_universe, record, best)
-        ref = point_mass_policy(small_universe, record, worst)
+        prompt_id = int(eval_ids(small_universe)[0])
+        best = int(np.argmax(small_universe.true_reward[prompt_id]))
+        worst = int(np.argmin(small_universe.true_reward[prompt_id]))
+        p = point_mass_policy(small_universe, prompt_id, best)
+        ref = point_mass_policy(small_universe, prompt_id, worst)
         evaluator = Judge(
             JudgeSpec(label="oracle", kind="deterministic", misalignment=0.0),
             small_universe,
         )
-        ids = np.array([record.prompt_id])
+        ids = np.array([prompt_id])
         est = estimate_win_rate(p, ref, evaluator, small_universe.features, ids, 500, rng)
         assert est.rate == 1.0
 
     def test_bt_evaluator_rate_tracks_sigmoid(self, small_universe):
-        record = small_universe.eval_prompts()[1]
-        order = np.argsort(record.true_reward)
+        prompt_id = int(eval_ids(small_universe)[1])
+        order = np.argsort(small_universe.true_reward[prompt_id])
         hi, lo = int(order[-1]), int(order[0])
-        p = point_mass_policy(small_universe, record, hi)
-        ref = point_mass_policy(small_universe, record, lo)
+        p = point_mass_policy(small_universe, prompt_id, hi)
+        ref = point_mass_policy(small_universe, prompt_id, lo)
         evaluator = Judge(JudgeSpec(label="bt", seed=6), small_universe)
-        expected = evaluator.preference_probability(record, hi, lo)
+        expected = evaluator.preference_probability(prompt_id, hi, lo)
         n = 20_000
-        ids = np.array([record.prompt_id])
+        ids = np.array([prompt_id])
         est = estimate_win_rate(
             p, ref, evaluator, small_universe.features, ids, n, np.random.default_rng(2)
         )
@@ -94,11 +94,11 @@ class TestWinRate:
         assert abs(est.rate - expected) <= 5 * se
 
     def test_ci_clipped_to_unit_interval(self, small_universe, rng):
-        record = small_universe.eval_prompts()[0]
-        best = int(np.argmax(record.true_reward))
-        p = point_mass_policy(small_universe, record, best)
+        prompt_id = int(eval_ids(small_universe)[0])
+        best = int(np.argmax(small_universe.true_reward[prompt_id]))
+        p = point_mass_policy(small_universe, prompt_id, best)
         evaluator = Judge(JudgeSpec(label="eval", seed=1), small_universe)
-        ids = np.array([record.prompt_id])
+        ids = np.array([prompt_id])
         est = estimate_win_rate(p, p, evaluator, small_universe.features, ids, 50, rng)
         assert 0.0 <= est.ci_low <= est.ci_high <= 1.0
 
@@ -119,9 +119,8 @@ class TestProbeAccuracy:
 
     def test_zero_theta_tabular_counts_index_zero(self, tabular_universe):
         p = Policy(np.zeros(tabular_universe.config.feature_dim))
-        expected = np.mean(
-            [r.correct_response == 0 for r in tabular_universe.probe_prompts()]
-        )
+        probes = tabular_universe.role_ids("probe")
+        expected = np.mean(tabular_universe.correct_response[probes] == 0)
         assert probe_accuracy(p, tabular_universe) == expected
 
     def test_invariant_under_positive_rescaling(self, small_universe, rng):
@@ -162,8 +161,7 @@ class TestCollapseMetrics:
 
     def test_point_mass_policy_flags(self, small_universe):
         diffuse = Policy(np.zeros(small_universe.config.feature_dim))
-        record = small_universe.eval_prompts()[0]
-        sharp = Policy(1e6 * record.features[0])
+        sharp = point_mass_policy(small_universe, eval_ids(small_universe)[0], 0)
         mean_entropy, flag = collapse_metrics(
             sharp, diffuse, small_universe.features, eval_ids(small_universe), 0.1
         )
@@ -177,19 +175,19 @@ class TestCollapseMetrics:
             p, diffuse, small_universe.features, eval_ids(small_universe), 0.1
         )
         sft_entropy = np.mean(
-            [exact_entropy(diffuse, r) for r in small_universe.eval_prompts()]
+            [exact_entropy(diffuse, small_universe.features[i]) for i in eval_ids(small_universe)]
         )
         assert flag == (mean_entropy < 0.1 * sft_entropy)
 
     def test_stacked_mean_matches_per_record_entropy(self, small_universe):
-        records = small_universe.eval_prompts()
+        per_prompt = small_universe.features[eval_ids(small_universe)]
         gen = np.random.default_rng(3)
         for scale in (0.0, 0.1, 1.0, 30.0, 1e6):
             p = Policy(scale * gen.normal(size=small_universe.config.feature_dim))
             mean_entropy, _ = collapse_metrics(
                 p, p, small_universe.features, eval_ids(small_universe), 0.1
             )
-            expected = np.mean([exact_entropy(p, r) for r in records])
+            expected = np.mean([exact_entropy(p, rows) for rows in per_prompt])
             assert mean_entropy == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_fraction_bounds(self, small_universe, rng):

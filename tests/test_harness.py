@@ -496,10 +496,19 @@ class TestRunGrid:
         assert len(plain) == 4 * 7 + 1  # seven files per run, and universe.npz
 
         def refuse(*args):
-            raise AssertionError("the runtime read a PromptRecord")
+            raise AssertionError("the runtime called a single-prompt function")
 
-        monkeypatch.setattr(PromptUniverse, "prompts", property(refuse))
-        monkeypatch.setattr(PromptUniverse, "prompts_with_role", refuse)
+        # the runtime works on stacks of prompts: every one-prompt function is
+        # refused in each preflab module that looks it up, and on Judge
+        single = ("log_prob", "grad_log_prob", "sample_response", "response_probabilities",
+                  "implicit_reward", "dpo_example_loss")
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "preflab"]
+        patched = [(m, n) for m in modules for n in single if hasattr(m, n)]
+        assert {n for _, n in patched} == set(single)
+        for module, name in patched:
+            monkeypatch.setattr(module, name, refuse)
+        for name in ("prefer", "proxy_reward", "preference_probability"):
+            monkeypatch.setattr(Judge, name, refuse)
         assert smoke_files() == plain
 
     def test_parallel_workers_get_the_universe_without_loading(self, tmp_path, monkeypatch):

@@ -16,7 +16,6 @@ from hypothesis.extra import numpy as hnp
 from preflab import (
     ContractError,
     Policy,
-    PromptRecord,
     UniverseConfig,
     exact_entropy,
     generate_universe,
@@ -30,17 +29,7 @@ from preflab import (
 from preflab.policy import check_indices
 
 
-def record_from_features(features):
-    features = np.asarray(features, dtype=np.float64)
-    return PromptRecord(
-        prompt_id=0,
-        role="train",
-        features=features,
-        true_reward=np.zeros(features.shape[0]),
-    )
-
-
-TWO_LOGIT_RECORD = record_from_features(np.eye(2))
+TWO_LOGIT_FEATURES = np.eye(2)
 TWO_LOGIT_POLICY = Policy(np.array([0.7, -0.1]))
 
 
@@ -53,17 +42,17 @@ def mp_log_softmax(values, index):
 class TestLogits:
     def test_zero_theta_gives_zero_logits(self, small_universe):
         p = Policy(np.zeros(small_universe.config.feature_dim))
-        np.testing.assert_array_equal(logits(p, small_universe.prompts[0]), 0.0)
+        np.testing.assert_array_equal(logits(p, small_universe.features[0]), 0.0)
 
     def test_one_hot_features_select_coordinates(self):
         np.testing.assert_array_equal(
-            logits(TWO_LOGIT_POLICY, TWO_LOGIT_RECORD), [0.7, -0.1]
+            logits(TWO_LOGIT_POLICY, TWO_LOGIT_FEATURES), [0.7, -0.1]
         )
 
     def test_matches_high_precision_dot_product(self, rng):
         features = rng.normal(size=(5, 7))
         theta = rng.normal(size=7)
-        got = logits(Policy(theta), record_from_features(features))
+        got = logits(Policy(theta), features)
         with mp.workdps(50):
             for y in range(5):
                 want = mp.fsum(mp.mpf(a) * mp.mpf(b) for a, b in zip(theta, features[y]))
@@ -71,28 +60,28 @@ class TestLogits:
 
     def test_dimension_mismatch_rejected(self, small_universe):
         with pytest.raises(ContractError, match="dim"):
-            logits(Policy(np.zeros(3)), small_universe.prompts[0])
+            logits(Policy(np.zeros(3)), small_universe.features[0])
 
 
 class TestLogProb:
     def test_uniform_is_minus_log_v(self):
-        record = record_from_features(np.eye(4))
+        features = np.eye(4)
         p = Policy(np.zeros(4))
         for y in range(4):
-            assert log_prob(p, record, y) == pytest.approx(-math.log(4), abs=1e-15)
+            assert log_prob(p, features, y) == pytest.approx(-math.log(4), abs=1e-15)
 
     def test_two_logit_oracle_value(self):
         # mpmath oracle: 0.7 - log(e^0.7 + e^-0.1)
         want = mp_log_softmax([0.7, -0.1], 0)
         assert want == pytest.approx(-0.3711006659477777, abs=1e-15)
-        assert log_prob(TWO_LOGIT_POLICY, TWO_LOGIT_RECORD, 0) == pytest.approx(
+        assert log_prob(TWO_LOGIT_POLICY, TWO_LOGIT_FEATURES, 0) == pytest.approx(
             want, abs=1e-12
         )
 
     def test_normalization_to_1e12(self, small_universe, rng):
-        for record in small_universe.prompts:
+        for features in small_universe.features:
             p = Policy(rng.normal(scale=3.0, size=small_universe.config.feature_dim))
-            total = np.sum(np.exp(log_prob_vector(p, record)))
+            total = np.sum(np.exp(log_prob_vector(p, features)))
             assert abs(total - 1.0) < 1e-12
 
     def test_out_of_range_response_rejected(self):
@@ -100,7 +89,7 @@ class TestLogProb:
         for fn in (log_prob, grad_log_prob):
             for y in (2, -1):
                 with pytest.raises(ContractError, match="out of range"):
-                    fn(TWO_LOGIT_POLICY, TWO_LOGIT_RECORD, y)
+                    fn(TWO_LOGIT_POLICY, TWO_LOGIT_FEATURES, y)
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
@@ -121,40 +110,53 @@ def test_check_indices_raises_exactly_outside_the_bound(values, bound):
         check_indices(values, bound, "idx")
 
 
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), shape=hnp.array_shapes(min_dims=3, max_dims=4, min_side=1, max_side=6))
+def test_stacked_calls_equal_per_prompt_calls_bit_for_bit(data, shape):
+    # a (..., V, d) stack gives each prompt exactly the bytes of its own (V, d) call
+    elements = st.floats(-40.0, 40.0, allow_subnormal=False)
+    features = data.draw(hnp.arrays(np.float64, shape, elements=elements))
+    policy = Policy(data.draw(hnp.arrays(np.float64, shape[-1], elements=elements)))
+    for fn in (logits, log_prob_vector, exact_entropy):
+        stacked = fn(policy, features)
+        for prompt in np.ndindex(shape[:-2]):
+            assert stacked[prompt].tobytes() == fn(policy, features[prompt]).tobytes()
+
+
 class TestSampling:
     def test_point_mass_always_sampled(self, rng):
-        record = record_from_features(np.eye(3))
+        features = np.eye(3)
         p = Policy(np.array([0.0, 1e6, 0.0]))
-        assert all(sample_response(p, record, rng) == 1 for _ in range(50))
+        assert all(sample_response(p, features, rng) == 1 for _ in range(50))
 
     def test_uniform_frequencies_within_5_se(self):
-        record = record_from_features(np.eye(4))
+        features = np.eye(4)
         p = Policy(np.zeros(4))
         rng = np.random.default_rng(99)
         n = 100_000
-        counts = np.bincount([sample_response(p, record, rng) for _ in range(n)], minlength=4)
+        counts = np.bincount([sample_response(p, features, rng) for _ in range(n)], minlength=4)
         se = math.sqrt(0.25 * 0.75 / n)
         np.testing.assert_allclose(counts / n, 0.25, atol=5 * se)
 
     def test_fixed_seed_reproduces_sequence(self, small_universe):
         p = Policy(np.linspace(-1, 1, small_universe.config.feature_dim))
-        record = small_universe.prompts[0]
+        features = small_universe.features[0]
         rng1, rng2 = np.random.default_rng(12), np.random.default_rng(12)
-        a = [sample_response(p, record, rng1) for _ in range(20)]
-        b = [sample_response(p, record, rng2) for _ in range(20)]
+        a = [sample_response(p, features, rng1) for _ in range(20)]
+        b = [sample_response(p, features, rng2) for _ in range(20)]
         assert a == b
 
 
 class TestGradient:
     def test_uniform_two_response_gradient(self):
-        record = record_from_features(np.eye(2))
+        features = np.eye(2)
         p = Policy(np.zeros(2))
-        np.testing.assert_allclose(grad_log_prob(p, record, 0), [0.5, -0.5], atol=1e-15)
+        np.testing.assert_allclose(grad_log_prob(p, features, 0), [0.5, -0.5], atol=1e-15)
 
     def test_point_mass_gradient_vanishes(self):
-        record = record_from_features(np.eye(3))
+        features = np.eye(3)
         p = Policy(np.array([200.0, 0.0, 0.0]))
-        np.testing.assert_allclose(grad_log_prob(p, record, 0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(grad_log_prob(p, features, 0), 0.0, atol=1e-12)
 
     def test_finite_difference_agreement_100_instances(self):
         gen = np.random.default_rng(31)
@@ -165,15 +167,14 @@ class TestGradient:
             features = gen.normal(size=(v, d))
             theta = gen.normal(size=d)
             y = int(gen.integers(v))
-            record = record_from_features(features)
-            analytic = grad_log_prob(Policy(theta), record, y)
+            analytic = grad_log_prob(Policy(theta), features, y)
             fd = np.zeros(d)
             for i in range(d):
                 e = np.zeros(d)
                 e[i] = step
                 fd[i] = (
-                    log_prob(Policy(theta + e), record, y)
-                    - log_prob(Policy(theta - e), record, y)
+                    log_prob(Policy(theta + e), features, y)
+                    - log_prob(Policy(theta - e), features, y)
                 ) / (2 * step)
             # floor guards saturated instances whose gradient norm is below
             # the finite-difference noise floor
@@ -183,25 +184,25 @@ class TestGradient:
     def test_expected_gradient_is_zero(self, small_universe, rng):
         # sum_y pi(y|x) grad_log_prob(y) = 0
         p = Policy(rng.normal(size=small_universe.config.feature_dim))
-        for record in small_universe.prompts[:6]:
-            probs = response_probabilities(p, record)
+        for features in small_universe.features[:6]:
+            probs = response_probabilities(p, features)
             total = sum(
-                probs[y] * grad_log_prob(p, record, y)
-                for y in range(record.features.shape[0])
+                probs[y] * grad_log_prob(p, features, y)
+                for y in range(features.shape[0])
             )
             np.testing.assert_allclose(total, 0.0, atol=1e-9)
 
 
 class TestEntropy:
     def test_uniform_entropy_is_log_v(self):
-        record = record_from_features(np.eye(4))
-        assert exact_entropy(Policy(np.zeros(4)), record) == pytest.approx(
+        features = np.eye(4)
+        assert exact_entropy(Policy(np.zeros(4)), features) == pytest.approx(
             math.log(4), abs=1e-15
         )
 
     def test_point_mass_entropy_is_zero(self):
-        record = record_from_features(np.eye(3))
-        assert exact_entropy(Policy(np.array([500.0, 0.0, 0.0])), record) == pytest.approx(
+        features = np.eye(3)
+        assert exact_entropy(Policy(np.array([500.0, 0.0, 0.0])), features) == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -212,15 +213,15 @@ class TestEntropy:
             probs = [mp.e**v / total for v in z]
             want = float(-mp.fsum(p * mp.log(p) for p in probs))
         assert want == pytest.approx(0.6191210810456878, abs=1e-15)
-        assert exact_entropy(TWO_LOGIT_POLICY, TWO_LOGIT_RECORD) == pytest.approx(
+        assert exact_entropy(TWO_LOGIT_POLICY, TWO_LOGIT_FEATURES) == pytest.approx(
             want, abs=1e-12
         )
 
     def test_range(self, small_universe, rng):
         v = small_universe.config.responses_per_prompt
-        for record in small_universe.prompts[:8]:
+        for features in small_universe.features[:8]:
             p = Policy(rng.normal(scale=5.0, size=small_universe.config.feature_dim))
-            h = exact_entropy(p, record)
+            h = exact_entropy(p, features)
             assert -1e-12 <= h <= math.log(v) + 1e-12
 
 
@@ -230,19 +231,19 @@ class TestShiftInvariance:
         # constant; distribution, entropy, and samples must be unchanged
         cfg = tabular_universe.config
         v = cfg.responses_per_prompt
-        record = tabular_universe.prompts[1]
+        features = tabular_universe.features[1]
         gen = np.random.default_rng(8)
         theta = gen.normal(size=cfg.feature_dim)
         shifted = theta.copy()
         shifted[1 * v : 2 * v] += 3.7
         a, b = Policy(theta), Policy(shifted)
         np.testing.assert_allclose(
-            log_prob_vector(a, record), log_prob_vector(b, record), atol=1e-12
+            log_prob_vector(a, features), log_prob_vector(b, features), atol=1e-12
         )
-        assert abs(exact_entropy(a, record) - exact_entropy(b, record)) < 1e-12
+        assert abs(exact_entropy(a, features) - exact_entropy(b, features)) < 1e-12
         rng1, rng2 = np.random.default_rng(3), np.random.default_rng(3)
-        assert [sample_response(a, record, rng1) for _ in range(30)] == [
-            sample_response(b, record, rng2) for _ in range(30)
+        assert [sample_response(a, features, rng1) for _ in range(30)] == [
+            sample_response(b, features, rng2) for _ in range(30)
         ]
 
 

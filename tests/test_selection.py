@@ -10,7 +10,6 @@ from preflab import (
     ContractError,
     OpCounters,
     Policy,
-    PromptRecord,
     SelectionConfig,
     counters_report,
     entropy_estimate,
@@ -24,19 +23,14 @@ from preflab import (
 )
 
 
-def eye_record(prompt_id, v):
-    return PromptRecord(
-        prompt_id=prompt_id, role="train", features=np.eye(v), true_reward=np.zeros(v)
-    )
+def train_features(universe):
+    return universe.features[universe.role_ids("train")]
 
 
-def stacked(records):
-    """The (n, V, d) feature array and prompt ids of records numbered 0..n-1."""
-    return np.stack([r.features for r in records]), np.array([r.prompt_id for r in records])
-
-
-def generate(policy, records, cfg, rng, counters=None):
-    features, ids = stacked(records)
+def generate(policy, features, cfg, rng, counters=None):
+    """generate_candidates on every prompt of the (n, V, d) ``features``."""
+    features = np.asarray(features)
+    ids = np.arange(len(features))
     return generate_candidates(policy, features, ids, cfg, rng, counters or OpCounters())
 
 
@@ -45,9 +39,10 @@ def selected_pairs(pairs, picked, prompt_ids):
     return [(int(prompt_ids[r]), (int(a), int(b))) for r, a, b in pairs[picked]]
 
 
-def apl(policy, ref, records, candidates, log_probs, cfg, counters=None, beta=0.1):
-    """Form pairs and run select_apl; returns (prompt_id, pair) tuples and margins."""
-    features, ids = stacked(records)
+def apl(policy, ref, features, candidates, log_probs, cfg, counters=None, beta=0.1):
+    """Form pairs and run select_apl on every prompt of the (n, V, d) ``features``;
+    returns (prompt_id, pair) tuples and margins."""
+    ids = np.arange(len(features))
     pairs, _ = form_pairs(np.asarray(candidates))
     picked, margins = select_apl(
         policy, ref, features, ids, entropy_estimate(np.asarray(log_probs, dtype=float)),
@@ -77,32 +72,31 @@ class TestSelectionConfig:
 
 class TestGenerateCandidates:
     def test_point_mass_policy_repeats_one_response(self):
-        record = eye_record(0, 4)
         policy = Policy(np.array([0.0, 0.0, 1e9, 0.0]))
         rng = np.random.default_rng(1)
-        candidates, _ = generate(policy, [record], SelectionConfig(1, 4, 1, 1), rng)
+        candidates, _ = generate(policy, [np.eye(4)], SelectionConfig(1, 4, 1, 1), rng)
         assert candidates.tolist() == [[2, 2, 2, 2]]
 
     def test_matches_sample_response_stream(self, small_universe, rng):
         # batched inverse-CDF draws consume the uniform stream exactly like
         # repeated single-sample calls
         policy = Policy(rng.normal(size=small_universe.config.feature_dim))
-        records = small_universe.train_prompts()[:3]
+        features = train_features(small_universe)[:3]
         cfg = SelectionConfig(3, 4, 2, 3)
-        got, _ = generate(policy, records, cfg, np.random.default_rng(42))
+        got, _ = generate(policy, features, cfg, np.random.default_rng(42))
         replay_rng = np.random.default_rng(42)
-        for record, row in zip(records, got.tolist()):
-            singles = [sample_response(policy, record, replay_rng) for _ in range(4)]
+        for rows, row in zip(features, got.tolist()):
+            singles = [sample_response(policy, rows, replay_rng) for _ in range(4)]
             assert row == singles
 
     def test_log_probs_recorded_at_generation(self, small_universe, rng):
         policy = Policy(rng.normal(size=small_universe.config.feature_dim))
-        records = small_universe.train_prompts()[:2]
+        features = train_features(small_universe)[:2]
         candidates, log_probs = generate(
-            policy, records, SelectionConfig(2, 4, 1, 2), np.random.default_rng(0)
+            policy, features, SelectionConfig(2, 4, 1, 2), np.random.default_rng(0)
         )
-        for record, row, row_lp in zip(records, candidates, log_probs):
-            lp = log_prob_vector(policy, record)
+        for rows, row, row_lp in zip(features, candidates, log_probs):
+            lp = log_prob_vector(policy, rows)
             np.testing.assert_allclose(row_lp, lp[row], atol=0)
 
     def test_sample_counter_arithmetic(self, small_universe, rng):
@@ -110,7 +104,7 @@ class TestGenerateCandidates:
         counters = OpCounters()
         generate(
             policy,
-            small_universe.train_prompts()[:4],
+            train_features(small_universe)[:4],
             SelectionConfig(4, 4, 2, 4),
             np.random.default_rng(0),
             counters,
@@ -135,27 +129,25 @@ class TestFormPairs:
 
 class TestEntropyEstimate:
     def test_uniform_policy_is_exactly_log_v(self):
-        record = eye_record(0, 4)
         policy = Policy(np.zeros(4))
         _, log_probs = generate(
-            policy, [record], SelectionConfig(1, 4, 1, 1), np.random.default_rng(0)
+            policy, [np.eye(4)], SelectionConfig(1, 4, 1, 1), np.random.default_rng(0)
         )
         assert entropy_estimate(log_probs)[0] == math.log(4)
 
     def test_point_mass_is_zero(self):
-        record = eye_record(0, 3)
         policy = Policy(np.array([1e9, 0.0, 0.0]))
         _, log_probs = generate(
-            policy, [record], SelectionConfig(1, 4, 1, 1), np.random.default_rng(0)
+            policy, [np.eye(3)], SelectionConfig(1, 4, 1, 1), np.random.default_rng(0)
         )
         assert entropy_estimate(log_probs)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_estimator_mean_tracks_exact_entropy(self):
         # Monte-Carlo calibration against the closed form, 10k resamples
-        record = eye_record(0, 2)
+        features = np.eye(2)
         policy = Policy(np.array([0.8, 0.0]))
-        exact = exact_entropy(policy, record)
-        lp = log_prob_vector(policy, record)
+        exact = exact_entropy(policy, features)
+        lp = log_prob_vector(policy, features)
         p = np.exp(lp)
         rng = np.random.default_rng(7)
         resamples = 10_000
@@ -171,12 +163,12 @@ class TestEntropyEstimate:
             entropy_estimate(np.zeros((1, 0)))
 
 
-def margins_of(policy, ref, record, pairs, beta, counters=None):
-    """select_apl's margins for the given (y1, y2) pairs of one prompt."""
+def margins_of(policy, ref, features, pairs, beta, counters=None):
+    """select_apl's margins for the given (y1, y2) pairs of one prompt's (V, d) features."""
     rows = np.array([[0, y1, y2] for y1, y2 in pairs])
-    cfg = SelectionConfig(1, record.features.shape[0], 1, len(pairs))
+    cfg = SelectionConfig(1, features.shape[0], 1, len(pairs))
     picked, margins = select_apl(
-        policy, ref, record.features[None], np.zeros(1, dtype=int), np.zeros(1), rows, cfg,
+        policy, ref, features[None], np.zeros(1, dtype=int), np.zeros(1), rows, cfg,
         beta, counters or OpCounters(),
     )
     return dict(zip(map(tuple, rows[picked, 1:].tolist()), margins.tolist()))
@@ -187,23 +179,22 @@ class TestMarginScore:
         theta = rng.normal(size=small_universe.config.feature_dim)
         p, ref = Policy(theta), Policy(theta.copy())
         counters = OpCounters()
-        record = small_universe.prompts[0]
-        assert margins_of(p, ref, record, [(0, 1)], 0.5, counters) == {(0, 1): 0.0}
+        features = small_universe.features[0]
+        assert margins_of(p, ref, features, [(0, 1)], 0.5, counters) == {(0, 1): 0.0}
         assert counters.policy_logprob_evals == 2
         assert counters.ref_logprob_evals == 2
 
     def test_tabular_two_logit_oracle(self):
-        record = eye_record(0, 2)
         p = Policy(np.array([0.7, -0.1]))
         ref = Policy(np.zeros(2))
-        got = margins_of(p, ref, record, [(0, 1)], 2.0)[(0, 1)]
+        got = margins_of(p, ref, np.eye(2), [(0, 1)], 2.0)[(0, 1)]
         assert got == pytest.approx(1.6, abs=1e-12)
 
     def test_symmetric_under_order_swap(self, small_universe, rng):
         p = Policy(rng.normal(size=small_universe.config.feature_dim))
         ref = Policy(rng.normal(size=small_universe.config.feature_dim))
-        record = small_universe.prompts[1]
-        got = margins_of(p, ref, record, [(0, 2), (2, 0)], 0.3)
+        features = small_universe.features[1]
+        got = margins_of(p, ref, features, [(0, 2), (2, 0)], 0.3)
         assert got[(0, 2)] == got[(2, 0)]
 
 
@@ -240,68 +231,63 @@ class TestSelectRandom:
 
 def apl_fixture(v=8, d=6, seed=0):
     gen = np.random.default_rng(seed)
-    records = [
-        PromptRecord(
-            prompt_id=i, role="train", features=gen.normal(size=(v, d)), true_reward=np.zeros(v)
-        )
-        for i in range(4)
-    ]
+    features = gen.normal(size=(4, v, d))
     policy = Policy(gen.normal(size=d))
     ref = Policy(gen.normal(size=d))
-    return policy, ref, records
+    return policy, ref, features
 
 
 class TestSelectApl:
     def test_stage_one_keeps_top_entropy_prompts(self):
-        policy, ref, records = apl_fixture(v=2, d=6)
+        policy, ref, features = apl_fixture(v=2, d=6)
         cfg = SelectionConfig(3, 2, 2, 1)
         got, _ = apl(
-            policy, ref, records[:3], [[0, 1]] * 3,
+            policy, ref, features[:3], [[0, 1]] * 3,
             [[-0.1, -0.1], [-1.4, -1.4], [-0.9, -0.9]], cfg,
         )
         kept = {prompt_id for prompt_id, _ in got}
         assert kept <= {1, 2}
 
     def test_reference_policy_falls_back_to_tie_order(self):
-        policy, ref, records = apl_fixture()
+        policy, ref, features = apl_fixture()
         ref = Policy(policy.theta.copy())
         cfg = SelectionConfig(4, 4, 2, 5)
-        got, _ = apl(policy, ref, records, [[0, 1, 2, 3]] * 4, [[-1.0] * 4] * 4, cfg)
+        got, _ = apl(policy, ref, features, [[0, 1, 2, 3]] * 4, [[-1.0] * 4] * 4, cfg)
         # all margins zero: first L pairs in (prompt_id, pair) order
         assert got == [(0, (0, 1)), (0, (0, 2)), (0, (0, 3)), (0, (1, 2)), (0, (1, 3))]
 
     def test_counting_oracle_b4_m4_n2(self):
-        policy, ref, records = apl_fixture()
+        policy, ref, features = apl_fixture()
         counters = OpCounters()
         cfg = SelectionConfig(4, 4, 2, 12)
-        log_probs = [[-0.5 - 0.1 * r.prompt_id] * 4 for r in records]
-        apl(policy, ref, records, [[0, 1, 2, 3]] * 4, log_probs, cfg, counters)
+        log_probs = [[-0.5 - 0.1 * prompt_id] * 4 for prompt_id in range(4)]
+        apl(policy, ref, features, [[0, 1, 2, 3]] * 4, log_probs, cfg, counters)
         # 2 kept prompts x C(4,2) pairs x (2 policy + 2 ref) evals
         assert counters.policy_logprob_evals == 24
         assert counters.ref_logprob_evals == 24
 
     def test_deterministic_without_rng(self):
-        policy, ref, records = apl_fixture(seed=5)
+        policy, ref, features = apl_fixture(seed=5)
         cfg = SelectionConfig(4, 4, 2, 6)
-        candidates, log_probs = generate(policy, records, cfg, np.random.default_rng(4))
-        a, _ = apl(policy, ref, records, candidates, log_probs, cfg)
-        b, _ = apl(policy, ref, records, candidates, log_probs, cfg)
+        candidates, log_probs = generate(policy, features, cfg, np.random.default_rng(4))
+        a, _ = apl(policy, ref, features, candidates, log_probs, cfg)
+        b, _ = apl(policy, ref, features, candidates, log_probs, cfg)
         assert a == b and len(a) <= 6
 
     def test_degenerate_prompts_drop_out(self):
-        policy, ref, records = apl_fixture()
+        policy, ref, features = apl_fixture()
         candidates = [[1, 1, 1, 1], [0, 1, 0, 1], [2, 3, 2, 3], [0, 0, 0, 0]]
         # prompt 0 has the highest entropy but no pairs
         log_probs = [[-9.0] * 4, [-0.2] * 4, [-0.1] * 4, [-8.0] * 4]
         cfg = SelectionConfig(4, 4, 2, 2)
-        got, _ = apl(policy, ref, records, candidates, log_probs, cfg)
+        got, _ = apl(policy, ref, features, candidates, log_probs, cfg)
         assert {prompt_id for prompt_id, _ in got} <= {1, 2}
 
     def test_no_selected_pair_has_equal_responses(self):
-        policy, ref, records = apl_fixture(seed=9)
+        policy, ref, features = apl_fixture(seed=9)
         cfg = SelectionConfig(4, 4, 4, 8)
-        candidates, log_probs = generate(policy, records, cfg, np.random.default_rng(11))
-        got, _ = apl(policy, ref, records, candidates, log_probs, cfg)
+        candidates, log_probs = generate(policy, features, cfg, np.random.default_rng(11))
+        got, _ = apl(policy, ref, features, candidates, log_probs, cfg)
         for _, (y1, y2) in got:
             assert y1 != y2
 
@@ -310,14 +296,14 @@ class TestSelectApl:
         # stage-1 ranking, unchanged
         cfg_u = tabular_universe.config
         v = cfg_u.responses_per_prompt
-        records = tabular_universe.train_prompts()
+        features = train_features(tabular_universe)
         gen = np.random.default_rng(2)
         theta = gen.normal(size=cfg_u.feature_dim)
         shifted = theta.copy()
         shifted[0:v] += 5.0
-        sel = SelectionConfig(len(records), 4, 2, 3)
-        ca, lpa = generate(Policy(theta), records, sel, np.random.default_rng(6))
-        cb, lpb = generate(Policy(shifted), records, sel, np.random.default_rng(6))
+        sel = SelectionConfig(len(features), 4, 2, 3)
+        ca, lpa = generate(Policy(theta), features, sel, np.random.default_rng(6))
+        cb, lpb = generate(Policy(shifted), features, sel, np.random.default_rng(6))
         assert ca.tolist() == cb.tolist()
         np.testing.assert_allclose(entropy_estimate(lpa), entropy_estimate(lpb), atol=1e-12)
 

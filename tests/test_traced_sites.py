@@ -4,7 +4,8 @@
 ``bench/rep.py`` drives ``harness`` directly; a name that a refactor drops
 would crash ``bench/run.py`` instead of failing here. The sites are only
 resolved, no wrapper is installed. Conversely, an import that ``src/`` keeps
-only for the tracer must name a site the tracer patches in that module.
+only for the tracer must name a site the tracer patches in that module, and
+must not be used anywhere else in that module: a used name needs no marker.
 """
 
 import ast
@@ -68,13 +69,18 @@ def test_every_tracer_only_import_is_a_traced_site_of_its_module():
     for path in sorted((ROOT / "src" / "preflab").glob("*.py")):
         text = path.read_text(encoding="utf-8")
         marked = {n for n, line in enumerate(text.splitlines(), 1) if line.endswith(TRACER_ONLY)}
-        for node in ast.walk(ast.parse(text)):
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
             lines = set(range(node.lineno, node.end_lineno + 1))
             if marked & lines:
                 marked -= lines
-                imported += [(f"preflab.{path.stem}", a.asname or a.name) for a in node.names]
+                names = [a.asname or a.name for a in node.names]
+                stale = sorted(set(names) & used)
+                assert not stale, f"{path.name} uses {stale}, so their import is not tracer-only"
+                imported += [(f"preflab.{path.stem}", name) for name in names]
         assert not marked, f"{path.name} lines {sorted(marked)} mark no import"
     assert imported
     assert [site for site in imported if site not in sites] == []

@@ -44,8 +44,10 @@ from preflab.trainer import _json_floats
 
 def mean_chosen_log_prob(policy, universe):
     """Mean log-likelihood of the best response over train prompts."""
-    train = universe.train_prompts()
-    return sum(log_prob(policy, r, int(np.argmax(r.true_reward))) for r in train) / len(train)
+    train = universe.role_ids("train")
+    chosen = universe.true_reward[train].argmax(axis=1).tolist()
+    total = sum(log_prob(policy, universe.features[i], y) for i, y in zip(train, chosen))
+    return total / len(train)
 
 
 def dense_universe(seed=5):
@@ -129,9 +131,9 @@ class TestSftFit:
         u = generate_universe(cfg_u)
         cfg = train_config(sft=SftConfig(learning_rate=0.2, epochs=200, batch=6))
         fitted = sft_fit(u, cfg)
-        for record in u.train_prompts():
-            chosen = int(np.argmax(record.true_reward))
-            assert response_probabilities(fitted, record)[chosen] > 0.9
+        for prompt_id in u.role_ids("train"):
+            chosen = int(np.argmax(u.true_reward[prompt_id]))
+            assert response_probabilities(fitted, u.features[prompt_id])[chosen] > 0.9
 
     def test_same_seed_identical_theta(self):
         u = dense_universe()

@@ -48,10 +48,8 @@ class TestGeneration:
         b = generate_universe(_cfg(seed=7))
         np.testing.assert_array_equal(a.probe_direction, b.probe_direction)
         np.testing.assert_array_equal(a.proxy_bias_direction, b.proxy_bias_direction)
-        for pa, pb in zip(a.prompts, b.prompts):
-            assert pa.role == pb.role and pa.correct_response == pb.correct_response
-            np.testing.assert_array_equal(pa.features, pb.features)
-            np.testing.assert_array_equal(pa.true_reward, pb.true_reward)
+        for name in ("features", "true_reward", "correct_response"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_rho_one_gives_equal_directions(self):
         u = generate_universe(_cfg(misalignment_rho=1.0))
@@ -82,29 +80,29 @@ class TestGeneration:
 
     def test_probe_correct_response_is_unique_argmax(self):
         u = generate_universe(_cfg(num_probe_prompts=20))
-        for record in u.probe_prompts():
-            top = int(np.argmax(record.true_reward))
-            assert top == record.correct_response
-            assert np.count_nonzero(record.true_reward == record.true_reward[top]) == 1
+        for prompt_id in u.role_ids("probe"):
+            reward = u.true_reward[prompt_id]
+            top = int(np.argmax(reward))
+            assert top == u.correct_response[prompt_id]
+            assert np.count_nonzero(reward == reward[top]) == 1
 
     def test_probe_argmax_aligns_with_direction_score(self):
         # by construction the noisy reward argmax matches the clean u-score
         # argmax, so a policy pointing along u answers every probe correctly
         u = generate_universe(_cfg(num_probe_prompts=20))
-        for record in u.probe_prompts():
-            clean = record.features @ u.probe_direction
-            assert int(np.argmax(clean)) == record.correct_response
+        for prompt_id in u.role_ids("probe"):
+            clean = u.features[prompt_id] @ u.probe_direction
+            assert int(np.argmax(clean)) == u.correct_response[prompt_id]
 
     def test_roles_partition_in_order(self):
         u = generate_universe(_cfg())
-        roles = [p.role for p in u.prompts]
-        assert roles == ["train"] * 10 + ["eval"] * 5 + ["probe"] * 5
-        assert [p.prompt_id for p in u.prompts] == list(range(20))
+        ids = [u.role_ids(role).tolist() for role in ("train", "eval", "probe")]
+        assert ids == [list(range(10)), list(range(10, 15)), list(range(15, 20))]
 
     def test_train_prompts_carry_no_correct_response(self):
         u = generate_universe(_cfg())
-        assert all(p.correct_response is None for p in u.train_prompts())
-        assert all(p.correct_response is None for p in u.eval_prompts())
+        assert (u.correct_response[u.role_ids("train")] == -1).all()
+        assert (u.correct_response[u.role_ids("eval")] == -1).all()
 
 
 class TestConfigValidation:
@@ -244,9 +242,7 @@ class TestSerialization:
             assert config.shape == () and config.dtype.kind == "U"
             assert config.item() == json.dumps(dataclasses.asdict(u.config), sort_keys=True)
         for universe in (u, loaded):
-            # every record's features are a view into the stacked (N, V, d) array
             assert universe.features.shape == (20, 4, 8)
-            assert all(np.shares_memory(r.features, universe.features) for r in universe.prompts)
 
     def test_save_writes_exactly_its_path(self, tmp_path):
         # np.savez given a name would add ".npz"; save is given an open file
@@ -257,12 +253,12 @@ class TestSerialization:
 
     def test_replace_starts_caches_empty(self):
         u = generate_universe(_cfg())
-        assert len(u.train_prompts()) == 10
+        table = u.bias_scores()
         old_hash = u.content_hash()
         v = dataclasses.replace(u, true_reward=u.true_reward + 1.0)
-        assert v.train_prompts()[0].true_reward[0] == u.true_reward[0, 0] + 1.0
+        assert v.bias_scores() is not table
         assert v.content_hash() == _documented_hash(v) != old_hash
-        assert len(u.train_prompts()) == 10
+        assert u.bias_scores() is table
         assert u.content_hash() == old_hash
 
     def test_ragged_features_rejected_on_load(self, tmp_path):
@@ -513,6 +509,7 @@ def test_role_ids_are_the_ids_roles_gives_the_role(counts, role):
     config = UniverseConfig(*counts, responses_per_prompt=2, feature_dim=2)
     universe = generate_universe(config)
     ids = universe.role_ids(role)
-    expected = np.flatnonzero(np.array(config.roles()) == role)
+    roles = [name for name, count in config.role_layout for _ in range(count)]
+    expected = np.flatnonzero(np.array(roles) == role)
     assert ids.dtype == expected.dtype
     np.testing.assert_array_equal(ids, expected)
