@@ -2,7 +2,6 @@
 
 Subcommands:
     generate  write the universe file (universe.npz) of the config's universe section
-    sft       fit the supervised initialization and write its checkpoint
     train     run a single (selector, annotator, seed) cell: a one-cell sweep
     sweep     run the full experiment grid
     report    aggregate run directories into summary/welch/pareto CSVs
@@ -15,10 +14,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import ConfigurationError, TrainingError
-from .harness import _resolve_universe, _write_json, parse_config, run_grid, save_universe
+from .errors import ConfigurationError
+from .harness import parse_config, run_grid, save_universe
 from .report import aggregate_summary, discover_run_dirs, read_outcome, write_summary
-from .trainer import TrainConfig, sft_fit
 from .universe import generate_universe
 
 
@@ -34,10 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write the universe file")
     add_common(p, "a path ending in .npz is the file, any other a directory for its "
                   "universe.npz (default: <output_dir>/universe.npz)")
-
-    p = sub.add_parser("sft", help="fit and save the supervised initialization")
-    add_common(p, "output directory (default: config output_dir)")
-    p.add_argument("--seed", type=int, help="run seed (default: first grid seed)")
 
     p = sub.add_parser("train", help="run one grid cell")
     add_common(p, "output directory (default: config output_dir)")
@@ -100,21 +94,6 @@ def _dispatch(args) -> int:
         universe = generate_universe(grid.universe)
         written = save_universe(universe, out, args.overwrite)
         print(f"{'wrote' if written else 'kept'} {out} (hash {universe.content_hash()[:12]})")
-        return 0
-
-    if args.command == "sft":
-        seed = args.seed if args.seed is not None else grid.seeds[0]
-        out = Path(grid.output_dir) / "sft_policy.json"
-        if out.exists() and not args.overwrite:
-            raise ConfigurationError(f"refusing to overwrite {out} (pass --overwrite)")
-        try:
-            policy = sft_fit(_resolve_universe(grid), TrainConfig(sft=grid.train.sft, run_seed=seed))
-        except TrainingError as exc:
-            print(f"error: sft failed: {exc}", file=sys.stderr)
-            return 1
-        out.parent.mkdir(parents=True, exist_ok=True)
-        _write_json(out, policy.to_json_dict())
-        print(f"wrote {out}")
         return 0
 
     if args.command == "train":  # a one-cell grid

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .policy import Policy, exact_entropy, log_prob_vector, logits
+from .policy import Policy, check_indices, exact_entropy, log_prob_vector, logits
 from .policy import sample_response  # noqa: F401  (traced by bench/spans.py)
 from .universe import ROLE_PROBE, PromptUniverse
 
@@ -63,6 +63,7 @@ def estimate_win_rate(
         raise ContractError(f"n_trials must be >= 1, got {n_trials}")
     if len(prompt_ids) == 0:
         raise ContractError("win-rate estimation needs at least one prompt")
+    check_indices(prompt_ids, len(features), "prompt_id")
     features = features[prompt_ids]
     # per-prompt inverse CDFs as lists, first V - 1 entries: bisect_right
     # is searchsorted(side="right") clipped to V - 1 on a nondecreasing cdf
@@ -126,6 +127,7 @@ def collapse_metrics(
         raise ContractError(
             f"collapse_fraction must lie in (0, 1), got {collapse_fraction}"
         )
+    check_indices(prompt_ids, len(features), "prompt_id")
     features = features[prompt_ids]
     mean_entropy, sft_entropy = (
         float(np.mean(exact_entropy(side, features))) for side in (policy, sft)

@@ -7,12 +7,13 @@ statement of its fields, types and defaults. Parsing is fail-closed: unknown
 keys are rejected, and every field left to its default is recorded so the
 echoed manifest makes each run self-describing. One run directory is produced
 per (selector, annotator, seed) cell, holding the manifest, per-iteration
-metrics CSV, the event stream (written while the loop runs), policy
-checkpoints, op counters, and one eval row per evaluator (none for an aborted
-run). The manifest records how the run ended, and ``report.read_outcome`` is
-the one reader that takes the outcome from it. Runs that share (annotator,
-seed) differ only in selector and use identical random streams, so selector
-comparisons are paired.
+metrics CSV, the event stream, the SFT and final parameters (``run.npz``), op
+counters, and one eval row per evaluator (none for an aborted run). Every file
+is written after the loop returns: ``write_events`` renders the loop's run
+record as ``events.jsonl``, the one writer of event text. The manifest records
+how the run ended, and ``report.read_outcome`` is the one reader that takes
+the outcome from it. Runs that share (annotator, seed) differ only in selector
+and use identical random streams, so selector comparisons are paired.
 
 ``run_grid`` runs every cell (``preflab train`` is a one-cell grid) and
 refuses existing run directories without overwrite; ``save_universe`` keeps
@@ -28,7 +29,9 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
+
+import numpy as np
 
 from . import __version__ as _package_version
 from .errors import ConfigurationError, TrainingError
@@ -37,7 +40,7 @@ from .judges import Judge, JudgeSpec
 from .report import EvalRow, _write_csv
 from .rng import substream
 from .schema import build_dataclass, json_key
-from .selection import SELECTOR_APL, SELECTOR_RANDOM, check_selector
+from .selection import SELECTOR_APL, SELECTOR_RANDOM, check_selector, degenerate_rows
 from .trainer import (
     IterationLog,
     RunResult,
@@ -50,8 +53,7 @@ from .trainer import (
 from .universe import ROLE_EVAL, PromptUniverse, UniverseConfig, generate_universe
 
 # the files a run writes; a reused run directory loses them, manifest.json first
-RUN_FILES = ("manifest.json", "eval.csv", "metrics.csv", "events.jsonl", "counters.json",
-             "sft_policy.json", "final_policy.json")
+RUN_FILES = ("manifest.json", "eval.csv", "metrics.csv", "events.jsonl", "counters.json", "run.npz")
 
 
 @dataclass(frozen=True)
@@ -147,17 +149,72 @@ def run_id_for(selector: str, annotator_label: str, seed: int) -> str:
     return f"{selector}__{annotator_label}__seed{seed}"
 
 
+def _json_floats(values: list[float]) -> list[str]:
+    """Each float's text as ``json.dumps`` writes it (``NaN``/``Infinity``
+    included), from one encoder call for the whole list."""
+    return json.dumps(values)[1:-1].split(", ") if values else []
+
+
+def write_events(events: TextIO, result: RunResult, cfg: TrainConfig) -> None:
+    """Render the run record as events.jsonl text into ``events``, one iteration
+    at a time: its candidates, its degenerate prompts, a budget shortfall when
+    it labelled fewer than L pairs, and its selections; an aborted run's abort
+    line comes last. Each line is canonical JSON (``json.dumps(event,
+    sort_keys=True)`` plus a newline), from f-strings that substitute only ints
+    and text equal to ``json.dumps``'s."""
+    budget, strategy = cfg.selection.label_budget, json.dumps(cfg.selector)
+    # each response index's text, looked up: joining a gather of it writes the
+    # (B, M) candidates in about half the time of str() on their list
+    response_text = np.array([str(y) for y in range(result.candidates.max(initial=0) + 1)])
+    degenerate = degenerate_rows(result.candidates)
+    end = 0
+    for t, log in enumerate(result.per_iteration, 1):
+        prompt_ids, candidates = result.prompt_ids[t - 1], response_text[result.candidates[t - 1]]
+        events.write(
+            f'{{"candidates": [[{"], [".join(map(", ".join, candidates.tolist()))}]], '
+            f'"iteration": {t}, "prompt_ids": {prompt_ids.tolist()}, "type": "candidates"}}\n'
+        )
+        degenerate_ids = prompt_ids[degenerate[t - 1]].tolist()
+        if degenerate_ids:
+            head, tail = f'{{"iteration": {t}, "prompt_id": ', ', "type": "degenerate_prompt"}\n'
+            events.write(head + (tail + head).join(map(str, degenerate_ids)) + tail)
+        if log.labeled_pairs < budget:
+            events.write(
+                f'{{"budget": {budget}, "iteration": {t}, '
+                f'"selected": {log.labeled_pairs}, "type": "budget_shortfall"}}\n'
+            )
+        start, end = end, end + log.labeled_pairs
+        scores = (
+            ["null"] * log.labeled_pairs if result.scores is None
+            else _json_floats(result.scores[start:end].tolist())
+        )
+        rows = zip(result.selections[start:end].tolist(), scores)
+        events.write("".join([
+            f'{{"iteration": {t}, "pair": [{a}, {b}], "prompt_id": {prompt_id}, '
+            f'"score": {score}, "strategy": {strategy}, "type": "selection", '
+            f'"winner": {winner}}}\n'
+            for (prompt_id, a, b, winner), score in rows
+        ]))
+    if result.abort_reason is not None:
+        abort = {"type": "abort", "iteration": len(result.per_iteration),
+                 "reason": result.abort_reason}
+        events.write(json.dumps(abort, sort_keys=True) + "\n")
+
+
 def _write_run_outputs(
     run_dir: Path,
     result: RunResult,
+    cfg: TrainConfig,
     eval_rows: Optional[list[EvalRow]],
     manifest: dict,
 ) -> None:
-    """Write a trained cell's files beside its streamed events.jsonl; eval.csv
-    only when there are eval rows (an aborted run has none)."""
+    """Write a trained cell's files, manifest.json last; eval.csv only when
+    there are eval rows (an aborted run has none)."""
     _write_csv(run_dir / "metrics.csv", IterationLog, result.per_iteration)
-    _write_json(run_dir / "sft_policy.json", result.sft_policy.to_json_dict())
-    _write_json(run_dir / "final_policy.json", result.final_policy.to_json_dict())
+    with open(run_dir / "events.jsonl", "w", encoding="utf-8") as events:
+        write_events(events, result, cfg)
+    with open(run_dir / "run.npz", "wb") as fh:
+        np.savez(fh, sft_theta=result.sft_policy.theta, final_theta=result.final_policy.theta)
     _write_json(run_dir / "counters.json", asdict(result.counters))
     if eval_rows is not None:
         _write_csv(run_dir / "eval.csv", EvalRow, eval_rows)
@@ -178,9 +235,8 @@ def run_cell(
     """Train one (selector, annotator, seed) cell and write its run directory.
 
     A reused directory first loses its RUN_FILES, so a failed or killed rerun
-    leaves no old outcome. The loop streams events.jsonl into the directory as
-    it runs. A cell whose training fails keeps only manifest.json; an aborted
-    run records its reason there as "error" and has no eval.csv."""
+    leaves no old outcome. A cell whose training fails keeps only manifest.json;
+    an aborted run records its reason there as "error" and has no eval.csv."""
     run_dir = Path(run_dir)
     cfg = TrainConfig(**vars(template), selector=selector, annotator=annotator, run_seed=seed)
     run_id = run_id_for(selector, annotator.label, seed)
@@ -194,13 +250,9 @@ def run_cell(
     run_dir.mkdir(parents=True, exist_ok=True)
     for name in RUN_FILES:
         (run_dir / name).unlink(missing_ok=True)
-    events_path = run_dir / "events.jsonl"
     try:
-        sft_policy = sft_fit(universe, cfg)
-        with open(events_path, "w", encoding="utf-8") as events:
-            result = run_online_dpo(universe, sft_policy, cfg, events)
+        result = run_online_dpo(universe, sft_fit(universe, cfg), cfg)
     except TrainingError as exc:
-        events_path.unlink(missing_ok=True)  # a partial stream is no output
         manifest.update(status="failed", error=str(exc))
         _write_json(run_dir / "manifest.json", manifest)
         return run_dir
@@ -213,7 +265,7 @@ def run_cell(
         )
     else:
         manifest["error"] = result.abort_reason
-    _write_run_outputs(run_dir, result, eval_rows, manifest)
+    _write_run_outputs(run_dir, result, cfg, eval_rows, manifest)
     return run_dir
 
 

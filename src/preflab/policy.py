@@ -56,19 +56,6 @@ class Policy:
     def feature_dim(self) -> int:
         return self.theta.size
 
-    def to_json_dict(self) -> dict:
-        return {"label": self.label, "d": self.feature_dim, "theta": self.theta.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Policy":
-        policy = cls(theta=np.asarray(data["theta"], dtype=np.float64), label=data["label"])
-        if policy.feature_dim != data["d"]:
-            raise ContractError(
-                f"checkpoint dimension mismatch: d={data['d']} but theta has "
-                f"{policy.feature_dim} entries"
-            )
-        return policy
-
 
 def check_feature_dim(features: np.ndarray, *policies: Policy) -> None:
     """Raise ContractError unless the last axis of ``features`` has every policy's dim."""

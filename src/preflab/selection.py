@@ -133,7 +133,12 @@ def form_pairs(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     i, j = _position_pairs(m)
     rows, k = np.nonzero(first[:, i] & first[:, j])
     pairs = np.stack([rows, values[rows, i[k]], values[rows, j[k]]], axis=1)
-    return pairs, ~first[:, 1:].any(axis=1)
+    return pairs, degenerate_rows(candidates)
+
+
+def degenerate_rows(candidates: np.ndarray) -> np.ndarray:
+    """The mask of rows whose M candidates (the last axis) are all one response."""
+    return (candidates == candidates[..., :1]).all(axis=-1)
 
 
 @functools.lru_cache(maxsize=16)

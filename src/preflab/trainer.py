@@ -14,13 +14,11 @@ array, selected indices, one labelling call, and the winner-minus-loser
 feature differences that all of the iteration's updates reuse, in one
 ``dpo_updates`` call.
 
-Events are formatted once and written to the caller's text sink (a run's
-``events.jsonl``) as they are produced, one write per kind per iteration, so
-no run holds its event stream in memory. Each is one canonical JSON line
-(keys sorted, ``json.dumps(event, sort_keys=True)`` plus a newline), built
-from f-strings that substitute only ints and text equal to ``json.dumps``'s:
-``str`` of a list of Python ints, the (B, M) candidates joined from a table of
-response-index strings, and APL scores through ``json.dumps`` itself.
+The loop writes no file. It returns what happened as arrays in its
+``RunResult``: each iteration's prompt ids and candidates, and every labelled
+pair with its winner (and its APL margin) in labelling order, each integer
+array in the smallest unsigned dtype of its bound. ``harness.write_events``
+renders them as the run's ``events.jsonl`` after the loop.
 
 All stochastic streams are keyed by run_seed and a purpose tag, never by the
 selector, so runs that differ only in selector share prompt, generation, and
@@ -34,10 +32,10 @@ update; collapse is data, not failure.
 
 from __future__ import annotations
 
-import json
+import array
 import math
 from dataclasses import dataclass, field
-from typing import Optional, TextIO
+from typing import Optional
 
 import numpy as np
 
@@ -127,6 +125,11 @@ class RunResult:
     per_iteration: list[IterationLog]
     counters: OpCounters
     abort_reason: Optional[str]  # None for a run that finished
+    # the record, one row per iteration run (an aborted run stops at its last)
+    prompt_ids: np.ndarray  # (T, B)
+    candidates: np.ndarray  # (T, B, M) response indices
+    selections: np.ndarray  # (n, 4) rows (prompt_id, y1, y2, winner), in labelling order
+    scores: Optional[np.ndarray]  # (n,) float64 APL margins; None for random
 
 
 def reference_preset() -> TrainConfig:
@@ -210,28 +213,15 @@ def batch_train_ids(universe: PromptUniverse, sel: SelectionConfig) -> np.ndarra
     return train_ids
 
 
-def _json_floats(values: list[float]) -> list[str]:
-    """Each float's text as ``json.dumps`` writes it (``NaN``/``Infinity``
-    included), from one encoder call for the whole list."""
-    return json.dumps(values)[1:-1].split(", ") if values else []
-
-
-def run_online_dpo(
-    universe: PromptUniverse, sft_policy: Policy, cfg: TrainConfig, events: TextIO
-) -> RunResult:
-    """Execute the online loop; deterministic given (universe, cfg).
-
-    Each event line is written to the text sink ``events`` as it is produced,
-    so the stream is never held in memory."""
+def run_online_dpo(universe: PromptUniverse, sft_policy: Policy, cfg: TrainConfig) -> RunResult:
+    """Execute the online loop; deterministic given (universe, cfg)."""
     sel = cfg.selection
-    beta = cfg.dpo.beta
     train_ids = batch_train_ids(universe, sel)
 
     ref = Policy(sft_policy.theta, label="sft")
     policy = Policy(sft_policy.theta, label="step-0")
     opt_state = OptimizerState.initial(policy.feature_dim)
     counters = OpCounters()
-    strategy = json.dumps(cfg.selector)
     logs: list[IterationLog] = []
 
     prompt_rng = substream(cfg.run_seed, "prompts")
@@ -240,57 +230,38 @@ def run_online_dpo(
     annotator = Judge.for_run(cfg.annotator, universe, cfg.run_seed)
 
     features = universe.features
-    # each response index's text, looked up: joining a gather of it writes the
-    # (B, M) candidates in about half the time of str() on their list
-    response_text = np.array([str(y) for y in range(features.shape[1])])
+    n_prompts, n_responses = features.shape[:2]
+    steps, b, m = cfg.dpo.max_steps, sel.batch_prompts, sel.candidates_per_prompt
+    prompt_record = np.empty((steps, b), np.min_scalar_type(n_prompts))
+    candidate_record = np.empty((steps, b, m), np.min_scalar_type(n_responses))
+    # sized by the labels bought, which may be far fewer than steps * L
+    selection_dtype = np.min_scalar_type(max(n_prompts, n_responses))
+    selections = array.array(selection_dtype.char)
+    scores = None if cfg.selector == SELECTOR_RANDOM else array.array("d")
     abort_reason = None
-    for t in range(1, cfg.dpo.max_steps + 1):
+    for t in range(1, steps + 1):
         prompt_ids = train_ids[prompt_rng.permutation(train_ids.size)[: sel.batch_prompts]]
         candidates, log_probs = generate_candidates(
             policy, features, prompt_ids, sel, gen_rng, counters
         )
-        candidate_text = "], [".join(map(", ".join, response_text[candidates].tolist()))
-        events.write(
-            f'{{"candidates": [[{candidate_text}]], "iteration": {t}, '
-            f'"prompt_ids": {prompt_ids.tolist()}, "type": "candidates"}}\n'
-        )
-        pairs, degenerate = form_pairs(candidates)
-        degenerate_ids = prompt_ids[degenerate].tolist()
-        if degenerate_ids:
-            head, tail = f'{{"iteration": {t}, "prompt_id": ', ', "type": "degenerate_prompt"}\n'
-            events.write(head + (tail + head).join(map(str, degenerate_ids)) + tail)
+        prompt_record[t - 1], candidate_record[t - 1] = prompt_ids, candidates
+        pairs, _ = form_pairs(candidates)
 
         entropies = entropy_estimate(log_probs)
         if cfg.selector == SELECTOR_RANDOM:
             picked = select_random(pairs, sel.label_budget, select_rng)
-            scores = ["null"] * picked.size
         else:
             picked, margins = select_apl(
-                policy, ref, features, prompt_ids, entropies, pairs, sel, beta, counters
+                policy, ref, features, prompt_ids, entropies, pairs, sel, cfg.dpo.beta, counters
             )
-            scores = _json_floats(margins.tolist())
-        if picked.size < sel.label_budget:
-            events.write(
-                f'{{"budget": {sel.label_budget}, "iteration": {t}, '
-                f'"selected": {picked.size}, "type": "budget_shortfall"}}\n'
-            )
+            scores.frombytes(margins.tobytes())
 
         rows, y1, y2 = pairs[picked].T
         pair_prompts = prompt_ids[rows]
         winners = annotator.prefer_batch(pair_prompts, y1, y2)
         counters.judge_queries += picked.size
-        events.write(
-            "".join(
-                [
-                    f'{{"iteration": {t}, "pair": [{a}, {b}], "prompt_id": {prompt_id}, '
-                    f'"score": {score}, "strategy": {strategy}, "type": "selection", '
-                    f'"winner": {winner}}}\n'
-                    for prompt_id, a, b, score, winner in zip(
-                        pair_prompts.tolist(), y1.tolist(), y2.tolist(), scores, winners.tolist()
-                    )
-                ]
-            )
-        )
+        labelled = np.stack([pair_prompts, y1, y2, winners], axis=1)
+        selections.frombytes(labelled.astype(selection_dtype).tobytes())
 
         mean_loss = float("nan")
         last_lr = lr_at_step(cfg.dpo, opt_state.step)
@@ -301,9 +272,6 @@ def run_online_dpo(
             opt_state, mean_loss, last_lr = batch.state, batch.loss, batch.lr
             policy = Policy.from_finite(batch.theta, label=f"step-{opt_state.step}")
             abort_reason = batch.abort_reason
-            if abort_reason is not None:
-                abort = {"type": "abort", "iteration": t, "reason": abort_reason}
-                events.write(json.dumps(abort, sort_keys=True) + "\n")
 
         logs.append(
             IterationLog(
@@ -325,4 +293,8 @@ def run_online_dpo(
         per_iteration=logs,
         counters=counters,
         abort_reason=abort_reason,
+        prompt_ids=prompt_record[: len(logs)],
+        candidates=candidate_record[: len(logs)],
+        selections=np.frombuffer(selections, selection_dtype).reshape(-1, 4),
+        scores=None if scores is None else np.frombuffer(scores),
     )

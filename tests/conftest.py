@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from preflab import UniverseConfig, generate_universe, run_online_dpo
+from preflab.harness import write_events
 
 
 @pytest.fixture(scope="session")
@@ -39,12 +40,14 @@ def tabular_universe():
 
 @pytest.fixture
 def stream_run():
-    """``run_online_dpo`` into an in-memory sink: returns the run's result and
-    the events.jsonl lines it wrote, newline included."""
+    """``run_online_dpo``, its record rendered by ``write_events`` into an
+    in-memory sink: returns the run's result and its events.jsonl lines,
+    newline included."""
 
     def run(universe, sft_policy, cfg):
+        result = run_online_dpo(universe, sft_policy, cfg)
         sink = io.StringIO()
-        result = run_online_dpo(universe, sft_policy, cfg, sink)
+        write_events(sink, result, cfg)
         return result, sink.getvalue().splitlines(keepends=True)
 
     return run

@@ -6,7 +6,6 @@ The dissociation and sanity protocols (criteria 6 and 7) share one frozen
 universe and differ only in the annotator/evaluator misalignment.
 """
 
-import io
 import json
 import math
 import time
@@ -303,7 +302,7 @@ def _dissociation_protocol(universe, annotator_misalignment):
             run_seed=seed,
         )
         sft = sft_fit(universe, cfg)
-        result = run_online_dpo(universe, sft, cfg, io.StringIO())
+        result = run_online_dpo(universe, sft, cfg)
         proxy_eval = Judge(
             JudgeSpec(
                 label="proxy-eval",

@@ -4,7 +4,8 @@
 selectors, both seeds), the op counters, the universe hash, the sha256 of
 ``events.jsonl``'s bytes, a digest and per-type counts of the event stream, a
 digest of the selection events (iteration, prompt, pair, winner), the APL
-margin of every selected pair, and the floats of ``metrics.csv`` and
+margin of every selected pair, the sha256 of the SFT and final parameters'
+``<f8`` bytes in ``run.npz``, and the floats of ``metrics.csv`` and
 ``eval.csv``; under ``"report"`` it holds the cells of the ``summary.csv``,
 ``welch.csv`` and ``pareto.csv`` that ``report`` writes for those runs.
 Counters, hashes and digests must match exactly, so the event file's key order
@@ -32,6 +33,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from preflab import aggregate_summary, parse_config, run_grid, write_summary
@@ -72,6 +74,9 @@ def fingerprint(run_dir: Path) -> dict:
             )
             if event["score"] is not None:
                 scores.append(event["score"])
+    with np.load(run_dir / "run.npz", allow_pickle=False) as run:
+        thetas = {f"{name}_sha256": hashlib.sha256(run[name].astype("<f8").tobytes()).hexdigest()
+                  for name in ("sft_theta", "final_theta")}
     return {
         "universe_hash": manifest["universe_hash"],
         "counters": json.loads((run_dir / "counters.json").read_text(encoding="utf-8")),
@@ -82,6 +87,7 @@ def fingerprint(run_dir: Path) -> dict:
         "apl_scores": scores,
         "metrics": _csv_cells(run_dir / "metrics.csv"),
         "eval": _csv_cells(run_dir / "eval.csv"),
+        **thetas,
     }
 
 
@@ -135,6 +141,8 @@ def test_smoke_grid_matches_recorded_fingerprint(tmp_path):
             "event_type_counts",
             "event_types_digest",
             "selection_digest",
+            "sft_theta_sha256",
+            "final_theta_sha256",
         ):
             assert got[key] == want[key], f"{run_id}: {key} differs from the recorded run"
         _assert_table(f"{run_id} metrics.csv", got["metrics"], want["metrics"], CSV_REL_TOL)

@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from preflab import (
     SelectionConfig,
     UniverseConfig,
     TrainingError,
+    collapse_metrics,
     dpo_batch_grad,
     dpo_updates,
     entropy_estimate,
@@ -552,6 +554,18 @@ def test_batched_selection_and_eval_contract_errors():
         estimate_win_rate(
             policy, wrong_dim, None, features, prompt_ids, 10, np.random.default_rng(0)
         )
+    # -1 must not read the last prompt: the eval metrics check their ids first,
+    # even when every win-rate trial ties and no pair reaches the evaluator
+    point_mass = Policy(1e4 * np.ones(3))
+    evaluator = types.SimpleNamespace(prefer_batch=lambda ids, y1, y2: y1)
+    for bad in (-1, 2):
+        with pytest.raises(ContractError, match="prompt_id out of range for 2"):
+            estimate_win_rate(
+                point_mass, point_mass, evaluator, features, np.array([bad]), 10,
+                np.random.default_rng(0),
+            )
+        with pytest.raises(ContractError, match="prompt_id out of range for 2"):
+            collapse_metrics(policy, policy, features, np.array([bad, 1]), 0.1)
 
 
 def test_select_apl_checks_its_arguments_on_an_empty_pool():

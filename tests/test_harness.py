@@ -392,8 +392,7 @@ class TestRunGrid:
                 "events.jsonl",
                 "eval.csv",
                 "counters.json",
-                "sft_policy.json",
-                "final_policy.json",
+                "run.npz",
             ):
                 assert (run_dir / name).exists(), name
         manifest_doc = json.loads((run_dirs[0] / "manifest.json").read_text())
@@ -434,13 +433,12 @@ class TestRunGrid:
                 encodings.append(1)
             return content_hash(self)
 
-        streams, sinks = [], []
+        streams, cells = [], []
 
-        def capturing_loop(universe, sft_policy, cfg, events):
+        def capturing_loop(universe, sft_policy, cfg):
             result, lines = stream_run(universe, sft_policy, cfg)
-            events.writelines(lines)
             streams.append(lines)
-            sinks.append(events.name)
+            cells.append(run_id_for(cfg.selector, cfg.annotator.label, cfg.run_seed))
             return result
 
         monkeypatch.setattr(PromptUniverse, "content_hash", counting_content_hash)
@@ -452,8 +450,8 @@ class TestRunGrid:
         assert len(encodings) == 1  # every cell's manifest shares one hash computation
 
         universe_hash = PromptUniverse.load(tmp_path / "runs" / "universe.npz").content_hash()
-        # serial cells run in run_dirs order, each streaming into its own file
-        assert sinks == [str(run_dir / "events.jsonl") for run_dir in run_dirs]
+        # serial cells run in run_dirs order, each rendering into its own file
+        assert cells == [run_dir.name for run_dir in run_dirs]
         for run_dir, stream in zip(run_dirs, streams):
             run_manifest = json.loads((run_dir / "manifest.json").read_text())
             assert run_manifest["universe_hash"] == universe_hash
@@ -493,7 +491,7 @@ class TestRunGrid:
             return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
         plain = smoke_files()
-        assert len(plain) == 4 * 7 + 1  # seven files per run, and universe.npz
+        assert len(plain) == 4 * 6 + 1  # six files per run, and universe.npz
 
         def refuse(*args):
             raise AssertionError("the runtime called a single-prompt function")
@@ -547,8 +545,7 @@ class TestRunGrid:
         universe_hash = PromptUniverse.load(tmp_path / "par" / "universe.npz").content_hash()
         for a, b in zip(seq_dirs, par_dirs):
             assert json.loads((b / "manifest.json").read_text())["universe_hash"] == universe_hash
-            for name in ("metrics.csv", "events.jsonl", "counters.json", "eval.csv",
-                         "sft_policy.json", "final_policy.json"):
+            for name in ("metrics.csv", "events.jsonl", "counters.json", "eval.csv", "run.npz"):
                 assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_manifest_hash_names_each_cell(self, tmp_path):
@@ -629,6 +626,21 @@ def lab_manifest(run_id, annotator, seed):
     }
 
 
+def run_without_iterations(counters):
+    """A finished ``RunResult`` of zero iterations, its record empty."""
+    return RunResult(
+        final_policy=Policy(np.zeros(2), label="final"),
+        sft_policy=Policy(np.zeros(2), label="sft"),
+        per_iteration=[],
+        counters=counters,
+        abort_reason=None,
+        prompt_ids=np.zeros((0, 1), np.uint8),
+        candidates=np.zeros((0, 1, 2), np.uint8),
+        selections=np.zeros((0, 4), np.uint8),
+        scores=None,
+    )
+
+
 def fake_run_dir(
     root, selector, annotator, seed, win_rate, delta, scoring=0, collapse=False, queries=10
 ):
@@ -640,17 +652,13 @@ def fake_run_dir(
         run_id, selector, annotator, "eval-judge", seed, win_rate, max(win_rate - 0.02, 0.0),
         min(win_rate + 0.02, 1.0), 0.5, delta, 1.0, collapse,
     )
-    result = RunResult(
-        final_policy=Policy(np.zeros(2), label="final"),
-        sft_policy=Policy(np.zeros(2), label="sft"),
-        per_iteration=[],
-        counters=OpCounters(
-            policy_logprob_evals=scoring, ref_logprob_evals=scoring, judge_queries=queries,
-            generated_samples=40,
-        ),
-        abort_reason=None,
+    result = run_without_iterations(OpCounters(
+        policy_logprob_evals=scoring, ref_logprob_evals=scoring, judge_queries=queries,
+        generated_samples=40,
+    ))
+    harness._write_run_outputs(
+        run_dir, result, TrainConfig(), [row], lab_manifest(run_id, annotator, seed)
     )
-    harness._write_run_outputs(run_dir, result, [row], lab_manifest(run_id, annotator, seed))
     return run_dir
 
 
@@ -666,16 +674,12 @@ class TestEvalCsv:
             EvalRow(run_id, "apl", "weak", "oracle", 42, 1.0, -0.0, float("inf"), 0.0,
                     5e-324, float("nan"), False),
         ]
-        result = RunResult(
-            final_policy=Policy(np.zeros(2), label="final"),
-            sft_policy=Policy(np.zeros(2), label="sft"),
-            per_iteration=[],
-            counters=OpCounters(judge_queries=7),
-            abort_reason=None,
-        )
+        result = run_without_iterations(OpCounters(judge_queries=7))
         run_dir = tmp_path / run_id
         run_dir.mkdir()
-        harness._write_run_outputs(run_dir, result, written, lab_manifest(run_id, "weak", 42))
+        harness._write_run_outputs(
+            run_dir, result, TrainConfig(), written, lab_manifest(run_id, "weak", 42)
+        )
         rows, counters, skipped = report._read_runs([run_dir])
         assert skipped == [] and len(rows) == len(written)
         for got, want in zip(rows, written):
@@ -774,10 +778,8 @@ class TestPublishedNumbers:
         run_dirs = discover_run_dirs(swept_smoke)
         assert len(run_dirs) == 4
         for run_dir in run_dirs:
-            final, sft = (
-                Policy.from_json_dict(json.loads((run_dir / f"{name}_policy.json").read_text()))
-                for name in ("final", "sft")
-            )
+            with np.load(run_dir / "run.npz", allow_pickle=False) as run:
+                final, sft = (Policy(run[f"{name}_theta"]) for name in ("final", "sft"))
             with open(run_dir / "eval.csv", newline="") as fh:
                 published = [float(row["delta_acc_pp"]) for row in csv.DictReader(fh)]
             assert published == [capability_delta(final, sft, universe)] * 2, run_dir.name
@@ -1163,13 +1165,6 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
 
-    def test_sft_subcommand(self, tmp_path):
-        out = tmp_path / "runs"
-        config_path = write_config(tmp_path, grid_config(out))
-        assert main(["sft", "--config", str(config_path), "--seed", "42"]) == 0
-        doc = json.loads((out / "sft_policy.json").read_text())
-        assert doc["label"] == "sft" and len(doc["theta"]) == doc["d"]
-
     def test_report_on_a_missing_directory_exits_2(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "missing")]) == 2
         assert capsys.readouterr().err.startswith("error: no run directories found")
@@ -1244,11 +1239,10 @@ class TestCli:
             assert not (out / f"{selector}__weak__seed43" / "eval.csv").exists()
 
     def test_a_cell_failing_mid_stream_keeps_only_its_manifest(self, tmp_path, monkeypatch):
-        def fail_after_one_event(universe, sft_policy, cfg, events):
-            events.write('{"type": "candidates"}\n')
+        def failing_loop(universe, sft_policy, cfg):
             raise TrainingError("non-finite parameters at update 1")
 
-        monkeypatch.setattr(harness, "run_online_dpo", fail_after_one_event)
+        monkeypatch.setattr(harness, "run_online_dpo", failing_loop)
         config = json.loads(SMOKE_CONFIG.read_text())
         out = tmp_path / "runs"
         assert main(["sweep", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 1
@@ -1280,8 +1274,7 @@ class TestCli:
         ] + [f"4 of 4 runs aborted under {out}"]
         for run_dir in run_dirs:
             assert sorted(p.name for p in run_dir.iterdir()) == [
-                "counters.json", "events.jsonl", "final_policy.json",
-                "manifest.json", "metrics.csv", "sft_policy.json",
+                "counters.json", "events.jsonl", "manifest.json", "metrics.csv", "run.npz",
             ]
             manifest = json.loads((run_dir / "manifest.json").read_text())
             assert (manifest["status"], manifest["aborted"], manifest["error"]) == (
@@ -1333,10 +1326,7 @@ class TestCli:
         assert main(argv + ["--overwrite"]) == 1
         written = ["manifest.json"]
         if outcome == "aborted":
-            written += [
-                "counters.json", "events.jsonl", "final_policy.json", "metrics.csv",
-                "sft_policy.json",
-            ]
+            written += ["counters.json", "events.jsonl", "metrics.csv", "run.npz"]
         # the old eval.csv and the rest are gone; files a run does not write stay
         assert sorted(p.name for p in run_dir.iterdir()) == sorted(written + ["notes.txt"])
         capsys.readouterr()
@@ -1511,31 +1501,6 @@ class TestCli:
         # the directory holding the universe_path file itself keeps it
         assert main(argv + [str(tmp_path)]) == 0
         assert (tmp_path / "universe.npz").read_bytes() == smoke_universe.read_bytes()
-
-    def test_refused_sft_never_fits(self, tmp_path, capsys, monkeypatch):
-        out = tmp_path / "runs"
-        config_path = write_config(tmp_path, grid_config(out))
-        assert main(["sft", "--config", str(config_path)]) == 0
-        before = (out / "sft_policy.json").read_bytes()
-
-        def must_not_fit(universe, cfg):
-            raise AssertionError("sft_fit ran before the overwrite refusal")
-
-        monkeypatch.setattr(cli, "sft_fit", must_not_fit)
-        assert main(["sft", "--config", str(config_path)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: refusing to overwrite {out / 'sft_policy.json'} (pass --overwrite)\n"
-        )
-        assert (out / "sft_policy.json").read_bytes() == before
-
-    def test_diverging_sft_fails_without_a_file(self, tmp_path, capsys):
-        out = tmp_path / "runs"
-        config_path = write_config(tmp_path, one_cell_smoke("failed"))
-        assert main(["sft", "--config", str(config_path), "--out", str(out)]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == f"error: sft failed: {SMOKE_OUTCOMES['failed'][1]}\n"
-        assert captured.out == ""
-        assert not out.exists()
 
     def test_oversized_batch_is_refused_before_any_file(self, tmp_path, capsys):
         config = json.loads(SMOKE_CONFIG.read_text())

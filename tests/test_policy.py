@@ -15,7 +15,9 @@ from hypothesis.extra import numpy as hnp
 
 from preflab import (
     ContractError,
+    OpCounters,
     Policy,
+    TrainConfig,
     UniverseConfig,
     exact_entropy,
     generate_universe,
@@ -26,7 +28,9 @@ from preflab import (
     response_probabilities,
     sample_response,
 )
+from preflab import harness
 from preflab.policy import check_indices
+from preflab.trainer import RunResult
 
 
 TWO_LOGIT_FEATURES = np.eye(2)
@@ -252,8 +256,19 @@ class TestPolicyValue:
         with pytest.raises(ContractError, match="finite"):
             Policy(np.array([1.0, np.nan]))
 
-    def test_checkpoint_roundtrip(self):
-        p = Policy(np.array([0.25, -1.5, 3.0]), label="step-7")
-        restored = Policy.from_json_dict(p.to_json_dict())
-        assert restored.label == "step-7"
-        np.testing.assert_array_equal(restored.theta, p.theta)
+    def test_checkpoint_roundtrip(self, tmp_path):
+        # a run's run.npz keeps both thetas bit for bit, read back without pickle
+        sft = Policy(np.array([0.25, -1.5, 3.0]), label="sft")
+        final = Policy(np.array([5e-324, -0.0, 1.0 / 3.0]), label="step-7")
+        result = RunResult(
+            final_policy=final, sft_policy=sft, per_iteration=[], counters=OpCounters(),
+            abort_reason=None, prompt_ids=np.zeros((0, 1), np.uint8),
+            candidates=np.zeros((0, 1, 2), np.uint8), selections=np.zeros((0, 4), np.uint8),
+            scores=None,
+        )
+        harness._write_run_outputs(tmp_path, result, TrainConfig(), None, {})
+        with np.load(tmp_path / "run.npz", allow_pickle=False) as run:
+            assert sorted(run.files) == ["final_theta", "sft_theta"]
+            for name, policy in (("sft_theta", sft), ("final_theta", final)):
+                assert run[name].dtype.str == "<f8"
+                assert run[name].tobytes() == policy.theta.tobytes()

@@ -5,7 +5,7 @@ import json
 import math
 import tracemalloc
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from preflab import (
     TrainingError,
     UniverseConfig,
     dpo_batch_grad,
+    form_pairs,
     generate_universe,
     log_prob,
     lr_at_step,
@@ -39,7 +40,7 @@ from preflab import (
     sft_fit,
 )
 from preflab import trainer
-from preflab.trainer import _json_floats
+from preflab.harness import _json_floats, write_events
 
 
 def mean_chosen_log_prob(policy, universe):
@@ -93,6 +94,25 @@ def replay_updates(universe, sft_policy, cfg, lines):
                 return theta, state.step, rows + [(loss, lr)], str(exc)
         rows.append((loss, lr))
     return theta, state.step, rows, None
+
+
+def four_runs(stream_run):
+    """APL, random, collapsed and aborted runs on ``dense_universe()``, each as
+    (cfg, result, event lines)."""
+    u = dense_universe()
+    apl_cfg, random_cfg = train_config(selector="apl"), train_config()
+    diverging = train_config(
+        dpo=DpoConfig(beta=50.0, learning_rate=1e308, warmup_ratio=0.0, max_steps=6)
+    )
+    runs = {
+        "apl": (apl_cfg, sft_fit(u, apl_cfg)),
+        "random": (random_cfg, sft_fit(u, random_cfg)),
+        # a point-mass sampler: degenerate prompts and budget shortfalls
+        "collapsed": (apl_cfg, Policy(1e4 * u.probe_direction, label="sharp")),
+        "aborted": (diverging, sft_fit(u, diverging)),
+    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        return {name: (cfg, *stream_run(u, sft, cfg)) for name, (cfg, sft) in runs.items()}
 
 
 def train_config(**overrides):
@@ -215,39 +235,86 @@ class TestOnlineLoop:
         for run_a, run_b in (
             ([vars(log) for log in a.per_iteration], [vars(log) for log in b.per_iteration]),
             (asdict(a.counters), asdict(b.counters)),
-            (a.final_policy.to_json_dict(), b.final_policy.to_json_dict()),
-            (a.sft_policy.to_json_dict(), b.sft_policy.to_json_dict()),
         ):
             assert json.dumps(run_a, sort_keys=True) == json.dumps(run_b, sort_keys=True)
+        for name in ("final_policy", "sft_policy"):
+            policy_a, policy_b = getattr(a, name), getattr(b, name)
+            assert policy_a.label == policy_b.label
+            assert policy_a.theta.tobytes() == policy_b.theta.tobytes()
+        for name in ("prompt_ids", "candidates", "selections", "scores"):
+            record_a, record_b = getattr(a, name), getattr(b, name)
+            assert record_a.dtype == record_b.dtype, name
+            assert record_a.tobytes() == record_b.tobytes(), name
         assert a.abort_reason is b.abort_reason is None
 
     def test_every_event_line_is_canonical_json(self, stream_run):
-        u = dense_universe()
-        apl_cfg, random_cfg = train_config(selector="apl"), train_config()
-        apl_run, apl_lines = stream_run(u, sft_fit(u, apl_cfg), apl_cfg)
-        random_run, random_lines = stream_run(u, sft_fit(u, random_cfg), random_cfg)
-        # a point-mass sampler: degenerate prompts and budget shortfalls
-        _, collapsed_lines = stream_run(u, Policy(1e4 * u.probe_direction, label="sharp"), apl_cfg)
-        diverging = train_config(
-            dpo=DpoConfig(beta=50.0, learning_rate=1e308, warmup_ratio=0.0, max_steps=6)
-        )
-        with np.errstate(over="ignore", invalid="ignore"):
-            aborted, aborted_lines = stream_run(u, sft_fit(u, diverging), diverging)
-        assert apl_run.abort_reason is None
+        runs = four_runs(stream_run)
+        _, aborted, aborted_lines = runs["aborted"]
+        assert runs["apl"][1].abort_reason is None
         # the abort event, the stream's last line, carries the result's reason
         assert json.loads(aborted_lines[-1])["reason"] == aborted.abort_reason
         assert aborted.abort_reason.startswith("non-finite parameters at update ")
 
         kinds = set()
-        for lines in (apl_lines, random_lines, collapsed_lines, aborted_lines):
+        for _, _, lines in runs.values():
             for line in lines:
                 # one line, newline-terminated, sorted keys, the encoder's own text
                 assert line == json.dumps(json.loads(line), sort_keys=True) + "\n"
                 kinds.add(json.loads(line)["type"])
         assert kinds == {"candidates", "degenerate_prompt", "budget_shortfall", "selection", "abort"}
-        random_events = [json.loads(line) for line in random_lines]
+        random_events = [json.loads(line) for line in runs["random"][2]]
         scores = [e["score"] for e in random_events if e["type"] == "selection"]
         assert scores and all(score is None for score in scores)
+
+    def test_the_rendered_events_give_back_the_record(self, stream_run):
+        u = dense_universe()
+        n_prompts, n_responses = u.features.shape[:2]
+        for name, (cfg, result, lines) in four_runs(stream_run).items():
+            events = [json.loads(line) for line in lines]
+            of_type = lambda kind: [e for e in events if e["type"] == kind]
+            candidates, selections = of_type("candidates"), of_type("selection")
+            assert [e["prompt_ids"] for e in candidates] == result.prompt_ids.tolist(), name
+            assert [e["candidates"] for e in candidates] == result.candidates.tolist(), name
+            assert [[e["prompt_id"], *e["pair"], e["winner"]] for e in selections] == (
+                result.selections.tolist()
+            ), name
+            scores = [e["score"] for e in selections]
+            if result.scores is None:
+                assert cfg.selector == "random" and scores == [None] * len(selections)
+            else:
+                assert result.scores.dtype == np.float64 and scores == result.scores.tolist()
+            # the prompts form_pairs forms no pair for, per iteration, in batch order
+            degenerate = [(e["iteration"], e["prompt_id"]) for e in of_type("degenerate_prompt")]
+            assert degenerate == [
+                (t, prompt_id)
+                for t, (prompt_ids, rows) in enumerate(zip(result.prompt_ids, result.candidates), 1)
+                for prompt_id in prompt_ids[
+                    np.bincount(form_pairs(rows)[0][:, 0], minlength=len(rows)) == 0
+                ].tolist()
+            ], name
+            budget = cfg.selection.label_budget
+            shortfalls = [(e["iteration"], e["budget"], e["selected"])
+                          for e in of_type("budget_shortfall")]
+            assert shortfalls == [
+                (t, budget, log.labeled_pairs)
+                for t, log in enumerate(result.per_iteration, 1)
+                if log.labeled_pairs < budget
+            ], name
+            aborts = of_type("abort")
+            if result.abort_reason is None:
+                assert aborts == []
+            else:
+                assert events[-1] == aborts[0] == {
+                    "type": "abort", "iteration": len(result.per_iteration),
+                    "reason": result.abort_reason,
+                }
+            assert len(result.selections) == sum(log.labeled_pairs for log in result.per_iteration)
+            for array, bound in (
+                (result.prompt_ids, n_prompts),
+                (result.candidates, n_responses),
+                (result.selections, max(n_prompts, n_responses)),
+            ):
+                assert array.dtype == np.min_scalar_type(bound), name
 
     @pytest.mark.parametrize(
         "values", [[], [0.0], [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, -1.5e-7]]
@@ -363,25 +430,33 @@ class TestOnlineLoop:
         with pytest.raises(ConfigurationError, match="train prompts"):
             stream_run(u, sft, cfg)
 
-    def test_events_go_to_the_sink_as_they_are_produced(self, tmp_path):
-        # a reference_preset() cell writes 42.8k event lines (4.1 MB); a loop
-        # that held them as strings until it returned peaked near 6.5 MB traced
+    def test_the_run_record_stays_compact(self, tmp_path):
+        # a reference_preset() cell renders 42.8k event lines (4.1 MB); the
+        # loop holds its record as arrays sized by the labels it bought, and
+        # write_events renders one iteration at a time
         config = Path(__file__).resolve().parent.parent / "configs" / "goodhart_weak.json"
         grid, _ = parse_config(config)
         u = generate_universe(grid.universe)
-        cfg = reference_preset()
-        sft = sft_fit(u, cfg)
         path = tmp_path / "events.jsonl"
-        tracemalloc.start()
-        try:
-            with open(path, "w", encoding="utf-8") as events:
-                result = run_online_dpo(u, sft, cfg, events)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert result.abort_reason is None and len(result.per_iteration) == cfg.dpo.max_steps
-        assert path.stat().st_size > 4_000_000
-        assert peak < 1_000_000
+        for selector in ("random", "apl"):
+            cfg = replace(reference_preset(), selector=selector)
+            sft = sft_fit(u, cfg)
+            tracemalloc.start()
+            try:
+                result = run_online_dpo(u, sft, cfg)
+                _, loop_peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            tracemalloc.start()
+            try:
+                with open(path, "w", encoding="utf-8") as events:
+                    write_events(events, result, cfg)
+                _, write_peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert result.abort_reason is None and len(result.per_iteration) == cfg.dpo.max_steps
+            assert path.stat().st_size > 4_000_000
+            assert loop_peak < 1_000_000 and write_peak < 1_000_000, (selector, loop_peak, write_peak)
 
     def test_collapsed_policy_logs_degenerate_and_shortfall(self, stream_run):
         u = dense_universe()
@@ -493,7 +568,8 @@ def test_each_event_line_is_the_encoders_text_of_its_event(
         for name in ("generate_candidates", "form_pairs", "select_random", "select_apl"):
             patch.setattr(trainer, name, recording(getattr(trainer, name), name, calls))
         patch.setattr(Judge, "prefer_batch", recording(Judge.prefer_batch, "prefer_batch", calls))
-        result = run_online_dpo(u, Policy(sharpness * u.probe_direction), cfg, sink)
+        result = run_online_dpo(u, Policy(sharpness * u.probe_direction), cfg)
+    write_events(sink, result, cfg)
     events = expected_events(calls, cfg, result)
     lines = sink.getvalue().splitlines(keepends=True)
     assert lines == [json.dumps(event, sort_keys=True) + "\n" for event in events]
