@@ -40,6 +40,8 @@ from preflab import (
     counters_report,
     parse_config,
     run_grid,
+    run_online_dpo,
+    sft_fit,
 )
 from preflab import cli, harness, report
 from preflab.cli import main
@@ -784,6 +786,29 @@ class TestPublishedNumbers:
                 published = [float(row["delta_acc_pp"]) for row in csv.DictReader(fh)]
             assert published == [capability_delta(final, sft, universe)] * 2, run_dir.name
 
+    def test_run_npz_holds_the_cells_sft_fit_and_final_policy(self, swept_smoke):
+        # every run saves its own SFT theta, so no verb writes one apart from a run
+        grid, _ = parse_config(SMOKE_CONFIG)
+        universe = PromptUniverse.load(swept_smoke / "universe.npz")
+        cells = {
+            run_id_for(selector, annotator.label, seed): (selector, annotator, seed)
+            for selector in grid.selectors for annotator in grid.annotators for seed in grid.seeds
+        }
+        run_dirs = discover_run_dirs(swept_smoke)
+        assert sorted(run_dir.name for run_dir in run_dirs) == sorted(cells)
+        for run_dir in run_dirs:
+            selector, annotator, seed = cells[run_dir.name]
+            cfg = TrainConfig(
+                **vars(grid.train), selector=selector, annotator=annotator, run_seed=seed
+            )
+            sft = sft_fit(universe, cfg)
+            final = run_online_dpo(universe, sft, cfg).final_policy
+            with np.load(run_dir / "run.npz", allow_pickle=False) as run:
+                assert sorted(run.files) == ["final_theta", "sft_theta"]
+                for name, policy in (("sft_theta", sft), ("final_theta", final)):
+                    assert run[name].shape == (universe.features.shape[-1],), run_dir.name
+                    assert run[name].tobytes() == policy.theta.tobytes(), run_dir.name
+
     def test_extra_scoring_ops_mean_is_the_mean_of_counters_report(self, swept_smoke):
         grid, _ = parse_config(SMOKE_CONFIG)
         counters = {
@@ -1163,6 +1188,16 @@ class TestCli:
         argv = ["train", "--config", str(SMOKE_CONFIG), "--out", str(out), flag, value]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
+    def test_sft_is_not_a_subcommand(self, tmp_path, capsys):
+        # run.npz keeps each run's SFT theta; the parser refuses the old verb
+        out = tmp_path / "runs"
+        config_path = write_config(tmp_path, grid_config(out))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sft", "--config", str(config_path), "--seed", "42"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'sft'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_report_on_a_missing_directory_exits_2(self, tmp_path, capsys):
