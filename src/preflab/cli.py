@@ -52,7 +52,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, FileExistsError, NotADirectoryError) as exc:
+        # the two OSErrors: a file stands where an output directory goes
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -39,7 +39,7 @@ from .evaluation import capability_delta, collapse_metrics, estimate_win_rate, p
 from .judges import Judge, JudgeSpec
 from .report import EvalRow, _write_csv
 from .rng import substream
-from .schema import build_dataclass, json_key
+from .schema import build_dataclass, json_key, load_json
 from .selection import SELECTOR_APL, SELECTOR_RANDOM, check_selector, degenerate_rows
 from .trainer import (
     IterationLog,
@@ -119,11 +119,11 @@ def parse_config(path) -> tuple[ExperimentGrid, dict]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     defaulted = []
     try:
-        grid = build_dataclass(ExperimentGrid, json.loads(text), "", defaulted)
+        grid = build_dataclass(ExperimentGrid, load_json(text), "", defaulted)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

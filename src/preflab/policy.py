@@ -1,7 +1,8 @@
 """Linear softmax policies with analytic log-probabilities and gradients.
 
-A policy is a weight vector theta in R^d shared across prompts. For a prompt
-with features phi(x, y) the response distribution is
+A policy is a weight vector theta in R^d shared across prompts; ``Policy(theta)``,
+its one constructor, checks that theta is a finite vector and makes it
+read-only. For a prompt with features phi(x, y) the response distribution is
 
     pi(y | x) = exp(z_y) / sum_y' exp(z_y'),   z_y = dot(theta, phi(x, y)).
 
@@ -31,26 +32,15 @@ from .errors import ContractError
 @dataclass(frozen=True, eq=False)
 class Policy:
     theta: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         theta = np.ascontiguousarray(self.theta, dtype=np.float64)
         if theta.ndim != 1:
             raise ContractError(f"theta must be a vector, got shape {theta.shape}")
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise ContractError("theta contains non-finite values")
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
-
-    @classmethod
-    def from_finite(cls, theta: np.ndarray, label: str = "") -> "Policy":
-        """Policy over a float64 vector already checked finite (by ``dpo_updates``),
-        without the checks of ``__post_init__``."""
-        policy = object.__new__(cls)
-        theta.setflags(write=False)
-        object.__setattr__(policy, "theta", theta)
-        object.__setattr__(policy, "label", label)
-        return policy
 
     @property
     def feature_dim(self) -> int:
@@ -103,10 +93,8 @@ def response_probabilities(policy: Policy, features: np.ndarray) -> np.ndarray:
 
 def sample_response(policy: Policy, features: np.ndarray, rng: np.random.Generator) -> int:
     """Draw one response by inverse CDF over exact probabilities (one uniform)."""
-    probs = response_probabilities(policy, features)
-    cdf = np.cumsum(probs)
-    draw = rng.random()
-    return int(min(np.searchsorted(cdf, draw, side="right"), probs.size - 1))
+    cdf = np.cumsum(response_probabilities(policy, features))
+    return int(min(np.searchsorted(cdf, rng.random(), side="right"), cdf.size - 1))
 
 
 def grad_log_prob(policy: Policy, features: np.ndarray, y: int) -> np.ndarray:

@@ -28,7 +28,7 @@ from typing import Optional, Sequence, get_type_hints
 import numpy as np
 
 from .errors import ConfigurationError
-from .schema import build_dataclass
+from .schema import build_dataclass, load_json
 from .selection import SELECTOR_RANDOM, OpCounters, counters_report
 
 
@@ -230,7 +230,7 @@ def _read_counters(path: Path) -> OpCounters:
     """A run's counters.json; ValueError unless it is an object of every OpCounters
     field as an int, and nothing else."""
     defaulted: list[str] = []
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = load_json(path.read_text(encoding="utf-8"))
     counters = build_dataclass(OpCounters, data, "", defaulted)
     if defaulted:
         raise ValueError(f"no {', '.join(defaulted)}")
@@ -281,9 +281,7 @@ def _t_two_sided_p(t: float, df: float) -> float:
 
 
 def _sample_std(values: Sequence[float]) -> float:
-    if len(values) < 2:
-        return 0.0
-    return float(np.std(values, ddof=1))
+    return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
 
 
 def aggregate_summary(

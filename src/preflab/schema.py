@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import Field, fields, is_dataclass
 from typing import Any, Union, get_args, get_origin, get_type_hints
@@ -12,6 +13,24 @@ from .errors import ConfigurationError
 def json_key(f: Field) -> str:
     """A field's JSON key: its ``metadata["key"]`` where one is set, else its name."""
     return f.metadata.get("key", f.name)
+
+
+class _RepeatedKey(dict):
+    """A JSON object in which the key ``repeated`` appears more than once."""
+
+
+def load_json(text: str) -> Any:
+    """``json.loads``; an object that repeats a key, at any depth, is one that
+    ``build_dataclass`` refuses, naming the key's path."""
+
+    def parse_object(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            obj = _RepeatedKey(obj)
+            obj.repeated = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        return obj
+
+    return json.loads(text, object_pairs_hook=parse_object)
 
 
 def build_value(hint: type, value: Any, key_path: str, defaulted: list[str]):
@@ -41,6 +60,8 @@ def build_dataclass(cls, data: Any, path: str, defaulted: list[str]):
     """``cls`` from a JSON object; appends each defaulted key's path to ``defaulted``.
     An empty ``path`` is the top level of the document."""
     where = path or "top level"
+    if isinstance(data, _RepeatedKey):
+        raise ConfigurationError(f"{path + '.' if path else ''}{data.repeated}: repeated key")
     if not isinstance(data, dict):
         raise ConfigurationError(f"{where}: expected an object, got {type(data).__name__}")
     hints = get_type_hints(cls)

@@ -199,7 +199,7 @@ def sft_fit(universe: PromptUniverse, cfg: TrainConfig) -> Policy:
                 theta, state = optimizer_step(state, theta, grad, lr)
             except TrainingError as exc:
                 raise TrainingError(diverged.format(state.step + 1)) from exc
-    return Policy(theta, label="sft")
+    return Policy(theta)
 
 
 def batch_train_ids(universe: PromptUniverse, sel: SelectionConfig) -> np.ndarray:
@@ -218,8 +218,7 @@ def run_online_dpo(universe: PromptUniverse, sft_policy: Policy, cfg: TrainConfi
     sel = cfg.selection
     train_ids = batch_train_ids(universe, sel)
 
-    ref = Policy(sft_policy.theta, label="sft")
-    policy = Policy(sft_policy.theta, label="step-0")
+    ref = policy = sft_policy  # immutable: the frozen reference and the starting policy
     opt_state = OptimizerState.initial(policy.feature_dim)
     counters = OpCounters()
     logs: list[IterationLog] = []
@@ -270,7 +269,7 @@ def run_online_dpo(universe: PromptUniverse, sft_policy: Policy, cfg: TrainConfi
             dphi = preference_deltas(features, pair_prompts, winners, losers)
             batch = dpo_updates(policy, ref, opt_state, dphi, cfg.dpo)
             opt_state, mean_loss, last_lr = batch.state, batch.loss, batch.lr
-            policy = Policy.from_finite(batch.theta, label=f"step-{opt_state.step}")
+            policy = Policy(batch.theta)
             abort_reason = batch.abort_reason
 
         logs.append(

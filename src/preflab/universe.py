@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .rng import substream
-from .schema import build_dataclass
+from .schema import build_dataclass, load_json
 
 ROLE_TRAIN = "train"
 ROLE_EVAL = "eval"
@@ -173,7 +173,7 @@ class PromptUniverse:
             text = arrays.pop("config", None)
             if not (isinstance(text, np.ndarray) and text.dtype.kind == "U" and text.ndim == 0):
                 raise ValueError("no config string")
-            data = json.loads(text.item())
+            data = load_json(text.item())
         except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
             raise ConfigurationError(f"cannot read universe {path}: {exc}") from exc
         found = {name: np.asarray(a).dtype.str for name, a in arrays.items()}
@@ -256,9 +256,7 @@ def _bias_direction(rng: np.random.Generator, u: np.ndarray, rho: float) -> np.n
 def _strict_argmax(values: np.ndarray) -> Optional[int]:
     """Index of the unique maximum, or None on a tie."""
     top = int(np.argmax(values))
-    if np.count_nonzero(values == values[top]) != 1:
-        return None
-    return top
+    return top if np.count_nonzero(values == values[top]) == 1 else None
 
 
 def _fix_probe_prompt(
@@ -297,11 +295,7 @@ def _fix_probe_prompt(
         noise = rng.normal(0.0, scale, size=v) if scale > 0 else np.zeros(v)
         reward = config.true_reward_scale * clean + noise
         top = _strict_argmax(reward)
-        if top is None:
-            continue
-        if config.tabular_mode:
-            return features_i, reward, top
-        if clean_top is not None and top == clean_top:
+        if top is not None and (config.tabular_mode or top == clean_top):
             return features_i, reward, top
     raise RuntimeError("could not break probe reward ties; degenerate direction scores")
 
@@ -313,9 +307,7 @@ def generate_universe(config: UniverseConfig) -> PromptUniverse:
     fix-ups in prompt order) so regeneration is bit-identical.
     """
     rng = substream(config.seed, "universe")
-    n = config.total_prompts
-    v = config.responses_per_prompt
-    d = config.feature_dim
+    n, v, d = config.total_prompts, config.responses_per_prompt, config.feature_dim
 
     u = _unit_gaussian(rng, d)
     g = _bias_direction(rng, u, config.misalignment_rho)

@@ -232,6 +232,33 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}: {fragment}$"):
             parse_config(path)
 
+    @pytest.mark.parametrize(
+        "old,new,key_path",
+        [
+            ('"seeds":', '"seeds": [42, 43], "seeds":', "seeds"),
+            ('"beta":', '"beta": 0.2, "beta":', r"train\.dpo\.beta"),
+            ('"label":', '"label": "x", "label":', r"annotators\[0\]\.label"),
+            ('"kind":', '"kind": "deterministic", "kind":', r"evaluators\[1\]\.kind"),
+        ],
+        ids=["top_level", "nested", "in_a_list", "in_a_later_list_item"],
+    )
+    def test_a_repeated_key_names_the_file_and_its_path(self, tmp_path, old, new, key_path):
+        # json.loads alone would keep the last value without a word
+        path = tmp_path / "config.json"
+        path.write_text(SMOKE_CONFIG.read_text().replace(old, new, 1))
+        with pytest.raises(
+            ConfigurationError, match=f"^{re.escape(str(path))}: {key_path}: repeated key$"
+        ):
+            parse_config(path)
+
+    def test_bytes_that_are_not_utf8_are_a_configuration_error(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(SMOKE_CONFIG.read_bytes().replace(b'"runs/', b'"\xffruns/', 1))
+        with pytest.raises(
+            ConfigurationError, match=f"^cannot read config {re.escape(str(path))}: 'utf-8' codec"
+        ):
+            parse_config(path)
+
     def test_json_error_carries_line_context(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text('{\n  "universe": ,\n}')
@@ -631,8 +658,8 @@ def lab_manifest(run_id, annotator, seed):
 def run_without_iterations(counters):
     """A finished ``RunResult`` of zero iterations, its record empty."""
     return RunResult(
-        final_policy=Policy(np.zeros(2), label="final"),
-        sft_policy=Policy(np.zeros(2), label="sft"),
+        final_policy=Policy(np.zeros(2)),
+        sft_policy=Policy(np.zeros(2)),
         per_iteration=[],
         counters=counters,
         abort_reason=None,
@@ -728,6 +755,7 @@ class TestMalformedRunFiles:
         "a counter that is a float": ("counters.json", lambda t: _json_with(t, "judge_queries", 10.0)),
         "an unknown counter": ("counters.json", lambda t: _json_with(t, "wall_s", 1)),
         "a list": ("counters.json", lambda t: "[]"),
+        "a counter repeated": ("counters.json", lambda t: t.replace("{", '{"judge_queries": 0,', 1)),
         "no counters.json": ("counters.json", None),
         "a grid that is a list": ("manifest.json", lambda t: _json_with(t, "grid", [])),
         "no grid": ("manifest.json", lambda t: _json_with(t, "grid")),
@@ -741,7 +769,8 @@ class TestMalformedRunFiles:
         ),
     }
     # the whole reason given, where the case pins it
-    REASONS = {"no grid": "missing key 'grid'", "a judge spec without a label": "missing key 'label'"}
+    REASONS = {"no grid": "missing key 'grid'", "a judge spec without a label": "missing key 'label'",
+               "a counter repeated": "judge_queries: repeated key"}
 
     @pytest.mark.parametrize("case", CASES)
     def test_the_run_is_left_out_with_a_warning(self, tmp_path, capsys, case):
@@ -1571,6 +1600,43 @@ class TestCli:
         config = grid_config(tmp_path / "runs", seeds=[42, 42])
         config_path = write_config(tmp_path, config)
         assert main(["sweep", "--config", str(config_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "config_bytes,error",
+        [
+            (SMOKE_CONFIG.read_bytes().replace(b'"seeds":', b'"seeds": [7], "seeds":'),
+             "seeds: repeated key"),
+            (SMOKE_CONFIG.read_bytes().replace(b'"runs/', b'"\xffruns/'), "'utf-8' codec"),
+        ],
+        ids=["repeated_key", "not_utf8"],
+    )
+    def test_a_config_that_does_not_parse_cleanly_exits_2(
+        self, tmp_path, capsys, config_bytes, error
+    ):
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(config_bytes)
+        out = tmp_path / "runs"
+        assert main(["sweep", "--config", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and error in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "verb,out_name",
+        [("sweep", "out"), ("train", "out"), ("generate", "out"), ("sweep", "out/runs"),
+         ("generate", "out/universe.npz")],
+    )
+    def test_an_output_path_through_a_regular_file_is_refused(
+        self, tmp_path, capsys, verb, out_name
+    ):
+        # the file stands where the output directory (or one of its parents) goes
+        blocker = tmp_path / "out"
+        blocker.write_bytes(b"not a directory\n")
+        argv = [verb, "--config", str(SMOKE_CONFIG), "--out", str(tmp_path / out_name)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert blocker.read_bytes() == b"not a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
     @pytest.mark.parametrize("label", ["../x", "a/b"])
     def test_a_label_that_is_not_one_path_component_is_refused(self, tmp_path, capsys, label):

@@ -258,8 +258,8 @@ class TestPolicyValue:
 
     def test_checkpoint_roundtrip(self, tmp_path):
         # a run's run.npz keeps both thetas bit for bit, read back without pickle
-        sft = Policy(np.array([0.25, -1.5, 3.0]), label="sft")
-        final = Policy(np.array([5e-324, -0.0, 1.0 / 3.0]), label="step-7")
+        sft = Policy(np.array([0.25, -1.5, 3.0]))
+        final = Policy(np.array([5e-324, -0.0, 1.0 / 3.0]))
         result = RunResult(
             final_policy=final, sft_policy=sft, per_iteration=[], counters=OpCounters(),
             abort_reason=None, prompt_ids=np.zeros((0, 1), np.uint8),

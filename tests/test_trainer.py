@@ -108,7 +108,7 @@ def four_runs(stream_run):
         "apl": (apl_cfg, sft_fit(u, apl_cfg)),
         "random": (random_cfg, sft_fit(u, random_cfg)),
         # a point-mass sampler: degenerate prompts and budget shortfalls
-        "collapsed": (apl_cfg, Policy(1e4 * u.probe_direction, label="sharp")),
+        "collapsed": (apl_cfg, Policy(1e4 * u.probe_direction)),
         "aborted": (diverging, sft_fit(u, diverging)),
     }
     with np.errstate(over="ignore", invalid="ignore"):
@@ -238,9 +238,7 @@ class TestOnlineLoop:
         ):
             assert json.dumps(run_a, sort_keys=True) == json.dumps(run_b, sort_keys=True)
         for name in ("final_policy", "sft_policy"):
-            policy_a, policy_b = getattr(a, name), getattr(b, name)
-            assert policy_a.label == policy_b.label
-            assert policy_a.theta.tobytes() == policy_b.theta.tobytes()
+            assert getattr(a, name).theta.tobytes() == getattr(b, name).theta.tobytes()
         for name in ("prompt_ids", "candidates", "selections", "scores"):
             record_a, record_b = getattr(a, name), getattr(b, name)
             assert record_a.dtype == record_b.dtype, name
@@ -371,7 +369,7 @@ class TestOnlineLoop:
             '{"iteration": 1, "reason": "non-finite parameters at update 3", "type": "abort"}\n'
         )
         # the policy of update 2, the last finite one
-        assert step == 2 and result.final_policy.label == "step-2"
+        assert step == 2
         assert result.final_policy.theta.tobytes() == theta.tobytes()
         assert not np.array_equal(theta, sft.theta)
         # the metrics row: the loss of the batch's first update, the rate of
@@ -400,9 +398,9 @@ class TestOnlineLoop:
             ):
                 sft_fit(u, cfg)
 
-    def test_update_policies_are_not_revalidated(self, monkeypatch, stream_run):
-        # the batch kernel checks each update's parameters; only the reference
-        # and the starting policy go through Policy validation
+    def test_every_update_policy_is_checked(self, monkeypatch, stream_run):
+        # the SFT policy is the reference and the starting policy as it is; each
+        # labelled batch's update builds one Policy, through its checks
         u = dense_universe()
         cfg = train_config()
         sft = sft_fit(u, cfg)
@@ -410,13 +408,15 @@ class TestOnlineLoop:
         post_init = Policy.__post_init__
 
         def counting_post_init(self):
-            validations.append(self.label)
+            validations.append(self.theta)
             post_init(self)
 
         monkeypatch.setattr(Policy, "__post_init__", counting_post_init)
         result, _ = stream_run(u, sft, cfg)
-        assert validations == ["sft", "step-0"]
-        assert result.final_policy.label == f"step-{cfg.dpo.total_updates}"
+        updating = [log for log in result.per_iteration if log.labeled_pairs > 0]
+        assert updating and len(validations) == len(updating)
+        assert validations[-1] is result.final_policy.theta
+        assert result.sft_policy is sft
         assert not result.final_policy.theta.flags.writeable
 
     def test_batch_larger_than_pool_rejected(self, stream_run):
@@ -462,7 +462,7 @@ class TestOnlineLoop:
         u = dense_universe()
         cfg = train_config()
         # a huge theta makes every prompt's sampler a point mass
-        sharp = Policy(1e4 * u.probe_direction, label="sharp")
+        sharp = Policy(1e4 * u.probe_direction)
         _, lines = stream_run(u, sharp, cfg)
         kinds = {json.loads(line)["type"] for line in lines}
         assert "degenerate_prompt" in kinds

@@ -388,6 +388,10 @@ MALFORMED = {
     ),
     "config not JSON": (_set("config", lambda c: np.array("{")), "cannot read universe"),
     "config not an object": (_set("config", lambda c: np.array("[]")), "expected an object"),
+    "repeated config key": (
+        _set("config", lambda c: np.array(json.dumps(c)[:-1] + ', "seed": 8}')),
+        r"^universe config\.seed: repeated key$",
+    ),
 }
 
 
