@@ -52,8 +52,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigurationError, FileExistsError, NotADirectoryError) as exc:
-        # the two OSErrors: a file stands where an output directory goes
+    except (ConfigurationError, FileExistsError, NotADirectoryError, IsADirectoryError) as exc:
+        # the OSErrors: a file stands where an output directory goes, or a
+        # directory where an output file goes
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

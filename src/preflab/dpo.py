@@ -18,8 +18,9 @@ and it cancels. With dphi = phi_w - phi_l,
 since grad_log_prob(w) - grad_log_prob(l) = dphi (the expected-feature terms
 cancel too). DPO is therefore logistic regression on feature differences,
 and a batch is one matrix-vector product over the feature differences,
-gathered once per labelled batch (``preference_deltas``) and reused by every
-update on it. The gradient is a mean (not a sum) so the learning rate is
+gathered once per labelled batch (``preference_deltas``, or its unchecked
+kernel ``_preference_deltas`` in the trainer) and reused by every update on
+it. The gradient is a mean (not a sum) so the learning rate is
 batch-size independent.
 
 ``dpo_updates`` runs all of a labelled batch's Adam updates in one call and
@@ -109,6 +110,11 @@ def preference_deltas(features: np.ndarray, prompt_ids, winners, losers) -> np.n
     check_indices(winners, v, "winner")
     check_indices(losers, v, "loser")
     check_indices(prompt_ids, n, "prompt_id")
+    return _preference_deltas(features, prompt_ids, winners, losers)
+
+
+def _preference_deltas(features: np.ndarray, prompt_ids, winners, losers) -> np.ndarray:
+    """``preference_deltas`` of index arrays in range with winners != losers; unchecked."""
     return features[prompt_ids, winners] - features[prompt_ids, losers]
 
 

@@ -37,6 +37,7 @@ from . import __version__ as _package_version
 from .errors import ConfigurationError, TrainingError
 from .evaluation import capability_delta, collapse_metrics, estimate_win_rate, probe_accuracy
 from .judges import Judge, JudgeSpec
+from .policy import Policy
 from .report import EvalRow, _write_csv
 from .rng import substream
 from .schema import build_dataclass, json_key, load_json
@@ -251,7 +252,7 @@ def run_cell(
     for name in RUN_FILES:
         (run_dir / name).unlink(missing_ok=True)
     try:
-        result = run_online_dpo(universe, sft_fit(universe, cfg), cfg)
+        result = run_online_dpo(universe, _fit_sft(universe, cell["universe_hash"], cfg), cfg)
     except TrainingError as exc:
         manifest.update(status="failed", error=str(exc))
         _write_json(run_dir / "manifest.json", manifest)
@@ -312,12 +313,31 @@ def _resolve_universe(grid: ExperimentGrid) -> PromptUniverse:
 
 _worker_universe: Optional[PromptUniverse] = None
 
+# The SFT policies of the running grid by (universe hash, SftConfig, run seed):
+# a dict while run_grid runs (and in each of its pool workers), None outside
+# one, where each run_cell fits its own. It lives here because run_cell's
+# parameters are the ones bench/rep.py passes.
+_sft_fits: Optional[dict[tuple, Policy]] = None
+
+
+def _fit_sft(universe: PromptUniverse, universe_hash: str, cfg: TrainConfig) -> Policy:
+    """``sft_fit(universe, cfg)``, fitted once per grid for every selector and
+    annotator of a seed; a fit that raises is not kept, so each cell that asks
+    for it raises again."""
+    if _sft_fits is None:
+        return sft_fit(universe, cfg)
+    key = (universe_hash, cfg.sft, cfg.run_seed)
+    if key not in _sft_fits:
+        _sft_fits[key] = sft_fit(universe, cfg)
+    return _sft_fits[key]
+
 
 def _set_worker_universe(universe: PromptUniverse) -> None:
     """Pool initializer, run once in each worker process (never in the parent):
-    the worker keeps the grid's saved, hashed universe for all its cells."""
-    global _worker_universe
-    _worker_universe = universe
+    the worker keeps the grid's saved, hashed universe for all its cells, and
+    the SFT policies it fits for them."""
+    global _worker_universe, _sft_fits
+    _worker_universe, _sft_fits = universe, {}
 
 
 def _cell_worker(args: tuple) -> str:
@@ -343,7 +363,9 @@ def run_grid(
     parallel: int = 1,
 ) -> list[Path]:
     """Execute every (selector, annotator, seed) cell of the grid, on at most
-    one worker process per cell."""
+    one worker process per cell. Each seed's SFT policy is fitted once per
+    process and shared by the seed's cells."""
+    global _sft_fits
     if parallel < 1:
         raise ConfigurationError(f"--parallel must be >= 1, got {parallel}")
     out = Path(grid.output_dir)
@@ -375,13 +397,16 @@ def run_grid(
         for (selector, annotator, seed), run_dir in zip(cells, run_dirs)
     ]
     workers = min(parallel, len(cells))  # a pool forks every worker at its first submit
-    if workers == 1:
-        for args in cell_args:
-            run_cell(universe, *args)
-        return run_dirs
-
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_set_worker_universe, initargs=(universe,)
-    ) as pool:
-        list(pool.map(_cell_worker, cell_args))
+    _sft_fits = {}
+    try:
+        if workers == 1:
+            for args in cell_args:
+                run_cell(universe, *args)
+        else:
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_set_worker_universe, initargs=(universe,)
+            ) as pool:
+                list(pool.map(_cell_worker, cell_args))
+    finally:
+        _sft_fits = None
     return run_dirs

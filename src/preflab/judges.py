@@ -15,12 +15,14 @@ a private rng stream keyed by (seed, label), with the run seed folded in by
 equal seeds; equal labels and seeds replay one stream, so a grid refuses an
 annotator and an evaluator that share a label.
 
-Every method reads the judge's (N, V) proxy-reward table by prompt id, and
-``policy.check_indices`` refuses ids outside it. ``prefer_batch(prompt_ids,
+Every public method reads the judge's (N, V) proxy-reward table by prompt
+id, and ``policy.check_indices`` refuses ids outside it. ``prefer_batch(prompt_ids,
 y1, y2) -> winners`` labels a whole batch at once with one draw of n uniforms
-(the same stream as n single draws); the trainer and ``estimate_win_rate``
-label through it, once per iteration and once per estimate, and
-``prefer(prompt_id, y1, y2)`` is ``prefer_batch`` of one.
+(the same stream as n single draws); ``estimate_win_rate`` labels through it
+once per estimate, and ``prefer(prompt_id, y1, y2)`` is ``prefer_batch`` of
+one. The trainer, whose pairs are distinct responses in range by
+construction, labels once per iteration through its unchecked kernel
+``_prefer_batch``.
 """
 
 from __future__ import annotations
@@ -106,23 +108,26 @@ class Judge:
         gap = self.proxy_reward(prompt_id, y1) - self.proxy_reward(prompt_id, y2)
         return float(self._win_probability(np.array([gap]))[0])
 
-    def _first_wins(self, gap: np.ndarray, y1, y2) -> np.ndarray:
-        """Whether y1 beats y2, from the proxy-reward gaps r~(y1) - r~(y2); n
-        uniforms for BT. A deterministic judge breaks ties to the lower index."""
-        if np.count_nonzero(y1 == y2):
-            raise ContractError("judge queried with identical responses")
-        if self.spec.kind == KIND_DETERMINISTIC:
-            return (gap > 0) | (~(gap < 0) & (y1 < y2))
-        return self._rng.random(gap.size) < self._win_probability(gap)
-
     def prefer_batch(self, prompt_ids, y1, y2) -> np.ndarray:
         """Winner of each pair (prompt_ids[i], y1[i], y2[i]) of the judge's universe."""
         n, v = self._table.shape
         check_indices(prompt_ids, n, "prompt_id")
         check_indices(y1, v, "y1")
         check_indices(y2, v, "y2")
+        if np.count_nonzero(y1 == y2):
+            raise ContractError("judge queried with identical responses")
+        return self._prefer_batch(prompt_ids, y1, y2)
+
+    def _prefer_batch(self, prompt_ids, y1, y2) -> np.ndarray:
+        """``prefer_batch`` of index arrays in range with y1 != y2; unchecked.
+        Bradley-Terry judges draw n uniforms; a deterministic judge breaks ties
+        to the lower index."""
         gap = self._table[prompt_ids, y1] - self._table[prompt_ids, y2]
-        return np.where(self._first_wins(gap, y1, y2), y1, y2)
+        if self.spec.kind == KIND_DETERMINISTIC:
+            first_wins = (gap > 0) | (~(gap < 0) & (y1 < y2))
+        else:
+            first_wins = self._rng.random(gap.size) < self._win_probability(gap)
+        return np.where(first_wins, y1, y2)
 
     def prefer(self, prompt_id: int, y1: int, y2: int) -> int:
         """Winner of the pair, ``prefer_batch`` of one; advances the judge rng

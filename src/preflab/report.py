@@ -17,7 +17,6 @@ evaluator, plot-ready).
 from __future__ import annotations
 
 import csv
-import json
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -28,7 +27,7 @@ from typing import Optional, Sequence, get_type_hints
 import numpy as np
 
 from .errors import ConfigurationError
-from .schema import build_dataclass, load_json
+from .schema import build_dataclass, load_json, refuse_repeated_keys
 from .selection import SELECTOR_RANDOM, OpCounters, counters_report
 
 
@@ -132,8 +131,10 @@ def _write_csv(path: Path, row_type: type, records) -> None:
 
 def read_outcome(run_dir) -> tuple[dict, str]:
     """A run's manifest.json, and how the run ended from it: "completed",
-    "failed" or "aborted"."""
-    manifest = json.loads((Path(run_dir) / "manifest.json").read_text(encoding="utf-8"))
+    "failed" or "aborted". A key repeated at any depth is a ConfigurationError
+    naming its path, not a value that the last repeat decides."""
+    text = (Path(run_dir) / "manifest.json").read_text(encoding="utf-8")
+    manifest = refuse_repeated_keys(load_json(text))
     return manifest, "aborted" if manifest.get("aborted") else manifest["status"]
 
 

@@ -33,6 +33,25 @@ def load_json(text: str) -> Any:
     return json.loads(text, object_pairs_hook=parse_object)
 
 
+def _refuse_repeated(obj: Any, path: str) -> None:
+    """ConfigurationError naming the repeated key when ``obj``, at ``path``, repeats one."""
+    if isinstance(obj, _RepeatedKey):
+        raise ConfigurationError(f"{path + '.' if path else ''}{obj.repeated}: repeated key")
+
+
+def refuse_repeated_keys(data: Any, path: str = "") -> Any:
+    """``data``, a ``load_json`` document, unless an object in it repeats a key:
+    then ConfigurationError naming the key's path, as ``build_dataclass`` does."""
+    _refuse_repeated(data, path)
+    if isinstance(data, dict):
+        for key, value in data.items():
+            refuse_repeated_keys(value, f"{path}.{key}" if path else key)
+    elif isinstance(data, list):
+        for i, value in enumerate(data):
+            refuse_repeated_keys(value, f"{path}[{i}]")
+    return data
+
+
 def build_value(hint: type, value: Any, key_path: str, defaulted: list[str]):
     """``value`` as a ``hint``: a dataclass built from an object, a list of X for
     ``list[X]``, None or an X for ``Optional[X]``, or a scalar of that type (a
@@ -60,8 +79,7 @@ def build_dataclass(cls, data: Any, path: str, defaulted: list[str]):
     """``cls`` from a JSON object; appends each defaulted key's path to ``defaulted``.
     An empty ``path`` is the top level of the document."""
     where = path or "top level"
-    if isinstance(data, _RepeatedKey):
-        raise ConfigurationError(f"{path + '.' if path else ''}{data.repeated}: repeated key")
+    _refuse_repeated(data, path)
     if not isinstance(data, dict):
         raise ConfigurationError(f"{where}: expected an object, got {type(data).__name__}")
     hints = get_type_hints(cls)

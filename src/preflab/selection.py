@@ -3,7 +3,11 @@
 Every stage works on one iteration's batch at once, as index arrays over the
 universe's (N, V, d) feature array: B prompt ids, their (B, M) candidates and
 log-probs, and a (P, 3) array of pairs, each row (batch row, y1, y2) with
-y1 < y2. Selectors return indices into the pairs.
+y1 < y2. Selectors return indices into the pairs. Each public stage checks
+the indices it is given and calls a private kernel that holds the
+arithmetic; the trainer, whose indices are in range by construction, calls
+the kernels on the batch's gathered (B, V, d) features and on the pairs as
+(batch row, y1, y2) columns.
 
 Random draws labeled pairs uniformly from the union of per-prompt pair pools.
 The uncertainty selector works in two stages: keep the top-N prompts by the
@@ -106,9 +110,21 @@ def generate_candidates(
     Inverse CDF over exact probabilities, one uniform per draw; the (B, M)
     uniforms come from the stream in the same order as B draws of M.
     """
-    m, b = cfg.candidates_per_prompt, len(prompt_ids)
     check_indices(prompt_ids, len(features), "prompt_id")
-    lp = log_prob_vector(policy, features[prompt_ids])
+    return _generate_candidates(policy, features[prompt_ids], cfg, rng, counters)
+
+
+def _generate_candidates(
+    policy: Policy,
+    batch_features: np.ndarray,
+    cfg: SelectionConfig,
+    rng: np.random.Generator,
+    counters: OpCounters,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``generate_candidates`` on the batch's gathered (B, V, d) features; checks
+    only the feature dimension."""
+    m, b = cfg.candidates_per_prompt, len(batch_features)
+    lp = log_prob_vector(policy, batch_features)
     # searchsorted(cdf, u, side="right") clipped to V - 1 counts the entries
     # <= u among the first V - 1 of the nondecreasing cdf
     cdf = np.exp(lp[:, :-1]).cumsum(axis=1)
@@ -122,18 +138,22 @@ def form_pairs(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the (P, 3) pairs, rows (batch row, y1, y2) in prompt order and then
     lexicographic order, and the (B,) mask of degenerate prompts: those whose
-    candidates are all identical, so their pool is empty. Each row is sorted
-    once; a pair of sorted positions i < j is kept when both hold a value's
-    first occurrence.
+    candidates are all identical, so their pool is empty.
     """
+    return np.stack(_pair_columns(candidates), axis=1), degenerate_rows(candidates)
+
+
+def _pair_columns(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``form_pairs``' pairs as three (P,) columns: batch row, y1 and y2. Each
+    row is sorted once; a pair of sorted positions i < j is kept when both hold
+    a value's first occurrence, so y1 < y2."""
     b, m = candidates.shape
     values = np.sort(candidates, axis=1)
     first = np.ones((b, m), dtype=bool)
     first[:, 1:] = values[:, 1:] != values[:, :-1]
     i, j = _position_pairs(m)
     rows, k = np.nonzero(first[:, i] & first[:, j])
-    pairs = np.stack([rows, values[rows, i[k]], values[rows, j[k]]], axis=1)
-    return pairs, degenerate_rows(candidates)
+    return rows, values[rows, i[k]], values[rows, j[k]]
 
 
 def degenerate_rows(candidates: np.ndarray) -> np.ndarray:
@@ -184,23 +204,45 @@ def select_apl(
     drop out of both selectors symmetrically. Stage 2 margin-scores every pair
     in the kept pools and takes the top L (ties to lower prompt_id, then the
     lexicographically smaller pair). Returns the selected indices into
-    ``pairs`` and their margins. Checks beta and the feature dimension first,
-    so an empty pool does not skip them.
+    ``pairs`` and their margins. Checks beta, the feature dimension and every
+    index first, so an empty pool does not skip them.
     """
     if beta <= 0:
         raise ContractError(f"beta must be > 0, got {beta}")
     check_feature_dim(features, policy, ref)
+    check_indices(prompt_ids, len(features), "prompt_id")
     check_indices(pairs[:, 0], len(prompt_ids), "pair batch row")
-    rows = np.flatnonzero(np.bincount(pairs[:, 0], minlength=len(prompt_ids)))
-    kept = rows[np.lexsort((prompt_ids[rows], -entropies[rows]))][: cfg.apl_top_prompts]
+    check_indices(pairs[:, 1:], features.shape[1], "pair response")
+    rows, y1, y2 = pairs.T
+    return _select_apl(
+        policy, ref, features[prompt_ids], prompt_ids, entropies, rows, y1, y2, cfg, beta, counters
+    )
+
+
+def _select_apl(
+    policy: Policy,
+    ref: Policy,
+    batch_features: np.ndarray,
+    prompt_ids: np.ndarray,
+    entropies: np.ndarray,
+    rows: np.ndarray,
+    y1: np.ndarray,
+    y2: np.ndarray,
+    cfg: SelectionConfig,
+    beta: float,
+    counters: OpCounters,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``select_apl`` on the batch's gathered (B, V, d) features and the pairs
+    as (P,) columns (batch row, y1, y2); unchecked."""
+    pooled = np.flatnonzero(np.bincount(rows, minlength=len(prompt_ids)))
+    kept = pooled[np.lexsort((prompt_ids[pooled], -entropies[pooled]))][: cfg.apl_top_prompts]
     if kept.size == 0:
         return np.zeros(0, dtype=int), np.zeros(0)
-    z = features[prompt_ids[kept]] @ (policy.theta - ref.theta)
+    z = batch_features[kept] @ (policy.theta - ref.theta)
     slot = np.full(len(prompt_ids), -1)
     slot[kept] = np.arange(kept.size)
-    scored = np.flatnonzero(slot[pairs[:, 0]] >= 0)
-    row, y1, y2 = pairs[scored].T
-    check_indices(pairs[scored, 1:], z.shape[1], "pair response")
+    scored = np.flatnonzero(slot[rows] >= 0)
+    row, y1, y2 = rows[scored], y1[scored], y2[scored]
     margin = beta * np.abs(z[slot[row], y1] - z[slot[row], y2])
     counters.policy_logprob_evals += 2 * scored.size
     counters.ref_logprob_evals += 2 * scored.size

@@ -9,10 +9,12 @@ it as the reference, then iterate
     labeled batch.
 
 Each stage runs once per iteration on the whole batch, as index arrays over
-``PromptUniverse.features``: prompt ids, (B, M) candidates, a (P, 3) pair
-array, selected indices, one labelling call, and the winner-minus-loser
-feature differences that all of the iteration's updates reuse, in one
-``dpo_updates`` call.
+``PromptUniverse.features``: prompt ids and their gathered (B, V, d)
+features, (B, M) candidates, pairs as (batch row, y1, y2) columns, selected
+indices, one labelling call, and the winner-minus-loser feature differences
+that all of the iteration's updates reuse, in one ``dpo_updates`` call. The
+loop checks its inputs once and calls each stage's unchecked kernel, the
+arithmetic of the public, checked function, bit for bit.
 
 The loop writes no file. It returns what happened as arrays in its
 ``RunResult``: each iteration's prompt ids and candidates, and every labelled
@@ -42,28 +44,30 @@ import numpy as np
 from .dpo import (
     DpoConfig,
     OptimizerState,
+    _preference_deltas,
     dpo_updates,
     lr_at_step,
     optimizer_step,
-    preference_deltas,
 )
 from .dpo import dpo_batch_grad  # noqa: F401  (traced by bench/spans.py)
 from .errors import ConfigurationError, TrainingError
 from .judges import Judge, JudgeSpec
-from .policy import Policy, log_softmax
+from .policy import Policy, check_feature_dim, log_softmax
 from .policy import grad_log_prob  # noqa: F401  (traced by bench/spans.py)
 from .rng import substream
 from .selection import (
     SELECTOR_RANDOM,
     OpCounters,
     SelectionConfig,
+    _generate_candidates,
+    _pair_columns,
+    _select_apl,
     check_selector,
     entropy_estimate,
-    form_pairs,
-    generate_candidates,
-    select_apl,
     select_random,
 )
+from .selection import form_pairs, generate_candidates  # noqa: F401  (traced by bench/spans.py)
+from .selection import select_apl  # noqa: F401  (traced by bench/spans.py)
 from .universe import ROLE_TRAIN, PromptUniverse
 
 
@@ -214,9 +218,15 @@ def batch_train_ids(universe: PromptUniverse, sel: SelectionConfig) -> np.ndarra
 
 
 def run_online_dpo(universe: PromptUniverse, sft_policy: Policy, cfg: TrainConfig) -> RunResult:
-    """Execute the online loop; deterministic given (universe, cfg)."""
+    """Execute the online loop; deterministic given (universe, cfg).
+
+    The inputs are checked once, here: the feature dimension against the SFT
+    policy, the train prompts against the batch size, and the config by its
+    types. Every index the loop then builds is in range by construction, so
+    it calls the stages' unchecked kernels."""
     sel = cfg.selection
     train_ids = batch_train_ids(universe, sel)
+    check_feature_dim(universe.features, sft_policy)
 
     ref = policy = sft_policy  # immutable: the frozen reference and the starting policy
     opt_state = OptimizerState.initial(policy.feature_dim)
@@ -240,24 +250,26 @@ def run_online_dpo(universe: PromptUniverse, sft_policy: Policy, cfg: TrainConfi
     abort_reason = None
     for t in range(1, steps + 1):
         prompt_ids = train_ids[prompt_rng.permutation(train_ids.size)[: sel.batch_prompts]]
-        candidates, log_probs = generate_candidates(
-            policy, features, prompt_ids, sel, gen_rng, counters
+        batch_features = features[prompt_ids]
+        candidates, log_probs = _generate_candidates(
+            policy, batch_features, sel, gen_rng, counters
         )
         prompt_record[t - 1], candidate_record[t - 1] = prompt_ids, candidates
-        pairs, _ = form_pairs(candidates)
+        rows, y1, y2 = _pair_columns(candidates)
 
         entropies = entropy_estimate(log_probs)
         if cfg.selector == SELECTOR_RANDOM:
-            picked = select_random(pairs, sel.label_budget, select_rng)
+            picked = select_random(rows, sel.label_budget, select_rng)
         else:
-            picked, margins = select_apl(
-                policy, ref, features, prompt_ids, entropies, pairs, sel, cfg.dpo.beta, counters
+            picked, margins = _select_apl(
+                policy, ref, batch_features, prompt_ids, entropies, rows, y1, y2, sel,
+                cfg.dpo.beta, counters,
             )
             scores.frombytes(margins.tobytes())
 
-        rows, y1, y2 = pairs[picked].T
-        pair_prompts = prompt_ids[rows]
-        winners = annotator.prefer_batch(pair_prompts, y1, y2)
+        y1, y2 = y1[picked], y2[picked]
+        pair_prompts = prompt_ids[rows[picked]]
+        winners = annotator._prefer_batch(pair_prompts, y1, y2)
         counters.judge_queries += picked.size
         labelled = np.stack([pair_prompts, y1, y2, winners], axis=1)
         selections.frombytes(labelled.astype(selection_dtype).tobytes())
@@ -266,7 +278,7 @@ def run_online_dpo(universe: PromptUniverse, sft_policy: Policy, cfg: TrainConfi
         last_lr = lr_at_step(cfg.dpo, opt_state.step)
         if picked.size:
             losers = np.where(winners == y1, y2, y1)
-            dphi = preference_deltas(features, pair_prompts, winners, losers)
+            dphi = _preference_deltas(features, pair_prompts, winners, losers)
             batch = dpo_updates(policy, ref, opt_state, dphi, cfg.dpo)
             opt_state, mean_loss, last_lr = batch.state, batch.loss, batch.lr
             policy = Policy(batch.theta)

@@ -489,8 +489,10 @@ class TestRunGrid:
             assert lines == [json.dumps(event, sort_keys=True) for event in events] + [""]
 
     def test_evaluation_asks_each_evaluator_once_per_cell(self, tmp_path, monkeypatch):
+        # the loop labels through the judge's kernel and the evaluators through
+        # prefer_batch, which checks and calls the kernel: count the kernel
         batch_calls, scalar_calls = {}, []
-        prefer_batch, prefer = Judge.prefer_batch, Judge.prefer
+        prefer_batch, prefer = Judge._prefer_batch, Judge.prefer
 
         def counting_prefer_batch(self, *args):
             batch_calls[self.label] = batch_calls.get(self.label, 0) + 1
@@ -500,7 +502,7 @@ class TestRunGrid:
             scalar_calls.append(self.label)
             return prefer(self, *args)
 
-        monkeypatch.setattr(Judge, "prefer_batch", counting_prefer_batch)
+        monkeypatch.setattr(Judge, "_prefer_batch", counting_prefer_batch)
         monkeypatch.setattr(Judge, "prefer", counting_prefer)
         grid, manifest = parse_config(SMOKE_CONFIG)
         grid = replace(grid, output_dir=str(tmp_path / "runs"))
@@ -510,6 +512,47 @@ class TestRunGrid:
         assert annotator_calls == len(run_dirs) * grid.train.dpo.max_steps
         assert batch_calls == {spec.label: len(run_dirs) for spec in grid.evaluators}
         assert scalar_calls == []
+
+    def test_a_serial_grid_fits_each_seeds_sft_once(self, tmp_path, monkeypatch):
+        fits, fit = [], harness.sft_fit
+
+        def counting_fit(universe, cfg):
+            fits.append(cfg.run_seed)
+            return fit(universe, cfg)
+
+        monkeypatch.setattr(harness, "sft_fit", counting_fit)
+        grid, manifest = parse_config(SMOKE_CONFIG)
+        out = tmp_path / "runs"
+        run_grid(replace(grid, output_dir=str(out)), grid_manifest=manifest)
+        assert fits == grid.seeds
+        universe = PromptUniverse.load(out / "universe.npz")
+        for seed in grid.seeds:
+            cfg = TrainConfig(**vars(grid.train), annotator=grid.annotators[0], run_seed=seed)
+            fresh = fit(universe, cfg).theta.tobytes()
+            for selector in ("random", "apl"):
+                with np.load(out / run_id_for(selector, "weak", seed) / "run.npz") as run:
+                    assert run["sft_theta"].tobytes() == fresh, (selector, seed)
+        # the fits do not outlive the grid: the next one fits again
+        run_grid(replace(grid, output_dir=str(tmp_path / "again")), grid_manifest=manifest)
+        assert fits == grid.seeds * 2 and harness._sft_fits is None
+
+    def test_a_fit_that_raises_is_not_reused(self, tmp_path, monkeypatch):
+        fits, fit = [], harness.sft_fit
+
+        def fail_seed_43(universe, cfg):
+            fits.append(cfg.run_seed)
+            if cfg.run_seed == 43:
+                raise TrainingError("diverged")
+            return fit(universe, cfg)
+
+        monkeypatch.setattr(harness, "sft_fit", fail_seed_43)
+        grid, manifest = parse_config(SMOKE_CONFIG)
+        run_dirs = run_grid(replace(grid, output_dir=str(tmp_path)), grid_manifest=manifest)
+        # cells run random 42, random 43, apl 42, apl 43: each seed-43 cell fits
+        assert fits == [42, 43, 43]
+        assert [json.loads((d / "manifest.json").read_text())["status"] for d in run_dirs] == [
+            "completed", "failed", "completed", "failed"
+        ]
 
     def test_runtime_reads_only_the_universe_arrays(self, tmp_path, monkeypatch):
         def smoke_files():
@@ -767,10 +810,24 @@ class TestMalformedRunFiles:
         "a judge label that is a list": (
             "manifest.json", lambda t: _json_with(t, "annotator.label", ["weak"])
         ),
+        # json.loads would keep the last of each: a run counted as completed
+        "a status repeated": (
+            "manifest.json", lambda t: t.replace("{", '{"status": "failed",', 1)
+        ),
+        "a nested key repeated": (
+            "manifest.json", lambda t: t.replace('"config": {', '"config": {"eval": 0,', 1)
+        ),
+        "a key repeated in a list": (
+            "manifest.json",
+            lambda t: t.replace('"label": "weak-eval"', '"label": "weak-eval", "label": "x"', 1),
+        ),
     }
     # the whole reason given, where the case pins it
     REASONS = {"no grid": "missing key 'grid'", "a judge spec without a label": "missing key 'label'",
-               "a counter repeated": "judge_queries: repeated key"}
+               "a counter repeated": "judge_queries: repeated key",
+               "a status repeated": "status: repeated key",
+               "a nested key repeated": "grid.config.eval: repeated key",
+               "a key repeated in a list": "grid.config.evaluators[0].label: repeated key"}
 
     @pytest.mark.parametrize("case", CASES)
     def test_the_run_is_left_out_with_a_warning(self, tmp_path, capsys, case):
@@ -1637,6 +1694,18 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert blocker.read_bytes() == b"not a directory\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize("overwrite", [[], ["--overwrite"]])
+    def test_generate_onto_a_directory_is_refused(self, tmp_path, capsys, overwrite):
+        # a directory stands where the universe file goes
+        target = tmp_path / "smoke.npz"
+        (target / "inside").mkdir(parents=True)
+        argv = ["generate", "--config", str(SMOKE_CONFIG), "--out", str(target), *overwrite]
+        assert main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and str(target) in line
+        assert [p.name for p in tmp_path.iterdir()] == ["smoke.npz"]
+        assert [p.name for p in target.iterdir()] == ["inside"]
 
     @pytest.mark.parametrize("label", ["../x", "a/b"])
     def test_a_label_that_is_not_one_path_component_is_refused(self, tmp_path, capsys, label):

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import asdict, replace
@@ -18,6 +19,7 @@ from preflab import (
     DpoConfig,
     Judge,
     JudgeSpec,
+    OpCounters,
     OptimizerState,
     Policy,
     SelectionConfig,
@@ -26,6 +28,7 @@ from preflab import (
     TrainingError,
     UniverseConfig,
     dpo_batch_grad,
+    dpo_updates,
     form_pairs,
     generate_universe,
     log_prob,
@@ -39,8 +42,11 @@ from preflab import (
     run_online_dpo,
     sft_fit,
 )
-from preflab import trainer
+from preflab import policy as policy_module
+from preflab import selection, trainer
 from preflab.harness import _json_floats, write_events
+from preflab.rng import substream
+from preflab.trainer import IterationLog, RunResult
 
 
 def mean_chosen_log_prob(policy, universe):
@@ -94,6 +100,68 @@ def replay_updates(universe, sft_policy, cfg, lines):
                 return theta, state.step, rows + [(loss, lr)], str(exc)
         rows.append((loss, lr))
     return theta, state.step, rows, None
+
+
+def reference_loop(universe, sft_policy, cfg):
+    """The online loop composed of the public, checked stages, each looked up
+    on its module or class at call time so that a test can wrap it: the
+    reference that ``run_online_dpo``'s unchecked kernels must equal bit for
+    bit. Its record keeps the stages' own dtypes."""
+    sel = cfg.selection
+    train_ids = trainer.batch_train_ids(universe, sel)
+    ref = policy = sft_policy
+    opt_state = OptimizerState.initial(policy.feature_dim)
+    counters = OpCounters()
+    prompt_rng = substream(cfg.run_seed, "prompts")
+    gen_rng = substream(cfg.run_seed, "generation")
+    select_rng = substream(cfg.run_seed, "random-selector")
+    annotator = Judge.for_run(cfg.annotator, universe, cfg.run_seed)
+    features = universe.features
+    logs, prompt_record, candidate_record, selections, scores = [], [], [], [], []
+    abort_reason = None
+    for t in range(1, cfg.dpo.max_steps + 1):
+        prompt_ids = train_ids[prompt_rng.permutation(train_ids.size)[: sel.batch_prompts]]
+        candidates, log_probs = selection.generate_candidates(
+            policy, features, prompt_ids, sel, gen_rng, counters
+        )
+        prompt_record.append(prompt_ids)
+        candidate_record.append(candidates)
+        pairs, _ = selection.form_pairs(candidates)
+        entropies = selection.entropy_estimate(log_probs)
+        if cfg.selector == "random":
+            picked = selection.select_random(pairs, sel.label_budget, select_rng)
+        else:
+            picked, margins = selection.select_apl(
+                policy, ref, features, prompt_ids, entropies, pairs, sel, cfg.dpo.beta, counters
+            )
+            scores.append(margins)
+        rows, y1, y2 = pairs[picked].T
+        pair_prompts = prompt_ids[rows]
+        winners = annotator.prefer_batch(pair_prompts, y1, y2)
+        counters.judge_queries += picked.size
+        selections.append(np.stack([pair_prompts, y1, y2, winners], axis=1))
+        mean_loss, last_lr = math.nan, lr_at_step(cfg.dpo, opt_state.step)
+        if picked.size:
+            losers = np.where(winners == y1, y2, y1)
+            dphi = preference_deltas(features, pair_prompts, winners, losers)
+            batch = dpo_updates(policy, ref, opt_state, dphi, cfg.dpo)
+            opt_state, mean_loss, last_lr = batch.state, batch.loss, batch.lr
+            policy = Policy(batch.theta)
+            abort_reason = batch.abort_reason
+        logs.append(IterationLog(
+            iteration=t, mean_loss=mean_loss, labeled_pairs=picked.size, lr=last_lr,
+            entropy_min=float(entropies.min()),
+            entropy_mean=float(entropies.sum() / entropies.size),
+            entropy_max=float(entropies.max()),
+        ))
+        if abort_reason is not None:
+            break
+    return RunResult(
+        final_policy=policy, sft_policy=ref, per_iteration=logs, counters=counters,
+        abort_reason=abort_reason, prompt_ids=np.array(prompt_record),
+        candidates=np.array(candidate_record), selections=np.concatenate(selections),
+        scores=np.concatenate(scores) if cfg.selector == "apl" else None,
+    )
 
 
 def four_runs(stream_run):
@@ -564,13 +632,17 @@ def test_each_event_line_is_the_encoders_text_of_its_event(
     )
     calls = []
     sink = io.StringIO()
+    sft = Policy(sharpness * u.probe_direction)
+    # the stages' returns come from the reference loop of public stages, which
+    # test_the_loop_is_its_public_stages holds run_online_dpo to
     with pytest.MonkeyPatch.context() as patch:
         for name in ("generate_candidates", "form_pairs", "select_random", "select_apl"):
-            patch.setattr(trainer, name, recording(getattr(trainer, name), name, calls))
+            patch.setattr(selection, name, recording(getattr(selection, name), name, calls))
         patch.setattr(Judge, "prefer_batch", recording(Judge.prefer_batch, "prefer_batch", calls))
-        result = run_online_dpo(u, Policy(sharpness * u.probe_direction), cfg)
+        reference = reference_loop(u, sft, cfg)
+    result = run_online_dpo(u, sft, cfg)
     write_events(sink, result, cfg)
-    events = expected_events(calls, cfg, result)
+    events = expected_events(calls, cfg, reference)
     lines = sink.getvalue().splitlines(keepends=True)
     assert lines == [json.dumps(event, sort_keys=True) + "\n" for event in events]
 
@@ -587,3 +659,84 @@ def test_each_event_line_is_the_encoders_text_of_its_event(
     if selector == "apl" and learning_rate == 1e-15 and "selection" in kinds:
         assert any("e-" in line for line in lines if '"selection"' in line)
 
+
+
+def assert_same_run(result, reference):
+    """θ, counters, logs, record and scores of two runs are equal bit for bit."""
+    for name in ("final_policy", "sft_policy"):
+        assert getattr(result, name).theta.tobytes() == getattr(reference, name).theta.tobytes()
+    assert result.counters == reference.counters
+    assert result.abort_reason == reference.abort_reason
+    # repr, so that a NaN loss equals itself and every float is compared exactly
+    assert repr(result.per_iteration) == repr(reference.per_iteration)
+    for name in ("prompt_ids", "candidates", "selections"):
+        got, want = getattr(result, name), getattr(reference, name)
+        assert got.shape == want.shape and np.array_equal(got, want), name
+    if reference.scores is None:
+        assert result.scores is None
+    else:
+        assert result.scores.tobytes() == reference.scores.tobytes()
+
+
+@pytest.fixture(scope="module")
+def goodhart_universe():
+    config = Path(__file__).resolve().parent.parent / "configs" / "goodhart_weak.json"
+    return generate_universe(parse_config(config)[0].universe)
+
+
+def smoke_run():
+    """configs/smoke.json's universe and its cell at seed 42."""
+    grid, _ = parse_config(Path(__file__).resolve().parent.parent / "configs" / "smoke.json")
+    cfg = TrainConfig(**vars(grid.train), annotator=grid.annotators[0], run_seed=42)
+    return generate_universe(grid.universe), cfg
+
+
+@pytest.mark.parametrize("selector", ["random", "apl"])
+@pytest.mark.parametrize("shape", ["smoke", "reference", "aborted"])
+def test_the_loop_is_its_public_stages(goodhart_universe, selector, shape):
+    if shape == "smoke":
+        u, cfg = smoke_run()
+    elif shape == "reference":
+        # reference_preset()'s B = 64 prompts and L = 64 labels, for a few steps
+        u, preset = goodhart_universe, reference_preset()
+        cfg = replace(preset, dpo=replace(preset.dpo, max_steps=12))
+    else:
+        u, cfg = dense_universe(), train_config(
+            dpo=DpoConfig(beta=50.0, learning_rate=1e308, warmup_ratio=0.0, max_steps=6)
+        )
+    cfg = replace(cfg, selector=selector)
+    sft = sft_fit(u, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = run_online_dpo(u, sft, cfg)
+        reference = reference_loop(u, sft, cfg)
+    assert (result.abort_reason is not None) == (shape == "aborted")
+    assert len(result.selections) > 0
+    assert_same_run(result, reference)
+
+
+def test_the_loop_checks_indices_a_fixed_number_of_times(monkeypatch):
+    # every index the loop builds is in range by construction: its checks run
+    # once per run, not once per iteration
+    calls = []
+    check = policy_module.check_indices
+
+    def counting_check(*args):
+        calls.append(args[-1])
+        check(*args)
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "preflab"]
+    for module in modules:
+        if getattr(module, "check_indices", None) is check:
+            monkeypatch.setattr(module, "check_indices", counting_check)
+    u = dense_universe()
+    counts = []
+    for selector in ("random", "apl"):
+        for steps in (2, 12):
+            cfg = train_config(selector=selector, dpo=DpoConfig(max_steps=steps))
+            sft = sft_fit(u, cfg)
+            del calls[:]
+            result = run_online_dpo(u, sft, cfg)
+            assert len(result.per_iteration) == steps
+            counts.append(len(calls))
+    assert counts[0] == counts[1] and counts[2] == counts[3], counts
+    assert counts == [0, 0, 0, 0]  # the feature check is check_feature_dim's
