@@ -259,7 +259,7 @@ def run_online_dpo(universe: PromptUniverse, sft_policy: Policy, cfg: TrainConfi
 
         entropies = entropy_estimate(log_probs)
         if cfg.selector == SELECTOR_RANDOM:
-            picked = select_random(rows, sel.label_budget, select_rng)
+            picked = select_random(rows, sel.label_budget, select_rng)  # reads the pair count
         else:
             picked, margins = _select_apl(
                 policy, ref, batch_features, prompt_ids, entropies, rows, y1, y2, sel,
