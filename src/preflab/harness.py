@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__ as _package_version
 from .errors import ConfigurationError, TrainingError
-from .evaluation import capability_delta, collapse_metrics, estimate_win_rate, probe_accuracy
+from .evaluation import collapse_metrics, estimate_win_rate, probe_accuracy
 from .judges import Judge, JudgeSpec
 from .policy import Policy
 from .report import EvalRow, _write_csv
@@ -285,7 +285,7 @@ def evaluate_run(
     final = result.final_policy
     sft = result.sft_policy
     acc = probe_accuracy(final, universe)
-    delta_pp = capability_delta(final, sft, universe)
+    delta_pp = 100.0 * (acc - probe_accuracy(sft, universe))  # capability_delta, reusing acc
     mean_entropy, collapse = collapse_metrics(
         final, sft, universe.features, eval_ids, settings.collapse_fraction
     )

@@ -1,13 +1,13 @@
 """Candidate generation, pair formation, and the two budget-matched selectors.
 
-Every stage works on one iteration's batch at once, as index arrays over the
-universe's (N, V, d) feature array: B prompt ids, their (B, M) candidates and
-log-probs, and a (P, 3) array of pairs, each row (batch row, y1, y2) with
-y1 < y2. Selectors return indices into the pairs. Each public stage checks
-the indices it is given and calls a private kernel that holds the
-arithmetic; the trainer, whose indices are in range by construction, calls
-the kernels on the batch's gathered (B, V, d) features and on the pairs as
-(batch row, y1, y2) columns.
+Every stage works on one iteration's batch at once, as the trainer holds it:
+the B prompts' gathered (B, V, d) features, their (B, M) candidates and
+log-probs, and the pairs as three (P,) columns, batch row, y1 and y2 with
+y1 < y2. Selectors return indices into the pairs. ``generate_candidates`` and
+``form_pairs`` take no caller index, so they need no check; ``select_apl``
+checks the indices it is given and calls the private kernel ``_select_apl``
+with the same arguments, which the trainer, whose indices are in range by
+construction, calls directly.
 
 Random draws labeled pairs uniformly from the union of per-prompt pair pools.
 The uncertainty selector works in two stages: keep the top-N prompts by the
@@ -98,31 +98,17 @@ class OpCounters:
 
 def generate_candidates(
     policy: Policy,
-    features: np.ndarray,
-    prompt_ids: np.ndarray,
-    cfg: SelectionConfig,
-    rng: np.random.Generator,
-    counters: OpCounters,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample M responses for each prompt in ``prompt_ids``, rows of the (N, V, d)
-    ``features``; returns the (B, M) candidates and their log-probs at draw time.
-
-    Inverse CDF over exact probabilities, one uniform per draw; the (B, M)
-    uniforms come from the stream in the same order as B draws of M.
-    """
-    check_indices(prompt_ids, len(features), "prompt_id")
-    return _generate_candidates(policy, features[prompt_ids], cfg, rng, counters)
-
-
-def _generate_candidates(
-    policy: Policy,
     batch_features: np.ndarray,
     cfg: SelectionConfig,
     rng: np.random.Generator,
     counters: OpCounters,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``generate_candidates`` on the batch's gathered (B, V, d) features; checks
-    only the feature dimension."""
+    """Sample M responses for each prompt of the batch's gathered (B, V, d)
+    features; returns the (B, M) candidates and their log-probs at draw time.
+
+    Inverse CDF over exact probabilities, one uniform per draw; the (B, M)
+    uniforms come from the stream in the same order as B draws of M.
+    """
     m, b = cfg.candidates_per_prompt, len(batch_features)
     lp = log_prob_vector(policy, batch_features)
     # searchsorted(cdf, u, side="right") clipped to V - 1 counts the entries
@@ -133,20 +119,14 @@ def _generate_candidates(
     return idx, lp[np.arange(b)[:, None], idx]
 
 
-def form_pairs(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def form_pairs(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All unordered pairs of distinct response values among each row's candidates.
 
-    Returns the (P, 3) pairs, rows (batch row, y1, y2) in prompt order and then
-    lexicographic order, and the (B,) mask of degenerate prompts: those whose
-    candidates are all identical, so their pool is empty.
+    Returns three (P,) columns, batch row, y1 and y2 with y1 < y2, in row order
+    and then lexicographic order; a degenerate row (``degenerate_rows``) has
+    none. Each row is sorted once; a pair of sorted positions i < j is kept
+    when both hold a value's first occurrence.
     """
-    return np.stack(_pair_columns(candidates), axis=1), degenerate_rows(candidates)
-
-
-def _pair_columns(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``form_pairs``' pairs as three (P,) columns: batch row, y1 and y2. Each
-    row is sorted once; a pair of sorted positions i < j is kept when both hold
-    a value's first occurrence, so y1 < y2."""
     b, m = candidates.shape
     values = np.sort(candidates, axis=1)
     first = np.ones((b, m), dtype=bool)
@@ -189,10 +169,12 @@ def select_random(pairs: np.ndarray, budget: int, rng: np.random.Generator) -> n
 def select_apl(
     policy: Policy,
     ref: Policy,
-    features: np.ndarray,
+    batch_features: np.ndarray,
     prompt_ids: np.ndarray,
     entropies: np.ndarray,
-    pairs: np.ndarray,
+    rows: np.ndarray,
+    y1: np.ndarray,
+    y2: np.ndarray,
     cfg: SelectionConfig,
     beta: float,
     counters: OpCounters,
@@ -203,19 +185,20 @@ def select_apl(
     prompt_id) and keeps the top N with non-empty pools; degenerate prompts
     drop out of both selectors symmetrically. Stage 2 margin-scores every pair
     in the kept pools and takes the top L (ties to lower prompt_id, then the
-    lexicographically smaller pair). Returns the selected indices into
-    ``pairs`` and their margins. Checks beta, the feature dimension and every
-    index first, so an empty pool does not skip them.
+    lexicographically smaller pair). Returns the selected indices into the
+    pairs and their margins. Checks beta, the feature dimension, the prompt
+    count and every pair index first, so an empty pool does not skip them.
     """
     if beta <= 0:
         raise ContractError(f"beta must be > 0, got {beta}")
-    check_feature_dim(features, policy, ref)
-    check_indices(prompt_ids, len(features), "prompt_id")
-    check_indices(pairs[:, 0], len(prompt_ids), "pair batch row")
-    check_indices(pairs[:, 1:], features.shape[1], "pair response")
-    rows, y1, y2 = pairs.T
+    check_feature_dim(batch_features, policy, ref)
+    if len(prompt_ids) != len(batch_features):
+        raise ContractError(f"{len(prompt_ids)} prompt ids for {len(batch_features)} prompts")
+    check_indices(rows, len(batch_features), "pair batch row")
+    check_indices(y1, batch_features.shape[1], "pair response")
+    check_indices(y2, batch_features.shape[1], "pair response")
     return _select_apl(
-        policy, ref, features[prompt_ids], prompt_ids, entropies, rows, y1, y2, cfg, beta, counters
+        policy, ref, batch_features, prompt_ids, entropies, rows, y1, y2, cfg, beta, counters
     )
 
 
@@ -232,8 +215,7 @@ def _select_apl(
     beta: float,
     counters: OpCounters,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``select_apl`` on the batch's gathered (B, V, d) features and the pairs
-    as (P,) columns (batch row, y1, y2); unchecked."""
+    """``select_apl`` of a batch whose indices are in range; unchecked."""
     pooled = np.flatnonzero(np.bincount(rows, minlength=len(prompt_ids)))
     kept = pooled[np.lexsort((prompt_ids[pooled], -entropies[pooled]))][: cfg.apl_top_prompts]
     if kept.size == 0:

@@ -13,8 +13,9 @@ Each stage runs once per iteration on the whole batch, as index arrays over
 features, (B, M) candidates, pairs as (batch row, y1, y2) columns, selected
 indices, one labelling call, and the winner-minus-loser feature differences
 that all of the iteration's updates reuse, in one ``dpo_updates`` call. The
-loop checks its inputs once and calls each stage's unchecked kernel, the
-arithmetic of the public, checked function, bit for bit.
+loop checks its inputs once; of the stages that check caller indices
+(``select_apl``, ``Judge.prefer_batch``, ``preference_deltas``) it calls the
+unchecked kernel, which takes the same arguments.
 
 The loop writes no file. It returns what happened as arrays in its
 ``RunResult``: each iteration's prompt ids and candidates, and every labelled
@@ -59,14 +60,13 @@ from .selection import (
     SELECTOR_RANDOM,
     OpCounters,
     SelectionConfig,
-    _generate_candidates,
-    _pair_columns,
     _select_apl,
     check_selector,
     entropy_estimate,
+    form_pairs,
+    generate_candidates,
     select_random,
 )
-from .selection import form_pairs, generate_candidates  # noqa: F401  (traced by bench/spans.py)
 from .selection import select_apl  # noqa: F401  (traced by bench/spans.py)
 from .universe import ROLE_TRAIN, PromptUniverse
 
@@ -223,7 +223,7 @@ def run_online_dpo(universe: PromptUniverse, sft_policy: Policy, cfg: TrainConfi
     The inputs are checked once, here: the feature dimension against the SFT
     policy, the train prompts against the batch size, and the config by its
     types. Every index the loop then builds is in range by construction, so
-    it calls the stages' unchecked kernels."""
+    it calls the checking stages' unchecked kernels."""
     sel = cfg.selection
     train_ids = batch_train_ids(universe, sel)
     check_feature_dim(universe.features, sft_policy)
@@ -251,11 +251,9 @@ def run_online_dpo(universe: PromptUniverse, sft_policy: Policy, cfg: TrainConfi
     for t in range(1, steps + 1):
         prompt_ids = train_ids[prompt_rng.permutation(train_ids.size)[: sel.batch_prompts]]
         batch_features = features[prompt_ids]
-        candidates, log_probs = _generate_candidates(
-            policy, batch_features, sel, gen_rng, counters
-        )
+        candidates, log_probs = generate_candidates(policy, batch_features, sel, gen_rng, counters)
         prompt_record[t - 1], candidate_record[t - 1] = prompt_ids, candidates
-        rows, y1, y2 = _pair_columns(candidates)
+        rows, y1, y2 = form_pairs(candidates)
 
         entropies = entropy_estimate(log_probs)
         if cfg.selector == SELECTOR_RANDOM:

@@ -45,6 +45,7 @@ from preflab import (
     sft_fit,
     write_summary,
 )
+from preflab.selection import degenerate_rows
 
 LN2 = math.log(2.0)
 
@@ -437,8 +438,9 @@ def test_criterion_09_overhead_accounting():
     prompt_ids = np.arange(b)
     candidates = np.tile([0, 1, 2, 3], (b, 1))  # all distinct: no degenerate prompts
     entropies = entropy_estimate(np.array([[-0.3 - 0.05 * i] * m for i in range(b)]))
-    pairs, degenerate = form_pairs(candidates)
-    assert not degenerate.any()
+    columns = form_pairs(candidates)
+    pairs = np.stack(columns, axis=1)
+    assert not degenerate_rows(candidates).any()
     cfg = SelectionConfig(b, m, n_keep, budget)
 
     random_counters = OpCounters(generated_samples=b * m)
@@ -447,7 +449,7 @@ def test_criterion_09_overhead_accounting():
 
     apl_counters = OpCounters(generated_samples=b * m)
     selected_apl, _ = select_apl(
-        policy, ref, features, prompt_ids, entropies, pairs, cfg, 0.1, apl_counters
+        policy, ref, features, prompt_ids, entropies, *columns, cfg, 0.1, apl_counters
     )
     apl_counters.judge_queries += len(selected_apl)
 

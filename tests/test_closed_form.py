@@ -49,6 +49,7 @@ from preflab import (
     select_apl,
     select_random,
 )
+from preflab.selection import degenerate_rows
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
@@ -195,7 +196,7 @@ def as_tuples(pairs, picked, prompt_ids):
 )
 def test_form_pairs_matches_combinations_oracle(seed, b, m, v):
     candidates = np.random.default_rng(seed).integers(v, size=(b, m))
-    pairs, degenerate = form_pairs(candidates)
+    pairs, degenerate = np.stack(form_pairs(candidates), axis=1), degenerate_rows(candidates)
     pools = pools_oracle(candidates)
     assert [(r, (a, c)) for r, a, c in pairs.tolist()] == [
         (row, pair) for row, pool in enumerate(pools) for pair in pool
@@ -217,14 +218,13 @@ def test_selectors_return_at_most_budget_distinct_pairs(seed, b, m, v, data):
     cfg = SelectionConfig(b, m, n_keep, budget)
     gen = np.random.default_rng(seed)
     candidates = gen.integers(v, size=(b, m))
-    pairs, degenerate = form_pairs(candidates)
+    columns = form_pairs(candidates)
+    pairs, degenerate = np.stack(columns, axis=1), degenerate_rows(candidates)
     policy, ref = Policy(gen.normal(size=3)), Policy(gen.normal(size=3))
     features, prompt_ids = gen.normal(size=(b, v, 3)), gen.permutation(4 * b)[:b]
-    table = np.zeros((4 * b, v, 3))
-    table[prompt_ids] = features
     apl_picked, _ = select_apl(
-        policy, ref, table, prompt_ids, -gen.normal(size=(b, m)).mean(axis=1), pairs, cfg,
-        0.2, OpCounters(),
+        policy, ref, features, prompt_ids, -gen.normal(size=(b, m)).mean(axis=1), *columns,
+        cfg, 0.2, OpCounters(),
     )
     for picked in (select_random(pairs, budget, gen), apl_picked):
         assert len(picked) <= budget and len(set(picked.tolist())) == len(picked)
@@ -274,12 +274,12 @@ def test_select_apl_picks_the_oracle_pairs(seed, v, d, b, m, at_reference, data)
     policy = Policy(gen.normal(size=d))
     ref = Policy(policy.theta.copy() if at_reference else gen.normal(size=d))
     candidates, log_probs = gen.integers(v, size=(b, m)), gen.normal(size=(b, m))
-    pairs, _ = form_pairs(candidates)
-    prompt_ids = np.arange(b)
+    columns = form_pairs(candidates)
+    pairs, prompt_ids = np.stack(columns, axis=1), np.arange(b)
 
     counters = OpCounters()
     picked, margins = select_apl(
-        policy, ref, features, prompt_ids, entropy_estimate(log_probs), pairs, cfg,
+        policy, ref, features, prompt_ids, entropy_estimate(log_probs), *columns, cfg,
         0.3, counters,
     )
     want, want_scores, want_counters = apl_oracle(
@@ -309,8 +309,7 @@ def test_generate_candidates_matches_per_prompt_draws(seed, v, d, b, m, theta_sc
     features = gaussian_features(gen, b, v, d)
     policy = Policy(gen.normal(scale=theta_scale, size=d))
     candidates, log_probs = generate_candidates(
-        policy, features, np.arange(b), SelectionConfig(b, m, 1, 1),
-        np.random.default_rng(seed), OpCounters(),
+        policy, features, SelectionConfig(b, m, 1, 1), np.random.default_rng(seed), OpCounters()
     )
     rng = np.random.default_rng(seed)
     for rows, row, row_lp in zip(features, candidates, log_probs):
@@ -526,8 +525,10 @@ def test_batched_selection_and_eval_contract_errors():
     pairs = np.array([[0, 0, 1], [1, 0, 1]])
     cfg = SelectionConfig(2, 2, 2, 1)
 
-    def apl(ref, beta, pairs=pairs):
-        select_apl(policy, ref, features, prompt_ids, entropies, pairs, cfg, beta, OpCounters())
+    def apl(ref, beta, pairs=pairs, prompt_ids=prompt_ids):
+        select_apl(
+            policy, ref, features, prompt_ids, entropies, *pairs.T, cfg, beta, OpCounters()
+        )
 
     with pytest.raises(ContractError, match="beta"):
         apl(policy, 0.0)
@@ -540,16 +541,12 @@ def test_batched_selection_and_eval_contract_errors():
     for row in (2, -1):
         with pytest.raises(ContractError, match="pair batch row out of range"):
             apl(policy, 0.1, np.array([[0, 0, 1], [row, 0, 1]]))
+    # one prompt id per batch row: the ids break stage-1 and stage-2 ties
+    for ids in (np.arange(1), np.arange(3)):
+        with pytest.raises(ContractError, match="prompt ids for 2 prompts"):
+            apl(policy, 0.1, prompt_ids=ids)
     with pytest.raises(ContractError, match="feature dim"):
-        generate_candidates(
-            wrong_dim, features, prompt_ids, cfg, np.random.default_rng(0), OpCounters()
-        )
-    # -1 must not sample the last prompt
-    for bad in (-1, 2):
-        with pytest.raises(ContractError, match="prompt_id out of range"):
-            generate_candidates(
-                policy, features, np.array([0, bad]), cfg, np.random.default_rng(0), OpCounters()
-            )
+        generate_candidates(wrong_dim, features, cfg, np.random.default_rng(0), OpCounters())
     with pytest.raises(ContractError, match="feature dim"):
         estimate_win_rate(
             policy, wrong_dim, None, features, prompt_ids, 10, np.random.default_rng(0)
@@ -572,11 +569,11 @@ def test_select_apl_checks_its_arguments_on_an_empty_pool():
     # every prompt degenerate, so no pair is scored: beta and the reference's
     # feature dimension are still refused
     features = gaussian_features(np.random.default_rng(2), 2, 4, 3)
-    policy, empty = Policy(np.ones(3)), np.zeros((0, 3), dtype=int)
+    policy, empty = Policy(np.ones(3)), np.zeros(0, dtype=int)
 
     def apl(ref, beta):
         select_apl(
-            policy, ref, features, np.arange(2), np.ones(2), empty,
+            policy, ref, features, np.arange(2), np.ones(2), empty, empty, empty,
             SelectionConfig(2, 2, 2, 1), beta, OpCounters(),
         )
 

@@ -21,6 +21,7 @@ from preflab import (
     select_apl,
     select_random,
 )
+from preflab.selection import degenerate_rows
 
 
 def train_features(universe):
@@ -29,9 +30,7 @@ def train_features(universe):
 
 def generate(policy, features, cfg, rng, counters=None):
     """generate_candidates on every prompt of the (n, V, d) ``features``."""
-    features = np.asarray(features)
-    ids = np.arange(len(features))
-    return generate_candidates(policy, features, ids, cfg, rng, counters or OpCounters())
+    return generate_candidates(policy, np.asarray(features), cfg, rng, counters or OpCounters())
 
 
 def selected_pairs(pairs, picked, prompt_ids):
@@ -43,12 +42,12 @@ def apl(policy, ref, features, candidates, log_probs, cfg, counters=None, beta=0
     """Form pairs and run select_apl on every prompt of the (n, V, d) ``features``;
     returns (prompt_id, pair) tuples and margins."""
     ids = np.arange(len(features))
-    pairs, _ = form_pairs(np.asarray(candidates))
+    columns = form_pairs(np.asarray(candidates))
     picked, margins = select_apl(
         policy, ref, features, ids, entropy_estimate(np.asarray(log_probs, dtype=float)),
-        pairs, cfg, beta, counters or OpCounters(),
+        *columns, cfg, beta, counters or OpCounters(),
     )
-    return selected_pairs(pairs, picked, ids), margins
+    return selected_pairs(np.stack(columns, axis=1), picked, ids), margins
 
 
 class TestSelectionConfig:
@@ -115,15 +114,17 @@ class TestGenerateCandidates:
 
 class TestFormPairs:
     def test_four_distinct_values_give_six_pairs(self):
-        pairs, degenerate = form_pairs(np.array([[0, 1, 2, 3]]))
-        assert len(pairs) == 6 and not degenerate.any()
+        candidates = np.array([[0, 1, 2, 3]])
+        pairs = np.stack(form_pairs(candidates), axis=1)
+        assert len(pairs) == 6 and not degenerate_rows(candidates).any()
 
     def test_identical_candidates_give_empty_pool(self):
-        pairs, degenerate = form_pairs(np.array([[2, 2, 2, 2]]))
-        assert pairs.shape == (0, 3) and degenerate.tolist() == [True]
+        candidates = np.array([[2, 2, 2, 2]])
+        pairs = np.stack(form_pairs(candidates), axis=1)
+        assert pairs.shape == (0, 3) and degenerate_rows(candidates).tolist() == [True]
 
     def test_value_deduplication(self):
-        pairs, _ = form_pairs(np.array([[0, 0, 1, 1]]))
+        pairs = np.stack(form_pairs(np.array([[0, 0, 1, 1]])), axis=1)
         assert pairs.tolist() == [[0, 0, 1]]
 
 
@@ -168,7 +169,7 @@ def margins_of(policy, ref, features, pairs, beta, counters=None):
     rows = np.array([[0, y1, y2] for y1, y2 in pairs])
     cfg = SelectionConfig(1, features.shape[0], 1, len(pairs))
     picked, margins = select_apl(
-        policy, ref, features[None], np.zeros(1, dtype=int), np.zeros(1), rows, cfg,
+        policy, ref, features[None], np.zeros(1, dtype=int), np.zeros(1), *rows.T, cfg,
         beta, counters or OpCounters(),
     )
     return dict(zip(map(tuple, rows[picked, 1:].tolist()), margins.tolist()))

@@ -105,8 +105,9 @@ def replay_updates(universe, sft_policy, cfg, lines):
 def reference_loop(universe, sft_policy, cfg):
     """The online loop composed of the public, checked stages, each looked up
     on its module or class at call time so that a test can wrap it: the
-    reference that ``run_online_dpo``'s unchecked kernels must equal bit for
-    bit. Its record keeps the stages' own dtypes."""
+    reference that ``run_online_dpo``, which calls the checking stages'
+    unchecked kernels, must equal bit for bit. Its record keeps the stages'
+    own dtypes."""
     sel = cfg.selection
     train_ids = trainer.batch_train_ids(universe, sel)
     ref = policy = sft_policy
@@ -121,18 +122,20 @@ def reference_loop(universe, sft_policy, cfg):
     abort_reason = None
     for t in range(1, cfg.dpo.max_steps + 1):
         prompt_ids = train_ids[prompt_rng.permutation(train_ids.size)[: sel.batch_prompts]]
+        batch_features = features[prompt_ids]
         candidates, log_probs = selection.generate_candidates(
-            policy, features, prompt_ids, sel, gen_rng, counters
+            policy, batch_features, sel, gen_rng, counters
         )
         prompt_record.append(prompt_ids)
         candidate_record.append(candidates)
-        pairs, _ = selection.form_pairs(candidates)
+        pairs = np.stack(selection.form_pairs(candidates), axis=1)
         entropies = selection.entropy_estimate(log_probs)
         if cfg.selector == "random":
             picked = selection.select_random(pairs, sel.label_budget, select_rng)
         else:
             picked, margins = selection.select_apl(
-                policy, ref, features, prompt_ids, entropies, pairs, sel, cfg.dpo.beta, counters
+                policy, ref, batch_features, prompt_ids, entropies, *pairs.T, sel, cfg.dpo.beta,
+                counters,
             )
             scores.append(margins)
         rows, y1, y2 = pairs[picked].T
@@ -355,7 +358,7 @@ class TestOnlineLoop:
                 (t, prompt_id)
                 for t, (prompt_ids, rows) in enumerate(zip(result.prompt_ids, result.candidates), 1)
                 for prompt_id in prompt_ids[
-                    np.bincount(form_pairs(rows)[0][:, 0], minlength=len(rows)) == 0
+                    np.bincount(form_pairs(rows)[0], minlength=len(rows)) == 0
                 ].tolist()
             ], name
             budget = cfg.selection.label_budget
@@ -568,13 +571,14 @@ def expected_events(calls, cfg, result):
     """Each event of the run as a dict, rebuilt from what its stages returned."""
     events = []
     steps = iter(calls)
-    for t in range(1, len(result.per_iteration) + 1):
-        _, (_, _, prompt_ids, *_), (candidates, _) = next(steps)
+    for t, prompt_ids in enumerate(result.prompt_ids, 1):
+        _, _, (candidates, _) = next(steps)
         events.append(
             {"type": "candidates", "iteration": t, "prompt_ids": prompt_ids.tolist(),
              "candidates": candidates.tolist()}
         )
-        _, _, (_, degenerate) = next(steps)
+        _, _, (rows, _, _) = next(steps)
+        degenerate = np.bincount(rows, minlength=len(candidates)) == 0
         events += [
             {"type": "degenerate_prompt", "iteration": t, "prompt_id": prompt_id}
             for prompt_id in prompt_ids[degenerate].tolist()
@@ -712,6 +716,29 @@ def test_the_loop_is_its_public_stages(goodhart_universe, selector, shape):
     assert (result.abort_reason is not None) == (shape == "aborted")
     assert len(result.selections) > 0
     assert_same_run(result, reference)
+
+
+@pytest.mark.parametrize("selector", ["random", "apl"])
+@pytest.mark.parametrize("shape", ["smoke", "aborted"])
+def test_the_loop_looks_its_stages_up_where_a_tracer_wraps_them(monkeypatch, selector, shape):
+    # bench/spans.py times a stage by rebinding its name in the trainer module:
+    # the loop must call each wrapped stage once per iteration it runs
+    calls = []
+    for name in ("generate_candidates", "form_pairs"):
+        monkeypatch.setattr(trainer, name, recording(getattr(trainer, name), name, calls))
+    if shape == "smoke":
+        u, cfg = smoke_run()
+    else:
+        u, cfg = dense_universe(), train_config(
+            dpo=DpoConfig(beta=50.0, learning_rate=1e308, warmup_ratio=0.0, max_steps=6)
+        )
+    cfg = replace(cfg, selector=selector)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = run_online_dpo(u, sft_fit(u, cfg), cfg)
+    steps = len(result.per_iteration)
+    assert (result.abort_reason is not None) == (shape == "aborted")
+    assert 0 < steps and (steps < cfg.dpo.max_steps) == (shape == "aborted")
+    assert [name for name, _, _ in calls] == ["generate_candidates", "form_pairs"] * steps
 
 
 def test_the_loop_checks_indices_a_fixed_number_of_times(monkeypatch):
