@@ -18,8 +18,8 @@ and use identical random streams, so selector comparisons are paired.
 ``run_grid`` runs every cell (``preflab train`` is a one-cell grid) and
 refuses existing run directories without overwrite; ``save_universe`` keeps
 one ``universe.npz`` per output directory, so a grid grows by new cells only.
-The CSV files are written as ``report``'s row dataclasses, and ``report``
-reads the run directories back.
+``report._write_csv`` writes eval.csv's ``EvalRow`` rows and metrics.csv's
+``METRICS`` rows, and ``report`` reads the run directories back.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
 
@@ -38,12 +38,12 @@ from .errors import ConfigurationError, TrainingError
 from .evaluation import collapse_metrics, estimate_win_rate, probe_accuracy
 from .judges import Judge, JudgeSpec
 from .policy import Policy
-from .report import EvalRow, _write_csv
-from .rng import substream
+from .report import EVAL_CSV_HEADER, EvalRow, _write_csv
+from .rng import check_seed, substream
 from .schema import build_dataclass, json_key, load_json
 from .selection import SELECTOR_APL, SELECTOR_RANDOM, check_selector, degenerate_rows
 from .trainer import (
-    IterationLog,
+    METRICS,
     RunResult,
     TrainConfig,
     TrainTemplate,
@@ -93,6 +93,8 @@ class ExperimentGrid:
                 raise ConfigurationError(f"{name} must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError(f"seeds contain duplicates: {self.seeds}")
+        for i, seed in enumerate(self.seeds):
+            check_seed(seed, f"seeds[{i}]")
         for selector in self.selectors:
             check_selector(selector)
         if len(set(self.selectors)) != len(self.selectors):
@@ -169,7 +171,7 @@ def write_events(events: TextIO, result: RunResult, cfg: TrainConfig) -> None:
     response_text = np.array([str(y) for y in range(result.candidates.max(initial=0) + 1)])
     degenerate = degenerate_rows(result.candidates)
     end = 0
-    for t, log in enumerate(result.per_iteration, 1):
+    for t, labelled in enumerate(result.metrics["labeled_pairs"].tolist(), 1):
         prompt_ids, candidates = result.prompt_ids[t - 1], response_text[result.candidates[t - 1]]
         events.write(
             f'{{"candidates": [[{"], [".join(map(", ".join, candidates.tolist()))}]], '
@@ -179,14 +181,14 @@ def write_events(events: TextIO, result: RunResult, cfg: TrainConfig) -> None:
         if degenerate_ids:
             head, tail = f'{{"iteration": {t}, "prompt_id": ', ', "type": "degenerate_prompt"}\n'
             events.write(head + (tail + head).join(map(str, degenerate_ids)) + tail)
-        if log.labeled_pairs < budget:
+        if labelled < budget:
             events.write(
                 f'{{"budget": {budget}, "iteration": {t}, '
-                f'"selected": {log.labeled_pairs}, "type": "budget_shortfall"}}\n'
+                f'"selected": {labelled}, "type": "budget_shortfall"}}\n'
             )
-        start, end = end, end + log.labeled_pairs
+        start, end = end, end + labelled
         scores = (
-            ["null"] * log.labeled_pairs if result.scores is None
+            ["null"] * labelled if result.scores is None
             else _json_floats(result.scores[start:end].tolist())
         )
         rows = zip(result.selections[start:end].tolist(), scores)
@@ -197,7 +199,7 @@ def write_events(events: TextIO, result: RunResult, cfg: TrainConfig) -> None:
             for (prompt_id, a, b, winner), score in rows
         ]))
     if result.abort_reason is not None:
-        abort = {"type": "abort", "iteration": len(result.per_iteration),
+        abort = {"type": "abort", "iteration": len(result.metrics),
                  "reason": result.abort_reason}
         events.write(json.dumps(abort, sort_keys=True) + "\n")
 
@@ -211,14 +213,14 @@ def _write_run_outputs(
 ) -> None:
     """Write a trained cell's files, manifest.json last; eval.csv only when
     there are eval rows (an aborted run has none)."""
-    _write_csv(run_dir / "metrics.csv", IterationLog, result.per_iteration)
+    _write_csv(run_dir / "metrics.csv", METRICS.names, result.metrics.tolist())
     with open(run_dir / "events.jsonl", "w", encoding="utf-8") as events:
         write_events(events, result, cfg)
     with open(run_dir / "run.npz", "wb") as fh:
         np.savez(fh, sft_theta=result.sft_policy.theta, final_theta=result.final_policy.theta)
     _write_json(run_dir / "counters.json", asdict(result.counters))
     if eval_rows is not None:
-        _write_csv(run_dir / "eval.csv", EvalRow, eval_rows)
+        _write_csv(run_dir / "eval.csv", EVAL_CSV_HEADER, map(astuple, eval_rows))
     _write_json(run_dir / "manifest.json", manifest)
 
 

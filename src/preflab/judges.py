@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError
 from .policy import check_indices
-from .rng import mix_seeds, substream
+from .rng import check_seed, mix_seeds, substream
 from .universe import PromptUniverse
 
 KIND_BRADLEY_TERRY = "bradley_terry"
@@ -66,6 +66,7 @@ class JudgeSpec:
             raise ConfigurationError(
                 f"noise_temperature must be > 0, got {self.noise_temperature}"
             )
+        check_seed(self.seed, "seed")
 
 
 class Judge:

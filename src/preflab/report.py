@@ -1,7 +1,7 @@
 """Reports over run directories, and the CSV row format the lab writes.
 
-Every CSV table is one dataclass: a row is one instance, and the header is
-its field names in order. ``_write_csv`` writes any of them; ``eval.csv`` is
+Every CSV table is a header and rows: the dataclass tables and the
+``trainer.METRICS`` record. ``_write_csv`` writes any of them; ``eval.csv`` is
 read back into ``EvalRow`` by its field types. ``read_outcome`` is the one
 reader of a run's manifest and of how the run ended.
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from itertools import combinations
 from pathlib import Path
 from typing import Optional, Sequence, get_type_hints
@@ -120,13 +120,12 @@ def _parse_bool(text: str) -> bool:
 _EVAL_PARSERS = [_parse_bool if t is bool else t for t in get_type_hints(EvalRow).values()]
 
 
-def _write_csv(path: Path, row_type: type, records) -> None:
-    """A header of ``row_type``'s field names, then one row per record."""
-    header = [f.name for f in fields(row_type)]
+def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    """``header``, then each row: its values in header order, as ``_fmt`` writes them."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_fmt(getattr(record, key)) for key in header] for record in records)
+        writer.writerows([_fmt(value) for value in row] for row in rows)
 
 
 def read_outcome(run_dir) -> tuple[dict, str]:
@@ -375,5 +374,5 @@ def write_summary(
         ("pareto.csv", ParetoRow, pareto),
     )
     for name, row_type, records in tables:
-        _write_csv(out_dir / name, row_type, records)
+        _write_csv(out_dir / name, [f.name for f in fields(row_type)], map(astuple, records))
     return tuple(out_dir / name for name, *_ in tables)

@@ -9,7 +9,13 @@ import hashlib
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+from .errors import ConfigurationError
+
+
+def check_seed(seed: int, name: str) -> None:
+    """ConfigurationError naming ``name`` unless 0 <= seed < 2**64: no two such seeds alias."""
+    if not 0 <= seed < 1 << 64:
+        raise ConfigurationError(f"{name} must lie in [0, 2**64), got {seed}")
 
 
 def _tag_entropy(tag: str) -> int:
@@ -19,11 +25,11 @@ def _tag_entropy(tag: str) -> int:
 
 def substream(seed: int, *tags: str) -> np.random.Generator:
     """Independent PCG64 generator keyed by an integer seed and string tags."""
-    entropy = [int(seed) & _MASK64] + [_tag_entropy(t) for t in tags]
+    entropy = [int(seed)] + [_tag_entropy(t) for t in tags]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def mix_seeds(a: int, b: int) -> int:
     """Fold two seeds into one 64-bit seed; order-sensitive."""
-    payload = f"{int(a) & _MASK64}:{int(b) & _MASK64}".encode("ascii")
+    payload = f"{int(a)}:{int(b)}".encode("ascii")
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")

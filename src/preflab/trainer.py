@@ -18,10 +18,10 @@ loop checks its inputs once; of the stages that check caller indices
 unchecked kernel, which takes the same arguments.
 
 The loop writes no file. It returns what happened as arrays in its
-``RunResult``: each iteration's prompt ids and candidates, and every labelled
-pair with its winner (and its APL margin) in labelling order, each integer
-array in the smallest unsigned dtype of its bound. ``harness.write_events``
-renders them as the run's ``events.jsonl`` after the loop.
+``RunResult``: each iteration's ``METRICS`` row, prompt ids and candidates,
+and every labelled pair with its winner (and its APL margin) in labelling
+order, each integer array in the smallest unsigned dtype of its bound. The
+harness writes them as the run's ``metrics.csv`` and ``events.jsonl``.
 
 All stochastic streams are keyed by run_seed and a purpose tag, never by the
 selector, so runs that differ only in selector share prompt, generation, and
@@ -55,7 +55,7 @@ from .errors import ConfigurationError, TrainingError
 from .judges import Judge, JudgeSpec
 from .policy import Policy, check_feature_dim, log_softmax
 from .policy import grad_log_prob  # noqa: F401  (traced by bench/spans.py)
-from .rng import substream
+from .rng import check_seed, substream
 from .selection import (
     SELECTOR_RANDOM,
     OpCounters,
@@ -109,27 +109,24 @@ class TrainConfig(TrainTemplate):
 
     def __post_init__(self) -> None:
         check_selector(self.selector)
+        check_seed(self.run_seed, "run_seed")
 
 
-@dataclass
-class IterationLog:
-    iteration: int
-    mean_loss: float
-    labeled_pairs: int
-    lr: float
-    entropy_min: float
-    entropy_mean: float
-    entropy_max: float
+# one iteration's metrics: the record's row and metrics.csv's columns, in order
+METRICS = np.dtype([
+    ("iteration", "<i8"), ("mean_loss", "<f8"), ("labeled_pairs", "<i8"), ("lr", "<f8"),
+    ("entropy_min", "<f8"), ("entropy_mean", "<f8"), ("entropy_max", "<f8"),
+])
 
 
 @dataclass
 class RunResult:
     final_policy: Policy
     sft_policy: Policy
-    per_iteration: list[IterationLog]
     counters: OpCounters
     abort_reason: Optional[str]  # None for a run that finished
     # the record, one row per iteration run (an aborted run stops at its last)
+    metrics: np.ndarray  # (T,) METRICS
     prompt_ids: np.ndarray  # (T, B)
     candidates: np.ndarray  # (T, B, M) response indices
     selections: np.ndarray  # (n, 4) rows (prompt_id, y1, y2, winner), in labelling order
@@ -231,7 +228,6 @@ def run_online_dpo(universe: PromptUniverse, sft_policy: Policy, cfg: TrainConfi
     ref = policy = sft_policy  # immutable: the frozen reference and the starting policy
     opt_state = OptimizerState.initial(policy.feature_dim)
     counters = OpCounters()
-    logs: list[IterationLog] = []
 
     prompt_rng = substream(cfg.run_seed, "prompts")
     gen_rng = substream(cfg.run_seed, "generation")
@@ -241,13 +237,14 @@ def run_online_dpo(universe: PromptUniverse, sft_policy: Policy, cfg: TrainConfi
     features = universe.features
     n_prompts, n_responses = features.shape[:2]
     steps, b, m = cfg.dpo.max_steps, sel.batch_prompts, sel.candidates_per_prompt
+    metrics = np.empty(steps, METRICS)
     prompt_record = np.empty((steps, b), np.min_scalar_type(n_prompts))
     candidate_record = np.empty((steps, b, m), np.min_scalar_type(n_responses))
     # sized by the labels bought, which may be far fewer than steps * L
     selection_dtype = np.min_scalar_type(max(n_prompts, n_responses))
     selections = array.array(selection_dtype.char)
     scores = None if cfg.selector == SELECTOR_RANDOM else array.array("d")
-    abort_reason = None
+    abort_reason, t = None, 0  # t: the iterations run
     for t in range(1, steps + 1):
         prompt_ids = train_ids[prompt_rng.permutation(train_ids.size)[: sel.batch_prompts]]
         batch_features = features[prompt_ids]
@@ -282,28 +279,19 @@ def run_online_dpo(universe: PromptUniverse, sft_policy: Policy, cfg: TrainConfi
             policy = Policy(batch.theta)
             abort_reason = batch.abort_reason
 
-        logs.append(
-            IterationLog(
-                iteration=t,
-                mean_loss=mean_loss,
-                labeled_pairs=picked.size,
-                entropy_min=float(entropies.min()),
-                entropy_mean=float(entropies.sum() / entropies.size),
-                entropy_max=float(entropies.max()),
-                lr=last_lr,
-            )
-        )
+        entropy = (entropies.min(), entropies.sum() / entropies.size, entropies.max())
+        metrics[t - 1] = (t, mean_loss, picked.size, last_lr, *entropy)
         if abort_reason is not None:
             break
 
     return RunResult(
         final_policy=policy,
         sft_policy=ref,
-        per_iteration=logs,
         counters=counters,
         abort_reason=abort_reason,
-        prompt_ids=prompt_record[: len(logs)],
-        candidates=candidate_record[: len(logs)],
+        metrics=metrics[:t],
+        prompt_ids=prompt_record[:t],
+        candidates=candidate_record[:t],
         selections=np.frombuffer(selections, selection_dtype).reshape(-1, 4),
         scores=None if scores is None else np.frombuffer(scores),
     )

@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .rng import substream
+from .rng import check_seed, substream
 from .schema import build_dataclass, load_json
 
 ROLE_TRAIN = "train"
@@ -107,6 +107,7 @@ class UniverseConfig:
             raise ConfigurationError(
                 f"true_reward_scale must be > 0, got {self.true_reward_scale}"
             )
+        check_seed(self.seed, "seed")
         if self.tabular_mode:
             expected = self.total_prompts * self.responses_per_prompt
             if self.feature_dim != expected:

@@ -243,9 +243,7 @@ def test_criterion_05_budget_matching(stream_run):
         result, lines = stream_run(universe, sft_fit(universe, cfg), cfg)
         shortfalls = [e for e in map(json.loads, lines) if e["type"] == "budget_shortfall"]
         assert shortfalls == [], f"{selector} run hit a budget shortfall"
-        assert result.counters.judge_queries == sum(
-            log.labeled_pairs for log in result.per_iteration
-        )
+        assert result.counters.judge_queries == result.metrics["labeled_pairs"].sum()
         results[selector] = result
 
     random_queries = results["random"].counters.judge_queries

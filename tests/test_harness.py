@@ -47,7 +47,7 @@ from preflab import cli, harness, report
 from preflab.cli import main
 from preflab.harness import EvalSettings, ExperimentGrid, run_id_for
 from preflab.report import EVAL_CSV_HEADER, EvalRow, discover_run_dirs, write_summary
-from preflab.trainer import RunResult
+from preflab.trainer import METRICS, RunResult
 
 
 SMOKE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "smoke.json"
@@ -352,11 +352,13 @@ def _wrong_type(node):
 
 def _out_of_range(key_path, node):
     """Values that the config types reject when built at ``key_path``, or None
-    where every value of the right type is valid (seeds and output_dir)."""
+    where every value of the right type is valid (output_dir)."""
     name = key_path[-1] if key_path else None
     if isinstance(node, list):
         return st.just([])
-    if "seed" in str(name) or key_path[:1] == ("seeds",) or name == "output_dir":
+    if "seed" in str(name) or key_path[:1] == ("seeds",):
+        return st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64))
+    if name == "output_dir":
         return None
     if isinstance(node, float):
         return st.one_of(st.floats(max_value=-1.01), st.sampled_from([math.inf, math.nan]))
@@ -398,6 +400,16 @@ class TestConfigTypes:
             (ExperimentGrid, GRID, dict(selectors=["random", "greedy"]), "unknown selector"),
             (ExperimentGrid, GRID, dict(universe_path="universe.npz"), "exactly one"),
             (JudgeSpec, dict(label="a"), dict(label=".."), "label"),
+            # a seed outside [0, 2**64) would draw an in-range seed's streams
+            (UniverseConfig, UNIVERSE, dict(seed=-1), r"^seed must lie in \[0, 2\*\*64\), got -1$"),
+            (UniverseConfig, UNIVERSE, dict(seed=2**64), r"^seed must lie in \[0, 2\*\*64\)"),
+            (JudgeSpec, dict(label="a"), dict(seed=2**64 + 1), r"^seed must lie in \[0, 2\*\*64\)"),
+            (JudgeSpec, dict(label="a"), dict(seed=-(2**64)), r"^seed must lie in \[0, 2\*\*64\)"),
+            (TrainConfig, {}, dict(run_seed=-1), r"^run_seed must lie in \[0, 2\*\*64\)"),
+            (TrainConfig, {}, dict(run_seed=2**64), r"^run_seed must lie in \[0, 2\*\*64\)"),
+            (ExperimentGrid, GRID, dict(seeds=[42, 42 + 2**64]),
+             r"^seeds\[1\] must lie in \[0, 2\*\*64\), got 18446744073709551658$"),
+            (ExperimentGrid, GRID, dict(seeds=[-1]), r"^seeds\[0\] must lie in \[0, 2\*\*64\)"),
         ],
     )
     def test_out_of_range_config_cannot_be_built(self, cls, valid, overrides, fragment):
@@ -703,9 +715,9 @@ def run_without_iterations(counters):
     return RunResult(
         final_policy=Policy(np.zeros(2)),
         sft_policy=Policy(np.zeros(2)),
-        per_iteration=[],
         counters=counters,
         abort_reason=None,
+        metrics=np.zeros(0, METRICS),
         prompt_ids=np.zeros((0, 1), np.uint8),
         candidates=np.zeros((0, 1, 2), np.uint8),
         selections=np.zeros((0, 4), np.uint8),
@@ -1265,7 +1277,9 @@ class TestCli:
     @pytest.mark.parametrize(
         "flag, value, error",
         [("--selector", "greedy", "unknown selector 'greedy'"),
-         ("--annotator", "nobody", "annotator 'nobody' not in config (['weak'])")],
+         ("--annotator", "nobody", "annotator 'nobody' not in config (['weak'])"),
+         ("--seed", "-1", "seeds[0] must lie in [0, 2**64), got -1"),
+         ("--seed", str(2**64), f"seeds[0] must lie in [0, 2**64), got {2**64}")],
     )
     def test_train_refuses_an_unknown_cell_before_any_file(
         self, tmp_path, capsys, flag, value, error

@@ -30,7 +30,7 @@ from preflab import (
 )
 from preflab import harness
 from preflab.policy import check_indices
-from preflab.trainer import RunResult
+from preflab.trainer import METRICS, RunResult
 
 
 TWO_LOGIT_FEATURES = np.eye(2)
@@ -261,8 +261,8 @@ class TestPolicyValue:
         sft = Policy(np.array([0.25, -1.5, 3.0]))
         final = Policy(np.array([5e-324, -0.0, 1.0 / 3.0]))
         result = RunResult(
-            final_policy=final, sft_policy=sft, per_iteration=[], counters=OpCounters(),
-            abort_reason=None, prompt_ids=np.zeros((0, 1), np.uint8),
+            final_policy=final, sft_policy=sft, counters=OpCounters(), abort_reason=None,
+            metrics=np.zeros(0, METRICS), prompt_ids=np.zeros((0, 1), np.uint8),
             candidates=np.zeros((0, 1, 2), np.uint8), selections=np.zeros((0, 4), np.uint8),
             scores=None,
         )

@@ -1,5 +1,6 @@
 """Supervised fit and the online loop: determinism, budgets, aborts."""
 
+import csv
 import io
 import json
 import math
@@ -44,9 +45,9 @@ from preflab import (
 )
 from preflab import policy as policy_module
 from preflab import selection, trainer
-from preflab.harness import _json_floats, write_events
+from preflab.harness import _json_floats, _write_run_outputs, write_events
 from preflab.rng import substream
-from preflab.trainer import IterationLog, RunResult
+from preflab.trainer import METRICS, RunResult
 
 
 def mean_chosen_log_prob(policy, universe):
@@ -107,7 +108,7 @@ def reference_loop(universe, sft_policy, cfg):
     on its module or class at call time so that a test can wrap it: the
     reference that ``run_online_dpo``, which calls the checking stages'
     unchecked kernels, must equal bit for bit. Its record keeps the stages'
-    own dtypes."""
+    own dtypes, and its metrics are built as one array of METRICS rows."""
     sel = cfg.selection
     train_ids = trainer.batch_train_ids(universe, sel)
     ref = policy = sft_policy
@@ -118,7 +119,7 @@ def reference_loop(universe, sft_policy, cfg):
     select_rng = substream(cfg.run_seed, "random-selector")
     annotator = Judge.for_run(cfg.annotator, universe, cfg.run_seed)
     features = universe.features
-    logs, prompt_record, candidate_record, selections, scores = [], [], [], [], []
+    metrics, prompt_record, candidate_record, selections, scores = [], [], [], [], []
     abort_reason = None
     for t in range(1, cfg.dpo.max_steps + 1):
         prompt_ids = train_ids[prompt_rng.permutation(train_ids.size)[: sel.batch_prompts]]
@@ -151,17 +152,15 @@ def reference_loop(universe, sft_policy, cfg):
             opt_state, mean_loss, last_lr = batch.state, batch.loss, batch.lr
             policy = Policy(batch.theta)
             abort_reason = batch.abort_reason
-        logs.append(IterationLog(
-            iteration=t, mean_loss=mean_loss, labeled_pairs=picked.size, lr=last_lr,
-            entropy_min=float(entropies.min()),
-            entropy_mean=float(entropies.sum() / entropies.size),
-            entropy_max=float(entropies.max()),
+        metrics.append((
+            t, mean_loss, picked.size, last_lr, float(entropies.min()),
+            float(entropies.sum() / entropies.size), float(entropies.max()),
         ))
         if abort_reason is not None:
             break
     return RunResult(
-        final_policy=policy, sft_policy=ref, per_iteration=logs, counters=counters,
-        abort_reason=abort_reason, prompt_ids=np.array(prompt_record),
+        final_policy=policy, sft_policy=ref, counters=counters, abort_reason=abort_reason,
+        metrics=np.array(metrics, METRICS), prompt_ids=np.array(prompt_record),
         candidates=np.array(candidate_record), selections=np.concatenate(selections),
         scores=np.concatenate(scores) if cfg.selector == "apl" else None,
     )
@@ -254,7 +253,7 @@ class TestOnlineLoop:
         sft = sft_fit(u, cfg)
         result, _ = stream_run(u, sft, cfg)
         np.testing.assert_array_equal(result.final_policy.theta, sft.theta)
-        assert result.per_iteration == []
+        assert result.metrics.dtype == METRICS and result.metrics.shape == (0,)
         assert result.counters.judge_queries == 0
 
     def test_reference_is_bitwise_sft(self, stream_run):
@@ -269,7 +268,7 @@ class TestOnlineLoop:
         cfg = train_config()
         sft = sft_fit(u, cfg)
         result, _ = stream_run(u, sft, cfg)
-        total = sum(log.labeled_pairs for log in result.per_iteration)
+        total = int(result.metrics["labeled_pairs"].sum())
         assert result.counters.judge_queries == total
         assert total <= cfg.dpo.max_steps * cfg.selection.label_budget
 
@@ -302,15 +301,12 @@ class TestOnlineLoop:
         a, a_lines = stream_run(u, sft_fit(u, cfg), cfg)
         b, b_lines = stream_run(u, sft_fit(u, cfg), cfg)
         assert a_lines == b_lines
-        # through json.dumps, so that a NaN mean_loss compares equal to itself
-        for run_a, run_b in (
-            ([vars(log) for log in a.per_iteration], [vars(log) for log in b.per_iteration]),
-            (asdict(a.counters), asdict(b.counters)),
-        ):
-            assert json.dumps(run_a, sort_keys=True) == json.dumps(run_b, sort_keys=True)
+        assert json.dumps(asdict(a.counters), sort_keys=True) == json.dumps(
+            asdict(b.counters), sort_keys=True
+        )
         for name in ("final_policy", "sft_policy"):
             assert getattr(a, name).theta.tobytes() == getattr(b, name).theta.tobytes()
-        for name in ("prompt_ids", "candidates", "selections", "scores"):
+        for name in ("metrics", "prompt_ids", "candidates", "selections", "scores"):
             record_a, record_b = getattr(a, name), getattr(b, name)
             assert record_a.dtype == record_b.dtype, name
             assert record_a.tobytes() == record_b.tobytes(), name
@@ -364,26 +360,50 @@ class TestOnlineLoop:
             budget = cfg.selection.label_budget
             shortfalls = [(e["iteration"], e["budget"], e["selected"])
                           for e in of_type("budget_shortfall")]
+            labelled = result.metrics["labeled_pairs"].tolist()
             assert shortfalls == [
-                (t, budget, log.labeled_pairs)
-                for t, log in enumerate(result.per_iteration, 1)
-                if log.labeled_pairs < budget
+                (t, budget, n) for t, n in enumerate(labelled, 1) if n < budget
             ], name
             aborts = of_type("abort")
             if result.abort_reason is None:
                 assert aborts == []
             else:
                 assert events[-1] == aborts[0] == {
-                    "type": "abort", "iteration": len(result.per_iteration),
+                    "type": "abort", "iteration": len(result.metrics),
                     "reason": result.abort_reason,
                 }
-            assert len(result.selections) == sum(log.labeled_pairs for log in result.per_iteration)
+            assert len(result.selections) == sum(labelled)
             for array, bound in (
                 (result.prompt_ids, n_prompts),
                 (result.candidates, n_responses),
                 (result.selections, max(n_prompts, n_responses)),
             ):
                 assert array.dtype == np.min_scalar_type(bound), name
+
+    def test_the_metrics_record_is_metrics_csv(self, stream_run, tmp_path):
+        unlabelled = 0
+        for name, (cfg, result, _) in four_runs(stream_run).items():
+            metrics = result.metrics
+            assert metrics.dtype == METRICS, name
+            # one row per iteration run: an aborted run stops at its last
+            assert metrics["iteration"].tolist() == list(range(1, len(result.prompt_ids) + 1))
+            assert (len(metrics) < cfg.dpo.max_steps) == (name == "aborted"), name
+            labelled = metrics["labeled_pairs"]
+            assert labelled.sum() == len(result.selections) == result.counters.judge_queries
+            assert np.isnan(metrics["mean_loss"][labelled == 0]).all(), name
+            unlabelled += np.count_nonzero(labelled == 0)
+
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            _write_run_outputs(run_dir, result, cfg, None, {})
+            with open(run_dir / "metrics.csv", encoding="utf-8", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert tuple(header) == METRICS.names
+            parsed = np.array(list(map(tuple, rows)), METRICS)  # numpy parses the text
+            assert parsed.shape == metrics.shape, name
+            for column in METRICS.names:
+                np.testing.assert_array_equal(parsed[column], metrics[column], err_msg=name)
+        assert unlabelled > 0  # the collapsed run labels nothing at its first iteration
 
     @pytest.mark.parametrize(
         "values", [[], [0.0], [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, -1.5e-7]]
@@ -419,7 +439,7 @@ class TestOnlineLoop:
         aborts = [e for e in map(json.loads, lines) if e["type"] == "abort"]
         assert len(aborts) == 1
         assert aborts[0]["reason"] == "non-finite parameters at update 2"
-        assert len(result.per_iteration) <= 6
+        assert len(result.metrics) <= 6
         assert np.all(np.isfinite(result.final_policy.theta))
 
     def test_mid_batch_abort_keeps_the_updates_before_it(self, stream_run):
@@ -445,7 +465,7 @@ class TestOnlineLoop:
         assert not np.array_equal(theta, sft.theta)
         # the metrics row: the loss of the batch's first update, the rate of
         # the update that failed
-        logged = [(log.mean_loss, log.lr) for log in result.per_iteration]
+        logged = result.metrics[["mean_loss", "lr"]].tolist()
         assert logged == rows == [(math.log(2.0), math.inf)]
 
     def test_supervised_divergence_names_the_fit(self):
@@ -484,8 +504,8 @@ class TestOnlineLoop:
 
         monkeypatch.setattr(Policy, "__post_init__", counting_post_init)
         result, _ = stream_run(u, sft, cfg)
-        updating = [log for log in result.per_iteration if log.labeled_pairs > 0]
-        assert updating and len(validations) == len(updating)
+        updating = np.count_nonzero(result.metrics["labeled_pairs"])
+        assert updating and len(validations) == updating
         assert validations[-1] is result.final_policy.theta
         assert result.sft_policy is sft
         assert not result.final_policy.theta.flags.writeable
@@ -525,7 +545,7 @@ class TestOnlineLoop:
                 _, write_peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert result.abort_reason is None and len(result.per_iteration) == cfg.dpo.max_steps
+            assert result.abort_reason is None and len(result.metrics) == cfg.dpo.max_steps
             assert path.stat().st_size > 4_000_000
             assert loop_peak < 1_000_000 and write_peak < 1_000_000, (selector, loop_peak, write_peak)
 
@@ -603,7 +623,7 @@ def expected_events(calls, cfg, result):
         ]
     if result.abort_reason is not None:
         events.append(
-            {"type": "abort", "iteration": len(result.per_iteration),
+            {"type": "abort", "iteration": len(result.metrics),
              "reason": result.abort_reason}
         )
     return events
@@ -666,13 +686,13 @@ def test_each_event_line_is_the_encoders_text_of_its_event(
 
 
 def assert_same_run(result, reference):
-    """θ, counters, logs, record and scores of two runs are equal bit for bit."""
+    """θ, counters, metrics, record and scores of two runs are equal bit for bit."""
     for name in ("final_policy", "sft_policy"):
         assert getattr(result, name).theta.tobytes() == getattr(reference, name).theta.tobytes()
     assert result.counters == reference.counters
     assert result.abort_reason == reference.abort_reason
-    # repr, so that a NaN loss equals itself and every float is compared exactly
-    assert repr(result.per_iteration) == repr(reference.per_iteration)
+    assert result.metrics.dtype == reference.metrics.dtype == METRICS
+    assert result.metrics.tobytes() == reference.metrics.tobytes()
     for name in ("prompt_ids", "candidates", "selections"):
         got, want = getattr(result, name), getattr(reference, name)
         assert got.shape == want.shape and np.array_equal(got, want), name
@@ -735,7 +755,7 @@ def test_the_loop_looks_its_stages_up_where_a_tracer_wraps_them(monkeypatch, sel
     cfg = replace(cfg, selector=selector)
     with np.errstate(over="ignore", invalid="ignore"):
         result = run_online_dpo(u, sft_fit(u, cfg), cfg)
-    steps = len(result.per_iteration)
+    steps = len(result.metrics)
     assert (result.abort_reason is not None) == (shape == "aborted")
     assert 0 < steps and (steps < cfg.dpo.max_steps) == (shape == "aborted")
     assert [name for name, _, _ in calls] == ["generate_candidates", "form_pairs"] * steps
@@ -763,7 +783,7 @@ def test_the_loop_checks_indices_a_fixed_number_of_times(monkeypatch):
             sft = sft_fit(u, cfg)
             del calls[:]
             result = run_online_dpo(u, sft, cfg)
-            assert len(result.per_iteration) == steps
+            assert len(result.metrics) == steps
             counts.append(len(calls))
     assert counts[0] == counts[1] and counts[2] == counts[3], counts
     assert counts == [0, 0, 0, 0]  # the feature check is check_feature_dim's
