@@ -13,7 +13,11 @@ is written after the loop returns: ``write_events`` renders the loop's run
 record as ``events.jsonl``, the one writer of event text. The manifest records
 how the run ended, and ``report.read_outcome`` is the one reader that takes
 the outcome from it. Runs that share (annotator, seed) differ only in selector
-and use identical random streams, so selector comparisons are paired.
+and use identical random streams, so selector comparisons are paired, and
+they start from one SFT policy: ``run_cell`` fits it once per universe object
+and keeps it there (``PromptUniverse.sft_fits``), so a grid's cells, or direct
+``run_cell`` calls on one universe, share it, and each pool worker fits from
+its own copy of the universe.
 
 ``run_grid`` runs every cell (``preflab train`` is a one-cell grid) and
 refuses existing run directories without overwrite; ``save_universe`` keeps
@@ -254,7 +258,7 @@ def run_cell(
     for name in RUN_FILES:
         (run_dir / name).unlink(missing_ok=True)
     try:
-        result = run_online_dpo(universe, _fit_sft(universe, cell["universe_hash"], cfg), cfg)
+        result = run_online_dpo(universe, _fit_sft(universe, cfg), cfg)
     except TrainingError as exc:
         manifest.update(status="failed", error=str(exc))
         _write_json(run_dir / "manifest.json", manifest)
@@ -307,39 +311,25 @@ def evaluate_run(
     return rows
 
 
-def _resolve_universe(grid: ExperimentGrid) -> PromptUniverse:
-    if grid.universe_path is not None:
-        return PromptUniverse.load(grid.universe_path)
-    return generate_universe(grid.universe)
-
-
 _worker_universe: Optional[PromptUniverse] = None
 
-# The SFT policies of the running grid by (universe hash, SftConfig, run seed):
-# a dict while run_grid runs (and in each of its pool workers), None outside
-# one, where each run_cell fits its own. It lives here because run_cell's
-# parameters are the ones bench/rep.py passes.
-_sft_fits: Optional[dict[tuple, Policy]] = None
 
-
-def _fit_sft(universe: PromptUniverse, universe_hash: str, cfg: TrainConfig) -> Policy:
-    """``sft_fit(universe, cfg)``, fitted once per grid for every selector and
-    annotator of a seed; a fit that raises is not kept, so each cell that asks
-    for it raises again."""
-    if _sft_fits is None:
-        return sft_fit(universe, cfg)
-    key = (universe_hash, cfg.sft, cfg.run_seed)
-    if key not in _sft_fits:
-        _sft_fits[key] = sft_fit(universe, cfg)
-    return _sft_fits[key]
+def _fit_sft(universe: PromptUniverse, cfg: TrainConfig) -> Policy:
+    """``sft_fit(universe, cfg)``, fitted once per universe object for every
+    selector and annotator of a seed and kept on it; a fit that raises is not
+    kept, so each cell that asks for it raises again."""
+    key = (cfg.sft, cfg.run_seed)
+    if key not in universe.sft_fits:
+        universe.sft_fits[key] = sft_fit(universe, cfg)
+    return universe.sft_fits[key]
 
 
 def _set_worker_universe(universe: PromptUniverse) -> None:
     """Pool initializer, run once in each worker process (never in the parent):
-    the worker keeps the grid's saved, hashed universe for all its cells, and
-    the SFT policies it fits for them."""
-    global _worker_universe, _sft_fits
-    _worker_universe, _sft_fits = universe, {}
+    the worker keeps its copy of the grid's saved, hashed universe for all its
+    cells, and with it the SFT policies it fits for them."""
+    global _worker_universe
+    _worker_universe = universe
 
 
 def _cell_worker(args: tuple) -> str:
@@ -366,8 +356,7 @@ def run_grid(
 ) -> list[Path]:
     """Execute every (selector, annotator, seed) cell of the grid, on at most
     one worker process per cell. Each seed's SFT policy is fitted once per
-    process and shared by the seed's cells."""
-    global _sft_fits
+    process and shared by the seed's cells, through the universe built here."""
     if parallel < 1:
         raise ConfigurationError(f"--parallel must be >= 1, got {parallel}")
     out = Path(grid.output_dir)
@@ -387,7 +376,10 @@ def run_grid(
             f"{[str(d) for d in existing]}"
         )
 
-    universe = _resolve_universe(grid)
+    if grid.universe_path is not None:
+        universe = PromptUniverse.load(grid.universe_path)
+    else:
+        universe = generate_universe(grid.universe)
     batch_train_ids(universe, grid.train.selection)  # refuse before writing anything
     out.mkdir(parents=True, exist_ok=True)
     save_universe(universe, out / "universe.npz", overwrite)
@@ -399,16 +391,12 @@ def run_grid(
         for (selector, annotator, seed), run_dir in zip(cells, run_dirs)
     ]
     workers = min(parallel, len(cells))  # a pool forks every worker at its first submit
-    _sft_fits = {}
-    try:
-        if workers == 1:
-            for args in cell_args:
-                run_cell(universe, *args)
-        else:
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_set_worker_universe, initargs=(universe,)
-            ) as pool:
-                list(pool.map(_cell_worker, cell_args))
-    finally:
-        _sft_fits = None
+    if workers == 1:
+        for args in cell_args:
+            run_cell(universe, *args)
+    else:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_set_worker_universe, initargs=(universe,)
+        ) as pool:
+            list(pool.map(_cell_worker, cell_args))
     return run_dirs

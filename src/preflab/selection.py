@@ -28,8 +28,9 @@ The margin is exact in closed form for a linear softmax: an implicit reward
 beta * (log pi_theta(y|x) - log pi_ref(y|x)) is beta * z_y, z = F (theta -
 theta_ref) for the prompt's (V, d) features F, minus the two logsumexps, a
 per-prompt constant that cancels in the difference. So the margin of (a, b)
-is beta * |z_a - z_b|, one matrix product scores every kept pool, and
-candidate generation is one matmul and log-softmax over the stacked batch.
+is beta * |z_a - z_b|: one matrix product gives z for the whole gathered
+batch, and the kept prompts' pairs read it by batch row through a kept-row
+mask. Candidate generation is one matmul and log-softmax over the same batch.
 
 OpCounters track the per-category work so the extra cost of uncertainty-based
 selection is reported as operation counts rather than wall-clock time; they
@@ -217,15 +218,12 @@ def _select_apl(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``select_apl`` of a batch whose indices are in range; unchecked."""
     pooled = np.flatnonzero(np.bincount(rows, minlength=len(prompt_ids)))
-    kept = pooled[np.lexsort((prompt_ids[pooled], -entropies[pooled]))][: cfg.apl_top_prompts]
-    if kept.size == 0:
-        return np.zeros(0, dtype=int), np.zeros(0)
-    z = batch_features[kept] @ (policy.theta - ref.theta)
-    slot = np.full(len(prompt_ids), -1)
-    slot[kept] = np.arange(kept.size)
-    scored = np.flatnonzero(slot[rows] >= 0)
+    kept = np.zeros(len(prompt_ids), dtype=bool)
+    kept[pooled[np.lexsort((prompt_ids[pooled], -entropies[pooled]))][: cfg.apl_top_prompts]] = True
+    z = batch_features @ (policy.theta - ref.theta)
+    scored = np.flatnonzero(kept[rows])
     row, y1, y2 = rows[scored], y1[scored], y2[scored]
-    margin = beta * np.abs(z[slot[row], y1] - z[slot[row], y2])
+    margin = beta * np.abs(z[row, y1] - z[row, y2])
     counters.policy_logprob_evals += 2 * scored.size
     counters.ref_logprob_evals += 2 * scored.size
     order = np.lexsort((y2, y1, prompt_ids[row], -margin))[: cfg.label_budget]

@@ -8,14 +8,15 @@ it as the reference, then iterate
     annotator judge -> take ``updates_per_sample`` optimizer steps on the
     labeled batch.
 
-Each stage runs once per iteration on the whole batch, as index arrays over
-``PromptUniverse.features``: prompt ids and their gathered (B, V, d)
-features, (B, M) candidates, pairs as (batch row, y1, y2) columns, selected
-indices, one labelling call, and the winner-minus-loser feature differences
-that all of the iteration's updates reuse, in one ``dpo_updates`` call. The
-loop checks its inputs once; of the stages that check caller indices
-(``select_apl``, ``Judge.prefer_batch``, ``preference_deltas``) it calls the
-unchecked kernel, which takes the same arguments.
+Each stage runs once per iteration on the whole batch. The prompt ids index
+``PromptUniverse.features`` once, and every later stage reads the gathered
+(B, V, d) features by batch row: (B, M) candidates, pairs as (batch row, y1,
+y2) columns, selected indices, one labelling call, and the winner-minus-loser
+feature differences that all of the iteration's updates reuse, in one
+``dpo_updates`` call. The loop checks its inputs once; of the stages that
+check caller indices (``select_apl``, ``Judge.prefer_batch``,
+``preference_deltas``) it calls the unchecked kernel, which takes the same
+arguments.
 
 The loop writes no file. It returns what happened as arrays in its
 ``RunResult``: each iteration's ``METRICS`` row, prompt ids and candidates,
@@ -262,8 +263,8 @@ def run_online_dpo(universe: PromptUniverse, sft_policy: Policy, cfg: TrainConfi
             )
             scores.frombytes(margins.tobytes())
 
-        y1, y2 = y1[picked], y2[picked]
-        pair_prompts = prompt_ids[rows[picked]]
+        rows, y1, y2 = rows[picked], y1[picked], y2[picked]
+        pair_prompts = prompt_ids[rows]
         winners = annotator._prefer_batch(pair_prompts, y1, y2)
         counters.judge_queries += picked.size
         labelled = np.stack([pair_prompts, y1, y2, winners], axis=1)
@@ -273,7 +274,7 @@ def run_online_dpo(universe: PromptUniverse, sft_policy: Policy, cfg: TrainConfi
         last_lr = lr_at_step(cfg.dpo, opt_state.step)
         if picked.size:
             losers = np.where(winners == y1, y2, y1)
-            dphi = _preference_deltas(features, pair_prompts, winners, losers)
+            dphi = _preference_deltas(batch_features, rows, winners, losers)
             batch = dpo_updates(policy, ref, opt_state, dphi, cfg.dpo)
             opt_state, mean_loss, last_lr = batch.state, batch.loss, batch.lr
             policy = Policy(batch.theta)

@@ -37,6 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
+from .policy import Policy
 from .rng import check_seed, substream
 from .schema import build_dataclass, load_json
 
@@ -123,7 +124,9 @@ class PromptUniverse:
 
     A universe is not changed after ``generate_universe`` or ``load``: its
     content hash and bias-score table are cached on first use and never
-    invalidated (``dataclasses.replace`` starts every cache empty).
+    invalidated (``dataclasses.replace`` starts every cache empty). So are the
+    SFT policies fitted from it, keyed by (``SftConfig``, run seed), which
+    ``harness`` keeps here so every cell of a seed starts from one fit.
     """
 
     config: UniverseConfig
@@ -134,6 +137,8 @@ class PromptUniverse:
     probe_direction: np.ndarray  # (d,), unit norm
     _content_hash: Optional[str] = field(default=None, init=False, repr=False, compare=False)
     _bias_scores: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    sft_fits: dict[tuple, Policy] = field(default_factory=dict, init=False, repr=False,
+                                          compare=False)
 
     def role_ids(self, role: str) -> np.ndarray:
         """The prompt ids that have ``role``, ascending; none for an unknown role."""

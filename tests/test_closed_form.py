@@ -572,7 +572,7 @@ def test_select_apl_checks_its_arguments_on_an_empty_pool():
     policy, empty = Policy(np.ones(3)), np.zeros(0, dtype=int)
 
     def apl(ref, beta):
-        select_apl(
+        return select_apl(
             policy, ref, features, np.arange(2), np.ones(2), empty, empty, empty,
             SelectionConfig(2, 2, 2, 1), beta, OpCounters(),
         )
@@ -582,4 +582,7 @@ def test_select_apl_checks_its_arguments_on_an_empty_pool():
             apl(policy, beta)
     with pytest.raises(ContractError, match="feature dim"):
         apl(Policy(np.ones(5)), 0.1)
-    apl(policy, 0.1)
+    picked, margins = apl(policy, 0.1)
+    # nothing is selected: an empty index array and an empty margin array
+    assert picked.shape == margins.shape == (0,)
+    assert picked.dtype.kind == "i" and margins.dtype == np.float64

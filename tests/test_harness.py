@@ -38,6 +38,7 @@ from preflab import (
     aggregate_summary,
     capability_delta,
     counters_report,
+    generate_universe,
     parse_config,
     run_grid,
     run_online_dpo,
@@ -546,7 +547,36 @@ class TestRunGrid:
                     assert run["sft_theta"].tobytes() == fresh, (selector, seed)
         # the fits do not outlive the grid: the next one fits again
         run_grid(replace(grid, output_dir=str(tmp_path / "again")), grid_manifest=manifest)
-        assert fits == grid.seeds * 2 and harness._sft_fits is None
+        assert fits == grid.seeds * 2
+
+    def test_direct_cells_on_one_universe_share_its_sft_fit(self, tmp_path, monkeypatch):
+        fits, fit = [], harness.sft_fit
+
+        def counting_fit(universe, cfg):
+            fits.append(cfg.run_seed)
+            return fit(universe, cfg)
+
+        monkeypatch.setattr(harness, "sft_fit", counting_fit)
+        grid, manifest = parse_config(SMOKE_CONFIG)
+        universe, annotator, seed = generate_universe(grid.universe), grid.annotators[0], 42
+
+        def cell(universe, selector, out):
+            return harness.run_cell(
+                universe, grid.train, selector, annotator, seed, grid.evaluators,
+                grid.eval_settings, tmp_path / out / run_id_for(selector, annotator.label, seed),
+                manifest,
+            )
+
+        run_dirs = [cell(universe, selector, "runs") for selector in ("random", "apl")]
+        assert fits == [seed]
+        cfg = TrainConfig(**vars(grid.train), annotator=annotator, run_seed=seed)
+        fresh = fit(universe, cfg).theta.tobytes()
+        for run_dir in run_dirs:
+            with np.load(run_dir / "run.npz") as run:
+                assert run["sft_theta"].tobytes() == fresh, run_dir.name
+        # a copy of the universe starts with no fits of its own
+        cell(replace(universe), "random", "copy")
+        assert fits == [seed, seed]
 
     def test_a_fit_that_raises_is_not_reused(self, tmp_path, monkeypatch):
         fits, fit = [], harness.sft_fit

@@ -761,6 +761,33 @@ def test_the_loop_looks_its_stages_up_where_a_tracer_wraps_them(monkeypatch, sel
     assert [name for name, _, _ in calls] == ["generate_candidates", "form_pairs"] * steps
 
 
+@pytest.mark.parametrize("selector", ["random", "apl"])
+def test_the_loop_takes_preference_deltas_from_its_gathered_batch(monkeypatch, selector):
+    # the labelled pairs' batch rows index the (B, V, d) features the loop
+    # gathered once per iteration, not the universe's (N, V, d) tensor
+    calls = []
+    monkeypatch.setattr(
+        trainer, "_preference_deltas",
+        recording(trainer._preference_deltas, "_preference_deltas", calls),
+    )
+    u, cfg = smoke_run()
+    cfg = replace(cfg, selector=selector)
+    result = run_online_dpo(u, sft_fit(u, cfg), cfg)
+    labelled = result.metrics["labeled_pairs"]
+    assert len(calls) == np.count_nonzero(labelled) > 0
+    ends = np.cumsum(labelled)[labelled > 0]
+    for (_, (batch, rows, winners, losers), dphi), t, end in zip(
+        calls, np.flatnonzero(labelled), ends
+    ):
+        prompt_ids = result.prompt_ids[t]
+        assert batch.shape == (cfg.selection.batch_prompts, *u.features.shape[1:])
+        assert np.array_equal(batch, u.features[prompt_ids])
+        pairs = result.selections[end - len(rows) : end]
+        assert np.array_equal(prompt_ids[rows], pairs[:, 0])
+        want = preference_deltas(u.features, pairs[:, 0], winners, losers)
+        assert dphi.tobytes() == want.tobytes()
+
+
 def test_the_loop_checks_indices_a_fixed_number_of_times(monkeypatch):
     # every index the loop builds is in range by construction: its checks run
     # once per run, not once per iteration
